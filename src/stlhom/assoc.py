@@ -14,6 +14,7 @@ ring format used by the CLI.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .domains import SCALARS, ScalarDomain
@@ -345,10 +346,31 @@ def _coeff_to_json(c):
     return int(c)
 
 
-def _coeff_from_json(c):
-    if isinstance(c, str):
-        return Fraction(c)
-    return c
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _coeff_from_json(c, dom: ScalarDomain):
+    """An exact coefficient: a JSON int or a rational string such as "-3/4".
+
+    Floats and bools are rejected rather than truncated or read as 0/1, and
+    a fraction must make sense in ``dom`` (integral over Z, denominator
+    prime to p over F_p).
+    """
+    exact_str = isinstance(c, str) and _RATIONAL.fullmatch(c)
+    if not exact_str and (isinstance(c, bool) or not isinstance(c, int)):
+        raise ValueError(f"coefficient {c!r} is not an int or an exact "
+                         f"rational string")
+    try:
+        return dom.normalize(Fraction(c) if exact_str else c)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"coefficient {c} is not a {dom.name} scalar: "
+                         f"{exc}") from None
+
+
+def _index_from_json(x, dim: int, what: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < dim:
+        raise ValueError(f"{what} {x!r} is not an int in [0, {dim})")
+    return x
 
 
 def save_ring_json(alg: AssocAlgebra, path: str) -> None:
@@ -375,19 +397,35 @@ def save_ring_json(alg: AssocAlgebra, path: str) -> None:
 def load_ring_json(path: str) -> AssocAlgebra:
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"ring file {path} does not hold a JSON object")
     for field in ("name", "scalar", "dim", "unit_index", "structure"):
         if field not in doc:
             raise ValueError(f"ring file {path} is missing {field!r}")
-    dom = SCALARS.get(doc["scalar"])
+    dom = SCALARS.get(doc["scalar"]) if isinstance(doc["scalar"], str) else None
     if dom is None:
         raise ValueError(f"unknown scalar {doc['scalar']!r} in {path}")
-    dim = doc["dim"]
+    dim, quads = doc["dim"], doc["structure"]
+    if not isinstance(quads, list):
+        raise ValueError(f"structure in {path} is not a list")
+    # a unital algebra of dim d has a nonzero product e_i * e_j for every j,
+    # so the file itself bounds the dimension (and the cubic validation)
+    if (isinstance(dim, bool) or not isinstance(dim, int)
+            or not 1 <= dim <= len(quads)):
+        raise ValueError(f"dim {dim!r} in {path} is not an int in "
+                         f"[1, {len(quads)}] (the number of structure "
+                         f"entries)")
     structure: dict = {}
-    for quad in doc["structure"]:
-        if len(quad) != 4:
+    for quad in quads:
+        if not isinstance(quad, list) or len(quad) != 4:
             raise ValueError(f"malformed structure entry {quad!r} in {path}")
-        i, j, k, c = quad
-        structure.setdefault((i, j), {})[k] = _coeff_from_json(c)
+        i, j, k = (_index_from_json(x, dim, "structure index")
+                   for x in quad[:3])
+        structure.setdefault((i, j), {})[k] = _coeff_from_json(quad[3], dom)
+    unit_index = _index_from_json(doc["unit_index"], dim, "unit_index")
     labels = doc.get("labels")
+    if labels is not None and not (isinstance(labels, list) and all(
+            isinstance(lbl, str) for lbl in labels)):
+        raise ValueError(f"labels in {path} are not a list of strings")
     return make_algebra(dom, dim, structure, labels=labels,
-                        unit_index=doc["unit_index"], name=doc["name"])
+                        unit_index=unit_index, name=doc["name"])

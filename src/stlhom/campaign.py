@@ -27,7 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from .assoc import AssocAlgebra, hochschild_h1, load_ring_json
 from .catalog import RING_BUILDERS, catalog_ring
 from .domains import SCALARS
-from .leibniz import build_sl
+from .leibniz import commutator_rank
 from .steinberg import (build_hat, build_stl, hl2_report, verify_calculus,
                         verify_cocycle, verify_sharp_relations)
 
@@ -123,15 +123,17 @@ class CampaignConfig:
 def declared_rows(n: int, ring: AssocAlgebra) -> int:
     """Rows of the widest boundary matrix a (ring, n) stl task streams.
 
-    The third boundary has (dim stl)^2 rows; dim stl = dim sl + dim HH_1(R),
-    and both summands come from cheap table-level computations, so the
-    declaration costs nothing next to the stream itself.
+    The third boundary has (dim stl)^2 rows, with dim stl = dim sl +
+    dim HH_1(R) and dim sl = (n^2 - 1) dim R + rank [R, R] (the formula
+    ``build_sl`` asserts).  Only ring-level computations are needed, so the
+    declaration builds no Leibniz algebra.
     """
-    d = build_sl(n, ring).dim + hochschild_h1(ring).dimension
+    d = ((n * n - 1) * ring.dim + commutator_rank(ring)
+         + hochschild_h1(ring).dimension)
     return d * d
 
 
-def _entry(token, scalar, ring_name, n, check, status, computed, predicted,
+def _entry(scalar, ring_name, n, check, status, computed, predicted,
            witness, duration):
     return {
         "ring": ring_name,
@@ -183,8 +185,8 @@ def _run_task(task):
         status, computed, predicted = "failed", None, None
         witness = {"error": f"{type(exc).__name__}: {exc}"}
     duration = time.perf_counter() - start
-    return _entry(token, scalar, ring.name, n, check, status, computed,
-                  predicted, witness, duration)
+    return _entry(scalar, ring.name, n, check, status, computed, predicted,
+                  witness, duration)
 
 
 class CampaignReport:
@@ -277,8 +279,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
                 seen.add(key)
                 if check in ("cocycle", "sharp") and n not in HAT_NS:
                     entries.append(_entry(
-                        token, scalar, ring.name, n, check, "skipped", None,
-                        None,
+                        scalar, ring.name, n, check, "skipped", None, None,
                         {"reason": f"{check} is defined for n in {HAT_NS} only"},
                         0.0))
                     continue
@@ -287,8 +288,8 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
                         cube = {m: declared_rows(m, ring) for m in config.ns}
                     if cube[n] > config.max_cube:
                         entries.append(_entry(
-                            token, scalar, ring.name, n, check, "refused",
-                            None, None,
+                            scalar, ring.name, n, check, "refused", None,
+                            None,
                             {"reason": f"declared boundary matrix of "
                                        f"{cube[n]} rows exceeds bound "
                                        f"{config.max_cube}"},

@@ -94,11 +94,6 @@ class ScalarDomain:
             return a
         raise ZeroDivisionError(f"{a} is not invertible in Z")
 
-    def is_unit(self, a) -> bool:
-        if not a:
-            return False
-        return True if self.is_field else a in (1, -1)
-
 
 F2 = ScalarDomain("f2", 2, True)
 F3 = ScalarDomain("f3", 3, True)

@@ -29,9 +29,16 @@ from .linalg import (ExactMatrix, SpanSolver, SubspaceBasis,
 
 
 class LeibnizAlgebra:
-    """A Leibniz algebra on dom^dim (possibly with torsion coordinates)."""
+    """A Leibniz algebra on dom^dim (possibly with torsion coordinates).
 
-    __slots__ = ("dom", "dim", "labels", "table", "moduli", "name")
+    ``certified`` is set once the table is known to satisfy the Leibniz
+    identity: by ``make_leibniz``, by the ``gl``/``sl`` builders, by a
+    ``CentralExtensionModel``, or by a clean d2 . d3 = 0 stream.  A table
+    wrapped directly starts uncertified.
+    """
+
+    __slots__ = ("dom", "dim", "labels", "table", "moduli", "name",
+                 "certified")
 
     def __init__(self, dom: ScalarDomain, dim: int, table: dict,
                  labels: list[str], moduli: list[int], name: str):
@@ -41,6 +48,7 @@ class LeibnizAlgebra:
         self.labels = labels
         self.moduli = moduli
         self.name = name
+        self.certified = False
 
     def __repr__(self):
         return f"LeibnizAlgebra({self.name}, dim={self.dim}, dom={self.dom.name})"
@@ -136,56 +144,77 @@ def make_leibniz(dom: ScalarDomain, dim: int, table: dict,
 
     alg = LeibnizAlgebra(dom, dim, clean, labels, moduli, name)
     _check_leibniz_identity(alg)
+    alg.certified = True
     return alg
 
 
 def _check_leibniz_identity(alg: LeibnizAlgebra) -> None:
-    """Exhaustive check of [x,[y,z]] = [[x,y],z] - [[x,z],y] on basis triples.
+    """Exhaustive check of [x,[y,z]] = [[x,y],z] - [[x,z],y] on basis
+    triples."""
+    _check_identity(alg, alg.dim, alg.table, alg.table,
+                    "Leibniz identity [x,[y,z]] = [[x,y],z] - [[x,z],y]")
 
-    For a fixed (y, z) = (e_j, e_k), both sides vanish identically unless x
-    brackets nontrivially with e_j, with e_k, or with the support of
-    [e_j, e_k]; only those candidate x are visited.
+
+def _check_identity(alg: LeibnizAlgebra, dim: int, inner: dict,
+                    outer: dict, what: str) -> None:
+    """Raise ``LeibnizIdentityError`` at the first triple of basis vectors
+    (x, y, z) = (e_i, e_j, e_k), i, j, k < dim, where
+
+        o(x, [y, z]) - o([x, y], z) + o([x, z], y)
+
+    is nonzero modulo the moduli of ``alg``.  [,] is the ``inner`` table
+    and o the ``outer`` one, both (i, j) -> sparse vector.  With both equal
+    to alg.table this is the Leibniz identity; with the base bracket inside
+    and kappa outside it is the cocycle condition on kappa.
+
+    For fixed (y, z), every term vanishes unless [x, y] or [x, z] is nonzero
+    or o(x, .) is nonzero on the support of [y, z]; only those candidate x
+    are visited.
     """
-    dom, dim = alg.dom, alg.dim
-    table = alg.table
-    one = dom.one
-    neg_one = dom.neg(one)
+    if not outer:
+        return
+    dom = alg.dom
+    signs = (dom.neg(dom.one), dom.one)
     byfirst: dict[int, dict[int, dict]] = {}
     bysecond: dict[int, set[int]] = {}
-    for (i, j), w in table.items():
+    for (i, j), w in inner.items():
         byfirst.setdefault(i, {})[j] = w
         bysecond.setdefault(j, set()).add(i)
+    outer_bysecond: dict[int, set[int]] = {}
+    for (i, j) in outer:
+        outer_bysecond.setdefault(j, set()).add(i)
     empty_row: dict[int, dict] = {}
     empty_set: set[int] = set()
 
     for j in range(dim):
         row_j = byfirst.get(j, empty_row)
-        hit_j = bysecond.get(j, empty_set)
         for k in range(dim):
             w = row_j.get(k)
-            cand = set(hit_j)
-            cand.update(bysecond.get(k, empty_set))
+            cand = bysecond.get(j, empty_set) | bysecond.get(k, empty_set)
             if w:
                 for t in w:
-                    cand.update(bysecond.get(t, empty_set))
+                    cand.update(outer_bysecond.get(t, empty_set))
             for i in cand:
-                lhs = alg.bracket({i: one}, w) if w else {}
-                rhs: dict[int, object] = {}
+                acc: dict = {}
+                if w:
+                    for t, c in w.items():
+                        v = outer.get((i, t))
+                        if v:
+                            vec_axpy(acc, v, c, dom)
                 row_i = byfirst.get(i, empty_row)
-                bij = row_i.get(j)
-                if bij:
-                    vec_axpy(rhs, alg.bracket(bij, {k: one}), one, dom)
-                bik = row_i.get(k)
-                if bik:
-                    vec_axpy(rhs, alg.bracket(bik, {j: one}), neg_one, dom)
-                rhs = alg.reduce_vec(rhs)
-                if not alg.eq_vec(lhs, rhs):
+                for y, z, sign in zip((j, k), (k, j), signs):
+                    b = row_i.get(y)
+                    if b:
+                        for t, c in b.items():
+                            v = outer.get((t, z))
+                            if v:
+                                vec_axpy(acc, v, dom.mul(sign, c), dom)
+                acc = alg.reduce_vec(acc)
+                if acc:
                     lab = alg.labels
                     raise LeibnizIdentityError(
-                        f"Leibniz identity fails at ({lab[i]}, {lab[j]}, "
-                        f"{lab[k]}): [x,[y,z]] = {alg.describe_element(lhs)} "
-                        f"but [[x,y],z] - [[x,z],y] = "
-                        f"{alg.describe_element(rhs)}",
+                        f"{what} fails at ({lab[i]}, {lab[j]}, {lab[k]}): "
+                        f"the defect is {alg.describe_element(acc)}",
                         (i, j, k))
 
 
@@ -211,6 +240,10 @@ def build_gl(n: int, ring: AssocAlgebra) -> GlAlgebra:
     """The Leibniz (indeed Lie) algebra gl_n(R) via
 
     [E_ij(a), E_kl(b)] = delta_jk E_il(ab) - delta_li E_kj(ba).
+
+    The table is certified without a check: it is the commutator bracket of
+    the associative algebra M_n(R), whose associativity ``make_algebra``
+    checked on R.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -250,7 +283,7 @@ def build_gl(n: int, ring: AssocAlgebra) -> GlAlgebra:
     alg = GlAlgebra(dom, dim, table, labels, [0] * dim, f"gl{n}({ring.name})")
     alg.n = n
     alg.ring = ring
-    _check_leibniz_identity(alg)
+    alg.certified = True
     return alg
 
 
@@ -312,10 +345,11 @@ def build_sl(n: int, ring: AssocAlgebra) -> SlAlgebra:
     for b in basis:
         lead = min(b)
         labels.append(f"<{gl.labels[lead]}>")
-    # no separate identity check: sl is a bracket-closed subspace of the
-    # validated gl, and each table entry is a solver-certified coordinate
+    # certified without a check: sl is a bracket-closed subspace of the
+    # certified gl, and each table entry is a solver-certified coordinate
     # vector of a gl bracket
     alg = SlAlgebra(dom, dim, table, labels, [0] * dim, f"sl{n}({ring.name})")
+    alg.certified = True
     alg.n = n
     alg.ring = ring
     alg.gl = gl
@@ -405,6 +439,30 @@ def _column_applier(mat: ExactMatrix):
     return apply
 
 
+def _d3_image(L: LeibnizAlgebra, d2: ExactMatrix):
+    """Stream the d3 columns of L into an echelon of im(d3).
+
+    On a basis triple d2 . d3 = 0 is the Leibniz identity, so an uncertified
+    table gets that check column by column, and a clean pass certifies it;
+    a certified table is streamed unchecked.
+    """
+    dom = L.dom
+    img = (make_forward if dom.is_field else make_echelon)(dom, L.dim * L.dim)
+    if L.certified:
+        for _col, vec in iter_d3_columns(L):
+            img.insert(vec)
+        return img
+    apply_d2 = _column_applier(d2)
+    for col, vec in iter_d3_columns(L):
+        if apply_d2(vec):
+            raise AssertionError(
+                f"d2 . d3 != 0 at column {col}: {L.name} violates the "
+                f"Leibniz identity")
+        img.insert(vec)
+    L.certified = True
+    return img
+
+
 def boundary(L: LeibnizAlgebra, n: int) -> ExactMatrix:
     """The chain differential d_n as an ExactMatrix (n in {2, 3})."""
     _require_free(L, "boundary")
@@ -439,6 +497,7 @@ class HomologyReport:
         self.dim_chain = dim_chain
         self.rank_out = rank_out          # rank of d_degree
         self.rank_in = rank_in            # rank of d_(degree+1)
+        # d2 . d3 = 0 holds: by certification or by the column check
         self.square_zero_checked = square_zero_checked
 
     def to_dict(self) -> dict:
@@ -462,10 +521,10 @@ class HomologyReport:
 def homology_hl(L: LeibnizAlgebra, degree: int) -> HomologyReport:
     """HL_degree(L) for degree in {1, 2}, by exact sparse elimination.
 
-    Degree 2 streams the d3 columns straight into an echelon and verifies
-    d2 . d3 = 0 column by column; over a field the homology dimension then
-    needs only the two ranks, while over Z the kernel/image subquotient is
-    presented and Smith-reduced.
+    Degree 2 streams the d3 columns straight into an echelon (see
+    ``_d3_image``); over a field the homology dimension then needs only the
+    two ranks, while over Z the kernel/image subquotient is presented and
+    Smith-reduced.
     """
     _require_free(L, "homology")
     dom, dim = L.dom, L.dim
@@ -486,13 +545,7 @@ def homology_hl(L: LeibnizAlgebra, degree: int) -> HomologyReport:
 
     pair = dim * dim
     rank_d2 = d2.rank()
-    apply_d2 = _column_applier(d2)
-    img = (make_forward if dom.is_field else make_echelon)(dom, pair)
-    for _col, vec in iter_d3_columns(L):
-        if apply_d2(vec):
-            raise AssertionError(
-                f"d2 . d3 != 0 at column {_col}: boundary formulas disagree")
-        img.insert(vec)
+    img = _d3_image(L, d2)
     rank_d3 = img.rank
 
     if dom.is_field:
@@ -555,15 +608,20 @@ def bracket_span(L: LeibnizAlgebra) -> SubspaceBasis:
     return span
 
 
-def is_perfect(L: LeibnizAlgebra) -> bool:
-    """Does [L, L] = L?  Over Z the span must be unimodular, not just full."""
-    span = bracket_span(L)
-    if span.rank != L.dim:
+def _spans_everything(span: SubspaceBasis) -> bool:
+    """Is span all of dom^width?  Over Z it must be unimodular, not just
+    of full rank."""
+    if span.rank != span.width:
         return False
-    if L.dom.is_field:
+    if span.dom.is_field:
         return True
     rows = span.engine.rows
     return all(rows[p][p] == 1 for p in rows)
+
+
+def is_perfect(L: LeibnizAlgebra) -> bool:
+    """Does [L, L] = L?"""
+    return _spans_everything(bracket_span(L))
 
 
 def structural_report(L: LeibnizAlgebra) -> StructuralReport:
@@ -576,12 +634,7 @@ def structural_report(L: LeibnizAlgebra) -> StructuralReport:
     dom, dim = L.dom, L.dim
 
     span = bracket_span(L)
-    if dom.is_field:
-        perfect = span.rank == dim
-    else:
-        rows = span.engine.rows
-        perfect = (span.rank == dim
-                   and all(rows[p][p] == 1 for p in rows))
+    perfect = _spans_everything(span)
     abel = dim - span.rank
 
     # center: [x, e_j] = 0 = [e_j, x] for all j, modulo moduli
@@ -612,32 +665,56 @@ def structural_report(L: LeibnizAlgebra) -> StructuralReport:
         if x and center.add(x):
             basis_out.append(x)
     for x in basis_out:
-        assert is_central(L, x), "center solve produced a non-central vector"
+        if not is_central(L, x):
+            raise AssertionError("center solve produced a non-central vector")
     return StructuralReport(L.name, dim, perfect, center.rank, basis_out, abel)
 
 
 # ---------------------------------------------------------------------------
-# universal central extensions
+# central extensions
 
 
 class CentralExtensionModel:
-    """A central extension total -> base with kernel in the top coordinates.
+    """A central extension total -> base: the total is base (+) K, K in the
+    top coordinates, with bracket [x, y] = ([x, y], kappa(x, y)).
 
-    The projection is coordinate projection onto the first base.dim
-    coordinates; kernel coordinates carry the listed invariants.  The
-    universal model also knows how to map tensor classes to coordinates.
+    ``kappa`` maps a pair (s, t) of base indices to the kernel part of
+    [e_s, e_t], a sparse vector over K, so the projection is a homomorphism
+    and K is central by construction.  Over a certified base the total is a
+    Leibniz algebra exactly when kappa satisfies the cocycle condition
+    kappa(x,[y,z]) - kappa([x,y],z) + kappa([x,z],y) = 0 on base triples
+    (modulo the kernel moduli); the constructor checks it and raises
+    ``LeibnizIdentityError`` with the witness triple.  The universal model
+    also maps tensor classes to coordinates (``tensor_coords``).
     """
 
     __slots__ = ("total", "base", "kernel_invariants", "tensor_coords",
                  "kernel_moduli")
 
-    def __init__(self, total, base, kernel_invariants, tensor_coords,
-                 kernel_moduli):
-        self.total = total
+    def __init__(self, base: LeibnizAlgebra, kernel_moduli: list[int],
+                 kappa: dict, name: str, kernel_labels: list[str],
+                 kernel_invariants=None, tensor_coords=None):
+        if not base.certified:
+            raise ValueError(f"the base {base.name} of a central extension "
+                             f"must be a certified Leibniz algebra")
+        bd = base.dim
+        shifted = {p: {bd + k: c for k, c in w.items()}
+                   for p, w in kappa.items()}
+        table = dict(base.table)
+        for p, w in shifted.items():
+            table[p] = {**table.get(p, {}), **w}
+        self.total = LeibnizAlgebra(
+            base.dom, bd + len(kernel_moduli), table,
+            list(base.labels) + list(kernel_labels),
+            list(base.moduli) + list(kernel_moduli), name)
         self.base = base
         self.kernel_invariants = kernel_invariants
         self.tensor_coords = tensor_coords
         self.kernel_moduli = kernel_moduli
+        _check_identity(self.total, bd, base.table, shifted,
+                        "cocycle condition kappa(x,[y,z]) = kappa([x,y],z) "
+                        "- kappa([x,z],y)")
+        self.total.certified = True
 
     def project(self, v: dict) -> dict:
         bd = self.base.dim
@@ -684,38 +761,28 @@ def uce(L: LeibnizAlgebra) -> CentralExtensionModel:
     colsolver = SpanSolver(dom, dim)
     colindex: list[int] = []
     cols = d2.columns()
-    spanning = False
     for col in sorted(cols):
         vec = cols[col]
         colsolver.add(vec)
         colindex.append(col)
         head.add(vec)
-        if head.rank == dim:
-            if dom.is_field:
-                spanning = True
-                break
-            rows = head.engine.rows
-            if all(rows[p][p] == 1 for p in rows):
-                spanning = True
-                break
-    if not spanning:
+        if _spans_everything(head):
+            break
+    else:
         raise ValueError(f"{L.name} is not perfect; uce undefined")
 
     neg_one = dom.neg(one)
     preimages: list[dict] = []
     for s in range(dim):
         coeffs = colsolver.solve({s: neg_one})   # d2 w_s = -e_s
-        assert coeffs is not None
+        if coeffs is None:
+            raise AssertionError(
+                f"{L.labels[s]} has no preimage under the spanning d2 columns")
         w = {colindex[t]: c for t, c in coeffs.items()}
         preimages.append(w)
 
-    # stream d3 (checking d2 . d3 = 0 on every column), then present
-    # ker(d2)/im(d3)
-    img = (make_forward if dom.is_field else make_echelon)(dom, pair)
-    for _col, vec in iter_d3_columns(L):
-        if apply_d2(vec):
-            raise AssertionError("d2 . d3 != 0; boundary formulas disagree")
-        img.insert(vec)
+    # stream d3, then present ker(d2)/im(d3)
+    img = _d3_image(L, d2)
 
     if dom.is_field:
         rank_d2 = d2.rank()
@@ -789,33 +856,17 @@ def uce(L: LeibnizAlgebra) -> CentralExtensionModel:
                 out[dim + i] = c
         return out
 
-    # bracket table on the adapted basis: only base-base pairs can be nonzero
-    total_dim = dim + m
-    table: dict = {}
-    for s in range(dim):
-        for t in range(dim):
-            base_br = L.basis_bracket(s, t)
-            entry = dict(base_br)
-            if m:
-                v = {s * dim + t: one}
-                for u, c in base_br.items():
-                    vec_axpy(v, preimages[u], dom.neg(c), dom)
-                for i, c in kernel_coords(v).items():
-                    if c:
-                        entry[dim + i] = c
-            if entry:
-                table[(s, t)] = entry
-
-    labels = list(L.labels) + [f"z{i}" for i in range(m)]
-    total_moduli = [0] * dim + moduli
+    # the kernel part of each base-pair bracket in the adapted basis
+    kappa: dict = {}
     if m:
-        total = make_leibniz(dom, total_dim, table, labels=labels,
-                             moduli=total_moduli, name=f"uce({L.name})")
-    else:
-        # trivial kernel: the table equals L's, whose identity is established
-        total = LeibnizAlgebra(dom, total_dim, table, labels, total_moduli,
-                               f"uce({L.name})")
-    model = CentralExtensionModel(total, L, invariants, tensor_coords, moduli)
-    model.check_homomorphism_on_basis()
-    model.check_kernel_central()
-    return model
+        for s in range(dim):
+            for t in range(dim):
+                v = {s * dim + t: one}
+                for u, c in L.basis_bracket(s, t).items():
+                    vec_axpy(v, preimages[u], dom.neg(c), dom)
+                kern = {i: c for i, c in kernel_coords(v).items() if c}
+                if kern:
+                    kappa[(s, t)] = kern
+    return CentralExtensionModel(
+        L, moduli, kappa, f"uce({L.name})", [f"z{i}" for i in range(m)],
+        kernel_invariants=invariants, tensor_coords=tensor_coords)

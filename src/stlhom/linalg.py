@@ -71,12 +71,6 @@ def vec_axpy(dst: dict, src: dict, c, dom: ScalarDomain) -> None:
                 del dst[k]
 
 
-def vec_scale(v: dict, c, dom: ScalarDomain) -> dict:
-    if not c:
-        return {}
-    return {k: dom.mul(c, x) for k, x in v.items()}
-
-
 def vec_combine(u: dict, v: dict, cu: int, cv: int) -> dict:
     """Integer combination ``cu*u + cv*v`` as a fresh dict."""
     out = {k: cu * x for k, x in u.items()} if cu else {}
@@ -547,10 +541,6 @@ class SpanSolver:
                 eng.insert(dict(row))
         self._eng = eng
 
-    def add_many(self, vectors) -> None:
-        for v in vectors:
-            self.add(v)
-
     def solve(self, target: dict) -> dict | None:
         """Coefficients {generator index: scalar} with sum = target, or None."""
         if self._eng is None:
@@ -630,16 +620,6 @@ class ExactMatrix:
         self.rows = rows if rows is not None else {}
 
     @classmethod
-    def from_entries(cls, dom, nrows, ncols, entries: dict) -> "ExactMatrix":
-        """Build from ``{(i, j): value}`` (zeros are dropped)."""
-        rows: dict[int, dict] = {}
-        for (i, j), val in entries.items():
-            val = dom.normalize(val)
-            if val:
-                rows.setdefault(i, {})[j] = val
-        return cls(dom, nrows, ncols, rows)
-
-    @classmethod
     def from_dense(cls, dom, matrix) -> "ExactMatrix":
         rows: dict[int, dict] = {}
         for i, row in enumerate(matrix):
@@ -656,9 +636,6 @@ class ExactMatrix:
             for j, val in row.items():
                 out[i][j] = val
         return out
-
-    def entry(self, i: int, j: int):
-        return self.rows.get(i, {}).get(j, self.dom.zero)
 
     def columns(self) -> dict[int, dict]:
         cols: dict[int, dict] = {}
@@ -680,9 +657,6 @@ class ExactMatrix:
             if acc:
                 out[i] = acc
         return out
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.dom, self.ncols, self.nrows, self.columns())
 
     def is_zero(self) -> bool:
         return not any(self.rows.values())
@@ -1099,10 +1073,6 @@ class QuotientPresentation:
     def _inv_free(self) -> dict:
         # free: ambient column -> coord index; invert once
         return {i: c for c, i in self._free.items()}
-
-    def reduce_coord(self, idx: int, val):
-        d = self.moduli[idx]
-        return val % d if d else val
 
 
 def present_quotient(gens, width: int, dom: ScalarDomain,

@@ -11,7 +11,8 @@ This module has four layers:
   modulo the central span N of all tensor classes E_ij(a)(x)E_kl(b) with
   j != k and i != l (the pairs whose bracket vanishes in sl);
 * the hat extension on W (+) stl (resp. U (+) stl) with bracket
-  [(c,x),(c',y)] = (psi(x,y), [x,y]), validated exhaustively.
+  [(c,x),(c',y)] = (psi(x,y), [x,y]), whose cocycle condition is checked
+  on every stl triple.
 
 Index conventions: matrix positions i, j are 1-based throughout this module
 (they appear in quadruples and labels); ring coordinates are 0-based.
@@ -24,7 +25,7 @@ from itertools import permutations
 from .assoc import AssocAlgebra, QuotientAlgebra, hochschild_h1, quotient_Rm
 from .leibniz import (CentralExtensionModel, LeibnizAlgebra, SlAlgebra,
                       build_sl, homology_hl, is_central, is_perfect,
-                      make_leibniz, structural_report, uce)
+                      structural_report, uce)
 from .linalg import (SpanSolver, SubquotientInvariants, field_invariants,
                      present_quotient, vec_axpy, z_invariants)
 
@@ -229,60 +230,40 @@ def psi4(x, y, r2: QuotientAlgebra, theta: ThetaMap) -> CocycleValue:
     """psi(X_ij(r), X_kl(s)) = eps_theta((i,j,k,l))(rs-bar) when i,j,k,l are
     pairwise distinct; zero in every other case, including any argument in
     the diagonal subalgebra H."""
-    _check_descriptor(x, 4)
-    _check_descriptor(y, 4)
-    space = CocycleSpace(4, r2)
-    if x[0] != "x" or y[0] != "x":
-        return CocycleValue(space, {})
-    _, i, j, a = x
-    _, k, l, b = y
-    if len({i, j, k, l}) != 4:
-        return CocycleValue(space, {})
-    prod = r2.base.multiply(a, b)
-    return CocycleValue(space, space.embed(theta((i, j, k, l)),
-                                           r2.coords(prod)))
+    return _psi(4, x, y, r2, theta)
+
+
+def psi3(x, y, r3: QuotientAlgebra) -> CocycleValue:
+    """Row rule psi(X_ij(r), X_ik(s)) = sign(j,k)(rs-bar)^(+i); column rule
+    psi(X_ij(r), X_kj(s)) = sign(i,k)(rs-bar)^(-j); zero otherwise."""
+    return _psi(3, x, y, r3, None)
+
+
+def _psi(n: int, x, y, rm: QuotientAlgebra,
+         theta: ThetaMap | None) -> CocycleValue:
+    """psi on two descriptors: the pair rule, bilinear in the ring elements."""
+    _check_descriptor(x, n)
+    _check_descriptor(y, n)
+    space = CocycleSpace(n, rm)
+    out: dict = {}
+    if x[0] == "x" and y[0] == "x":
+        rule = _psi_pair_rule(n, rm.base, rm, theta, space)
+        mul = rm.base.dom.mul
+        for lam, ca in x[3].items():
+            for mu, cb in y[3].items():
+                val = rule(("x", x[1], x[2], lam), ("x", y[1], y[2], mu))
+                if val:
+                    space.add_scaled(out, val, mul(ca, cb))
+    return CocycleValue(space, out)
 
 
 def _sign(m: int, n: int) -> int:
     return 1 if m < n else -1
 
 
-def psi3(x, y, r3: QuotientAlgebra) -> CocycleValue:
-    """Row rule psi(X_ij(r), X_ik(s)) = sign(j,k)(rs-bar)^(+i); column rule
-    psi(X_ij(r), X_kj(s)) = sign(i,k)(rs-bar)^(-j); zero otherwise."""
-    _check_descriptor(x, 3)
-    _check_descriptor(y, 3)
-    space = CocycleSpace(3, r3)
-    if x[0] != "x" or y[0] != "x":
-        return CocycleValue(space, {})
-    _, i, j, a = x
-    _, k, l, b = y
-    if i == k and j != l:
-        slot, sgn = i, _sign(j, l)
-    elif j == l and i != k:
-        slot, sgn = -j, _sign(i, k)
-    else:
-        return CocycleValue(space, {})
-    dom = r3.base.dom
-    prod = r3.base.multiply(a, b)
-    abar = r3.coords(prod)
-    if sgn < 0:
-        out = {}
-        for t, c in abar.items():
-            c = dom.neg(c)
-            m = r3.moduli[t]
-            if m:
-                c %= m
-            if c:
-                out[t] = c
-        abar = out
-    return CocycleValue(space, space.embed(slot, abar))
-
-
 def _psi_pair_rule(n: int, ring: AssocAlgebra, rm: QuotientAlgebra,
                    theta: ThetaMap | None, space: CocycleSpace):
     """Shared kernel of psi on pairs of X basis keys -> raw coordinate dict."""
-    dom = ring.dom
 
     def rule(k1, k2) -> dict | None:
         _, i, j, lam = k1
@@ -291,27 +272,16 @@ def _psi_pair_rule(n: int, ring: AssocAlgebra, rm: QuotientAlgebra,
             if len({i, j, k, l}) != 4:
                 return None
             slot, sgn = theta((i, j, k, l)), 1
+        elif i == k and j != l:
+            slot, sgn = i, _sign(j, l)
+        elif j == l and i != k:
+            slot, sgn = -j, _sign(i, k)
         else:
-            if i == k and j != l:
-                slot, sgn = i, _sign(j, l)
-            elif j == l and i != k:
-                slot, sgn = -j, _sign(i, k)
-            else:
-                return None
-        abar = rm.coords(ring.basis_product(lam, mu))
-        if not abar:
             return None
-        if sgn < 0:
-            out = {}
-            for t, c in abar.items():
-                c = dom.neg(c)
-                m = rm.moduli[t]
-                if m:
-                    c %= m
-                if c:
-                    out[t] = c
-            abar = out
-        return space.embed(slot, abar) or None
+        out: dict = {}
+        abar = rm.coords(ring.basis_product(lam, mu))
+        space.add_scaled(out, space.embed(slot, abar), sgn)
+        return out or None
 
     return rule
 
@@ -759,15 +729,12 @@ def build_stl(n: int, ring: AssocAlgebra) -> SteinbergModel:
                 for mu in range(d):
                     ek = sl.eij(k - 1, l - 1, {mu: one})
                     coords = ext.tensor_coords(_tensor_of(sl, ei, ek))
-                    kern = {}
-                    for c, val in coords.items():
-                        if c < sl.dim:
-                            raise AssertionError(
-                                f"class of E{i}{j}(r{lam})(x)E{k}{l}(r{mu}) "
-                                f"is not central in uce")
-                        kern[c - sl.dim] = val
-                    if kern:
-                        ngens.append(kern)
+                    if ext.project(coords):
+                        raise AssertionError(
+                            f"class of E{i}{j}(r{lam})(x)E{k}{l}(r{mu}) "
+                            f"is not central in uce")
+                    if coords:
+                        ngens.append(ext.kernel_part(coords))
 
     pres = present_quotient(ngens, m, dom, ambient_moduli=ext.kernel_moduli)
     q = pres.dim
@@ -785,36 +752,23 @@ def build_stl(n: int, ring: AssocAlgebra) -> SteinbergModel:
             f"kernel of stl{n}({ring.name}) -> sl is "
             f"{invariants.describe()}, but HH1(R) is {hh1.describe()}")
 
-    def project_coords(coords: dict) -> dict:
-        base = {c: val for c, val in coords.items() if c < sl.dim}
-        kern = {c - sl.dim: val for c, val in coords.items() if c >= sl.dim}
-        for idx, val in pres.coords(kern).items():
-            base[sl.dim + idx] = val
-        return base
-
     def tensor_coords(v: dict) -> dict:
-        return project_coords(ext.tensor_coords(v))
+        coords = ext.tensor_coords(v)
+        out = ext.project(coords)
+        for idx, val in pres.coords(ext.kernel_part(coords)).items():
+            out[sl.dim + idx] = val
+        return out
 
-    dim = sl.dim + q
-    table: dict = {}
-    for (s, t), w in ext.total.table.items():
-        entry = project_coords(w)
-        if entry:
-            table[(s, t)] = entry
-    labels = list(sl.labels) + [f"hh1_{t}" for t in range(q)]
-    moduli = [0] * sl.dim + list(pres.moduli)
-    name = f"stl{n}({ring.name})"
-    if q:
-        total = make_leibniz(dom, dim, table, labels=labels, moduli=moduli,
-                             name=name)
-    else:
-        # trivial kernel: the table coincides with sl's, already validated
-        total = LeibnizAlgebra(dom, dim, table, labels, moduli, name)
-
-    model_ext = CentralExtensionModel(total, sl, invariants, tensor_coords,
-                                      list(pres.moduli))
-    model_ext.check_homomorphism_on_basis()
-    model_ext.check_kernel_central()
+    kappa: dict = {}
+    for p, w in ext.total.table.items():
+        kern = pres.coords(ext.kernel_part(w))
+        if kern:
+            kappa[p] = kern
+    model_ext = CentralExtensionModel(
+        sl, list(pres.moduli), kappa, f"stl{n}({ring.name})",
+        [f"hh1_{t}" for t in range(q)], kernel_invariants=invariants,
+        tensor_coords=tensor_coords)
+    total = model_ext.total
 
     # X_ij(a) := class of E_ip(a)(x)E_pj(1), independent of the pivot p
     x_basis: dict = {}
@@ -833,25 +787,19 @@ def build_stl(n: int, ring: AssocAlgebra) -> SteinbergModel:
                         f"image of X{i}{j}(r{lam}) depends on the pivot")
             x_basis[(i, j, lam)] = img
 
-    _check_generator_relations(total, ring, x_basis, pos)
+    model = SteinbergModel(n, ring, model_ext, x_basis, quotient_rank)
+    _check_generator_relations(model, pos)
     if not is_perfect(total):
-        raise AssertionError(f"{name} is not perfect")
+        raise AssertionError(f"{total.name} is not perfect")
+    return model
 
-    return SteinbergModel(n, ring, model_ext, x_basis, quotient_rank)
 
-
-def _check_generator_relations(total: LeibnizAlgebra, ring: AssocAlgebra,
-                               x_basis: dict, pos: list) -> None:
+def _check_generator_relations(model: SteinbergModel, pos: list) -> None:
     """Product, twisted-product and disjoint-zero relations on X images."""
+    total, ring, x_basis = model.total, model.ring, model.x_basis
     dom = total.dom
     d = ring.dim
-
-    def ximg(i, j, a):
-        out: dict = {}
-        for lam, c in a.items():
-            if c:
-                vec_axpy(out, x_basis[(i, j, lam)], c, dom)
-        return out
+    ximg = model.x_image
 
     for (i, j) in pos:
         for (k, l) in pos:
@@ -1145,9 +1093,10 @@ def build_hat(n: int, ring: AssocAlgebra,
     """The hat extension of stl_n(R) by W (n = 4) or U (n = 3).
 
     psi is transported to the concrete model through the canonical X-part
-    decomposition of each basis vector, and the resulting bracket table is
-    re-validated against the Leibniz identity exhaustively — a concrete,
-    independent confirmation that psi is a cocycle.
+    decomposition of each basis vector and becomes the kappa of a
+    ``CentralExtensionModel``, which checks the cocycle condition on every
+    stl triple that can violate it: a concrete, independent confirmation
+    that psi is a cocycle.
     """
     if n not in (3, 4):
         raise ValueError("hat models exist for n in {3, 4}")
@@ -1187,35 +1136,17 @@ def build_hat(n: int, ring: AssocAlgebra,
                         if idx < len(xkeys) and c])
 
     hat = HatModel(n, ring, model, None, space, theta, xdecomp, rule)
-
-    sd = stl_alg.dim
-    table: dict = {}
-    for (s, t), w in stl_alg.table.items():
-        table[(s, t)] = dict(w)
-    for s in range(sd):
-        for t in range(sd):
+    kappa: dict = {}
+    for s in range(stl_alg.dim):
+        for t in range(stl_alg.dim):
             val = hat.psi_value(s, t)
             if val:
-                entry = table.setdefault((s, t), {})
-                for k, c in val.items():
-                    entry[sd + k] = c
-
-    labels = list(stl_alg.labels) + list(space.labels)
-    moduli = list(stl_alg.moduli) + list(space.moduli)
-    name = f"hat-stl{n}({ring.name})"
-    if space.width:
-        total = make_leibniz(dom, sd + space.width, table, labels=labels,
-                             moduli=moduli, name=name)
-    else:
-        total = LeibnizAlgebra(dom, sd, table, labels, moduli, name)
-    hat.total = total
-
-    for k in range(space.width):
-        if not is_central(total, {sd + k: one}):
-            raise AssertionError(f"cocycle coordinate {space.labels[k]} "
-                                 f"is not central in {name}")
-    if not is_perfect(total):
-        raise AssertionError(f"{name} is not perfect")
+                kappa[(s, t)] = val
+    hat.total = CentralExtensionModel(
+        stl_alg, list(space.moduli), kappa, f"hat-stl{n}({ring.name})",
+        space.labels).total
+    if not is_perfect(hat.total):
+        raise AssertionError(f"{hat.total.name} is not perfect")
     return hat
 
 

@@ -111,6 +111,41 @@ def test_declared_rows_values():
     assert declared_rows(4, catalog_ring("mat2", F2)) == 63 ** 2
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_declared_rows_formula_matches_build_sl(n):
+    from stlhom import ACCEPTANCE_PAIRS, SCALARS, build_sl, hochschild_h1
+    for name, scal in ACCEPTANCE_PAIRS:
+        ring = catalog_ring(name, SCALARS[scal])
+        d = build_sl(n, ring).dim + hochschild_h1(ring).dimension
+        assert declared_rows(n, ring) == d * d, (name, scal)
+
+
+def truncated_polynomial_ring(dom, dim):
+    """K[x]/(x^dim) on the basis 1, x, ..., x^(dim-1)."""
+    from stlhom import make_algebra
+    structure = {(i, j): {i + j: 1} for i in range(dim) for j in range(dim)
+                 if i + j < dim}
+    return make_algebra(dom, dim, structure, unit_index=0, name=f"trunc{dim}")
+
+
+def test_size_guard_refuses_without_building_sl(tmp_path, monkeypatch):
+    import stlhom.campaign
+    import stlhom.leibniz
+    import stlhom.steinberg
+    from stlhom import F2
+
+    def no_build(*_args):
+        raise AssertionError("the size guard built sl")
+
+    for module in (stlhom.campaign, stlhom.leibniz, stlhom.steinberg):
+        monkeypatch.setattr(module, "build_sl", no_build, raising=False)
+    path = tmp_path / "trunc10.json"
+    save_ring_json(truncated_polynomial_ring(F2, 10), str(path))
+    rep = run_campaign(CampaignConfig(rings=[(str(path), "f2")], ns=[5],
+                                      checks=["homology", "calculus"]))
+    assert [e["status"] for e in rep.entries] == ["refused", "refused"]
+
+
 def test_budget_guard_refuses_model_checks_only():
     rep = run_campaign(small_config(checks=["all"], max_cube=10))
     status = {e["check"]: e["status"] for e in rep.entries}
@@ -313,3 +348,59 @@ def test_module_entry_point_runs():
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["summary"]["exit_code"] == 0
+
+
+# ---------------------------------------------------------------------------
+# ring files must be exact and in range
+
+
+RING_PROBES = {
+    # name: (edit of the dual-numbers file over f2, scalar, message part)
+    "float-coefficient": (lambda d: d["structure"][0].__setitem__(3, 1.7),
+                          "f2", "not an int or an exact rational"),
+    "bool-coefficient": (lambda d: d["structure"][0].__setitem__(3, True),
+                         "f2", "not an int or an exact rational"),
+    "decimal-string-coefficient": (
+        lambda d: d["structure"][0].__setitem__(3, "1.5"),
+        "f2", "not an int or an exact rational"),
+    "fraction-over-z": (lambda d: d["structure"][0].__setitem__(3, "1/2"),
+                        "z", "not a z scalar"),
+    "fraction-vanishing-mod-p": (
+        lambda d: d["structure"][0].__setitem__(3, "1/2"),
+        "f2", "not a f2 scalar"),
+    "bool-dim": (lambda d: d.__setitem__("dim", True), "f2", "dim True"),
+    "float-dim": (lambda d: d.__setitem__("dim", 2.0), "f2", "dim 2.0"),
+    "zero-dim": (lambda d: d.__setitem__("dim", 0), "f2", "dim 0"),
+    "huge-dim": (lambda d: d.__setitem__("dim", 10 ** 9), "f2",
+                 "dim 1000000000"),
+    "index-out-of-range": (lambda d: d["structure"].append([0, 2, 0, 1]),
+                           "f2", "structure index 2"),
+    "bool-index": (lambda d: d["structure"][0].__setitem__(0, False),
+                   "f2", "structure index False"),
+    "float-index": (lambda d: d["structure"][0].__setitem__(1, 0.0),
+                    "f2", "structure index 0.0"),
+    "bool-unit-index": (lambda d: d.__setitem__("unit_index", False),
+                        "f2", "unit_index False"),
+    "unit-index-out-of-range": (lambda d: d.__setitem__("unit_index", 2),
+                                "f2", "unit_index 2"),
+    "null-unit-index": (lambda d: d.__setitem__("unit_index", None),
+                        "f2", "unit_index None"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(RING_PROBES))
+def test_cli_rejects_inexact_or_out_of_range_ring_files(tmp_path, capsys,
+                                                        probe):
+    from stlhom import SCALARS
+    edit, scal, message = RING_PROBES[probe]
+    path = tmp_path / f"{probe}.json"
+    save_ring_json(catalog_ring("dual", SCALARS[scal]), str(path))
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    rc = main(["--ring", str(path), "--scalar", scal, "--n", "3",
+               "--check", "homology"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: bad ring file")
+    assert message in err

@@ -1,5 +1,8 @@
 """Concrete stl models, the structure calculus, hat extensions, HL2."""
 
+import os
+import subprocess
+import sys
 from functools import lru_cache
 
 import pytest
@@ -8,8 +11,10 @@ from hypothesis import given, strategies as st
 from stlhom.assoc import hochschild_h1
 from stlhom.catalog import catalog_ring
 from stlhom.domains import F2, F3, F5, Q, Z
-from stlhom.leibniz import (LeibnizIdentityError, homology_hl, is_central,
-                            is_perfect, structural_report, uce)
+import stlhom
+from stlhom.leibniz import (LeibnizIdentityError, build_sl, homology_hl,
+                            is_central, is_perfect, make_leibniz,
+                            structural_report, uce)
 from stlhom.linalg import vec_axpy
 from stlhom.steinberg import (build_hat, build_stl, build_theta,
                               corrupted_theta, hl2_report, predicted_hl2,
@@ -282,6 +287,53 @@ def test_corrupted_theta_breaks_the_hat():
         build_hat(4, ring("ground", "f2"), model=m,
                   theta=corrupted_theta(build_theta()))
     assert len(exc.value.triple) == 3
+
+
+@pytest.mark.parametrize("name,scal,n", [
+    ("dual", "f3", 3), ("int", "z", 4), ("group-c2", "f2", 4),
+])
+def test_make_leibniz_accepts_the_certified_totals(name, scal, n):
+    # each total was certified once, by the cocycle condition on its kappa;
+    # the full identity check must agree
+    totals = [uce(build_sl(n, ring(name, scal))).total,
+              stl(name, scal, n).total, hat(name, scal, n).total]
+    for total in totals:
+        assert total.certified
+        again = make_leibniz(total.dom, total.dim, total.table,
+                             labels=total.labels, moduli=total.moduli,
+                             name=total.name)
+        assert again.table == total.table
+
+
+NEGATIVE_CONTROLS = """
+from stlhom import (F2, F3, LeibnizAlgebra, LeibnizIdentityError, build_hat,
+                    build_theta, catalog_ring, corrupted_theta, homology_hl)
+print("debug", __debug__)
+try:
+    build_hat(4, catalog_ring("ground", F2),
+              theta=corrupted_theta(build_theta()))
+except LeibnizIdentityError as exc:
+    print("hat raises with a triple of", len(exc.triple))
+bad = LeibnizAlgebra(F3, 2, {(0, 1): {0: 1}, (1, 0): {0: 1}}, ["e0", "e1"],
+                     [0, 0], "bad")
+try:
+    homology_hl(bad, 2)
+except AssertionError:
+    print("homology raises")
+"""
+
+
+def test_negative_controls_fire_under_python_O():
+    src = os.path.dirname(os.path.dirname(stlhom.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", NEGATIVE_CONTROLS],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "debug False", "hat raises with a triple of 3", "homology raises"]
 
 
 @pytest.mark.parametrize("name,scal,n", [
