@@ -402,6 +402,8 @@ def load_ring_json(path: str) -> AssocAlgebra:
     for field in ("name", "scalar", "dim", "unit_index", "structure"):
         if field not in doc:
             raise ValueError(f"ring file {path} is missing {field!r}")
+    if not isinstance(doc["name"], str):
+        raise ValueError(f"name {doc['name']!r} in {path} is not a string")
     dom = SCALARS.get(doc["scalar"]) if isinstance(doc["scalar"], str) else None
     if dom is None:
         raise ValueError(f"unknown scalar {doc['scalar']!r} in {path}")

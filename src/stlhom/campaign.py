@@ -1,16 +1,16 @@
 """Campaign orchestration: batches of verification checks with stable reports.
 
-A campaign expands (rings x ns x checks) into independent tasks, runs them
-(optionally in parallel processes), and assembles a report whose entries are
-canonically sorted by (ring, scalar, n, check).  Everything in the JSON
-document except the measured durations is therefore byte-identical across
-runs and across parallelism degrees.
+A campaign runs one unit per (ring, n): the checks requested there, which
+share one stl model.  Units run in turn, or with jobs > 1 in up to that many
+worker processes.  Entries are sorted by (ring, scalar, n, check), so all of
+the JSON document but the measured durations is byte-identical across runs
+and across parallelism degrees.
 
-Tasks that would stream an oversized tensor cube are refused up front.  The
+Checks that would stream an oversized tensor cube are refused up front.  The
 binding resource is the third boundary map, whose columns are indexed by the
 cube L tensor L tensor L and whose rows by L tensor L: memory scales with
 the (dim stl)^2 rows kept per echelon column, while the cube itself is only
-walked.  A task therefore declares (dim stl)^2 rows, estimated cheaply as
+walked.  A check therefore declares (dim stl)^2 rows, estimated cheaply as
 (dim sl + dim HH_1)^2 before any heavy work starts.  The symbolic cocycle
 check never builds a matrix and is exempt.  Checks that only exist for the
 hat models (cocycle, sharp) are skipped -- not failed -- at n = 5.
@@ -148,45 +148,52 @@ def _entry(scalar, ring_name, n, check, status, computed, predicted,
     }
 
 
-def _run_task(task):
-    """Execute one (ring, n, check) task; top level so pools can pickle it."""
-    token, scalar, n, check = task
+def _run_unit(unit):
+    """Run one (ring, n) unit's checks, building stl at most once, in (and
+    timed with) the first check that needs it; top level for pickling."""
+    token, scalar, n, checks = unit
     ring = resolve_ring(token, scalar)
-    start = time.perf_counter()
-    try:
-        if check == "cocycle":
-            rep = verify_cocycle(n, ring)
-            computed = (f"J = 0 on {rep.triples_checked} triples"
-                        if rep.ok else "J != 0")
-            predicted, witness, ok = "J = 0", rep.witness, rep.ok
-        elif check == "calculus":
-            rep = verify_calculus(build_stl(n, ring))
-            total = sum(rep.checks.values())
-            computed = (f"{total} instances hold" if rep.ok
-                        else "identity violated")
-            predicted, witness, ok = "all calculus identities", rep.witness, rep.ok
-        elif check == "sharp":
-            model = build_stl(n, ring)
-            rep = verify_sharp_relations(build_hat(n, ring, model=model))
-            total = sum(rep.relations.values())
-            computed = (f"{total} relations hold; perfect; "
-                        f"center contains cocycle space" if rep.ok
-                        else "relation or structure violated")
-            predicted = "presented relations + perfect + central kernel"
-            witness, ok = rep.witness, rep.ok
-        else:  # homology
-            rep = hl2_report(n, ring)
-            computed = rep.computed.describe()
-            predicted = rep.predicted.describe()
-            witness = None if rep.ok else {"stl_dim": rep.stl_dim}
-            ok = rep.ok
-        status = "passed" if ok else "failed"
-    except Exception as exc:  # keep the triple in the report even on a crash
-        status, computed, predicted = "failed", None, None
-        witness = {"error": f"{type(exc).__name__}: {exc}"}
-    duration = time.perf_counter() - start
-    return _entry(scalar, ring.name, n, check, status, computed, predicted,
-                  witness, duration)
+    model = None
+    entries = []
+    for check in checks:
+        start = time.perf_counter()
+        try:
+            if check != "cocycle" and model is None:
+                try:
+                    model = build_stl(n, ring)
+                except Exception as exc:  # fails each check needing stl
+                    model = exc
+            if check == "cocycle":
+                rep = verify_cocycle(n, ring)
+                computed = (f"J = 0 on {rep.triples_checked} triples"
+                            if rep.ok else "J != 0")
+                predicted, witness = "J = 0", rep.witness
+            elif isinstance(model, Exception):
+                raise model
+            elif check == "calculus":
+                rep = verify_calculus(model)
+                computed = (f"{sum(rep.checks.values())} instances hold"
+                            if rep.ok else "identity violated")
+                predicted, witness = "all calculus identities", rep.witness
+            elif check == "sharp":
+                rep = verify_sharp_relations(build_hat(n, ring, model=model))
+                computed = (f"{sum(rep.relations.values())} relations hold; "
+                            f"perfect; center contains cocycle space"
+                            if rep.ok else "relation or structure violated")
+                predicted = "presented relations + perfect + central kernel"
+                witness = rep.witness
+            else:  # homology
+                rep = hl2_report(model)
+                computed = rep.computed.describe()
+                predicted = rep.predicted.describe()
+                witness = None if rep.ok else {"stl_dim": rep.stl_dim}
+            status = "passed" if rep.ok else "failed"
+        except Exception as exc:  # keep the triple in the report even on a crash
+            status, computed, predicted = "failed", None, None
+            witness = {"error": f"{type(exc).__name__}: {exc}"}
+        entries.append(_entry(scalar, ring.name, n, check, status, computed,
+                              predicted, witness, time.perf_counter() - start))
+    return entries
 
 
 class CampaignReport:
@@ -266,41 +273,34 @@ class CampaignReport:
 def run_campaign(config: CampaignConfig) -> CampaignReport:
     started = time.perf_counter()
     entries = []
-    runnable = []
-    seen = set()
-    for token, scalar in config.rings:
+    units = {}  # (token, scalar, n) -> the checks to run there
+    for token, scalar in dict.fromkeys(config.rings):
         ring = resolve_ring(token, scalar)
-        cube = None
         for n in config.ns:
+            runnable = units[(token, scalar, n)] = []
+            rows = None
             for check in config.checks:
-                key = (token, scalar, n, check)
-                if key in seen:
-                    continue
-                seen.add(key)
                 if check in ("cocycle", "sharp") and n not in HAT_NS:
-                    entries.append(_entry(
-                        scalar, ring.name, n, check, "skipped", None, None,
-                        {"reason": f"{check} is defined for n in {HAT_NS} only"},
-                        0.0))
-                    continue
-                if check != "cocycle":
-                    if cube is None:
-                        cube = {m: declared_rows(m, ring) for m in config.ns}
-                    if cube[n] > config.max_cube:
-                        entries.append(_entry(
-                            scalar, ring.name, n, check, "refused", None,
-                            None,
-                            {"reason": f"declared boundary matrix of "
-                                       f"{cube[n]} rows exceeds bound "
-                                       f"{config.max_cube}"},
-                            0.0))
+                    status = "skipped"
+                    reason = f"{check} is defined for n in {HAT_NS} only"
+                else:
+                    if check != "cocycle" and rows is None:
+                        rows = declared_rows(n, ring)
+                    if check == "cocycle" or rows <= config.max_cube:
+                        runnable.append(check)
                         continue
-                runnable.append(key)
-    if config.jobs > 1 and len(runnable) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            entries.extend(pool.map(_run_task, runnable))
+                    status = "refused"
+                    reason = (f"declared boundary matrix of {rows} rows "
+                              f"exceeds bound {config.max_cube}")
+                entries.append(_entry(scalar, ring.name, n, check, status,
+                                      None, None, {"reason": reason}, 0.0))
+    work = [(*key, checks) for key, checks in units.items() if checks]
+    if config.jobs > 1 and work:
+        with ProcessPoolExecutor(min(config.jobs, len(work))) as pool:
+            done = list(pool.map(_run_unit, work))
     else:
-        entries.extend(_run_task(task) for task in runnable)
+        done = map(_run_unit, work)
+    entries.extend(e for unit_entries in done for e in unit_entries)
     report = CampaignReport(config, entries, time.perf_counter() - started)
     if config.out:
         with open(config.out, "w") as fh:

@@ -38,10 +38,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also write the (n, predicted, computed) CSV "
                              "summary to this file")
     parser.add_argument("--jobs", type=int, default=1, metavar="K",
-                        help="run up to K checks in parallel (default 1)")
+                        help="run the (ring, n) units in up to K worker "
+                             "processes (default 1)")
     parser.add_argument("--max-cube", type=int, default=DEFAULT_MAX_CUBE,
                         metavar="ROWS",
-                        help="refuse tasks whose tensor cube exceeds this "
+                        help="refuse checks whose tensor cube exceeds this "
                              f"many rows (default {DEFAULT_MAX_CUBE})")
     return parser
 

@@ -1364,13 +1364,10 @@ def predicted_hl2(n: int, ring: AssocAlgebra) -> SubquotientInvariants:
     return z_invariants(factors)
 
 
-def hl2_report(n: int, ring: AssocAlgebra,
-               model: SteinbergModel | None = None) -> Hl2Report:
+def hl2_report(model: SteinbergModel) -> Hl2Report:
     """Compute HL_2 of the concrete stl model and compare with the predicted
     cocycle-value space; over Z the comparison is by invariant factors."""
-    if model is None:
-        model = build_stl(n, ring)
     computed = homology_hl(model.total, 2).invariants
-    predicted = predicted_hl2(n, ring)
-    return Hl2Report(n, ring.name, computed, predicted,
+    predicted = predicted_hl2(model.n, model.ring)
+    return Hl2Report(model.n, model.ring.name, computed, predicted,
                      computed == predicted, model.total.dim)

@@ -228,6 +228,45 @@ def test_worker_exception_becomes_failed_entry(monkeypatch):
     assert rep.exit_code == 1
 
 
+def test_each_ring_and_n_builds_stl_once(monkeypatch):
+    import stlhom.campaign as camp
+    calls = {"build_stl": 0, "verify_cocycle": 0}
+
+    def counted(name):
+        inner = getattr(camp, name)
+
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return inner(*args, **kw)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(camp, name, counted(name))
+    rep = run_campaign(CampaignConfig(
+        rings=[("ground", "f3"), ("ground", "f2")], ns=[3, 4],
+        checks=["all"], jobs=1))
+    assert rep.ok and rep.summary["passed"] == 16
+    assert calls == {"build_stl": 4, "verify_cocycle": 4}
+
+
+def test_failed_stl_build_fails_only_the_checks_that_need_it(monkeypatch):
+    import stlhom.campaign as camp
+
+    def boom(n, ring):
+        raise RuntimeError("synthetic build crash")
+
+    monkeypatch.setattr(camp, "build_stl", boom)
+    rep = run_campaign(small_config(checks=["all"]))
+    status = {e["check"]: e["status"] for e in rep.entries}
+    assert status == {"calculus": "failed", "cocycle": "passed",
+                      "homology": "failed", "sharp": "failed"}
+    for e in rep.entries:
+        if e["check"] != "cocycle":
+            assert e["witness"] == {
+                "error": "RuntimeError: synthetic build crash"}
+    assert rep.exit_code == 1
+
+
 # ---------------------------------------------------------------------------
 # report format
 
@@ -241,11 +280,12 @@ def masked_json(report: CampaignReport) -> str:
 
 
 def test_reports_identical_across_parallelism_degrees():
-    def run(jobs):
+    def run(jobs, ns):
         cfg = CampaignConfig(rings=[("ground", "f3"), ("ground", "f2")],
-                             ns=[3], checks=["all"], jobs=jobs)
+                             ns=ns, checks=["all"], jobs=jobs)
         return masked_json(run_campaign(cfg))
-    assert run(1) == run(2)
+    for ns in ([3], [3, 4]):  # two units; four units
+        assert run(1, ns) == run(2, ns)
 
 
 def test_json_field_order_is_stable():
@@ -385,6 +425,8 @@ RING_PROBES = {
                                 "f2", "unit_index 2"),
     "null-unit-index": (lambda d: d.__setitem__("unit_index", None),
                         "f2", "unit_index None"),
+    "list-name": (lambda d: d.__setitem__("name", ["x"]), "f2",
+                  "name ['x']"),
 }
 
 

@@ -374,23 +374,26 @@ def test_hat_is_the_universal_central_extension():
     ("ground", "f2", 5, "0"),
 ])
 def test_hl2_reports_match(name, scal, n, expected):
-    rep = hl2_report(n, ring(name, scal), model=stl(name, scal, n))
+    model = stl(name, scal, n)
+    rep = hl2_report(model)
     assert rep.ok and rep.match
     assert rep.computed.describe() == expected
     assert rep.predicted.describe() == expected
+    # second route: HL_2(stl) = ker(uce(sl) -> stl), the image of N
+    assert rep.computed.dimension == model.quotient_rank
 
 
 def test_hl2_report_over_z():
-    rep = hl2_report(4, ring("int", "z"), model=stl("int", "z", 4))
+    rep = hl2_report(stl("int", "z", 4))
     assert rep.ok
     assert rep.computed.invariant_factors == [2] * 6
-    rep = hl2_report(3, ring("int", "z"), model=stl("int", "z", 3))
+    rep = hl2_report(stl("int", "z", 3))
     assert rep.ok
     assert rep.computed.invariant_factors == [3] * 6
 
 
 def test_hl2_report_to_dict():
-    d = hl2_report(3, ring("ground", "f3"), model=stl("ground", "f3", 3)).to_dict()
+    d = hl2_report(stl("ground", "f3", 3)).to_dict()
     assert list(d) == ["check", "n", "ring", "ok", "stl_dim", "computed",
                        "predicted"]
     assert d["computed"] == d["predicted"] == "f3^6"
