@@ -299,7 +299,7 @@ def hochschild_h1(alg: AssocAlgebra) -> SubquotientInvariants:
     b1 = ExactMatrix(dom, dim, pair, rows)
     kernel = b1.kernel_basis()
 
-    image = make_echelon(dom, pair)
+    image = make_echelon(dom)
     for i in range(dim):
         ei = {i: one}
         for j in range(dim):

@@ -68,20 +68,26 @@ def resolve_ring(token: str, scalar: str) -> AssocAlgebra:
 
 
 class CampaignConfig:
-    """Validated request: which rings, which n, which checks, how to run."""
+    """Validated request: which rings, which n, which checks, how to run.
 
-    __slots__ = ("rings", "ns", "checks", "out", "csv_out", "jobs", "max_cube")
+    ``algebras`` maps each distinct ring spec to the algebra validated here,
+    so a ring file is read once per request."""
+
+    __slots__ = ("rings", "ns", "checks", "out", "csv_out", "jobs", "max_cube",
+                 "algebras")
 
     def __init__(self, rings, ns=(3, 4, 5), checks=("all",), out=None,
                  csv_out=None, jobs=1, max_cube=DEFAULT_MAX_CUBE):
         rings = [tuple(spec) for spec in rings]
         if not rings:
             raise CampaignConfigError("at least one ring is required")
+        algebras = {}
         for spec in rings:
             if len(spec) != 2:
                 raise CampaignConfigError(
                     f"ring spec must be (name_or_path, scalar), got {spec!r}")
-            resolve_ring(*spec)  # validates token, scalar and the file itself
+            if spec not in algebras:  # validates token, scalar and the file
+                algebras[spec] = resolve_ring(*spec)
         ns = sorted(set(ns))
         if not ns or not set(ns) <= {3, 4, 5}:
             raise CampaignConfigError(f"ns must be a nonempty subset of "
@@ -108,6 +114,7 @@ class CampaignConfig:
         self.csv_out = csv_out
         self.jobs = jobs
         self.max_cube = max_cube
+        self.algebras = algebras
 
     def to_dict(self) -> dict:
         # jobs is deliberately not echoed: the report must not depend on it
@@ -151,8 +158,8 @@ def _entry(scalar, ring_name, n, check, status, computed, predicted,
 def _run_unit(unit):
     """Run one (ring, n) unit's checks, building stl at most once, in (and
     timed with) the first check that needs it; top level for pickling."""
-    token, scalar, n, checks = unit
-    ring = resolve_ring(token, scalar)
+    ring, n, checks = unit
+    scalar = ring.dom.name
     model = None
     entries = []
     for check in checks:
@@ -273,11 +280,10 @@ class CampaignReport:
 def run_campaign(config: CampaignConfig) -> CampaignReport:
     started = time.perf_counter()
     entries = []
-    units = {}  # (token, scalar, n) -> the checks to run there
-    for token, scalar in dict.fromkeys(config.rings):
-        ring = resolve_ring(token, scalar)
+    units = {}  # (ring, n) -> the checks to run there
+    for ring in config.algebras.values():
         for n in config.ns:
-            runnable = units[(token, scalar, n)] = []
+            runnable = units[(ring, n)] = []
             rows = None
             for check in config.checks:
                 if check in ("cocycle", "sharp") and n not in HAT_NS:
@@ -292,8 +298,9 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
                     status = "refused"
                     reason = (f"declared boundary matrix of {rows} rows "
                               f"exceeds bound {config.max_cube}")
-                entries.append(_entry(scalar, ring.name, n, check, status,
-                                      None, None, {"reason": reason}, 0.0))
+                entries.append(_entry(ring.dom.name, ring.name, n, check,
+                                      status, None, None, {"reason": reason},
+                                      0.0))
     work = [(*key, checks) for key, checks in units.items() if checks]
     if config.jobs > 1 and work:
         with ProcessPoolExecutor(min(config.jobs, len(work))) as pool:

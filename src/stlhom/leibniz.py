@@ -24,8 +24,7 @@ from .assoc import AssocAlgebra
 from .domains import ScalarDomain
 from .linalg import (ExactMatrix, SpanSolver, SubspaceBasis,
                      SubquotientInvariants, field_invariants, make_echelon,
-                     make_forward, present_quotient, subquotient, vec_axpy,
-                     z_invariants)
+                     present_quotient, subquotient, vec_axpy, z_invariants)
 
 
 class LeibnizAlgebra:
@@ -136,6 +135,9 @@ def make_leibniz(dom: ScalarDomain, dim: int, table: dict,
             raise ValueError(f"bracket index ({i},{j}) out of range")
         v = {}
         for k, c in vec.items():
+            if not 0 <= k < dim:
+                raise ValueError(f"bracket value index {k} out of range at "
+                                 f"({i},{j})")
             c = dom.normalize(c)
             if c:
                 v[k] = c
@@ -447,7 +449,7 @@ def _d3_image(L: LeibnizAlgebra, d2: ExactMatrix):
     a certified table is streamed unchecked.
     """
     dom = L.dom
-    img = (make_forward if dom.is_field else make_echelon)(dom, L.dim * L.dim)
+    img = make_echelon(dom)
     if L.certified:
         for _col, vec in iter_d3_columns(L):
             img.insert(vec)
@@ -796,7 +798,7 @@ def uce(L: LeibnizAlgebra) -> CentralExtensionModel:
             # representatives: residuals of kernel vectors under the
             # canonical off-pivot projection; m independent ones suffice
             reps: list[dict] = []
-            probe = make_forward(dom, pair)
+            probe = make_echelon(dom)
             rep_solver = SpanSolver(dom, pair)
             for v in d2.kernel_basis():
                 vbar, _mult = img.reduce_tracked(v)

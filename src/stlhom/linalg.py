@@ -1,19 +1,21 @@
 """Sparse exact linear algebra over F_p, Q and Z.
 
 Vectors are dicts ``{column: scalar}`` with no explicit zeros.  The work
-horses are three fully-reduced echelon engines sharing one duck-typed API:
+horses are four echelon engines, one per domain family, sharing one
+duck-typed API (``insert``, ``reduce``, ``rank``, ``pivots()``,
+``row_dicts()``); ``make_echelon(dom)`` picks the engine:
 
-* ``F2Echelon``   -- GF(2); rows are Python ints used as bitmasks.
-* ``FieldEchelon``-- any ``ScalarDomain`` with ``is_field``; dict rows with
-                     pivot entry normalized to 1.
+* ``F2Forward``   -- GF(2); rows are Python ints used as bitmasks.
+* ``FpForward``   -- F_3 and F_5; dict rows with pivot entry 1.
+* ``QForward``    -- Q; fraction-free primitive integer rows.
 * ``HermiteBasis``-- integer row lattices in Hermite form (pivots positive,
                      extended-gcd insertion; entries above pivots reduced on
                      ``normalize()``).
 
-"Fully reduced" means a stored row has no support at any *other* pivot
-column.  That invariant is what keeps streaming insertion cheap: reducing an
-incoming vector only ever touches the pivots present in the original vector,
-because eliminations introduce support at non-pivot columns only.
+The field engines keep forward rows: a row starts at its pivot but may carry
+other rows' pivot columns, so an insert never touches the stored rows.  The
+fully reduced rows (the reduced row echelon form of the span) are built on
+demand by ``row_dicts()``.
 
 On top of the engines: right kernels, Smith normal form with optional
 unimodular row transforms, and invariants of subquotients span(K)/span(I).
@@ -105,115 +107,6 @@ def dict_of_mask(m: int) -> dict:
 # echelon engines
 
 
-class F2Echelon:
-    """Fully reduced row echelon over GF(2), rows stored as int bitmasks."""
-
-    __slots__ = ("width", "rows", "_pivunion")
-
-    def __init__(self, width: int):
-        self.width = width
-        self.rows: dict[int, int] = {}   # pivot column -> mask
-        self._pivunion = 0               # OR of all pivot bits
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def pivots(self) -> list[int]:
-        return sorted(self.rows)
-
-    def reduce_mask(self, m: int) -> int:
-        rows = self.rows
-        while True:
-            hit = m & self._pivunion
-            if not hit:
-                return m
-            m ^= rows[lsb(hit)]
-
-    def insert_mask(self, m: int) -> int | None:
-        """Add a row; return its new pivot column, or None if dependent."""
-        m = self.reduce_mask(m)
-        if not m:
-            return None
-        j = lsb(m)
-        bit = 1 << j
-        rows = self.rows
-        for p in rows:
-            if rows[p] & bit:
-                rows[p] ^= m
-        rows[j] = m
-        self._pivunion |= bit
-        return j
-
-    # dict-vector facade so all engines interoperate
-    def insert(self, v: dict) -> int | None:
-        return self.insert_mask(mask_of(v))
-
-    def reduce(self, v: dict) -> dict:
-        return dict_of_mask(self.reduce_mask(mask_of(v)))
-
-    def row_dicts(self) -> dict[int, dict]:
-        return {p: dict_of_mask(m) for p, m in self.rows.items()}
-
-
-class FieldEchelon:
-    """Fully reduced row echelon over a field, rows as sparse dicts.
-
-    Stored rows have their pivot coefficient equal to 1 and no support at any
-    other pivot column.
-    """
-
-    __slots__ = ("dom", "width", "rows")
-
-    def __init__(self, dom: ScalarDomain, width: int):
-        if not dom.is_field:
-            raise TypeError("FieldEchelon needs a field domain")
-        self.dom = dom
-        self.width = width
-        self.rows: dict[int, dict] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def pivots(self) -> list[int]:
-        return sorted(self.rows)
-
-    def reduce(self, v: dict) -> dict:
-        v = dict(v)
-        rows = self.rows
-        dom = self.dom
-        # eliminations only add support at non-pivot columns, so one snapshot
-        # of the pivot hits suffices
-        for j in [j for j in v if j in rows]:
-            c = v.get(j)
-            if c:
-                vec_axpy(v, rows[j], dom.neg(c), dom)
-        return v
-
-    def insert(self, v: dict) -> int | None:
-        v = self.reduce(v)
-        if not v:
-            return None
-        j = min(v)
-        dom = self.dom
-        c = v[j]
-        if c != dom.one:
-            inv = dom.inv(c)
-            v = {k: dom.mul(inv, x) for k, x in v.items()}
-        rows = self.rows
-        for p in rows:
-            r = rows[p]
-            cc = r.get(j)
-            if cc:
-                vec_axpy(r, v, dom.neg(cc), dom)
-        rows[j] = v
-        return j
-
-    def row_dicts(self) -> dict[int, dict]:
-        return self.rows
-
-
 class HermiteBasis:
     """Basis of an integer row lattice, maintained in Hermite echelon form.
 
@@ -223,10 +116,9 @@ class HermiteBasis:
     entries above each pivot into ``[0, pivot)`` (canonical form).
     """
 
-    __slots__ = ("width", "rows")
+    __slots__ = ("rows",)
 
-    def __init__(self, width: int):
-        self.width = width
+    def __init__(self):
         self.rows: dict[int, dict] = {}  # pivot column -> row
 
     @property
@@ -295,40 +187,58 @@ class HermiteBasis:
         return self.rows
 
 
-def make_echelon(dom: ScalarDomain, width: int):
-    """Pick the right echelon engine for a domain."""
-    if dom.name == "f2":
-        return F2Echelon(width)
-    if dom.is_field:
-        return FieldEchelon(dom, width)
-    return HermiteBasis(width)
-
-
 # ---------------------------------------------------------------------------
 # forward-only streaming echelons
 #
-# Without back-reduction a stored row may contain other rows' pivot columns,
-# so stored rows are not canonical -- but the *residual* of reduce() is:
-# it carries no pivot column at all, and v = (row-span part) + (off-pivot
-# part) is a direct-sum decomposition once one row per pivot exists.  That
-# canonical projection is all that rank counts, quotient representatives,
-# and coordinate extraction need, and skipping back-reduction avoids the
-# catastrophic mid-phase fill of a fully reduced form on large streams.
+# A forward field engine reduces a vector to a canonical residual: it carries
+# no pivot column at all, and v = (row-span part) + (off-pivot part) is a
+# direct-sum decomposition once one row per pivot exists.  That canonical
+# projection is all that rank counts, membership, quotient representatives
+# and coordinate extraction need, and skipping back-reduction on insert
+# avoids the catastrophic mid-phase fill of a fully reduced form on large
+# streams.
+
+
+def _back_substitute(rows: dict[int, dict], p: int | None) -> dict[int, dict]:
+    """Fully reduced rows of forward rows with pivot coefficient 1.
+
+    Works from the rightmost pivot leftwards, so every pivot column a row
+    meets belongs to a row that is already fully reduced; each hit is
+    cleared once and adds support at non-pivot columns only.  ``p`` is the
+    prime, or None for rational entries.
+    """
+    out: dict[int, dict] = {}
+    for j in sorted(rows, reverse=True):
+        r = dict(rows[j])
+        for q in [q for q in r if q in out]:
+            c = r[q]
+            for k, x in out[q].items():
+                val = r.get(k, 0) - c * x
+                if p is not None:
+                    val %= p
+                if val:
+                    r[k] = val
+                else:
+                    del r[k]
+        out[j] = r
+    return dict(sorted(out.items()))
 
 
 class F2Forward:
-    """Forward-only echelon over GF(2) on int bitmasks."""
+    """Forward echelon over GF(2), rows stored as int bitmasks."""
 
-    __slots__ = ("width", "rows", "_pivunion")
+    __slots__ = ("rows", "_pivunion")
 
-    def __init__(self, width: int):
-        self.width = width
-        self.rows: dict[int, int] = {}
-        self._pivunion = 0
+    def __init__(self):
+        self.rows: dict[int, int] = {}   # pivot column -> mask
+        self._pivunion = 0               # OR of all pivot bits
 
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+    def pivots(self) -> list[int]:
+        return sorted(self.rows)
 
     def reduce_mask(self, m: int) -> int:
         rows = self.rows
@@ -342,6 +252,7 @@ class F2Forward:
             m ^= rows[lsb(hit)]
 
     def insert_mask(self, m: int) -> int | None:
+        """Add a row; return its new pivot column, or None if dependent."""
         m = self.reduce_mask(m)
         if not m:
             return None
@@ -350,26 +261,36 @@ class F2Forward:
         self._pivunion |= 1 << j
         return j
 
+    # dict-vector facade so all engines interoperate
     def insert(self, v: dict) -> int | None:
         return self.insert_mask(mask_of(v))
 
+    def reduce(self, v: dict) -> dict:
+        return dict_of_mask(self.reduce_mask(mask_of(v)))
+
     def reduce_tracked(self, v: dict) -> tuple[dict, object]:
-        return dict_of_mask(self.reduce_mask(mask_of(v))), 1
+        return self.reduce(v), 1
+
+    def row_dicts(self) -> dict[int, dict]:
+        return _back_substitute(
+            {j: dict_of_mask(m) for j, m in self.rows.items()}, 2)
 
 
 class FpForward:
-    """Forward-only echelon mod a prime, rows as dicts with pivot coeff 1."""
+    """Forward echelon mod a prime, rows as dicts with pivot coeff 1."""
 
-    __slots__ = ("p", "width", "rows")
+    __slots__ = ("p", "rows")
 
-    def __init__(self, p: int, width: int):
+    def __init__(self, p: int):
         self.p = p
-        self.width = width
         self.rows: dict[int, dict] = {}
 
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+    def pivots(self) -> list[int]:
+        return sorted(self.rows)
 
     def reduce(self, v: dict) -> dict:
         v = dict(v)
@@ -408,6 +329,9 @@ class FpForward:
     def reduce_tracked(self, v: dict) -> tuple[dict, object]:
         return self.reduce(v), 1
 
+    def row_dicts(self) -> dict[int, dict]:
+        return _back_substitute(self.rows, self.p)
+
 
 class QForward:
     """Fraction-free forward echelon for rational spans of integer rows.
@@ -416,17 +340,20 @@ class QForward:
     ``reduce_tracked(v)`` returns (r, d) with r an integer vector congruent
     to d*v modulo the row span and supported off the pivot columns; d is a
     positive Fraction.  Rational input is pre-scaled by the lcm of its
-    denominators (folded into d)."""
+    denominators (folded into d).  ``reduce`` and ``row_dicts`` return
+    Fractions, the canonical Q scalars."""
 
-    __slots__ = ("width", "rows")
+    __slots__ = ("rows",)
 
-    def __init__(self, width: int):
-        self.width = width
+    def __init__(self):
         self.rows: dict[int, dict] = {}
 
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+    def pivots(self) -> list[int]:
+        return sorted(self.rows)
 
     def reduce_tracked(self, v: dict) -> tuple[dict, object]:
         d = Fraction(1)
@@ -489,16 +416,25 @@ class QForward:
         self.rows[j] = r
         return j
 
+    def reduce(self, v: dict) -> dict:
+        r, d = self.reduce_tracked(v)
+        return {k: x / d for k, x in r.items()}
 
-def make_forward(dom: ScalarDomain, width: int):
-    """Forward-only streaming engine for a field domain."""
+    def row_dicts(self) -> dict[int, dict]:
+        return _back_substitute(
+            {j: {k: Fraction(x, r[j]) for k, x in r.items()}
+             for j, r in self.rows.items()}, None)
+
+
+def make_echelon(dom: ScalarDomain):
+    """The echelon engine of a domain: one per domain family."""
     if dom.name == "f2":
-        return F2Forward(width)
+        return F2Forward()
     if dom.name == "q":
-        return QForward(width)
+        return QForward()
     if dom.is_field:
-        return FpForward(dom.p, width)
-    raise ValueError("forward engines are for field domains")
+        return FpForward(dom.p)
+    return HermiteBasis()
 
 
 class SpanSolver:
@@ -517,7 +453,7 @@ class SpanSolver:
         self.dom = dom
         self.width = width
         self.count = 0
-        self._eng = None
+        self._eng = make_echelon(dom)
         for v in vectors:
             self.add(v)
 
@@ -525,35 +461,19 @@ class SpanSolver:
         """Append one generator; returns its index."""
         idx = self.count
         self.count += 1
-        if self._eng is None or self._eng.width < self.width + self.count:
-            self._rebuild()
         row = dict(v)
         row[self.width + idx] = self.dom.one
         self._eng.insert(row)
         return idx
 
-    def _rebuild(self):
-        # engines have fixed width; grow in chunks to amortize re-insertion
-        cap = max(16, 2 * self.count)
-        eng = make_echelon(self.dom, self.width + cap)
-        if self._eng is not None:
-            for row in list(self._eng.row_dicts().values()):
-                eng.insert(dict(row))
-        self._eng = eng
-
     def solve(self, target: dict) -> dict | None:
         """Coefficients {generator index: scalar} with sum = target, or None."""
-        if self._eng is None:
-            return {} if not target else None
-        res = self._eng.reduce(dict(target))
+        res = self._eng.reduce(target)
         w = self.width
         if any(k < w for k in res):
             return None
         neg = self.dom.neg
         return {k - w: neg(x) for k, x in res.items()}
-
-    def rank(self) -> int:
-        return self._eng.rank if self._eng is not None else 0
 
 
 class SubspaceBasis:
@@ -564,7 +484,7 @@ class SubspaceBasis:
     def __init__(self, dom: ScalarDomain, width: int, gens=()):
         self.dom = dom
         self.width = width
-        self.engine = make_echelon(dom, width)
+        self.engine = make_echelon(dom)
         self.version = 0
         for g in gens:
             self.add(g)
@@ -662,7 +582,7 @@ class ExactMatrix:
         return not any(self.rows.values())
 
     def rank(self) -> int:
-        eng = make_echelon(self.dom, self.ncols)
+        eng = make_echelon(self.dom)
         for row in self.rows.values():
             eng.insert(row)
         return eng.rank
@@ -677,7 +597,7 @@ class ExactMatrix:
         saturated (it is the kernel of a homomorphism).
         """
         if self.dom.is_field:
-            eng = make_echelon(self.dom, self.ncols)
+            eng = make_echelon(self.dom)
             for row in self.rows.values():
                 eng.insert(row)
             rows = eng.row_dicts()
@@ -694,7 +614,7 @@ class ExactMatrix:
                 basis.append(v)
             return basis
         cols = self.columns()
-        eng = HermiteBasis(self.nrows + self.ncols)
+        eng = HermiteBasis()
         for j in range(self.ncols):
             v = dict(cols.get(j, {}))
             v[self.nrows + j] = 1
@@ -972,10 +892,10 @@ def subquotient(kernel_gens, image_gens, width: int,
     kernel generators, otherwise ``ContainmentError`` is raised.  Neither
     generating family needs to be independent.
     """
-    kern = make_echelon(dom, width)
+    kern = make_echelon(dom)
     for g in kernel_gens:
         kern.insert(g)
-    img = make_echelon(dom, width)
+    img = make_echelon(dom)
     for g in image_gens:
         img.insert(g)
 
@@ -983,11 +903,11 @@ def subquotient(kernel_gens, image_gens, width: int,
     # augmented copy of the kernel basis: tails record coordinates
     kpivs = kern.pivots()
     tail = {p: width + idx for idx, p in enumerate(kpivs)}
-    aug = make_echelon(dom, width + k)
+    aug = make_echelon(dom)
     kern_rows = kern.row_dicts()
     for p in kpivs:
         row = dict(kern_rows[p])
-        row[tail[p]] = 1 if dom.name != "q" else dom.one
+        row[tail[p]] = dom.one
         aug.insert(row)
 
     coeff_rows: list[dict] = []
@@ -1001,7 +921,7 @@ def subquotient(kernel_gens, image_gens, width: int,
         coeff_rows.append({kk - width: dom.neg(x) for kk, x in res.items()})
 
     if dom.is_field:
-        rel = make_echelon(dom, k)
+        rel = make_echelon(dom)
         for r in coeff_rows:
             rel.insert(r)
         return field_invariants(dom, k - rel.rank)
@@ -1088,7 +1008,7 @@ def present_quotient(gens, width: int, dom: ScalarDomain,
     if dom.is_field:
         if ambient_moduli and any(ambient_moduli):
             raise ValueError("field quotients cannot carry ambient moduli")
-        ech = make_echelon(dom, width)
+        ech = make_echelon(dom)
         for g in gens:
             ech.insert(g)
         pivots = set(ech.pivots())

@@ -7,11 +7,13 @@ a parallel one of the same config.
 """
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import stlhom
 from stlhom import (F3, CampaignConfig, CampaignConfigError, CampaignReport,
                     catalog_ring, declared_rows, resolve_ring, run_campaign,
                     save_ring_json)
@@ -249,6 +251,24 @@ def test_each_ring_and_n_builds_stl_once(monkeypatch):
     assert calls == {"build_stl": 4, "verify_cocycle": 4}
 
 
+def test_each_ring_file_is_read_once_per_request(tmp_path, monkeypatch):
+    import stlhom.campaign as camp
+    path = tmp_path / "dual.json"
+    save_ring_json(catalog_ring("dual", F3), str(path))
+    calls = []
+    inner = camp.load_ring_json
+
+    def counted(p):
+        calls.append(p)
+        return inner(p)
+
+    monkeypatch.setattr(camp, "load_ring_json", counted)
+    rep = run_campaign(CampaignConfig(rings=[(str(path), "f3")], ns=[3, 4],
+                                      checks=["all"], jobs=1))
+    assert rep.ok and rep.summary["passed"] == 8
+    assert calls == [str(path)]
+
+
 def test_failed_stl_build_fails_only_the_checks_that_need_it(monkeypatch):
     import stlhom.campaign as camp
 
@@ -382,10 +402,15 @@ def test_cli_csv_flag(tmp_path):
 
 
 def test_module_entry_point_runs():
+    # the child finds the package where this process imported it from
+    src = os.path.dirname(os.path.dirname(stlhom.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "stlhom", "--ring", "ground", "--scalar",
          "f3", "--n", "3", "--check", "cocycle"],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["summary"]["exit_code"] == 0
 

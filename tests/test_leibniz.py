@@ -129,6 +129,14 @@ def test_make_leibniz_input_validation():
         make_leibniz(F2, 2, {}, moduli=[2])
 
 
+def test_make_leibniz_refuses_out_of_range_values():
+    # a value coordinate outside [0, dim) used to be certified, and
+    # homology_hl then read a d2 with a row 5 in a 2-row matrix
+    for k in (5, 2, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            make_leibniz(F2, 2, {(0, 1): {k: 1}})
+
+
 def test_moduli_reduce_and_eq():
     # carrier Z x Z/2: the square lands in the torsion coordinate
     table = {(0, 0): {1: 1}}

@@ -2,7 +2,9 @@
 
 The Smith form is cross-checked two ways: against the determinantal-divisor
 definition (gcds of k x k minors, computed here from scratch) and against
-sympy's implementation on random matrices.
+sympy's implementation on random matrices.  The echelon engines' fully
+reduced rows, pivots and ranks are checked against sympy's reduced row
+echelon form over GF(p) and QQ.
 """
 
 import itertools
@@ -13,9 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stlhom.domains import F2, F3, F5, Q, Z, parse_scalar
-from stlhom.linalg import (ContainmentError, ExactMatrix, F2Echelon,
-                           FieldEchelon, HermiteBasis, QForward,
-                           SubquotientInvariants, make_echelon, make_forward,
+from stlhom.linalg import (ContainmentError, ExactMatrix, F2Forward,
+                           FpForward, HermiteBasis, QForward,
+                           SubquotientInvariants, make_echelon,
                            present_quotient, smith_normal_form, subquotient,
                            vec_axpy, xgcd)
 
@@ -71,6 +73,35 @@ def sympy_snf_diag(m):
             out.append(abs(v))
     out.sort()
     return out
+
+
+def sympy_rref(vecs, width, dom):
+    """({pivot: fully reduced row}, pivots) of span(vecs) over a field, by
+    sympy's reduced row echelon form over GF(p) or QQ."""
+    from sympy import GF, QQ
+    from sympy.polys.matrices import DomainMatrix
+    if dom.name == "q":
+        K = QQ
+        to_k = lambda x: QQ(Fraction(x).numerator, Fraction(x).denominator)
+        back = lambda e: Fraction(int(e.numerator), int(e.denominator))
+    else:
+        K = GF(dom.p)
+        to_k = lambda x: K(int(x) % dom.p)
+        back = lambda e: int(e) % dom.p
+    if not vecs:
+        return {}, []
+    dense = [[to_k(v.get(j, 0)) for j in range(width)] for v in vecs]
+    rref, pivots = DomainMatrix(dense, (len(vecs), width), K).rref()
+    rows = {}
+    for i, p in enumerate(pivots):
+        entries = [back(e) for e in rref.to_list()[i]]
+        rows[p] = {j: x for j, x in enumerate(entries) if x}
+    return rows, list(pivots)
+
+
+def sympy_in_span(vecs, v, width, dom):
+    return (len(sympy_rref(vecs + [v], width, dom)[1])
+            == len(sympy_rref(vecs, width, dom)[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -160,27 +191,51 @@ def test_invariants_eq_and_describe():
 def test_f2_echelon_matches_generic_field_engine():
     vecs = [{0: 1, 2: 1}, {2: 1, 3: 1}, {0: 1, 3: 1}, {1: 1, 4: 1},
             {0: 1, 1: 1, 2: 1, 3: 1, 4: 1}]
-    fast = F2Echelon(5)
-    slow = FieldEchelon(F2, 5)
+    fast = F2Forward()
+    slow = FpForward(2)
     for v in vecs:
         assert fast.insert(dict(v)) == slow.insert(dict(v))
     assert fast.pivots() == slow.pivots()
     assert fast.row_dicts() == slow.row_dicts()
+    assert sympy_rref(vecs, 5, F2) == (fast.row_dicts(), fast.pivots())
 
 
 def test_field_echelon_rows_fully_reduced():
-    ech = FieldEchelon(F5, 6)
-    for v in [{0: 1, 1: 2, 5: 1}, {1: 3, 2: 1}, {0: 2, 2: 4, 3: 1}, {1: 1, 5: 2}]:
+    ech = make_echelon(F5)
+    vecs = [{0: 1, 1: 2, 5: 1}, {1: 3, 2: 1}, {0: 2, 2: 4, 3: 1}, {1: 1, 5: 2}]
+    for v in vecs:
         ech.insert(v)
     pivots = set(ech.pivots())
     for p, row in ech.row_dicts().items():
         assert row[p] == 1
         for c in row:
             assert c == p or c not in pivots
+    assert sympy_rref(vecs, 6, F5) == (ech.row_dicts(), ech.pivots())
+
+
+@given(st.sampled_from(["f2", "f3", "f5", "q"]),
+       st.lists(st.tuples(st.lists(st.integers(-6, 6), min_size=5,
+                                   max_size=5), st.booleans()),
+                min_size=1, max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_row_dicts_are_the_rref_of_the_span(scal, steps):
+    """row_dicts() and pivots() equal sympy's RREF, also when row_dicts()
+    calls are interleaved with further inserts."""
+    dom = parse_scalar(scal)
+    ech = make_echelon(dom)
+    vecs = []
+    for row, look in steps:
+        v = {j: dom.normalize(x) for j, x in enumerate(row)}
+        v = {j: x for j, x in v.items() if x}
+        ech.insert(dict(v))
+        vecs.append(v)
+        if look:
+            assert (ech.row_dicts(), ech.pivots()) == sympy_rref(vecs, 5, dom)
+    assert (ech.row_dicts(), ech.pivots()) == sympy_rref(vecs, 5, dom)
 
 
 def test_hermite_membership_and_normalize():
-    h = HermiteBasis(3)
+    h = HermiteBasis()
     h.insert({0: 4, 1: 2, 2: 1})
     h.insert({0: 6, 1: 2})
     h.insert({1: 8})
@@ -197,10 +252,10 @@ def test_hermite_membership_and_normalize():
 
 
 def test_make_echelon_dispatch():
-    assert isinstance(make_echelon(F2, 4), F2Echelon)
-    assert isinstance(make_echelon(Q, 4), FieldEchelon)
-    assert isinstance(make_echelon(Z, 4), HermiteBasis)
-    assert isinstance(make_echelon(parse_scalar("f5"), 4), FieldEchelon)
+    assert isinstance(make_echelon(F2), F2Forward)
+    assert isinstance(make_echelon(Q), QForward)
+    assert isinstance(make_echelon(Z), HermiteBasis)
+    assert isinstance(make_echelon(parse_scalar("f5")), FpForward)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +312,7 @@ def test_rank_nullity_and_kernel(m, scal):
     for v in basis:
         assert not mat.matvec(v)
     # kernel vectors are independent
-    ech = make_echelon(dom, mat.ncols)
+    ech = make_echelon(dom)
     for v in basis:
         assert ech.insert(v) is not None
 
@@ -283,7 +338,7 @@ def test_integer_kernel_is_saturated(m):
 @settings(max_examples=120, deadline=None)
 def test_echelon_reduce_kills_span_members(vecs, scal):
     dom = parse_scalar(scal)
-    ech = make_echelon(dom, 5)
+    ech = make_echelon(dom)
     dvecs = []
     for row in vecs:
         d = {j: dom.normalize(v) for j, v in enumerate(row) if dom.normalize(v)}
@@ -387,14 +442,14 @@ int_matrix = st.lists(st.lists(st.integers(-6, 6), min_size=5, max_size=5),
 @given(int_matrix)
 def test_forward_rank_agrees_with_reduced_echelon(rows):
     for dom in FIELDS:
-        fwd = make_forward(dom, 5)
-        ech = make_echelon(dom, 5)
+        fwd = make_echelon(dom)
+        vecs = []
         for row in rows:
             v = {j: dom.normalize(x) for j, x in enumerate(row)}
             v = {j: x for j, x in v.items() if x}
             fwd.insert(dict(v))
-            ech.insert(dict(v))
-        assert fwd.rank == ech.rank
+            vecs.append(v)
+        assert fwd.rank == len(sympy_rref(vecs, 5, dom)[1])
 
 
 @given(int_matrix, st.lists(st.integers(-6, 6), min_size=5, max_size=5),
@@ -402,7 +457,7 @@ def test_forward_rank_agrees_with_reduced_echelon(rows):
 def test_forward_residual_is_canonical(rows, probe, pick):
     """reduce() depends only on the class of v modulo the row span."""
     for dom in (F2, F3):
-        fwd = make_forward(dom, 5)
+        fwd = make_echelon(dom)
         stored = []
         for row in rows:
             v = {j: dom.normalize(x) for j, x in enumerate(row)}
@@ -425,13 +480,13 @@ def test_forward_residual_is_canonical(rows, probe, pick):
 
 @given(int_matrix, st.lists(st.integers(-6, 6), min_size=5, max_size=5))
 def test_qforward_matches_rational_echelon(rows, probe):
-    fwd = QForward(5)
-    ech = FieldEchelon(Q, 5)
+    fwd = QForward()
+    vecs = []
     for row in rows:
         v = {j: x for j, x in enumerate(row) if x}
         fwd.insert(v)
-        ech.insert({j: Fraction(x) for j, x in v.items()})
-    assert fwd.rank == ech.rank
+        vecs.append(v)
+    assert fwd.rank == len(sympy_rref(vecs, 5, Q)[1])
     v = {j: x for j, x in enumerate(probe) if x}
     r, d = fwd.reduce_tracked(v)
     # r == d*v modulo the span: d*v - r must reduce to zero
@@ -439,16 +494,16 @@ def test_qforward_matches_rational_echelon(rows, probe):
     for j, x in r.items():
         check[j] = check.get(j, Fraction(0)) - x
     check = {j: x for j, x in check.items() if x}
-    assert not ech.reduce(dict(check))
+    assert sympy_in_span(vecs, check, 5, Q)
     assert fwd.insert(check) is None
-    # and membership agreement: v in span(fwd) iff v in span(ech)
+    # and membership agreement: v in span(fwd) iff v in the oracle's span
     in_fwd = not r
-    in_ech = not ech.reduce({j: Fraction(x) for j, x in v.items()})
+    in_ech = sympy_in_span(vecs, v, 5, Q)
     assert in_fwd == in_ech
 
 
 def test_qforward_accepts_fraction_input():
-    fwd = QForward(3)
+    fwd = QForward()
     assert fwd.insert({0: Fraction(1, 2), 1: Fraction(3, 4)}) == 0
     # stored row is primitive integer: 2x + 3y up to scaling
     assert fwd.rows[0] == {0: 2, 1: 3}
@@ -457,7 +512,7 @@ def test_qforward_accepts_fraction_input():
 
 
 def test_qforward_multiplier_example():
-    fwd = QForward(2)
+    fwd = QForward()
     fwd.insert({0: 2, 1: 2})           # stored as (1, 1)
     r, d = fwd.reduce_tracked({0: 1, 1: 3})
     # residual must be off the pivot column 0: (0, y) with y/d = 3 - 1 = 2
@@ -467,7 +522,7 @@ def test_qforward_multiplier_example():
 
 @given(int_matrix)
 def test_forward_insert_of_dependent_rows_returns_none(rows):
-    fwd = make_forward(F3, 5)
+    fwd = make_echelon(F3)
     inserted = []
     for row in rows:
         v = {j: x % 3 for j, x in enumerate(row)}
