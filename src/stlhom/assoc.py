@@ -256,13 +256,6 @@ class QuotientAlgebra:
     def unit_coords(self) -> dict:
         return self.coords(self.base.unit)
 
-    def invariants(self) -> SubquotientInvariants:
-        if self.base.dom.is_field:
-            return SubquotientInvariants(self.base.dom.name, self.dim, None)
-        factors = sorted((d for d in self.moduli if d), key=abs)
-        factors += [0] * sum(1 for d in self.moduli if not d)
-        return SubquotientInvariants("z", len(self.moduli), factors)
-
     def __repr__(self):
         return f"QuotientAlgebra({self.name}, dim={self.dim}, moduli={self.moduli})"
 

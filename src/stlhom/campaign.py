@@ -9,11 +9,14 @@ and across parallelism degrees.
 Checks that would stream an oversized tensor cube are refused up front.  The
 binding resource is the third boundary map, whose columns are indexed by the
 cube L tensor L tensor L and whose rows by L tensor L: memory scales with
-the (dim stl)^2 rows kept per echelon column, while the cube itself is only
-walked.  A check therefore declares (dim stl)^2 rows, estimated cheaply as
-(dim sl + dim HH_1)^2 before any heavy work starts.  The symbolic cocycle
-check never builds a matrix and is exempt.  Checks that only exist for the
-hat models (cocycle, sharp) are skipped -- not failed -- at n = 5.
+the rows kept per echelon column, while the cube itself is only walked.  The
+only cube streamed is that of L = sl, inside uce while stl is built; HL_2(stl)
+is read off the N presentation.  A check declares (dim sl + dim HH_1)^2 =
+(dim stl)^2 rows, from the ring alone before any heavy work starts: an
+upper bound on the (dim sl)^2 rows of that stream, equal to the rows of a
+direct homology_hl stream of stl.  The symbolic cocycle check never builds a
+matrix and is exempt.  Checks that only exist for the hat models (cocycle,
+sharp) are skipped -- not failed -- at n = 5.
 """
 
 from __future__ import annotations
@@ -128,9 +131,10 @@ class CampaignConfig:
 
 
 def declared_rows(n: int, ring: AssocAlgebra) -> int:
-    """Rows of the widest boundary matrix a (ring, n) stl task streams.
+    """Rows a (ring, n) stl task declares for the size guard.
 
-    The third boundary has (dim stl)^2 rows, with dim stl = dim sl +
+    This is (dim stl)^2, which bounds the (dim sl)^2 rows of the third
+    boundary that ``uce`` streams, with dim stl = dim sl +
     dim HH_1(R) and dim sl = (n^2 - 1) dim R + rank [R, R] (the formula
     ``build_sl`` asserts).  Only ring-level computations are needed, so the
     declaration builds no Leibniz algebra.

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from .assoc import AssocAlgebra
 from .domains import ScalarDomain
-from .linalg import (ExactMatrix, SpanSolver, SubspaceBasis,
-                     SubquotientInvariants, field_invariants, make_echelon,
-                     present_quotient, subquotient, vec_axpy, z_invariants)
+from .linalg import (ExactMatrix, SpanSolver, SubspaceBasis, field_invariants,
+                     make_echelon, moduli_invariants, present_quotient,
+                     subquotient, vec_axpy)
 
 
 class LeibnizAlgebra:
@@ -686,8 +686,9 @@ class CentralExtensionModel:
     Leibniz algebra exactly when kappa satisfies the cocycle condition
     kappa(x,[y,z]) - kappa([x,y],z) + kappa([x,z],y) = 0 on base triples
     (modulo the kernel moduli); the constructor checks it and raises
-    ``LeibnizIdentityError`` with the witness triple.  The universal model
-    also maps tensor classes to coordinates (``tensor_coords``).
+    ``LeibnizIdentityError`` with the witness triple.  ``kernel_invariants``
+    are read off the kernel moduli.  The universal model also maps tensor
+    classes to coordinates (``tensor_coords``).
     """
 
     __slots__ = ("total", "base", "kernel_invariants", "tensor_coords",
@@ -695,7 +696,7 @@ class CentralExtensionModel:
 
     def __init__(self, base: LeibnizAlgebra, kernel_moduli: list[int],
                  kappa: dict, name: str, kernel_labels: list[str],
-                 kernel_invariants=None, tensor_coords=None):
+                 tensor_coords=None):
         if not base.certified:
             raise ValueError(f"the base {base.name} of a central extension "
                              f"must be a certified Leibniz algebra")
@@ -710,7 +711,7 @@ class CentralExtensionModel:
             list(base.labels) + list(kernel_labels),
             list(base.moduli) + list(kernel_moduli), name)
         self.base = base
-        self.kernel_invariants = kernel_invariants
+        self.kernel_invariants = moduli_invariants(base.dom, kernel_moduli)
         self.tensor_coords = tensor_coords
         self.kernel_moduli = kernel_moduli
         _check_identity(self.total, bd, base.table, shifted,
@@ -790,24 +791,21 @@ def uce(L: LeibnizAlgebra) -> CentralExtensionModel:
         rank_d2 = d2.rank()
         m = (pair - rank_d2) - img.rank
         moduli = [0] * m
-        invariants = field_invariants(dom, m)
         if m == 0:
             def kernel_coords(v: dict) -> dict:
                 return {}
         else:
             # representatives: residuals of kernel vectors under the
-            # canonical off-pivot projection; m independent ones suffice
-            reps: list[dict] = []
-            probe = make_echelon(dom)
+            # canonical off-pivot projection; m independent ones suffice, and
+            # a residual is independent of the kept ones when it is unsolvable
             rep_solver = SpanSolver(dom, pair)
             for v in d2.kernel_basis():
                 vbar, _mult = img.reduce_tracked(v)
-                if vbar and probe.insert(vbar) is not None:
+                if vbar and rep_solver.solve(vbar) is None:
                     rep_solver.add(vbar)
-                    reps.append(vbar)
-                    if len(reps) == m:
+                    if rep_solver.count == m:
                         break
-            if len(reps) != m:
+            if rep_solver.count != m:
                 raise AssertionError("kernel projection lost rank")
 
             def kernel_coords(v: dict) -> dict:
@@ -835,9 +833,6 @@ def uce(L: LeibnizAlgebra) -> CentralExtensionModel:
         pres = present_quotient(coeff_cols, k, dom)
         m = pres.dim
         moduli = list(pres.moduli)
-        factors = sorted(d for d in moduli if d)
-        factors += [0] * sum(1 for d in moduli if not d)
-        invariants = z_invariants(factors)
 
         def kernel_coords(v: dict) -> dict:
             c = ksolver.solve(v)
@@ -871,4 +866,4 @@ def uce(L: LeibnizAlgebra) -> CentralExtensionModel:
                     kappa[(s, t)] = kern
     return CentralExtensionModel(
         L, moduli, kappa, f"uce({L.name})", [f"z{i}" for i in range(m)],
-        kernel_invariants=invariants, tensor_coords=tensor_coords)
+        tensor_coords=tensor_coords)

@@ -884,6 +884,15 @@ def z_invariants(factors: list[int]) -> SubquotientInvariants:
     return SubquotientInvariants("z", len(factors), list(factors))
 
 
+def moduli_invariants(dom: ScalarDomain, moduli) -> SubquotientInvariants:
+    """Invariants of the group with one coordinate per modulus: Z/d for
+    d > 0, a free summand for 0 (over a field every modulus is 0)."""
+    if dom.is_field:
+        return field_invariants(dom, len(moduli))
+    return z_invariants(sorted(d for d in moduli if d)
+                        + [0] * sum(1 for d in moduli if not d))
+
+
 def subquotient(kernel_gens, image_gens, width: int,
                 dom: ScalarDomain) -> SubquotientInvariants:
     """Invariants of span(kernel_gens)/span(image_gens) inside dom^width.
@@ -947,13 +956,11 @@ class QuotientPresentation:
     quotient coordinates back to a representative.
     """
 
-    __slots__ = ("dom", "width", "dim", "moduli", "_mode", "_ech", "_free",
-                 "_U_rows", "_lift_cols")
+    __slots__ = ("dim", "moduli", "_mode", "_ech", "_free", "_U_rows",
+                 "_lift_cols")
 
-    def __init__(self, dom, width, dim, moduli, mode, ech=None, free=None,
-                 U_rows=None, lift_cols=None):
-        self.dom = dom
-        self.width = width
+    def __init__(self, dim, moduli, mode, ech=None, free=None, U_rows=None,
+                 lift_cols=None):
         self.dim = dim
         self.moduli = moduli
         self._mode = mode
@@ -1017,8 +1024,8 @@ def present_quotient(gens, width: int, dom: ScalarDomain,
             if c not in pivots:
                 free[c] = len(free)
         dim = len(free)
-        return QuotientPresentation(dom, width, dim, [0] * dim, "field",
-                                    ech=ech, free=free)
+        return QuotientPresentation(dim, [0] * dim, "field", ech=ech,
+                                    free=free)
 
     entries = {}
     ncols = 0
@@ -1042,5 +1049,5 @@ def present_quotient(gens, width: int, dom: ScalarDomain,
             moduli.append(d)
     U_rows = [sf.U.get(tt, {}) for tt in kept]
     lift_cols = [sf.U_inv.get(tt, {}) for tt in kept]
-    return QuotientPresentation(dom, width, len(kept), moduli, "z",
-                                U_rows=U_rows, lift_cols=lift_cols)
+    return QuotientPresentation(len(kept), moduli, "z", U_rows=U_rows,
+                                lift_cols=lift_cols)

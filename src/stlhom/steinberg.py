@@ -24,10 +24,10 @@ from itertools import permutations
 
 from .assoc import AssocAlgebra, QuotientAlgebra, hochschild_h1, quotient_Rm
 from .leibniz import (CentralExtensionModel, LeibnizAlgebra, SlAlgebra,
-                      build_sl, homology_hl, is_central, is_perfect,
-                      structural_report, uce)
-from .linalg import (SpanSolver, SubquotientInvariants, field_invariants,
-                     present_quotient, vec_axpy, z_invariants)
+                      build_sl, is_central, is_perfect, structural_report,
+                      uce)
+from .linalg import (SpanSolver, SubquotientInvariants, moduli_invariants,
+                     present_quotient, subquotient, vec_axpy)
 
 __all__ = [
     "ThetaMap", "build_theta", "corrupted_theta",
@@ -607,19 +607,19 @@ class SteinbergModel:
 
     ``extension`` is the central extension stl -> sl; ``x_basis`` maps
     (i, j, lam) to the coordinates of X_ij(r_lam) in the total algebra.
-    The images of T_ij(a,b) and t(a,b) are derived brackets (cached per
-    ring-basis pair).
+    ``hl2`` holds the invariants of HL_2(stl), the image of N in
+    ker(uce(sl) -> sl).  The images of T_ij(a,b) and t(a,b) are derived
+    brackets (cached per ring-basis pair).
     """
 
-    __slots__ = ("n", "ring", "extension", "x_basis", "quotient_rank",
-                 "_tcache")
+    __slots__ = ("n", "ring", "extension", "x_basis", "hl2", "_tcache")
 
-    def __init__(self, n, ring, extension, x_basis, quotient_rank):
+    def __init__(self, n, ring, extension, x_basis, hl2):
         self.n = n
         self.ring = ring
         self.extension = extension
         self.x_basis = x_basis
-        self.quotient_rank = quotient_rank
+        self.hl2 = hl2
         self._tcache: dict = {}
 
     @property
@@ -707,7 +707,14 @@ def build_stl(n: int, ring: AssocAlgebra) -> SteinbergModel:
     Construction-time assertions: (a) every class generating N is central
     (zero image in sl), (b) the kernel of stl -> sl has exactly the
     invariants of HH_1(R), (c) the defining generator relations hold on the
-    X images, which are independent of the pivot index used to build them.
+    X images, which are independent of the pivot index used to build them,
+    (d) stl is perfect.
+
+    By (d), uce(sl) -> stl is the universal central extension of stl, so
+    HL_2(stl) = ker(uce(sl) -> stl): the image of N in ker(uce(sl) -> sl)
+    (Casas-Corral, Comm. Algebra 2009).  Its invariants are read off the
+    N generators here and kept as ``model.hl2``; no d3 cube of stl is
+    streamed.
     """
     if n not in (3, 4, 5):
         raise ValueError("stl models are built for n in {3, 4, 5}")
@@ -738,13 +745,10 @@ def build_stl(n: int, ring: AssocAlgebra) -> SteinbergModel:
 
     pres = present_quotient(ngens, m, dom, ambient_moduli=ext.kernel_moduli)
     q = pres.dim
-    quotient_rank = m - q
-    if dom.is_field:
-        invariants = field_invariants(dom, q)
-    else:
-        factors = sorted((x for x in pres.moduli if x), key=abs)
-        factors += [0] * sum(1 for x in pres.moduli if not x)
-        invariants = z_invariants(factors)
+    invariants = moduli_invariants(dom, pres.moduli)
+    # the image of N in the kernel dom^m / (kernel moduli)
+    rel = [{c: mod} for c, mod in enumerate(ext.kernel_moduli) if mod]
+    hl2 = subquotient(ngens + rel, rel, m, dom)
 
     hh1 = hochschild_h1(ring)
     if invariants != hh1:
@@ -766,8 +770,7 @@ def build_stl(n: int, ring: AssocAlgebra) -> SteinbergModel:
             kappa[p] = kern
     model_ext = CentralExtensionModel(
         sl, list(pres.moduli), kappa, f"stl{n}({ring.name})",
-        [f"hh1_{t}" for t in range(q)], kernel_invariants=invariants,
-        tensor_coords=tensor_coords)
+        [f"hh1_{t}" for t in range(q)], tensor_coords=tensor_coords)
     total = model_ext.total
 
     # X_ij(a) := class of E_ip(a)(x)E_pj(1), independent of the pivot p
@@ -787,7 +790,7 @@ def build_stl(n: int, ring: AssocAlgebra) -> SteinbergModel:
                         f"image of X{i}{j}(r{lam}) depends on the pivot")
             x_basis[(i, j, lam)] = img
 
-    model = SteinbergModel(n, ring, model_ext, x_basis, quotient_rank)
+    model = SteinbergModel(n, ring, model_ext, x_basis, hl2)
     _check_generator_relations(model, pos)
     if not is_perfect(total):
         raise AssertionError(f"{total.name} is not perfect")
@@ -1352,22 +1355,17 @@ def predicted_hl2(n: int, ring: AssocAlgebra) -> SubquotientInvariants:
     """Six copies of R_2 (n = 4), six copies of R_3 (n = 3), zero beyond."""
     if n < 3:
         raise ValueError("predictions cover n >= 3")
-    dom = ring.dom
     if n >= 5:
-        return (field_invariants(dom, 0) if dom.is_field
-                else z_invariants([]))
+        return moduli_invariants(ring.dom, [])
     rm = quotient_Rm(ring, {3: 3, 4: 2}[n])
-    if dom.is_field:
-        return field_invariants(dom, 6 * rm.dim)
-    factors = sorted((x for x in rm.moduli if x), key=abs) * 6
-    factors += [0] * (6 * sum(1 for x in rm.moduli if not x))
-    return z_invariants(factors)
+    return moduli_invariants(ring.dom, list(rm.moduli) * 6)
 
 
 def hl2_report(model: SteinbergModel) -> Hl2Report:
-    """Compute HL_2 of the concrete stl model and compare with the predicted
-    cocycle-value space; over Z the comparison is by invariant factors."""
-    computed = homology_hl(model.total, 2).invariants
+    """Compare HL_2 of the concrete stl model, which ``build_stl`` read off
+    the N presentation (``model.hl2``), with the predicted cocycle-value
+    space; over Z the comparison is by invariant factors.  Torsion carriers
+    are covered too, and nothing is streamed."""
     predicted = predicted_hl2(model.n, model.ring)
-    return Hl2Report(model.n, model.ring.name, computed, predicted,
-                     computed == predicted, model.total.dim)
+    return Hl2Report(model.n, model.ring.name, model.hl2, predicted,
+                     model.hl2 == predicted, model.total.dim)

@@ -269,6 +269,25 @@ def test_each_ring_file_is_read_once_per_request(tmp_path, monkeypatch):
     assert calls == [str(path)]
 
 
+def test_homology_streams_one_d3_cube_per_ring_and_n(monkeypatch):
+    # the only cube streamed is sl's, inside uce; HL_2(stl) is read off the
+    # N presentation that build_stl makes
+    import stlhom.leibniz as leib
+    calls = []
+    inner = leib.iter_d3_columns
+
+    def counted(L):
+        calls.append(L.name)
+        return inner(L)
+
+    monkeypatch.setattr(leib, "iter_d3_columns", counted)
+    rep = run_campaign(CampaignConfig(rings=[("ground", "f3")], ns=[3, 4],
+                                      checks=["homology"], jobs=1))
+    assert rep.ok and rep.summary["passed"] == 2
+    assert len(calls) == 2
+    assert all(name.startswith("sl") for name in calls), calls
+
+
 def test_failed_stl_build_fails_only_the_checks_that_need_it(monkeypatch):
     import stlhom.campaign as camp
 

@@ -18,8 +18,8 @@ from stlhom.domains import F2, F3, F5, Q, Z, parse_scalar
 from stlhom.linalg import (ContainmentError, ExactMatrix, F2Forward,
                            FpForward, HermiteBasis, QForward,
                            SubquotientInvariants, make_echelon,
-                           present_quotient, smith_normal_form, subquotient,
-                           vec_axpy, xgcd)
+                           moduli_invariants, present_quotient,
+                           smith_normal_form, subquotient, vec_axpy, xgcd)
 
 FIELDS = [F2, F3, F5, Q]
 
@@ -412,6 +412,20 @@ def test_present_quotient_z_torsion():
         seen.add(tuple(sorted(acc.items())))
     assert acc == {}          # 6*(1,1) is in the lattice
     assert len(seen) == 6     # earlier multiples are all distinct
+
+
+@pytest.mark.parametrize("dom,moduli", [
+    (Z, [4, 0, 2, 2]), (Z, [3, 3]), (Z, [0]), (Z, []),
+    (F3, [0, 0, 0]), (Q, []),
+])
+def test_moduli_invariants_match_the_subquotient(dom, moduli):
+    # the group presented by per-coordinate moduli, as the subquotient
+    # span(units + relations) / span(relations)
+    width = len(moduli)
+    units = [{c: dom.one} for c in range(width)]
+    rel = [{c: m} for c, m in enumerate(moduli) if m]
+    assert (moduli_invariants(dom, moduli)
+            == subquotient(units + rel, rel, width, dom))
 
 
 def test_present_quotient_ambient_moduli():

@@ -71,8 +71,17 @@ def test_stl_shapes(name, scal, n, dim, kernel, nrank):
     m = stl(name, scal, n)
     assert m.total.dim == dim
     assert m.kernel_invariants.describe() == kernel
-    assert m.quotient_rank == nrank
+    assert m.hl2.dimension == nrank
     assert m.total.name == f"stl{n}({m.ring.name})"
+
+
+@pytest.mark.parametrize("name,scal,n,dim,kernel,nrank", STL_SHAPES)
+def test_hl2_of_n_image_matches_the_d3_stream(name, scal, n, dim, kernel,
+                                              nrank):
+    # two routes to HL_2(stl): the image of N in ker(uce(sl) -> sl), read
+    # off by build_stl, and the d3 stream of stl itself
+    m = stl(name, scal, n)
+    assert m.hl2 == homology_hl(m.total, 2).invariants
 
 
 @pytest.mark.parametrize("name,scal,n", [
@@ -379,8 +388,11 @@ def test_hl2_reports_match(name, scal, n, expected):
     assert rep.ok and rep.match
     assert rep.computed.describe() == expected
     assert rep.predicted.describe() == expected
-    # second route: HL_2(stl) = ker(uce(sl) -> stl), the image of N
-    assert rep.computed.dimension == model.quotient_rank
+    # the report reads HL_2(stl) = ker(uce(sl) -> stl), the image of N,
+    # off the model; the stream route is compared in
+    # test_hl2_of_n_image_matches_the_d3_stream
+    assert rep.computed.dimension == model.hl2.dimension
+    assert rep.computed is model.hl2
 
 
 def test_hl2_report_over_z():
@@ -390,6 +402,24 @@ def test_hl2_report_over_z():
     rep = hl2_report(stl("int", "z", 3))
     assert rep.ok
     assert rep.computed.invariant_factors == [3] * 6
+
+
+@pytest.mark.parametrize("name,n,expected", [
+    ("dual", 3, "Z/3^12"),
+    ("dual", 4, "Z/2^12"),
+    ("group-c2", 4, "Z/2^12"),
+    ("trunc3", 3, "Z/3^18"),
+])
+def test_hl2_report_on_torsion_carriers(name, n, expected):
+    # HH_1(R) has torsion, so stl has a torsion carrier: the d3 stream
+    # refuses it, while the N-image route answers
+    model = stl(name, "z", n)
+    assert not model.total.is_free_carrier()
+    with pytest.raises(ValueError, match="free carrier"):
+        homology_hl(model.total, 2)
+    rep = hl2_report(model)
+    assert rep.ok and rep.computed == rep.predicted
+    assert rep.computed.describe() == expected
 
 
 def test_hl2_report_to_dict():
