@@ -263,7 +263,7 @@ class QuotientAlgebra:
 def quotient_Rm(alg: AssocAlgebra, m: int) -> QuotientAlgebra:
     """Build R_m = R/I_m with coordinates (used as cocycle value modules)."""
     ideal = ideal_Im(alg, m)
-    pres = present_quotient(ideal.vectors(), alg.dim, alg.dom)
+    pres = present_quotient(ideal.engine, alg.dim, alg.dom)
     return QuotientAlgebra(alg, ideal, pres, f"{alg.name}_{m}")
 
 

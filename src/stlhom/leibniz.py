@@ -747,9 +747,12 @@ def uce(L: LeibnizAlgebra) -> CentralExtensionModel:
     """The universal central extension of a perfect Leibniz algebra.
 
     Model: (L (x) L)/im(d3) with bracket [u, v] = class(pi(u) (x) pi(v)),
-    pi = -d2.  Coordinates are adapted: the first dim(L) coordinates map
-    isomorphically onto L under pi (via chosen preimages), the rest present
-    ker(pi) = HL_2(L), so the projection is literally [I | 0].
+    pi = -d2.  Coordinates are adapted: the first dim(L) coordinates are
+    pi(v), so the projection is literally [I | 0]; the rest present the
+    kernel ker(d2)/im(d3) = HL_2(L).  With chosen preimages w_s, pi(w_s) =
+    e_s, L (x) L = ker(d2) (+) span(w_s), so that kernel is
+    (L (x) L)/(im d3 + span w_s): one presentation on every domain, read
+    off the d3 echelon with the w_s inserted (``present_quotient``).
     """
     _require_free(L, "uce")
     dom, dim = L.dom, L.dim
@@ -784,86 +787,30 @@ def uce(L: LeibnizAlgebra) -> CentralExtensionModel:
         w = {colindex[t]: c for t, c in coeffs.items()}
         preimages.append(w)
 
-    # stream d3, then present ker(d2)/im(d3)
-    img = _d3_image(L, d2)
-
-    if dom.is_field:
-        rank_d2 = d2.rank()
-        m = (pair - rank_d2) - img.rank
-        moduli = [0] * m
-        if m == 0:
-            def kernel_coords(v: dict) -> dict:
-                return {}
-        else:
-            # representatives: residuals of kernel vectors under the
-            # canonical off-pivot projection; m independent ones suffice, and
-            # a residual is independent of the kept ones when it is unsolvable
-            rep_solver = SpanSolver(dom, pair)
-            for v in d2.kernel_basis():
-                vbar, _mult = img.reduce_tracked(v)
-                if vbar and rep_solver.solve(vbar) is None:
-                    rep_solver.add(vbar)
-                    if rep_solver.count == m:
-                        break
-            if rep_solver.count != m:
-                raise AssertionError("kernel projection lost rank")
-
-            def kernel_coords(v: dict) -> dict:
-                vbar, mult = img.reduce_tracked(v)
-                if not vbar:
-                    return {}
-                coeffs = rep_solver.solve(vbar)
-                if coeffs is None:
-                    raise AssertionError("vector escaped ker(d2)/im(d3)")
-                if mult != 1:
-                    scale = dom.inv(dom.normalize(mult))
-                    coeffs = {i: dom.mul(c, scale) for i, c in coeffs.items()}
-                return coeffs
-    else:
-        kernel = d2.kernel_basis()
-        ksolver = SpanSolver(dom, pair, kernel)
-        k = len(kernel)
-        coeff_cols = []
-        img_rows = img.row_dicts()
-        for p in sorted(img_rows):
-            c = ksolver.solve(img_rows[p])
-            if c is None:
-                raise AssertionError("im(d3) escaped ker(d2)")
-            coeff_cols.append(c)
-        pres = present_quotient(coeff_cols, k, dom)
-        m = pres.dim
-        moduli = list(pres.moduli)
-
-        def kernel_coords(v: dict) -> dict:
-            c = ksolver.solve(v)
-            if c is None:
-                raise AssertionError("vector escaped ker(d2)")
-            return pres.coords(c)
+    # d2 w_s = -e_s, so L (x) L = ker(d2) (+) span(w_s) and, as im(d3) lies
+    # in ker(d2), (L (x) L)/(im d3 + span w_s) presents ker(d2)/im(d3)
+    rel = _d3_image(L, d2)
+    for s, w in enumerate(preimages):
+        if rel.insert(w) is None:
+            raise AssertionError(
+                f"the preimage of {L.labels[s]} adds no pivot to im(d3)")
+    pres = present_quotient(rel, pair, dom)
 
     def tensor_coords(v: dict) -> dict:
         """Coordinates of the class of a tensor v in the adapted basis."""
-        a = apply_d2(v)
-        out = {s: dom.neg(c) for s, c in a.items()}    # pi(v) = -d2(v)
-        if out:
-            v = dict(v)
-            for s, c in out.items():
-                vec_axpy(v, preimages[s], dom.neg(c), dom)
-        for i, c in kernel_coords(v).items():
-            if c:
-                out[dim + i] = c
+        out = {s: dom.neg(c) for s, c in apply_d2(v).items()}  # pi = -d2
+        for i, c in pres.coords(v).items():
+            out[dim + i] = c
         return out
 
     # the kernel part of each base-pair bracket in the adapted basis
     kappa: dict = {}
-    if m:
-        for s in range(dim):
-            for t in range(dim):
-                v = {s * dim + t: one}
-                for u, c in L.basis_bracket(s, t).items():
-                    vec_axpy(v, preimages[u], dom.neg(c), dom)
-                kern = {i: c for i, c in kernel_coords(v).items() if c}
-                if kern:
-                    kappa[(s, t)] = kern
+    for s in range(dim):
+        for t in range(dim):
+            kern = pres.coords({s * dim + t: one})
+            if kern:
+                kappa[(s, t)] = kern
     return CentralExtensionModel(
-        L, moduli, kappa, f"uce({L.name})", [f"z{i}" for i in range(m)],
+        L, pres.moduli, kappa, f"uce({L.name})",
+        [f"z{i}" for i in range(pres.dim)],
         tensor_coords=tensor_coords)

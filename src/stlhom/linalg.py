@@ -18,7 +18,10 @@ fully reduced rows (the reduced row echelon form of the span) are built on
 demand by ``row_dicts()``.
 
 On top of the engines: right kernels, Smith normal form with optional
-unimodular row transforms, and invariants of subquotients span(K)/span(I).
+unimodular row transforms, invariants of subquotients span(K)/span(I), and
+one quotient presentation dom^width/span(R) (``present_quotient``), read off
+the echelon that R was inserted into: its non-pivot columns over a field,
+the Smith form of its Hermite rows over Z.
 """
 
 from __future__ import annotations
@@ -268,9 +271,6 @@ class F2Forward:
     def reduce(self, v: dict) -> dict:
         return dict_of_mask(self.reduce_mask(mask_of(v)))
 
-    def reduce_tracked(self, v: dict) -> tuple[dict, object]:
-        return self.reduce(v), 1
-
     def row_dicts(self) -> dict[int, dict]:
         return _back_substitute(
             {j: dict_of_mask(m) for j, m in self.rows.items()}, 2)
@@ -325,9 +325,6 @@ class FpForward:
             r = {k: (inv * x) % self.p for k, x in r.items()}
         self.rows[j] = r
         return j
-
-    def reduce_tracked(self, v: dict) -> tuple[dict, object]:
-        return self.reduce(v), 1
 
     def row_dicts(self) -> dict[int, dict]:
         return _back_substitute(self.rows, self.p)
@@ -948,12 +945,13 @@ def subquotient(kernel_gens, image_gens, width: int,
 
 
 class QuotientPresentation:
-    """Coordinates on dom^width / span(gens), with optional ambient moduli.
+    """Coordinates on dom^width / span(R), read off an echelon of R.
 
     ``dim`` is the number of retained coordinates and ``moduli[i]`` the
     modulus of coordinate i (0 = free; over a field always 0).  ``coords``
-    maps an ambient vector to quotient coordinates linearly; ``lift`` maps
-    quotient coordinates back to a representative.
+    maps an ambient vector to quotient coordinates linearly, and vanishes
+    exactly on span(R); ``lift`` maps quotient coordinates back to a
+    representative.
     """
 
     __slots__ = ("dim", "moduli", "_mode", "_ech", "_free", "_U_rows",
@@ -970,6 +968,8 @@ class QuotientPresentation:
         self._lift_cols = lift_cols
 
     def coords(self, v: dict) -> dict:
+        if not self.dim:
+            return {}
         if self._mode == "field":
             res = self._ech.reduce(v)
             free = self._free
@@ -1002,44 +1002,31 @@ class QuotientPresentation:
         return {i: c for c, i in self._free.items()}
 
 
-def present_quotient(gens, width: int, dom: ScalarDomain,
-                     ambient_moduli: list[int] | None = None) -> QuotientPresentation:
-    """Present dom^width / (span(gens) + ambient torsion) with coordinates.
+def present_quotient(ech, width: int, dom: ScalarDomain) -> QuotientPresentation:
+    """Present dom^width / span(R) with coordinates, where ``ech`` is the
+    ``make_echelon(dom)`` engine that R was inserted into.
 
-    Over a field the retained coordinates are the non-pivot columns of an
-    echelon of the generators.  Over Z the generators (plus one column
-    ``m_c e_c`` for every ambient modulus m_c != 0) go through a Smith
-    reduction with row-transform tracking; retained coordinates are the rows
-    of U whose invariant factor is not 1.
+    Over a field the retained coordinates are the columns that are not a
+    pivot of ``ech`` (not a key of its pivot-keyed ``rows``), and the
+    coordinates of a vector are its residual under ``ech``.  Over Z the
+    Hermite rows of ``ech`` go through a Smith reduction with row-transform
+    tracking; retained coordinates are the rows of U whose invariant factor
+    is not 1.  No second echelon of the relations is built.
     """
+    rows = ech.rows
     if dom.is_field:
-        if ambient_moduli and any(ambient_moduli):
-            raise ValueError("field quotients cannot carry ambient moduli")
-        ech = make_echelon(dom)
-        for g in gens:
-            ech.insert(g)
-        pivots = set(ech.pivots())
         free = {}
         for c in range(width):
-            if c not in pivots:
+            if c not in rows:
                 free[c] = len(free)
         dim = len(free)
-        return QuotientPresentation(dim, [0] * dim, "field", ech=ech,
-                                    free=free)
+        # with no coordinates, coords never reduces: let the echelon go
+        return QuotientPresentation(dim, [0] * dim, "field",
+                                    ech=ech if dim else None, free=free)
 
-    entries = {}
-    ncols = 0
-    for g in gens:
-        for i, val in g.items():
-            if val:
-                entries[(i, ncols)] = val
-        ncols += 1
-    if ambient_moduli:
-        for c, m in enumerate(ambient_moduli):
-            if m:
-                entries[(c, ncols)] = m
-                ncols += 1
-    sf = smith_normal_form(entries, width, ncols, transform=True)
+    entries = {(i, col): val for col, p in enumerate(sorted(rows))
+               for i, val in rows[p].items()}
+    sf = smith_normal_form(entries, width, len(rows), transform=True)
     kept: list[int] = []
     moduli: list[int] = []
     for tt in range(width):

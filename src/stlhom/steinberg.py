@@ -26,8 +26,9 @@ from .assoc import AssocAlgebra, QuotientAlgebra, hochschild_h1, quotient_Rm
 from .leibniz import (CentralExtensionModel, LeibnizAlgebra, SlAlgebra,
                       build_sl, is_central, is_perfect, structural_report,
                       uce)
-from .linalg import (SpanSolver, SubquotientInvariants, moduli_invariants,
-                     present_quotient, subquotient, vec_axpy)
+from .linalg import (SpanSolver, SubquotientInvariants, make_echelon,
+                     moduli_invariants, present_quotient, subquotient,
+                     vec_axpy)
 
 __all__ = [
     "ThetaMap", "build_theta", "corrupted_theta",
@@ -743,11 +744,14 @@ def build_stl(n: int, ring: AssocAlgebra) -> SteinbergModel:
                     if coords:
                         ngens.append(ext.kernel_part(coords))
 
-    pres = present_quotient(ngens, m, dom, ambient_moduli=ext.kernel_moduli)
+    # the kernel dom^m / (kernel moduli), and the image of N in it
+    rel = [{c: mod} for c, mod in enumerate(ext.kernel_moduli) if mod]
+    nrel = make_echelon(dom)
+    for g in ngens + rel:
+        nrel.insert(g)
+    pres = present_quotient(nrel, m, dom)
     q = pres.dim
     invariants = moduli_invariants(dom, pres.moduli)
-    # the image of N in the kernel dom^m / (kernel moduli)
-    rel = [{c: mod} for c, mod in enumerate(ext.kernel_moduli) if mod]
     hl2 = subquotient(ngens + rel, rel, m, dom)
 
     hh1 = hochschild_h1(ring)
@@ -1328,10 +1332,6 @@ class Hl2Report:
         self.predicted = predicted
         self.ok = ok
         self.stl_dim = stl_dim
-
-    @property
-    def match(self) -> bool:
-        return self.ok
 
     def to_dict(self) -> dict:
         return {

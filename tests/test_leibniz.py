@@ -497,6 +497,9 @@ UCE_CASES = [
     ("trunc3", "f3", 4, 45, "f3^3"),
     ("int", "z", 3, 8, "Z/3^6"),
     ("int", "z", 4, 15, "Z/2^6"),
+    ("dual", "z", 4, 30, "Z/2^13 + Z^1"),
+    ("trunc3", "z", 3, 24, "Z/3^19 + Z^2"),
+    ("dual", "q", 3, 16, "q^1"),
 ]
 
 
@@ -526,6 +529,18 @@ def test_uce_tensor_coords_match_bracket_table():
             got = model.tensor_coords({s * L.dim + t: one})
             expected = model.total.basis_bracket(s, t)
             assert model.total.eq_vec(got, expected)
+
+
+@pytest.mark.parametrize("name,scal,n", [
+    ("dual", "f2", 3), ("dual", "q", 3), ("dual", "z", 4),
+])
+def test_uce_tensor_coords_vanish_on_im_d3(name, scal, n):
+    # the presentation is read off the d3 echelon itself, so every d3
+    # column must have class zero
+    L = build_sl(n, catalog_ring(name, DOMS[scal]))
+    model = uce(L)
+    for _col, vec in iter_d3_columns(L):
+        assert model.tensor_coords(vec) == {}
 
 
 def test_uce_tensor_coords_are_linear():

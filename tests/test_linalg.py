@@ -388,8 +388,15 @@ def test_subquotient_matches_relation_matrix_snf(data):
 # quotient presentations
 
 
+def _present(relations, width, dom):
+    ech = make_echelon(dom)
+    for r in relations:
+        ech.insert(r)
+    return present_quotient(ech, width, dom)
+
+
 def test_present_quotient_field_roundtrip():
-    pres = present_quotient([{0: Fraction(1), 1: Fraction(2)}], 3, Q)
+    pres = _present([{0: Fraction(1), 1: Fraction(2)}], 3, Q)
     assert pres.dim == 2
     assert pres.moduli == [0, 0]
     v = {0: Fraction(3), 1: Fraction(1), 2: Fraction(5)}
@@ -401,7 +408,7 @@ def test_present_quotient_field_roundtrip():
 
 
 def test_present_quotient_z_torsion():
-    pres = present_quotient([{0: 2}, {1: 3}], 2, Z)
+    pres = _present([{0: 2}, {1: 3}], 2, Z)
     assert sorted(pres.moduli) == [2, 3] or pres.moduli == [6]
     # the class of (1,1) has order 6
     c = pres.coords({0: 1, 1: 1})
@@ -429,20 +436,41 @@ def test_moduli_invariants_match_the_subquotient(dom, moduli):
 
 
 def test_present_quotient_ambient_moduli():
-    # (Z/4)^2 modulo the class of (2,0)
-    pres = present_quotient([{0: 2}], 2, Z, ambient_moduli=[4, 4])
+    # (Z/4)^2 modulo the class of (2,0): the moduli are relation rows too
+    pres = _present([{0: 2}, {0: 4}, {1: 4}], 2, Z)
     assert sorted(pres.moduli) == [2, 4]
     assert pres.coords({0: 2}) == {}
     assert pres.coords({0: 8, 1: 4}) == {}
 
 
 def test_present_quotient_z_free_and_roundtrip():
-    pres = present_quotient([{0: 1, 1: 1}], 3, Z)
+    pres = _present([{0: 1, 1: 1}], 3, Z)
     assert pres.dim == 2 and pres.moduli == [0, 0]
     for idx in range(pres.dim):
         lifted = pres.lift({idx: 1})
         got = pres.coords(lifted)
         assert got == {idx: 1}
+
+
+relation_sets = st.lists(
+    st.lists(st.integers(-4, 4), min_size=4, max_size=4), max_size=5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(relation_sets)
+def test_present_quotient_matches_the_subquotient(rows):
+    # dom^4 / span(rows), presented off the echelon, has the invariants of
+    # span(units) / span(rows), and its coordinates kill every relation
+    width = 4
+    for dom in (F2, F3, F5, Q, Z):
+        gens = [{j: dom.normalize(x) for j, x in enumerate(row)
+                 if dom.normalize(x)} for row in rows]
+        pres = _present(gens, width, dom)
+        units = [{c: dom.one} for c in range(width)]
+        assert (moduli_invariants(dom, pres.moduli)
+                == subquotient(units, gens, width, dom))
+        for g in gens:
+            assert pres.coords(g) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -481,12 +509,11 @@ def test_forward_residual_is_canonical(rows, probe, pick):
             fwd.insert(dict(v))
         v = {j: dom.normalize(x) for j, x in enumerate(probe)}
         v = {j: x for j, x in v.items() if x}
-        r1, d1 = fwd.reduce_tracked(v)
-        assert d1 == 1
+        r1 = fwd.reduce(v)
         if stored:
             w = dict(v)
             vec_axpy(w, stored[pick % len(stored)], dom.one, dom)
-            r2, _ = fwd.reduce_tracked(w)
+            r2 = fwd.reduce(w)
             assert r1 == r2
         # residual carries no pivot column
         assert not any(k in fwd.rows for k in r1)
