@@ -290,9 +290,9 @@ def hochschild_h1(alg: AssocAlgebra) -> SubquotientInvariants:
             for k, c in alg.commutator({i: one}, {j: one}).items():
                 rows.setdefault(k, {})[col] = c
     b1 = ExactMatrix(dom, dim, pair, rows)
-    kernel = b1.kernel_basis()
-
-    image = make_echelon(dom)
+    kern, image = make_echelon(dom), make_echelon(dom)
+    for v in b1.kernel_basis():
+        kern.insert(v)
     for i in range(dim):
         ei = {i: one}
         for j in range(dim):
@@ -324,9 +324,7 @@ def hochschild_h1(alg: AssocAlgebra) -> SubquotientInvariants:
                 if col:
                     image.insert(col)
 
-    img_rows = image.row_dicts()
-    return subquotient(kernel, [img_rows[p] for p in sorted(img_rows)],
-                       pair, dom)
+    return subquotient(kern, image, pair, dom)
 
 
 # ---------------------------------------------------------------------------

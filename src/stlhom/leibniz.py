@@ -466,23 +466,18 @@ def _d3_image(L: LeibnizAlgebra, d2: ExactMatrix):
 
 
 def boundary(L: LeibnizAlgebra, n: int) -> ExactMatrix:
-    """The chain differential d_n as an ExactMatrix (n in {2, 3})."""
+    """The chain differential d_2 as an ExactMatrix; d_3 is only streamed
+    (``iter_d3_columns``)."""
     _require_free(L, "boundary")
+    if n != 2:
+        raise ValueError("boundary implemented for n = 2")
     dim = L.dim
-    if n == 2:
-        rows: dict[int, dict] = {}
-        for (i, j), w in L.table.items():
-            col = i * dim + j
-            for k, c in w.items():
-                rows.setdefault(k, {})[col] = L.dom.neg(c)
-        return ExactMatrix(L.dom, dim, dim * dim, rows)
-    if n == 3:
-        rows = {}
-        for col, vec in iter_d3_columns(L):
-            for r, c in vec.items():
-                rows.setdefault(r, {})[col] = c
-        return ExactMatrix(L.dom, dim * dim, dim ** 3, rows)
-    raise ValueError("boundary implemented for n in {2, 3}")
+    rows: dict[int, dict] = {}
+    for (i, j), w in L.table.items():
+        col = i * dim + j
+        for k, c in w.items():
+            rows.setdefault(k, {})[col] = L.dom.neg(c)
+    return ExactMatrix(L.dom, dim, dim * dim, rows)
 
 
 class HomologyReport:
@@ -538,8 +533,12 @@ def homology_hl(L: LeibnizAlgebra, degree: int) -> HomologyReport:
         if dom.is_field:
             inv = field_invariants(dom, dim - rank_in)
         else:
-            units = [{i: 1} for i in range(dim)]
-            inv = subquotient(units, list(d2.columns().values()), dim, dom)
+            units, img = make_echelon(dom), make_echelon(dom)
+            for i in range(dim):
+                units.insert({i: 1})
+            for col in d2.columns().values():
+                img.insert(col)
+            inv = subquotient(units, img, dim, dom)
         return HomologyReport(L.name, 1, inv, dim, 0, rank_in, True)
 
     if degree != 2:
@@ -554,10 +553,10 @@ def homology_hl(L: LeibnizAlgebra, degree: int) -> HomologyReport:
         inv = field_invariants(dom, (pair - rank_d2) - rank_d3)
         return HomologyReport(L.name, 2, inv, pair, rank_d2, rank_d3, True)
 
-    kernel = d2.kernel_basis()
-    img_rows = img.row_dicts()
-    inv = subquotient(kernel, [img_rows[p] for p in sorted(img_rows)],
-                      pair, dom)
+    kern = make_echelon(dom)
+    for v in d2.kernel_basis():
+        kern.insert(v)
+    inv = subquotient(kern, img, pair, dom)
     return HomologyReport(L.name, 2, inv, pair, rank_d2, rank_d3, True)
 
 

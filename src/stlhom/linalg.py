@@ -18,10 +18,10 @@ fully reduced rows (the reduced row echelon form of the span) are built on
 demand by ``row_dicts()``.
 
 On top of the engines: right kernels, Smith normal form with optional
-unimodular row transforms, invariants of subquotients span(K)/span(I), and
-one quotient presentation dom^width/span(R) (``present_quotient``), read off
-the echelon that R was inserted into: its non-pivot columns over a field,
-the Smith form of its Hermite rows over Z.
+unimodular row transforms, and two readings of echelons the caller built:
+invariants of subquotients span(K)/span(I) (``subquotient``), and one
+quotient presentation dom^width/span(R) (``present_quotient``), from the
+non-pivot columns over a field, the Smith form of the Hermite rows over Z.
 """
 
 from __future__ import annotations
@@ -890,21 +890,15 @@ def moduli_invariants(dom: ScalarDomain, moduli) -> SubquotientInvariants:
                         + [0] * sum(1 for d in moduli if not d))
 
 
-def subquotient(kernel_gens, image_gens, width: int,
+def subquotient(kern, img, width: int,
                 dom: ScalarDomain) -> SubquotientInvariants:
-    """Invariants of span(kernel_gens)/span(image_gens) inside dom^width.
+    """Invariants of span(K)/span(I) inside dom^width, where ``kern`` and
+    ``img`` are the ``make_echelon(dom)`` engines that K and I were inserted
+    into.  Neither engine is changed.
 
     Every image generator must lie in the span (lattice, over Z) of the
-    kernel generators, otherwise ``ContainmentError`` is raised.  Neither
-    generating family needs to be independent.
+    kernel generators, otherwise ``ContainmentError`` is raised.
     """
-    kern = make_echelon(dom)
-    for g in kernel_gens:
-        kern.insert(g)
-    img = make_echelon(dom)
-    for g in image_gens:
-        img.insert(g)
-
     k = kern.rank
     # augmented copy of the kernel basis: tails record coordinates
     kpivs = kern.pivots()

@@ -45,6 +45,12 @@ __all__ = [
 # the index map theta
 
 
+def _distinct(n: int, k: int) -> list[tuple]:
+    """The k-tuples of pairwise distinct indices in 1..n, in lexicographic
+    order."""
+    return list(permutations(range(1, n + 1), k))
+
+
 def _position_orbit(quad: tuple) -> list[tuple]:
     """Orbit of a quadruple under swapping slots (1,3), slots (2,4), or both."""
     a, b, c, d = quad
@@ -104,10 +110,9 @@ def build_theta() -> ThetaMap:
     member (the labeling of those five is a free choice; any relabeling
     permutes the coordinates of W and nothing else).
     """
-    quads = list(permutations((1, 2, 3, 4)))
     seen: set[tuple] = set()
     orbits: list[list[tuple]] = []
-    for q in sorted(quads):
+    for q in _distinct(4, 4):
         if q in seen:
             continue
         orbit = sorted(set(_position_orbit(q)))
@@ -685,11 +690,6 @@ class SteinbergModel:
                 f"kernel={self.kernel_invariants.describe()})")
 
 
-def _positions(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
-            if i != j]
-
-
 def _tensor_of(sl: SlAlgebra, u: dict, v: dict) -> dict:
     dom, dim = sl.dom, sl.dim
     out = {}
@@ -725,7 +725,7 @@ def build_stl(n: int, ring: AssocAlgebra) -> SteinbergModel:
     one = dom.one
     m = ext.total.dim - sl.dim
 
-    pos = _positions(n)
+    pos = _distinct(n, 2)
     d = ring.dim
     ngens: list[dict] = []
     for (i, j) in pos:
@@ -744,15 +744,18 @@ def build_stl(n: int, ring: AssocAlgebra) -> SteinbergModel:
                     if coords:
                         ngens.append(ext.kernel_part(coords))
 
-    # the kernel dom^m / (kernel moduli), and the image of N in it
-    rel = [{c: mod} for c, mod in enumerate(ext.kernel_moduli) if mod]
-    nrel = make_echelon(dom)
-    for g in ngens + rel:
+    # the kernel dom^m / (kernel moduli), and the image of N in it: one
+    # echelon of N + moduli gives both the stl kernel and HL_2(stl)
+    moduli_rows = [{c: mod} for c, mod in enumerate(ext.kernel_moduli) if mod]
+    rel, nrel = make_echelon(dom), make_echelon(dom)
+    for g in moduli_rows:
+        rel.insert(g)
+    for g in ngens + moduli_rows:
         nrel.insert(g)
     pres = present_quotient(nrel, m, dom)
     q = pres.dim
     invariants = moduli_invariants(dom, pres.moduli)
-    hl2 = subquotient(ngens + rel, rel, m, dom)
+    hl2 = subquotient(nrel, rel, m, dom)
 
     hh1 = hochschild_h1(ring)
     if invariants != hh1:
@@ -830,6 +833,50 @@ def _check_generator_relations(model: SteinbergModel, pos: list) -> None:
 
 
 # ---------------------------------------------------------------------------
+# relation checks shared by the verifiers
+
+
+class _Tally:
+    """Instance counts per relation name, in first-seen order, and the
+    first failure's message (the witness)."""
+
+    __slots__ = ("alg", "counts", "witness")
+
+    def __init__(self, alg: LeibnizAlgebra):
+        self.alg = alg
+        self.counts: dict[str, int] = {}
+        self.witness = None
+
+    def fail(self, msg: str) -> None:
+        if self.witness is None:
+            self.witness = msg
+
+    def check(self, name: str, ok: bool, msg: str) -> None:
+        """Count one instance of ``name``; ``msg`` is the witness if not ok."""
+        self.counts[name] = self.counts.get(name, 0) + 1
+        if not ok:
+            self.fail(msg)
+
+    def bracket(self, name: str, u: dict, v: dict, want: dict, msg: str,
+                rev_msg: str | None = None) -> None:
+        """One instance of ``name``: [u, v] = want and [v, u] = -want."""
+        alg = self.alg
+        self.check(name, alg.eq_vec(alg.bracket(u, v), want), msg)
+        if not alg.eq_vec(alg.bracket(v, u), _neg_sym(want, alg.dom)):
+            self.fail(msg if rev_msg is None else rev_msg)
+
+
+def _carrier_solver(alg: LeibnizAlgebra, gens: list[dict]) -> SpanSolver:
+    """Solve over span(gens) in the carrier of ``alg``: the generators come
+    first, then one relation row per torsion coordinate."""
+    solver = SpanSolver(alg.dom, alg.dim, gens)
+    for c, mod in enumerate(alg.moduli):
+        if mod:
+            solver.add({c: mod})
+    return solver
+
+
+# ---------------------------------------------------------------------------
 # structure calculus verification
 
 
@@ -875,111 +922,71 @@ def verify_calculus(model: SteinbergModel) -> CalculusReport:
     total = model.total
     dom = total.dom
     one = dom.one
-    d = ring.dim
-    basis = [{lam: one} for lam in range(d)]
+    basis = [{lam: one} for lam in range(ring.dim)]
     unit = ring.unit
     mul = ring.multiply
-    checks: dict[str, int] = {}
-    witness = None
-
-    def fail(msg):
-        nonlocal witness
-        if witness is None:
-            witness = msg
-
-    def bump(name):
-        checks[name] = checks.get(name, 0) + 1
-
-    trips = [(i, j, k) for i in range(1, n + 1) for j in range(1, n + 1)
-             for k in range(1, n + 1) if len({i, j, k}) == 3]
-    quads = [(i, j, k, l) for i in range(1, n + 1) for j in range(1, n + 1)
-             for k in range(1, n + 1) for l in range(1, n + 1)
-             if len({i, j, k, l}) == 4]
+    T, xi = model.T_image, model.x_image
+    tally = _Tally(total)
+    check, bracket = tally.check, tally.bracket
 
     # T recombination
-    for (i, j, k) in trips:
+    for (i, j, k) in _distinct(n, 3):
         for a in basis:
             for b in basis:
                 for c in basis:
-                    bump("T-recombination")
-                    lhs = model.T_image(i, j, a, mul(b, c))
-                    rhs = model.T_image(i, k, mul(a, b), c)
-                    vec_axpy(rhs, model.T_image(k, j, mul(c, a), b), one, dom)
-                    if not total.eq_vec(lhs, rhs):
-                        fail(f"T{i}{j}(a,bc) != T{i}{k}(ab,c)+T{k}{j}(ca,b)")
+                    lhs = T(i, j, a, mul(b, c))
+                    rhs = T(i, k, mul(a, b), c)
+                    vec_axpy(rhs, T(k, j, mul(c, a), b), one, dom)
+                    check("T-recombination", total.eq_vec(lhs, rhs),
+                          f"T{i}{j}(a,bc) != T{i}{k}(ab,c)+T{k}{j}(ca,b)")
 
     # unit antisymmetry
-    for (k, j) in _positions(n):
+    for (k, j) in _distinct(n, 2):
         for c in basis:
-            bump("T-unit-antisymmetry")
-            s = model.T_image(k, j, c, unit)
-            vec_axpy(s, model.T_image(j, k, c, unit), one, dom)
-            if total.reduce_vec(s):
-                fail(f"T{k}{j}(c,1) + T{j}{k}(c,1) != 0")
+            s = T(k, j, c, unit)
+            vec_axpy(s, T(j, k, c, unit), one, dom)
+            check("T-unit-antisymmetry", not total.reduce_vec(s),
+                  f"T{k}{j}(c,1) + T{j}{k}(c,1) != 0")
 
     # column independence of t
     for j in range(3, n + 1):
         for a in basis:
             for b in basis:
-                bump("t-column-independence")
-                if not total.eq_vec(model.t_image(a, b, j=2),
-                                    model.t_image(a, b, j=j)):
-                    fail(f"t(a,b) differs between columns 2 and {j}")
+                check("t-column-independence",
+                      total.eq_vec(model.t_image(a, b, j=2),
+                                   model.t_image(a, b, j=j)),
+                      f"t(a,b) differs between columns 2 and {j}")
 
-    # the nine diagonal-vs-X rules: (name, index tuples, expected)
-    def xi(i, j, v):
-        return model.x_image(i, j, v)
-
-    for (i, j, k, l) in quads:
+    # the nine diagonal-vs-X rules
+    for (i, j, k, l) in _distinct(n, 4):
         for a in basis:
             for b in basis:
                 for c in basis:
-                    bump("TX-disjoint-zero")
-                    t_ab = model.T_image(i, j, a, b)
-                    x_kl = xi(k, l, c)
-                    if (total.reduce_vec(total.bracket(t_ab, x_kl))
-                            or total.reduce_vec(total.bracket(x_kl, t_ab))):
-                        fail(f"[T{i}{j}, X{k}{l}] != 0")
+                    bracket("TX-disjoint-zero", T(i, j, a, b), xi(k, l, c), {},
+                            f"[T{i}{j}, X{k}{l}] != 0")
 
-    rules = [
-        ("TX-same-row", lambda i, j, k, a, b, c:
-            ((i, k), mul(mul(a, b), c), 1)),
-        ("TX-into-column", lambda i, j, k, a, b, c:
-            ((k, i), mul(mul(c, a), b), -1)),
-        ("TX-same-column", lambda i, j, k, a, b, c:
-            ((k, j), mul(mul(c, b), a), 1)),
-        ("TX-from-row", lambda i, j, k, a, b, c:
-            ((j, k), mul(mul(b, a), c), -1)),
-    ]
-    for (i, j, k) in trips:
+    for (i, j, k) in _distinct(n, 3):
         for a in basis:
             for b in basis:
-                t_ab = model.T_image(i, j, a, b)
+                t_ab = T(i, j, a, b)
                 for c in basis:
-                    for name, expected in rules:
-                        bump(name)
-                        (pi, pj), prod, sign = expected(i, j, k, a, b, c)
-                        x_in = xi(pi, pj, c)
-                        want = xi(pi, pj, prod)
-                        if sign < 0:
-                            want = _neg_sym(want, dom)
-                        got = total.bracket(t_ab, x_in)
-                        rev = total.bracket(x_in, t_ab)
-                        if not total.eq_vec(got, want):
-                            fail(f"{name} fails at T{i}{j}/X{pi}{pj}")
-                        if not total.eq_vec(rev, _neg_sym(want, dom)):
-                            fail(f"{name} reversed fails at T{i}{j}/X{pi}{pj}")
+                    # (rule, position of X, ring product, negated value)
+                    for name, p, q, prod, neg in (
+                            ("TX-same-row", i, k, mul(mul(a, b), c), False),
+                            ("TX-into-column", k, i, mul(mul(c, a), b), True),
+                            ("TX-same-column", k, j, mul(mul(c, b), a), False),
+                            ("TX-from-row", j, k, mul(mul(b, a), c), True)):
+                        want = xi(p, q, prod)
+                        bracket(name, t_ab, xi(p, q, c),
+                                _neg_sym(want, dom) if neg else want,
+                                f"{name} fails at T{i}{j}/X{p}{q}",
+                                f"{name} reversed fails at T{i}{j}/X{p}{q}")
                     # same-position rule: [T_ij(a,b), X_ij(c)] = X_ij(abc+cba)
-                    bump("TX-same-position")
                     val = mul(mul(a, b), c)
                     vec_axpy(val, mul(mul(c, b), a), one, dom)
-                    want = xi(i, j, val)
-                    x_in = xi(i, j, c)
-                    if not total.eq_vec(total.bracket(t_ab, x_in), want):
-                        fail(f"TX-same-position fails at T{i}{j}")
-                    if not total.eq_vec(total.bracket(x_in, t_ab),
-                                        _neg_sym(want, dom)):
-                        fail(f"TX-same-position reversed fails at T{i}{j}")
+                    bracket("TX-same-position", t_ab, xi(i, j, c),
+                            xi(i, j, val), f"TX-same-position fails at T{i}{j}",
+                            f"TX-same-position reversed fails at T{i}{j}")
 
     # t against X: first row, first column, and neither
     for a in basis:
@@ -988,50 +995,33 @@ def verify_calculus(model: SteinbergModel) -> CalculusReport:
             t_ab = model.t_image(a, b)
             for c in basis:
                 for i in range(2, n + 1):
-                    bump("tX-first-row")
-                    want = xi(1, i, mul(comm, c))
-                    x_in = xi(1, i, c)
-                    if not total.eq_vec(total.bracket(t_ab, x_in), want):
-                        fail(f"[t(a,b), X1{i}(c)] != X1{i}((ab-ba)c)")
-                    if not total.eq_vec(total.bracket(x_in, t_ab),
-                                        _neg_sym(want, dom)):
-                        fail(f"[X1{i}(c), t(a,b)] != -X1{i}((ab-ba)c)")
-                    bump("tX-first-column")
-                    want = _neg_sym(xi(i, 1, mul(c, comm)), dom)
-                    x_in = xi(i, 1, c)
-                    if not total.eq_vec(total.bracket(t_ab, x_in), want):
-                        fail(f"[t(a,b), X{i}1(c)] != -X{i}1(c(ab-ba))")
-                    if not total.eq_vec(total.bracket(x_in, t_ab),
-                                        _neg_sym(want, dom)):
-                        fail(f"[X{i}1(c), t(a,b)] reversed rule fails")
-                for (j, k) in _positions(n):
-                    if j == 1 or k == 1:
-                        continue
-                    bump("tX-interior-zero")
-                    x_in = xi(j, k, c)
-                    if (total.reduce_vec(total.bracket(t_ab, x_in))
-                            or total.reduce_vec(total.bracket(x_in, t_ab))):
-                        fail(f"[t(a,b), X{j}{k}(c)] != 0")
+                    bracket("tX-first-row", t_ab, xi(1, i, c),
+                            xi(1, i, mul(comm, c)),
+                            f"[t(a,b), X1{i}(c)] != X1{i}((ab-ba)c)",
+                            f"[X1{i}(c), t(a,b)] != -X1{i}((ab-ba)c)")
+                    bracket("tX-first-column", t_ab, xi(i, 1, c),
+                            _neg_sym(xi(i, 1, mul(c, comm)), dom),
+                            f"[t(a,b), X{i}1(c)] != -X{i}1(c(ab-ba))",
+                            f"[X{i}1(c), t(a,b)] reversed rule fails")
+                for (j, k) in _distinct(n, 2):
+                    if j != 1 and k != 1:
+                        bracket("tX-interior-zero", t_ab, xi(j, k, c), {},
+                                f"[t(a,b), X{j}{k}(c)] != 0")
 
     # decomposition of H over the normal form, and center inside H
-    hgens = model.h_generators()
-    hsolver = SpanSolver(dom, total.dim, hgens)
-    for c, mod in enumerate(total.moduli):
-        if mod:
-            hsolver.add({c: mod})
-    for (i, j) in _positions(n):
+    hsolver = _carrier_solver(total, model.h_generators())
+    for (i, j) in _distinct(n, 2):
         for a in basis:
             for b in basis:
-                bump("H-decomposition")
-                if hsolver.solve(model.T_image(i, j, a, b)) is None:
-                    fail(f"T{i}{j}(a,b) escapes the t/T normal form")
-    rep = structural_report(total)
-    for v in rep.center_basis:
-        bump("center-inside-H")
-        if hsolver.solve(v) is None:
-            fail("a central element escapes the diagonal subalgebra")
+                check("H-decomposition",
+                      hsolver.solve(T(i, j, a, b)) is not None,
+                      f"T{i}{j}(a,b) escapes the t/T normal form")
+    for v in structural_report(total).center_basis:
+        check("center-inside-H", hsolver.solve(v) is not None,
+              "a central element escapes the diagonal subalgebra")
 
-    return CalculusReport(n, ring.name, witness is None, checks, witness)
+    return CalculusReport(n, ring.name, tally.witness is None, tally.counts,
+                          tally.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -1042,32 +1032,30 @@ class HatModel:
     """W (+) stl (resp. U (+) stl) with bracket ((c,x),(c',y)) |->
     (psi(x,y), [x,y]).
 
-    Coordinates put stl first and the cocycle-value block after it, so the
-    stl inclusion is the identity on coordinates.  ``xdecomp`` records, per
-    stl basis vector, its canonical X-part over the symbolic keys (the
-    diagonal part carries no psi weight).
+    ``extension`` is the central extension hat -> stl.  Coordinates put stl
+    first and the cocycle-value block after it, so the stl inclusion is the
+    identity on coordinates.  ``xdecomp`` records, per stl basis vector, its
+    canonical X-part over the symbolic keys (the diagonal part carries no
+    psi weight).
     """
 
-    __slots__ = ("n", "ring", "stl", "total", "space", "theta", "xdecomp",
-                 "_pair_rule")
+    __slots__ = ("n", "ring", "stl", "extension", "space", "theta",
+                 "xdecomp", "_pair_rule")
 
-    def __init__(self, n, ring, stl, total, space, theta, xdecomp, pair_rule):
+    def __init__(self, n, ring, stl, extension, space, theta, xdecomp,
+                 pair_rule):
         self.n = n
         self.ring = ring
         self.stl = stl
-        self.total = total
+        self.extension = extension
         self.space = space
         self.theta = theta
         self.xdecomp = xdecomp
         self._pair_rule = pair_rule
 
-    def project(self, v: dict) -> dict:
-        sd = self.stl.total.dim
-        return {k: c for k, c in v.items() if k < sd}
-
-    def w_part(self, v: dict) -> dict:
-        sd = self.stl.total.dim
-        return {k - sd: c for k, c in v.items() if k >= sd}
+    @property
+    def total(self) -> LeibnizAlgebra:
+        return self.extension.total
 
     def include_w(self, coords: dict) -> dict:
         sd = self.stl.total.dim
@@ -1112,9 +1100,7 @@ def build_hat(n: int, ring: AssocAlgebra,
     if model is None:
         model = build_stl(n, ring)
     stl_alg = model.total
-    dom = ring.dom
-    one = dom.one
-    d = ring.dim
+    one = ring.dom.one
     rm = quotient_Rm(ring, {3: 3, 4: 2}[n])
     space = CocycleSpace(n, rm)
     if n == 4 and theta is None:
@@ -1124,14 +1110,10 @@ def build_hat(n: int, ring: AssocAlgebra,
     # canonical X-part of every stl basis vector: solve over the image
     # family [X images | t images | T images | torsion relations] — any two
     # solutions differ only in the diagonal part, which psi ignores
-    xkeys = [("x", i, j, lam) for (i, j) in _positions(n)
-             for lam in range(d)]
-    gens = [model.x_basis[(k[1], k[2], k[3])] for k in xkeys]
-    gens += model.h_generators()
-    solver = SpanSolver(dom, stl_alg.dim, gens)
-    for c, mod in enumerate(stl_alg.moduli):
-        if mod:
-            solver.add({c: mod})
+    xkeys = [("x", i, j, lam) for (i, j) in _distinct(n, 2)
+             for lam in range(ring.dim)]
+    solver = _carrier_solver(stl_alg, [model.x_basis[k[1:]] for k in xkeys]
+                             + model.h_generators())
     xdecomp: list[list] = []
     for s in range(stl_alg.dim):
         sol = solver.solve({s: one})
@@ -1149,9 +1131,9 @@ def build_hat(n: int, ring: AssocAlgebra,
             val = hat.psi_value(s, t)
             if val:
                 kappa[(s, t)] = val
-    hat.total = CentralExtensionModel(
+    hat.extension = CentralExtensionModel(
         stl_alg, list(space.moduli), kappa, f"hat-stl{n}({ring.name})",
-        space.labels).total
+        space.labels)
     if not is_perfect(hat.total):
         raise AssertionError(f"{hat.total.name} is not perfect")
     return hat
@@ -1202,120 +1184,87 @@ def verify_sharp_relations(hat: HatModel) -> SharpReport:
     total = hat.total
     dom = total.dom
     one = dom.one
-    d = ring.dim
-    basis = [{lam: one} for lam in range(d)]
+    basis = [{lam: one} for lam in range(ring.dim)]
     mul = ring.multiply
-    sd = hat.stl.total.dim
-    counts: dict[str, int] = {}
-    witness = None
-
-    def fail(msg):
-        nonlocal witness
-        if witness is None:
-            witness = msg
-
-    def bump(name):
-        counts[name] = counts.get(name, 0) + 1
-
-    trips = [(i, j, k) for i in range(1, n + 1) for j in range(1, n + 1)
-             for k in range(1, n + 1) if len({i, j, k}) == 3]
+    X, space = hat.sharp, hat.space
+    rm = space.quotient
+    tally = _Tally(total)
+    check, bracket = tally.check, tally.bracket
 
     # two-sided product relation
-    for (i, j, k) in trips:
+    for (i, j, k) in _distinct(n, 3):
         for a in basis:
-            xa = hat.sharp(i, j, a)
+            xa = X(i, j, a)
             for b in basis:
-                bump("two-sided-product")
-                xb = hat.sharp(j, k, b)
-                want = hat.sharp(i, k, mul(a, b))
-                if not total.eq_vec(total.bracket(xa, xb), want):
-                    fail(f"[X{i}{j}#, X{j}{k}#] != X{i}{k}#(ab)")
-                if not total.eq_vec(total.bracket(xb, xa),
-                                    _neg_sym(want, dom)):
-                    fail(f"[X{j}{k}#, X{i}{j}#] != -X{i}{k}#(ab)")
+                bracket("two-sided-product", xa, X(j, k, b),
+                        X(i, k, mul(a, b)),
+                        f"[X{i}{j}#, X{j}{k}#] != X{i}{k}#(ab)",
+                        f"[X{j}{k}#, X{i}{j}#] != -X{i}{k}#(ab)")
 
     # the cocycle block commutes with every generator image
-    for (i, j) in _positions(n):
+    for (i, j) in _distinct(n, 2):
         for a in basis:
-            xa = hat.sharp(i, j, a)
-            for k in range(hat.space.width):
-                bump("kernel-commutes")
-                w = {sd + k: one}
-                if (total.reduce_vec(total.bracket(xa, w))
-                        or total.reduce_vec(total.bracket(w, xa))):
-                    fail(f"[X{i}{j}#, {hat.space.labels[k]}] != 0")
+            xa = X(i, j, a)
+            for k in range(space.width):
+                bracket("kernel-commutes", xa, hat.include_w({k: one}), {},
+                        f"[X{i}{j}#, {space.labels[k]}] != 0")
 
     # squares vanish
-    for (i, j) in _positions(n):
+    for (i, j) in _distinct(n, 2):
         for a in basis:
             for b in basis:
-                bump("same-position-zero")
-                got = total.bracket(hat.sharp(i, j, a), hat.sharp(i, j, b))
-                if total.reduce_vec(got):
-                    fail(f"[X{i}{j}#(a), X{i}{j}#(b)] != 0")
+                check("same-position-zero",
+                      not total.bracket(X(i, j, a), X(i, j, b)),
+                      f"[X{i}{j}#(a), X{i}{j}#(b)] != 0")
 
     if n == 4:
-        for (i, j, k) in trips:
+        for (i, j, k) in _distinct(n, 3):
             for a in basis:
                 for b in basis:
-                    bump("same-row-zero")
-                    if total.reduce_vec(total.bracket(hat.sharp(i, j, a),
-                                                      hat.sharp(i, k, b))):
-                        fail(f"[X{i}{j}#, X{i}{k}#] != 0")
-                    bump("same-column-zero")
-                    if total.reduce_vec(total.bracket(hat.sharp(i, j, a),
-                                                      hat.sharp(k, j, b))):
-                        fail(f"[X{i}{j}#, X{k}{j}#] != 0")
-        quads = [(i, j, k, l) for i in range(1, 5) for j in range(1, 5)
-                 for k in range(1, 5) for l in range(1, 5)
-                 if len({i, j, k, l}) == 4]
-        rm = hat.space.quotient
-        for (i, j, k, l) in quads:
+                    check("same-row-zero",
+                          not total.bracket(X(i, j, a), X(i, k, b)),
+                          f"[X{i}{j}#, X{i}{k}#] != 0")
+                    check("same-column-zero",
+                          not total.bracket(X(i, j, a), X(k, j, b)),
+                          f"[X{i}{j}#, X{k}{j}#] != 0")
+        for (i, j, k, l) in _distinct(n, 4):
             slot = hat.theta((i, j, k, l))
             for a in basis:
                 for b in basis:
-                    bump("disjoint-cocycle-value")
-                    got = total.bracket(hat.sharp(i, j, a),
-                                        hat.sharp(k, l, b))
                     want = hat.include_w(
-                        hat.space.embed(slot, rm.coords(mul(a, b))))
-                    if not total.eq_vec(got, want):
-                        fail(f"[X{i}{j}#, X{k}{l}#] != eps_{slot}(ab)")
+                        space.embed(slot, rm.coords(mul(a, b))))
+                    check("disjoint-cocycle-value",
+                          total.eq_vec(total.bracket(X(i, j, a), X(k, l, b)),
+                                       want),
+                          f"[X{i}{j}#, X{k}{l}#] != eps_{slot}(ab)")
     else:
-        rm = hat.space.quotient
-        for (i, j, k) in trips:
+        for (i, j, k) in _distinct(n, 3):
             for a in basis:
                 for b in basis:
                     prod = rm.coords(mul(a, b))
-                    bump("same-row-cocycle-value")
-                    got = total.bracket(hat.sharp(i, j, a),
-                                        hat.sharp(i, k, b))
-                    want = hat.space.embed(i, prod)
-                    if _sign(j, k) < 0:
-                        want = {c: dom.neg(v) for c, v in want.items()}
-                    if not total.eq_vec(got, hat.include_w(want)):
-                        fail(f"[X{i}{j}#, X{i}{k}#] != "
-                             f"sign({j},{k})(ab)^(+{i})")
-                    bump("same-column-cocycle-value")
-                    got = total.bracket(hat.sharp(j, i, a),
-                                        hat.sharp(k, i, b))
-                    want = hat.space.embed(-i, prod)
-                    if _sign(j, k) < 0:
-                        want = {c: dom.neg(v) for c, v in want.items()}
-                    if not total.eq_vec(got, hat.include_w(want)):
-                        fail(f"[X{j}{i}#, X{k}{i}#] != "
-                             f"sign({j},{k})(ab)^(-{i})")
+                    for name, slot, u, v, msg in (
+                            ("same-row-cocycle-value", i, X(i, j, a),
+                             X(i, k, b), f"[X{i}{j}#, X{i}{k}#] != "
+                             f"sign({j},{k})(ab)^(+{i})"),
+                            ("same-column-cocycle-value", -i, X(j, i, a),
+                             X(k, i, b), f"[X{j}{i}#, X{k}{i}#] != "
+                             f"sign({j},{k})(ab)^(-{i})")):
+                        want = hat.include_w(space.embed(slot, prod))
+                        if _sign(j, k) < 0:
+                            want = _neg_sym(want, dom)
+                        check(name, total.eq_vec(total.bracket(u, v), want),
+                              msg)
 
     rep = structural_report(total)
     center_ok = True
-    for k in range(hat.space.width):
-        if not is_central(total, {sd + k: one}):
+    for k in range(space.width):
+        if not is_central(total, hat.include_w({k: one})):
             center_ok = False
-            fail(f"{hat.space.labels[k]} is not central")
+            tally.fail(f"{space.labels[k]} is not central")
 
-    ok = witness is None and rep.is_perfect and center_ok
-    return SharpReport(n, ring.name, ok, counts, witness, rep.is_perfect,
-                       rep.center_rank, center_ok)
+    ok = tally.witness is None and rep.is_perfect and center_ok
+    return SharpReport(n, ring.name, ok, tally.counts, tally.witness,
+                       rep.is_perfect, rep.center_rank, center_ok)
 
 
 # ---------------------------------------------------------------------------

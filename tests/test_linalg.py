@@ -146,31 +146,45 @@ def test_smith_matches_minor_gcd_oracle_on_fixed_cases():
         assert sf.diag == minor_gcd_invariant_factors(m), m
 
 
+def _echelon(vectors, dom):
+    ech = make_echelon(dom)
+    for v in vectors:
+        ech.insert(v)
+    return ech
+
+
+def _subquotient(kernel_gens, image_gens, width, dom):
+    """subquotient on two generating lists instead of their echelons."""
+    return subquotient(_echelon(kernel_gens, dom), _echelon(image_gens, dom),
+                       width, dom)
+
+
 def test_subquotient_z2_mod_2z2():
-    inv = subquotient([{0: 1}, {1: 1}], [{0: 2}, {1: 2}], 2, Z)
+    inv = _subquotient([{0: 1}, {1: 1}], [{0: 2}, {1: 2}], 2, Z)
     assert inv.invariant_factors == [2, 2]
     assert inv.describe() == "Z/2^2"
     assert inv.free_rank == 0
 
 
 def test_subquotient_free_part():
-    inv = subquotient([{0: 1}, {1: 1}, {2: 1}], [{0: 2}], 3, Z)
+    inv = _subquotient([{0: 1}, {1: 1}, {2: 1}], [{0: 2}], 3, Z)
     assert inv.invariant_factors == [2, 0, 0]
     assert inv.free_rank == 2 and inv.torsion == [2]
 
 
 def test_subquotient_containment_violation():
     with pytest.raises(ContainmentError):
-        subquotient([{0: 1}], [{1: 1}], 2, F3)
+        _subquotient([{0: 1}], [{1: 1}], 2, F3)
     with pytest.raises(ContainmentError):
         # (1,0) is in the Q-span but not the Z-lattice of (2,0)
-        subquotient([{0: 2}], [{0: 1}], 2, Z)
+        _subquotient([{0: 2}], [{0: 1}], 2, Z)
 
 
 def test_subquotient_field_dims():
     for dom in FIELDS:
         one = dom.one
-        inv = subquotient([{0: one, 1: one}, {1: one}], [{0: one, 1: one}], 2, dom)
+        inv = _subquotient([{0: one, 1: one}, {1: one}], [{0: one, 1: one}],
+                           2, dom)
         assert inv.dimension == 1
         assert inv.invariant_factors is None
 
@@ -376,7 +390,7 @@ def test_subquotient_matches_relation_matrix_snf(data):
             if ci:
                 vec_axpy(g, b, ci, Z)
         image.append(g)
-    inv = subquotient(basis, image, w, Z)
+    inv = _subquotient(basis, image, w, Z)
     expected = sympy_snf_diag(C) if C and k else []
     expected = [d for d in expected if d != 1]
     assert inv.torsion == expected
@@ -389,10 +403,7 @@ def test_subquotient_matches_relation_matrix_snf(data):
 
 
 def _present(relations, width, dom):
-    ech = make_echelon(dom)
-    for r in relations:
-        ech.insert(r)
-    return present_quotient(ech, width, dom)
+    return present_quotient(_echelon(relations, dom), width, dom)
 
 
 def test_present_quotient_field_roundtrip():
@@ -432,7 +443,7 @@ def test_moduli_invariants_match_the_subquotient(dom, moduli):
     units = [{c: dom.one} for c in range(width)]
     rel = [{c: m} for c, m in enumerate(moduli) if m]
     assert (moduli_invariants(dom, moduli)
-            == subquotient(units + rel, rel, width, dom))
+            == _subquotient(units + rel, rel, width, dom))
 
 
 def test_present_quotient_ambient_moduli():
@@ -468,7 +479,7 @@ def test_present_quotient_matches_the_subquotient(rows):
         pres = _present(gens, width, dom)
         units = [{c: dom.one} for c in range(width)]
         assert (moduli_invariants(dom, pres.moduli)
-                == subquotient(units, gens, width, dom))
+                == _subquotient(units, gens, width, dom))
         for g in gens:
             assert pres.coords(g) == {}
 

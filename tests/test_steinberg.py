@@ -210,6 +210,50 @@ def test_calculus_report_to_dict():
     assert d["instances"]["TX-same-position"] == 6
 
 
+def corrupt_entry(total, idx):
+    """Negative control: add 1 to the lowest coordinate of the idx-th key of
+    the sorted table.  The entry is replaced, not mutated, since tables share
+    their vectors with the base algebra's."""
+    key = sorted(total.table)[idx]
+    w = dict(total.table[key])
+    k = min(w)
+    val = total.dom.add(w[k], total.dom.one)
+    if total.moduli[k]:
+        val %= total.moduli[k]
+    if val:
+        w[k] = val
+    else:
+        del w[k]
+    total.table[key] = w
+
+
+CALC_N3 = {"T-recombination": 6, "T-unit-antisymmetry": 6,
+           "t-column-independence": 1, "TX-same-row": 6, "TX-into-column": 6,
+           "TX-same-column": 6, "TX-from-row": 6, "TX-same-position": 6,
+           "tX-first-row": 2, "tX-first-column": 2, "tX-interior-zero": 2,
+           "H-decomposition": 6}
+CALC_N4 = {"T-recombination": 24, "T-unit-antisymmetry": 12,
+           "t-column-independence": 2, "TX-disjoint-zero": 24,
+           "TX-same-row": 24, "TX-into-column": 24, "TX-same-column": 24,
+           "TX-from-row": 24, "TX-same-position": 24, "tX-first-row": 3,
+           "tX-first-column": 3, "tX-interior-zero": 6, "H-decomposition": 12}
+
+
+@pytest.mark.parametrize("name,scal,n,idx,counts,witness", [
+    ("ground", "f3", 3, 0, CALC_N3, "TX-same-position fails at T12"),
+    ("ground", "f3", 3, 27, CALC_N3, "TX-from-row reversed fails at T12/X23"),
+    ("ground", "f2", 4, 54, CALC_N4, "[T13, X24] != 0"),
+], ids=["ground-f3-3-0", "ground-f3-3-27", "ground-f2-4-54"])
+def test_calculus_reports_a_corrupted_table(name, scal, n, idx, counts,
+                                            witness):
+    m = build_stl(n, ring(name, scal))
+    corrupt_entry(m.total, idx)
+    d = verify_calculus(m).to_dict()
+    assert d == {"check": "calculus", "n": n, "ring": name, "ok": False,
+                 "instances": counts, "witness": witness}
+    assert list(d["instances"]) == list(counts)
+
+
 # ---------------------------------------------------------------------------
 # hat extensions
 
@@ -244,8 +288,8 @@ def test_hat_w_part_matches_public_psi():
     pairs = [((1, 2), (1, 3)), ((2, 1), (3, 1)), ((1, 2), (2, 1)),
              ((2, 3), (1, 3)), ((1, 2), (1, 2))]
     for (i, j), (k, l) in pairs:
-        got = h.w_part(h.total.bracket(h.sharp(i, j, one),
-                                       h.sharp(k, l, one)))
+        got = h.extension.kernel_part(h.total.bracket(h.sharp(i, j, one),
+                                                      h.sharp(k, l, one)))
         want = psi3(("x", i, j, one), ("x", k, l, one), rm).coords
         assert got == want
 
@@ -260,7 +304,8 @@ def test_hat4_w_part_matches_public_psi():
                                 (((1, 2, x), (3, 4, x)), True),
                                 (((1, 2, one), (2, 3, one)), True)]:
         (i, j, a), (k, l, b) = args
-        got = h.w_part(h.total.bracket(h.sharp(i, j, a), h.sharp(k, l, b)))
+        got = h.extension.kernel_part(
+            h.total.bracket(h.sharp(i, j, a), h.sharp(k, l, b)))
         want = psi4(("x", i, j, a), ("x", k, l, b), rm, theta).coords
         assert got == want
         assert (got == {}) == expect_zero
@@ -270,8 +315,8 @@ def test_hat_projection_helpers():
     h = hat("ground", "f3", 3)
     sd = h.stl.total.dim
     v = {0: 1, sd + 2: 2}
-    assert h.project(v) == {0: 1}
-    assert h.w_part(v) == {2: 2}
+    assert h.extension.project(v) == {0: 1}
+    assert h.extension.kernel_part(v) == {2: 2}
     assert h.include_w({2: 2}) == {sd + 2: 2}
     assert h.include_w({}) == {}
 
@@ -357,6 +402,28 @@ def test_sharp_relations_hold(name, scal, n):
     assert rep.relations["two-sided-product"] > 0
     d = rep.to_dict()
     assert d["check"] == "sharp" and d["ok"] is True
+
+
+@pytest.mark.parametrize("name,scal,n,idx,counts,witness,center", [
+    ("dual", "f2", 4, 347,
+     {"two-sided-product": 96, "kernel-commutes": 288,
+      "same-position-zero": 48, "same-row-zero": 96,
+      "same-column-zero": 96, "disjoint-cocycle-value": 96},
+     "[X41#, X24#] != -X21#(ab)", 16),
+    ("ground", "f3", 3, 14,
+     {"two-sided-product": 6, "kernel-commutes": 36, "same-position-zero": 6,
+      "same-row-cocycle-value": 6, "same-column-cocycle-value": 6},
+     "[X13#, X12#] != sign(3,2)(ab)^(+1)", 7),
+], ids=["dual-f2-4-347", "ground-f3-3-14"])
+def test_sharp_reports_a_corrupted_table(name, scal, n, idx, counts, witness,
+                                         center):
+    h = build_hat(n, ring(name, scal), model=stl(name, scal, n))
+    corrupt_entry(h.total, idx)
+    d = verify_sharp_relations(h).to_dict()
+    assert d == {"check": "sharp", "n": n, "ring": name, "ok": False,
+                 "relations": counts, "witness": witness, "perfect": True,
+                 "center_rank": center, "center_contains_kernel": True}
+    assert list(d["relations"]) == list(counts)
 
 
 def test_hat_is_the_universal_central_extension():
