@@ -10,13 +10,18 @@ Checks that would stream an oversized tensor cube are refused up front.  The
 binding resource is the third boundary map, whose columns are indexed by the
 cube L tensor L tensor L and whose rows by L tensor L: memory scales with
 the rows kept per echelon column, while the cube itself is only walked.  The
-only cube streamed is that of L = sl, inside uce while stl is built; HL_2(stl)
-is read off the N presentation.  A check declares (dim sl + dim HH_1)^2 =
-(dim stl)^2 rows, from the ring alone before any heavy work starts: an
-upper bound on the (dim sl)^2 rows of that stream, equal to the rows of a
-direct homology_hl stream of stl.  The symbolic cocycle check never builds a
-matrix and is exempt.  Checks that only exist for the hat models (cocycle,
+only cube streamed is that of L = sl (its special-weight triples), inside
+uce while stl is built; HL_2(stl) is read off the N presentation.  A check
+declares (dim sl + dim HH_1)^2 = (dim stl)^2 rows, from the ring alone
+before any heavy work starts: an upper bound on the rows of that stream
+(at most (dim sl)^2), and the rows of a direct homology_hl stream of stl.
+The symbolic cocycle check never builds a matrix and is exempt.  Checks that only exist for the hat models (cocycle,
 sharp) are skipped -- not failed -- at n = 5.
+
+A check ends ``passed`` or ``failed`` by its mathematical witness,
+``error`` when it raised (the witness keeps the exception's class and
+message), ``refused`` by the size guard (its duration is the guard's time)
+or ``skipped``.  Any failed, error or refused entry makes the exit code 1.
 """
 
 from __future__ import annotations
@@ -200,7 +205,7 @@ def _run_unit(unit):
                 witness = None if rep.ok else {"stl_dim": rep.stl_dim}
             status = "passed" if rep.ok else "failed"
         except Exception as exc:  # keep the triple in the report even on a crash
-            status, computed, predicted = "failed", None, None
+            status, computed, predicted = "error", None, None
             witness = {"error": f"{type(exc).__name__}: {exc}"}
         entries.append(_entry(scalar, ring.name, n, check, status, computed,
                               predicted, witness, time.perf_counter() - start))
@@ -215,7 +220,8 @@ class CampaignReport:
     def __init__(self, config, entries, wall_s):
         entries = sorted(
             entries, key=lambda e: (e["ring"], e["scalar"], e["n"], e["check"]))
-        counts = {s: 0 for s in ("passed", "failed", "refused", "skipped")}
+        counts = {s: 0 for s in ("passed", "failed", "error", "refused",
+                                 "skipped")}
         for e in entries:
             counts[e["status"]] += 1
         self.config = config
@@ -223,7 +229,8 @@ class CampaignReport:
         self.summary = {
             "total": len(entries),
             **counts,
-            "exit_code": 1 if counts["failed"] or counts["refused"] else 0,
+            "exit_code": 1 if (counts["failed"] or counts["error"]
+                               or counts["refused"]) else 0,
             "duration_s": round(wall_s, 3),
         }
 
@@ -272,8 +279,8 @@ class CampaignReport:
             yield " ".join(bits)
         s = self.summary
         yield (f"{s['total']} checks: {s['passed']} passed, "
-               f"{s['failed']} failed, {s['refused']} refused, "
-               f"{s['skipped']} skipped")
+               f"{s['failed']} failed, {s['error']} error, "
+               f"{s['refused']} refused, {s['skipped']} skipped")
 
     def __repr__(self):
         s = self.summary
@@ -290,21 +297,24 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
             runnable = units[(ring, n)] = []
             rows = None
             for check in config.checks:
+                duration = 0.0
                 if check in ("cocycle", "sharp") and n not in HAT_NS:
                     status = "skipped"
                     reason = f"{check} is defined for n in {HAT_NS} only"
                 else:
                     if check != "cocycle" and rows is None:
+                        start = time.perf_counter()
                         rows = declared_rows(n, ring)
+                        guard_s = time.perf_counter() - start
                     if check == "cocycle" or rows <= config.max_cube:
                         runnable.append(check)
                         continue
-                    status = "refused"
+                    status, duration = "refused", guard_s
                     reason = (f"declared boundary matrix of {rows} rows "
                               f"exceeds bound {config.max_cube}")
                 entries.append(_entry(ring.dom.name, ring.name, n, check,
                                       status, None, None, {"reason": reason},
-                                      0.0))
+                                      duration))
     work = [(*key, checks) for key, checks in units.items() if checks]
     if config.jobs > 1 and work:
         with ProcessPoolExecutor(min(config.jobs, len(work))) as pool:

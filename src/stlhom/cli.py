@@ -3,8 +3,8 @@
 ``verify --ring ground --scalar f2 --n 4 --check homology`` prints the JSON
 report to stdout; with ``--out`` the JSON goes to the file and stdout gets
 the human-readable summary lines instead.  Exit code 0 means every check
-passed, 1 means some check failed or was refused by the budget guard, 2
-means the request itself was malformed.
+passed (or was skipped), 1 means some check failed, raised an error or was
+refused by the budget guard, 2 means the request itself was malformed.
 """
 
 from __future__ import annotations

@@ -16,9 +16,28 @@ Carriers may have per-coordinate torsion ``moduli`` (0 = free coordinate);
 equality of elements and the Leibniz identity are then read modulo those.
 Chain-complex computations (boundary, homology_hl, uce) require a free
 carrier.
+
+Torus grading.  ``weights`` gives each basis vector a weight in Z^n, or is
+None for the trivial grading (every weight is 0 in Z^0).  ``build_sl``
+grades sl_n(R) by the torus: E_ij(r) has weight e_i - e_j and the diagonal
+weight 0.  It checks, on the actual table, that every basis vector is
+homogeneous, that [e_s, e_t] has weight wt(s) + wt(t), and that each
+h_ij = [E_ij(1), E_ji(1)] acts by [x, h_ij] = -(a_i - a_j) x on every basis
+vector x of weight a.  Then HL_2 in weight mu is killed by every
+mu_i - mu_j: for a 2-cycle c = sum x (x) z of weight mu (sum [x, z] = 0),
+
+    sum([x, h] (x) z + x (x) [z, h]) = d3(c (x) h) + sum [x, z] (x) h
+                                     = d3(c (x) h),
+
+and the left side is -(mu_i - mu_j) c.  A weight mu is *special* when
+g = gcd(mu_i - mu_j) is not a unit of the domain (F_p: p | g; Q: g = 0;
+Z: g != 1); HL_2 lives in the special weights only.  Under the trivial
+grading g = 0, so every weight is special.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 from .assoc import AssocAlgebra
 from .domains import ScalarDomain
@@ -34,10 +53,13 @@ class LeibnizAlgebra:
     identity: by ``make_leibniz``, by the ``gl``/``sl`` builders, by a
     ``CentralExtensionModel``, or by a clean d2 . d3 = 0 stream.  A table
     wrapped directly starts uncertified.
+
+    ``weights`` is the torus grading (see the module docstring): None, the
+    trivial grading, except on the ``sl`` that ``build_sl`` has checked.
     """
 
     __slots__ = ("dom", "dim", "labels", "table", "moduli", "name",
-                 "certified")
+                 "certified", "weights")
 
     def __init__(self, dom: ScalarDomain, dim: int, table: dict,
                  labels: list[str], moduli: list[int], name: str):
@@ -48,6 +70,7 @@ class LeibnizAlgebra:
         self.moduli = moduli
         self.name = name
         self.certified = False
+        self.weights = None
 
     def __repr__(self):
         return f"LeibnizAlgebra({self.name}, dim={self.dim}, dom={self.dom.name})"
@@ -357,7 +380,68 @@ def build_sl(n: int, ring: AssocAlgebra) -> SlAlgebra:
     alg.gl = gl
     alg.basis = basis
     alg._solver = solver
+    alg.weights = [_gl_weight(gl, min(b)) for b in basis]
+    check_torus_grading(alg)
     return alg
+
+
+def _gl_weight(gl: GlAlgebra, index: int) -> tuple[int, ...]:
+    """The torus weight e_i - e_j of the gl basis vector E_ij(r)."""
+    n = gl.n
+    i, j = divmod(index // gl.ring.dim, n)
+    return tuple((k == i) - (k == j) for k in range(n))
+
+
+def _add_weights(a: tuple, b: tuple) -> tuple:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def check_torus_grading(sl: SlAlgebra) -> None:
+    """Check the hypotheses of the special-weight rule on the actual table
+    (module docstring): each basis vector of ``sl`` is homogeneous of its
+    recorded weight in gl, each entry [e_s, e_t] has weight wt(s) + wt(t),
+    and each h_ij = [E_ij(1), E_ji(1)], i < j, acts on every basis vector of
+    weight a by -(a_i - a_j).  Raises ``AssertionError`` on the first
+    violation.
+    """
+    gl, weights, dom = sl.gl, sl.weights, sl.dom
+    if len(weights) != sl.dim:
+        raise AssertionError(f"{sl.name} has {len(weights)} weights for "
+                             f"{sl.dim} basis vectors")
+    for s, b in enumerate(sl.basis):
+        for k in b:
+            if _gl_weight(gl, k) != weights[s]:
+                raise AssertionError(
+                    f"{sl.labels[s]} is not homogeneous of weight "
+                    f"{weights[s]}: it meets {gl.labels[k]}")
+    for (s, t), w in sl.table.items():
+        want = _add_weights(weights[s], weights[t])
+        for k in w:
+            if weights[k] != want:
+                raise AssertionError(
+                    f"[{sl.labels[s]}, {sl.labels[t]}] meets {sl.labels[k]} "
+                    f"of weight {weights[k]}, not {want}")
+    unit = sl.ring.unit
+    for i in range(sl.n):
+        for j in range(i + 1, sl.n):
+            h = sl.from_gl(gl.bracket(gl.eij(i, j, unit), gl.eij(j, i, unit)))
+            for s, a in enumerate(weights):
+                c = dom.from_int(a[j] - a[i])
+                got = sl.bracket({s: dom.one}, h)
+                if got != ({s: c} if c else {}):
+                    raise AssertionError(
+                        f"h{i+1}{j+1} does not act on {sl.labels[s]} by "
+                        f"{c}: the bracket is {sl.describe_element(got)}")
+
+
+def special_weight(dom: ScalarDomain, mu: tuple) -> bool:
+    """Can HL_2 live in weight mu: is gcd(mu_i - mu_j) not a unit of dom?"""
+    g = 0
+    for x in mu:
+        g = gcd(g, x - mu[0])
+    if dom.p is not None:
+        return g % dom.p == 0
+    return g == 0 if dom.is_field else g != 1
 
 
 def commutator_rank(ring: AssocAlgebra) -> int:
@@ -375,12 +459,17 @@ def _require_free(L: LeibnizAlgebra, what: str) -> None:
                          f"torsion moduli")
 
 
-def iter_d3_columns(L: LeibnizAlgebra):
+def iter_d3_columns(L: LeibnizAlgebra, weight_filter=None):
     """Yield (flat column index, sparse column) of d3 over the basis cube.
 
     Columns are produced in lexicographic (i, j, k) order; zero columns are
     skipped.  d3(e_i (x) e_j (x) e_k) =
     -[e_i,e_j] (x) e_k + [e_i,e_k] (x) e_j + e_i (x) [e_j,e_k].
+
+    With a ``weight_filter`` (a predicate on weights of a graded L), only
+    the triples whose total weight wt(i) + wt(j) + wt(k) passes are walked:
+    the basis is bucketed by weight and, for each (i, j), the k are looked
+    up from the buckets that complete a passing weight.
     """
     dim = L.dim
     dom = L.dom
@@ -389,6 +478,13 @@ def iter_d3_columns(L: LeibnizAlgebra):
     for (i, j), w in L.table.items():
         byfirst.setdefault(i, {})[j] = w
     empty: dict[int, dict] = {}
+    every_k = range(dim)
+    if weight_filter is not None:
+        weights = L.weights
+        buckets: dict[tuple, list[int]] = {}
+        for k, wk in enumerate(weights):
+            buckets.setdefault(wk, []).append(k)
+        ks_of: dict[tuple, list[int]] = {}   # wt(i) + wt(j) -> sorted k
     for i in range(dim):
         row_i = byfirst.get(i, empty)
         idim = i * dim
@@ -396,7 +492,16 @@ def iter_d3_columns(L: LeibnizAlgebra):
             bij = row_i.get(j)
             row_j = byfirst.get(j, empty)
             base = (idim + j) * dim
-            for k in range(dim):
+            ks = every_k
+            if weight_filter is not None:
+                wij = _add_weights(weights[i], weights[j])
+                ks = ks_of.get(wij)
+                if ks is None:
+                    ks = ks_of[wij] = sorted(
+                        k for wk, bucket in buckets.items()
+                        if weight_filter(_add_weights(wij, wk))
+                        for k in bucket)
+            for k in ks:
                 bik = row_i.get(k)
                 bjk = row_j.get(k)
                 if not (bij or bik or bjk):
@@ -441,19 +546,26 @@ def _column_applier(mat: ExactMatrix):
     return apply
 
 
-def _d3_image(L: LeibnizAlgebra, d2: ExactMatrix):
+def _d3_image(L: LeibnizAlgebra, d2: ExactMatrix, weight_filter=None,
+              index=None):
     """Stream the d3 columns of L into an echelon of im(d3).
 
     On a basis triple d2 . d3 = 0 is the Leibniz identity, so an uncertified
-    table gets that check column by column, and a clean pass certifies it;
-    a certified table is streamed unchecked.
+    table gets that check column by column, and a clean full pass certifies
+    it; a certified table is streamed unchecked.  ``weight_filter`` prunes
+    the stream (``iter_d3_columns``) and ``index`` renumbers the rows of
+    the kept columns; a pruned stream never certifies.
     """
     dom = L.dom
     img = make_echelon(dom)
     if L.certified:
-        for _col, vec in iter_d3_columns(L):
+        for _col, vec in iter_d3_columns(L, weight_filter):
+            if index is not None:
+                vec = {index[k]: c for k, c in vec.items()}
             img.insert(vec)
         return img
+    if weight_filter is not None:
+        raise ValueError(f"a weight-pruned d3 stream cannot certify {L.name}")
     apply_d2 = _column_applier(d2)
     for col, vec in iter_d3_columns(L):
         if apply_d2(vec):
@@ -752,11 +864,24 @@ def uce(L: LeibnizAlgebra) -> CentralExtensionModel:
     e_s, L (x) L = ker(d2) (+) span(w_s), so that kernel is
     (L (x) L)/(im d3 + span w_s): one presentation on every domain, read
     off the d3 echelon with the w_s inserted (``present_quotient``).
+
+    On a graded L (``build_sl``) every piece splits by weight: the w_s are
+    homogeneous (checked), and in a weight mu that is not special, some
+    mu_i - mu_j is a unit that kills ker(d2)/im(d3) (module docstring), so
+    (L (x) L)_mu = im(d3)_mu (+) span(w_s of weight mu) and every tensor
+    of weight mu has class 0.  So only the pairs (s, t) of special weight
+    wt(s) + wt(t) are kept, numbered in their flat order; only the d3
+    triples of special total weight are streamed, only the w_s of special
+    weight are inserted, and a tensor's class is read off its special part.
+    Over a field the pivots of a graded subspace are the union of its
+    weight blocks' pivots and forward residuals are canonical, so this is
+    the table of the full stream; over Z the kernel has the same
+    invariants, in another basis.  Under the trivial grading every pair is
+    special and the full cube is streamed.
     """
     _require_free(L, "uce")
     dom, dim = L.dom, L.dim
     one = dom.one
-    pair = dim * dim
     d2 = boundary(L, 2)
     apply_d2 = _column_applier(d2)
 
@@ -777,38 +902,63 @@ def uce(L: LeibnizAlgebra) -> CentralExtensionModel:
         raise ValueError(f"{L.name} is not perfect; uce undefined")
 
     neg_one = dom.neg(one)
-    preimages: list[dict] = []
+    preimages: list[tuple[int, dict]] = []   # (s, w_s)
     for s in range(dim):
         coeffs = colsolver.solve({s: neg_one})   # d2 w_s = -e_s
         if coeffs is None:
             raise AssertionError(
                 f"{L.labels[s]} has no preimage under the spanning d2 columns")
         w = {colindex[t]: c for t, c in coeffs.items()}
-        preimages.append(w)
+        preimages.append((s, w))
 
-    # d2 w_s = -e_s, so L (x) L = ker(d2) (+) span(w_s) and, as im(d3) lies
+    weights = L.weights
+    if weights is None:
+        weight_filter = index = None
+        pairs = range(dim * dim)
+    else:
+        memo: dict[tuple, bool] = {}
+
+        def weight_filter(mu: tuple) -> bool:
+            ok = memo.get(mu)
+            if ok is None:
+                ok = memo[mu] = special_weight(dom, mu)
+            return ok
+
+        pair_weight = [_add_weights(ws, wt) for ws in weights for wt in weights]
+        pairs = [p for p, mu in enumerate(pair_weight) if weight_filter(mu)]
+        index = {p: c for c, p in enumerate(pairs)}
+        for s, w in preimages:
+            if any(pair_weight[p] != weights[s] for p in w):
+                raise AssertionError(
+                    f"the preimage of {L.labels[s]} is not homogeneous")
+        preimages = [(s, {index[p]: c for p, c in w.items()})
+                     for s, w in preimages if weight_filter(weights[s])]
+        del pair_weight
+
+    # d2 w_s = -e_s, so L (x) L = ker(d2) (+) span w_s and, as im(d3) lies
     # in ker(d2), (L (x) L)/(im d3 + span w_s) presents ker(d2)/im(d3)
-    rel = _d3_image(L, d2)
-    for s, w in enumerate(preimages):
+    rel = _d3_image(L, d2, weight_filter, index)
+    for s, w in preimages:
         if rel.insert(w) is None:
             raise AssertionError(
                 f"the preimage of {L.labels[s]} adds no pivot to im(d3)")
-    pres = present_quotient(rel, pair, dom)
+    pres = present_quotient(rel, len(pairs), dom)
 
     def tensor_coords(v: dict) -> dict:
         """Coordinates of the class of a tensor v in the adapted basis."""
         out = {s: dom.neg(c) for s, c in apply_d2(v).items()}  # pi = -d2
+        if index is not None:   # the class of v is that of its special part
+            v = {index[p]: c for p, c in v.items() if p in index}
         for i, c in pres.coords(v).items():
             out[dim + i] = c
         return out
 
     # the kernel part of each base-pair bracket in the adapted basis
     kappa: dict = {}
-    for s in range(dim):
-        for t in range(dim):
-            kern = pres.coords({s * dim + t: one})
-            if kern:
-                kappa[(s, t)] = kern
+    for c, p in enumerate(pairs):
+        kern = pres.coords({c: one})
+        if kern:
+            kappa[divmod(p, dim)] = kern
     return CentralExtensionModel(
         L, pres.moduli, kappa, f"uce({L.name})",
         [f"z{i}" for i in range(pres.dim)],

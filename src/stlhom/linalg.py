@@ -948,17 +948,17 @@ class QuotientPresentation:
     representative.
     """
 
-    __slots__ = ("dim", "moduli", "_mode", "_ech", "_free", "_U_rows",
+    __slots__ = ("dim", "moduli", "_mode", "_ech", "_free", "_U_cols",
                  "_lift_cols")
 
-    def __init__(self, dim, moduli, mode, ech=None, free=None, U_rows=None,
+    def __init__(self, dim, moduli, mode, ech=None, free=None, U_cols=None,
                  lift_cols=None):
         self.dim = dim
         self.moduli = moduli
         self._mode = mode
         self._ech = ech
         self._free = free
-        self._U_rows = U_rows
+        self._U_cols = U_cols   # ambient column -> {coordinate: entry}
         self._lift_cols = lift_cols
 
     def coords(self, v: dict) -> dict:
@@ -968,17 +968,19 @@ class QuotientPresentation:
             res = self._ech.reduce(v)
             free = self._free
             return {free[j]: x for j, x in res.items() if j in free}
+        acc: dict[int, int] = {}
+        cols = self._U_cols
+        for j, x in v.items():
+            col = cols.get(j)
+            if col and x:
+                for idx, c in col.items():
+                    acc[idx] = acc.get(idx, 0) + c * x
         out = {}
-        for idx, (urow, d) in enumerate(zip(self._U_rows, self.moduli)):
-            acc = 0
-            for j, c in urow.items():
-                x = v.get(j)
-                if x:
-                    acc += c * x
-            if d:
-                acc %= d
-            if acc:
-                out[idx] = acc
+        for idx in sorted(acc):
+            d = self.moduli[idx]
+            val = acc[idx] % d if d else acc[idx]
+            if val:
+                out[idx] = val
         return out
 
     def lift(self, coords: dict) -> dict:
@@ -1028,7 +1030,10 @@ def present_quotient(ech, width: int, dom: ScalarDomain) -> QuotientPresentation
         if d != 1:
             kept.append(tt)
             moduli.append(d)
-    U_rows = [sf.U.get(tt, {}) for tt in kept]
+    U_cols: dict[int, dict] = {}
+    for idx, tt in enumerate(kept):
+        for j, c in sf.U.get(tt, {}).items():
+            U_cols.setdefault(j, {})[idx] = c
     lift_cols = [sf.U_inv.get(tt, {}) for tt in kept]
-    return QuotientPresentation(len(kept), moduli, "z", U_rows=U_rows,
+    return QuotientPresentation(len(kept), moduli, "z", U_cols=U_cols,
                                 lift_cols=lift_cols)

@@ -216,7 +216,7 @@ def test_spec_example_values():
     assert (e["status"], e["computed"], e["predicted"]) == ("passed", "0", "0")
 
 
-def test_worker_exception_becomes_failed_entry(monkeypatch):
+def test_worker_exception_becomes_error_entry(monkeypatch):
     import stlhom.campaign as camp
 
     def boom(n, ring):
@@ -225,9 +225,47 @@ def test_worker_exception_becomes_failed_entry(monkeypatch):
     monkeypatch.setattr(camp, "verify_cocycle", boom)
     rep = run_campaign(small_config(checks=["cocycle"]))
     (entry,) = rep.entries
-    assert entry["status"] == "failed"
+    assert entry["status"] == "error"
     assert "RuntimeError: synthetic crash" in entry["witness"]["error"]
+    assert rep.summary["error"] == 1 and rep.summary["failed"] == 0
     assert rep.exit_code == 1
+    assert "1 checks: 0 passed, 0 failed, 1 error," in list(rep.lines())[-1]
+
+
+def test_corrupted_theta_is_a_failed_entry_not_an_error(monkeypatch):
+    # a mathematical witness (rep.ok false) stays "failed"
+    import stlhom.campaign as camp
+    from stlhom import build_theta, corrupted_theta, verify_cocycle
+
+    def corrupted(n, ring):
+        return verify_cocycle(n, ring, theta=corrupted_theta(build_theta()))
+
+    monkeypatch.setattr(camp, "verify_cocycle", corrupted)
+    rep = run_campaign(CampaignConfig(rings=[("ground", "f2")], ns=[4],
+                                      checks=["cocycle"]))
+    (entry,) = rep.entries
+    assert entry["status"] == "failed"
+    assert entry["computed"] == "J != 0"
+    assert "error" not in entry["witness"]
+    assert rep.summary["failed"] == 1 and rep.summary["error"] == 0
+    assert rep.exit_code == 1
+
+
+def test_refused_entries_report_the_guard_time(monkeypatch):
+    import time
+
+    import stlhom.campaign as camp
+    inner = camp.declared_rows
+
+    def slow(n, ring):
+        time.sleep(0.05)
+        return inner(n, ring)
+
+    monkeypatch.setattr(camp, "declared_rows", slow)
+    rep = run_campaign(small_config(checks=["all"], max_cube=10))
+    refused = [e for e in rep.entries if e["status"] == "refused"]
+    assert len(refused) == 3
+    assert all(e["duration_s"] >= 0.05 for e in refused)
 
 
 def test_each_ring_and_n_builds_stl_once(monkeypatch):
@@ -276,9 +314,9 @@ def test_homology_streams_one_d3_cube_per_ring_and_n(monkeypatch):
     calls = []
     inner = leib.iter_d3_columns
 
-    def counted(L):
+    def counted(L, *args, **kwargs):
         calls.append(L.name)
-        return inner(L)
+        return inner(L, *args, **kwargs)
 
     monkeypatch.setattr(leib, "iter_d3_columns", counted)
     rep = run_campaign(CampaignConfig(rings=[("ground", "f3")], ns=[3, 4],
@@ -297,8 +335,8 @@ def test_failed_stl_build_fails_only_the_checks_that_need_it(monkeypatch):
     monkeypatch.setattr(camp, "build_stl", boom)
     rep = run_campaign(small_config(checks=["all"]))
     status = {e["check"]: e["status"] for e in rep.entries}
-    assert status == {"calculus": "failed", "cocycle": "passed",
-                      "homology": "failed", "sharp": "failed"}
+    assert status == {"calculus": "error", "cocycle": "passed",
+                      "homology": "error", "sharp": "error"}
     for e in rep.entries:
         if e["check"] != "cocycle":
             assert e["witness"] == {
@@ -336,8 +374,8 @@ def test_json_field_order_is_stable():
         "ring", "scalar", "n", "check", "status", "computed", "predicted",
         "witness", "duration_s"]
     assert list(doc["summary"]) == [
-        "total", "passed", "failed", "refused", "skipped", "exit_code",
-        "duration_s"]
+        "total", "passed", "failed", "error", "refused", "skipped",
+        "exit_code", "duration_s"]
 
 
 def test_csv_mirrors_theorem_shape():

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stlhom.assoc import make_algebra
-from stlhom.catalog import catalog_ring
+from stlhom.catalog import ACCEPTANCE_PAIRS, catalog_ring
 from stlhom.domains import F2, F3, F5, Q, Z, parse_scalar
 from stlhom.leibniz import (CentralExtensionModel, LeibnizAlgebra,
                             LeibnizIdentityError, boundary, build_gl,
                             build_sl, homology_hl, is_central,
-                            iter_d3_columns, make_leibniz, structural_report,
-                            uce)
+                            iter_d3_columns, make_leibniz, special_weight,
+                            structural_report, uce)
 
 DOMS = {"f2": F2, "f3": F3, "f5": F5, "q": Q, "z": Z}
 
@@ -516,6 +516,9 @@ def test_uce_kernel_and_shape(name, scal, n, basedim, kernel):
     assert model.kernel_invariants.describe() == kernel
     # kernel invariants equal HL2 of the base
     assert model.kernel_invariants == homology_hl(L, 2).invariants
+    # the pruned uce gives every column of the full d3 cube class 0
+    for _col, vec in iter_d3_columns(L):
+        assert model.tensor_coords(vec) == {}
     # projection is a homomorphism with central kernel
     model.check_homomorphism_on_basis()
     model.check_kernel_central()
@@ -596,6 +599,149 @@ def test_uce_total_is_certified_by_its_extension():
     assert model.total.certified
     assert model.total.name == "uce(sl3(dual))"
     assert model.total.labels[-2:] == ["z0", "z1"]
+
+
+# ---------------------------------------------------------------------------
+# the torus grading and the weight-pruned uce
+
+
+def test_special_weight_rule():
+    # special: gcd(mu_i - mu_j) is not a unit of the domain
+    assert special_weight(F2, (2, 0, 0)) and not special_weight(F3, (2, 0, 0))
+    assert special_weight(F3, (2, -1, -1)) and not special_weight(F2, (2, -1, -1))
+    assert special_weight(Q, (1, 1, 1)) and not special_weight(Q, (2, -1, -1))
+    assert special_weight(Z, (2, -1, -1)) and special_weight(Z, (1, 1, -1, -1))
+    assert special_weight(Z, (0, 0, 0)) and not special_weight(Z, (1, -1, 0))
+    for dom in DOMS.values():   # the trivial grading: every weight special
+        assert special_weight(dom, ())
+
+
+def test_build_sl_records_the_torus_weights():
+    L = build_sl(3, catalog_ring("dual", F3))
+    assert make_leibniz(F3, 2, {}).weights is None
+    assert len(L.weights) == L.dim
+    for s, lbl in enumerate(L.labels):
+        i, j = int(lbl[2]) - 1, int(lbl[3]) - 1     # "<Eij(r)>"
+        assert L.weights[s] == tuple((k == i) - (k == j) for k in range(3))
+
+
+def _mutated_build_sl(monkeypatch, mutate):
+    """build_sl(3, dual@f3) with ``mutate`` applied to the sl just before
+    build_sl runs its grading check."""
+    import stlhom.leibniz as leib
+    inner = leib.check_torus_grading
+
+    def mutate_then_check(sl):
+        mutate(sl)
+        inner(sl)
+
+    monkeypatch.setattr(leib, "check_torus_grading", mutate_then_check)
+    return build_sl(3, catalog_ring("dual", F3))
+
+
+def test_grading_check_rejects_an_entry_of_the_wrong_weight(monkeypatch):
+    def move_entry(sl):
+        (s, t), w = next(iter(sl.table.items()))
+        k = next(iter(w))
+        far = next(x for x in range(sl.dim)
+                   if sl.weights[x] != sl.weights[k] and x not in w)
+        sl.table[(s, t)] = {**{x: c for x, c in w.items() if x != k},
+                            far: w[k]}
+
+    with pytest.raises(AssertionError, match="of weight"):
+        _mutated_build_sl(monkeypatch, move_entry)
+
+
+def test_grading_check_rejects_a_basis_vector_of_the_wrong_weight(monkeypatch):
+    def reweigh(sl):
+        s = next(s for s, w in enumerate(sl.weights) if any(w))
+        sl.weights[s] = tuple(-x for x in sl.weights[s])
+
+    with pytest.raises(AssertionError, match="not homogeneous"):
+        _mutated_build_sl(monkeypatch, reweigh)
+
+
+def test_grading_check_rejects_a_wrong_torus_action(monkeypatch):
+    # rescaling [e_s, e_t] for t on the diagonal keeps every weight but
+    # breaks [x, h12] = -(a_1 - a_2) x
+    def rescale(sl):
+        t = next(t for t in range(sl.dim) if not any(sl.weights[t])
+                 and any(sl.weights[s] and (s, t) in sl.table
+                         for s in range(sl.dim)))
+        s = next(s for s in range(sl.dim)
+                 if sl.weights[s] and (s, t) in sl.table)
+        sl.table[(s, t)] = {k: 2 * c % 3 for k, c in sl.table[(s, t)].items()}
+
+    with pytest.raises(AssertionError, match="does not act"):
+        _mutated_build_sl(monkeypatch, rescale)
+
+
+# the acceptance pairs and four Z carriers at n = 3, 4, less the UCE_CASES
+# that test_uce_kernel_and_shape covers
+PRUNING_CASES = sorted(
+    ({(name, scal, n) for name, scal in ACCEPTANCE_PAIRS for n in (3, 4)}
+     | {(name, "z", n) for name in ("dual", "trunc3", "group-c2", "upper2")
+        for n in (3, 4)})
+    - {(name, scal, n) for name, scal, n, *_ in UCE_CASES})
+
+
+@pytest.mark.parametrize("name,scal,n", PRUNING_CASES)
+def test_pruned_uce_agrees_with_the_full_stream(name, scal, n):
+    # homology_hl streams the whole d3 cube: the oracle for the pruned uce
+    L = build_sl(n, catalog_ring(name, DOMS[scal]))
+    model = uce(L)
+    assert model.kernel_invariants == homology_hl(L, 2).invariants
+    for _col, vec in iter_d3_columns(L):
+        assert model.tensor_coords(vec) == {}
+
+
+def _streamed_columns(monkeypatch, L) -> list:
+    """Run uce(L), returning (weight filter, column count) per d3 stream."""
+    import stlhom.leibniz as leib
+    inner = leib.iter_d3_columns
+    streams = []
+
+    def counted(M, weight_filter=None):
+        streams.append([weight_filter, 0])
+        for col in inner(M, weight_filter):
+            streams[-1][1] += 1
+            yield col
+
+    monkeypatch.setattr(leib, "iter_d3_columns", counted)
+    uce(L)
+    monkeypatch.undo()
+    return streams
+
+
+@pytest.mark.parametrize("name,scal,columns", [
+    ("mat2", "f2", 48_530), ("group-c2", "q", 2_880),
+])
+def test_pruned_uce_streams_only_special_columns_at_n5(monkeypatch, name,
+                                                       scal, columns):
+    L = build_sl(5, catalog_ring(name, DOMS[scal]))
+    ((weight_filter, count),) = _streamed_columns(monkeypatch, L)
+    assert weight_filter is not None and count == columns
+
+
+def test_ungraded_algebras_stream_the_full_cube(monkeypatch):
+    from stlhom import build_stl
+    sl = build_sl(3, catalog_ring("ground", F3))
+    stl_total = build_stl(3, catalog_ring("ground", F3)).total
+    wrapped = make_leibniz(F3, sl.dim, sl.table, name="wrapped")
+    for L in (wrapped, stl_total):
+        assert L.weights is None
+        full = sum(1 for _ in iter_d3_columns(L))
+        assert _streamed_columns(monkeypatch, L) == [[None, full]]
+    assert _streamed_columns(monkeypatch, sl)[0][1] < sum(
+        1 for _ in iter_d3_columns(sl))
+
+
+def test_a_pruned_stream_never_certifies():
+    L = build_sl(3, catalog_ring("ground", F3))
+    L.certified = False
+    with pytest.raises(ValueError, match="cannot certify"):
+        uce(L)
+    assert not L.certified
 
 
 # ---------------------------------------------------------------------------
