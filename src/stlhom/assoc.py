@@ -211,32 +211,33 @@ def ideal_Im(alg: AssocAlgebra, m: int) -> SubspaceBasis:
     for c in commutator_span(alg).vectors():
         for i in range(alg.dim):
             span.add(alg.multiply({i: one}, c))
-    # two-sided closure fixpoint
-    while True:
-        before = span.version
-        for v in list(span.vectors()):
+    # two-sided closure fixpoint: stop after a pass that changes nothing
+    grew = True
+    while grew:
+        grew = False
+        for v in span.vectors():
             for i in range(alg.dim):
                 ei = {i: one}
-                span.add(alg.multiply(ei, v))
-                span.add(alg.multiply(v, ei))
-        if span.version == before:
-            return span
+                grew |= span.add(alg.multiply(ei, v))
+                grew |= span.add(alg.multiply(v, ei))
+    return span
 
 
 class QuotientAlgebra:
     """R/I for a two-sided ideal I, with linear coordinates and moduli.
 
     ``moduli[c]`` is 0 for a free coordinate and d > 0 for a Z/d coordinate
-    (always 0 over a field).  ``coords``/``lift`` translate between R and
-    the quotient; ``mul`` is the induced multiplication on coordinates.
+    (always 0 over a field).  ``coords`` maps R onto the quotient and
+    vanishes exactly on I; as I is two-sided, products of ring elements
+    have well-defined classes, which ``base.multiply`` followed by
+    ``coords`` reads.
     """
 
-    __slots__ = ("base", "ideal", "pres", "dim", "moduli", "name")
+    __slots__ = ("base", "pres", "dim", "moduli", "name")
 
-    def __init__(self, base: AssocAlgebra, ideal: SubspaceBasis,
-                 pres: QuotientPresentation, name: str):
+    def __init__(self, base: AssocAlgebra, pres: QuotientPresentation,
+                 name: str):
         self.base = base
-        self.ideal = ideal
         self.pres = pres
         self.dim = pres.dim
         self.moduli = pres.moduli
@@ -245,26 +246,14 @@ class QuotientAlgebra:
     def coords(self, v: dict) -> dict:
         return self.pres.coords(v)
 
-    def lift(self, coords: dict) -> dict:
-        return self.pres.lift(coords)
-
-    def mul(self, x: dict, y: dict) -> dict:
-        prod = self.base.multiply(self.lift(x), self.lift(y))
-        return self.coords(prod)
-
-    @property
-    def unit_coords(self) -> dict:
-        return self.coords(self.base.unit)
-
     def __repr__(self):
         return f"QuotientAlgebra({self.name}, dim={self.dim}, moduli={self.moduli})"
 
 
 def quotient_Rm(alg: AssocAlgebra, m: int) -> QuotientAlgebra:
     """Build R_m = R/I_m with coordinates (used as cocycle value modules)."""
-    ideal = ideal_Im(alg, m)
-    pres = present_quotient(ideal.engine, alg.dim, alg.dom)
-    return QuotientAlgebra(alg, ideal, pres, f"{alg.name}_{m}")
+    pres = present_quotient(ideal_Im(alg, m).engine, alg.dim, alg.dom)
+    return QuotientAlgebra(alg, pres, f"{alg.name}_{m}")
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ uce while stl is built; HL_2(stl) is read off the N presentation.  A check
 declares (dim sl + dim HH_1)^2 = (dim stl)^2 rows, from the ring alone
 before any heavy work starts: an upper bound on the rows of that stream
 (at most (dim sl)^2), and the rows of a direct homology_hl stream of stl.
-The symbolic cocycle check never builds a matrix and is exempt.  Checks that only exist for the hat models (cocycle,
-sharp) are skipped -- not failed -- at n = 5.
+The symbolic cocycle check never builds a matrix and is exempt.  Checks
+that only exist for the hat models (cocycle, sharp) are skipped -- not
+failed -- at n = 5.
 
 A check ends ``passed`` or ``failed`` by its mathematical witness,
 ``error`` when it raised (the witness keeps the exception's class and

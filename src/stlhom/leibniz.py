@@ -50,9 +50,9 @@ class LeibnizAlgebra:
     """A Leibniz algebra on dom^dim (possibly with torsion coordinates).
 
     ``certified`` is set once the table is known to satisfy the Leibniz
-    identity: by ``make_leibniz``, by the ``gl``/``sl`` builders, by a
-    ``CentralExtensionModel``, or by a clean d2 . d3 = 0 stream.  A table
-    wrapped directly starts uncertified.
+    identity: by ``make_leibniz``, by the ``gl``/``sl`` builders or by a
+    ``CentralExtensionModel``.  A table wrapped directly starts uncertified,
+    and a d3 stream checks the identity on it first (``_d3_image``).
 
     ``weights`` is the torus grading (see the module docstring): None, the
     trivial grading, except on the ``sl`` that ``build_sl`` has checked.
@@ -546,34 +546,23 @@ def _column_applier(mat: ExactMatrix):
     return apply
 
 
-def _d3_image(L: LeibnizAlgebra, d2: ExactMatrix, weight_filter=None,
-              index=None):
+def _d3_image(L: LeibnizAlgebra, weight_filter=None, index=None):
     """Stream the d3 columns of L into an echelon of im(d3).
 
     On a basis triple d2 . d3 = 0 is the Leibniz identity, so an uncertified
-    table gets that check column by column, and a clean full pass certifies
-    it; a certified table is streamed unchecked.  ``weight_filter`` prunes
-    the stream (``iter_d3_columns``) and ``index`` renumbers the rows of
-    the kept columns; a pruned stream never certifies.
+    table is checked first (``_check_leibniz_identity``, which raises
+    ``LeibnizIdentityError`` with the witness triple) and then certified.
+    ``weight_filter`` prunes the stream (``iter_d3_columns``) and ``index``
+    renumbers the rows of the kept columns.
     """
-    dom = L.dom
-    img = make_echelon(dom)
-    if L.certified:
-        for _col, vec in iter_d3_columns(L, weight_filter):
-            if index is not None:
-                vec = {index[k]: c for k, c in vec.items()}
-            img.insert(vec)
-        return img
-    if weight_filter is not None:
-        raise ValueError(f"a weight-pruned d3 stream cannot certify {L.name}")
-    apply_d2 = _column_applier(d2)
-    for col, vec in iter_d3_columns(L):
-        if apply_d2(vec):
-            raise AssertionError(
-                f"d2 . d3 != 0 at column {col}: {L.name} violates the "
-                f"Leibniz identity")
+    if not L.certified:
+        _check_leibniz_identity(L)
+        L.certified = True
+    img = make_echelon(L.dom)
+    for _col, vec in iter_d3_columns(L, weight_filter):
+        if index is not None:
+            vec = {index[k]: c for k, c in vec.items()}
         img.insert(vec)
-    L.certified = True
     return img
 
 
@@ -606,7 +595,7 @@ class HomologyReport:
         self.dim_chain = dim_chain
         self.rank_out = rank_out          # rank of d_degree
         self.rank_in = rank_in            # rank of d_(degree+1)
-        # d2 . d3 = 0 holds: by certification or by the column check
+        # d2 . d3 = 0 holds: L is certified, checked first if it was not
         self.square_zero_checked = square_zero_checked
 
     def to_dict(self) -> dict:
@@ -630,10 +619,11 @@ class HomologyReport:
 def homology_hl(L: LeibnizAlgebra, degree: int) -> HomologyReport:
     """HL_degree(L) for degree in {1, 2}, by exact sparse elimination.
 
-    Degree 2 streams the d3 columns straight into an echelon (see
-    ``_d3_image``); over a field the homology dimension then needs only the
-    two ranks, while over Z the kernel/image subquotient is presented and
-    Smith-reduced.
+    Degree 1 presents L / im d2 off the echelon of the d2 columns
+    (``present_quotient``) on every domain.  Degree 2 streams the d3
+    columns straight into an echelon (see ``_d3_image``); over a field the
+    homology dimension then needs only the two ranks, while over Z the
+    kernel/image subquotient is presented.
     """
     _require_free(L, "homology")
     dom, dim = L.dom, L.dim
@@ -641,24 +631,18 @@ def homology_hl(L: LeibnizAlgebra, degree: int) -> HomologyReport:
 
     if degree == 1:
         # d1 = 0: HL_1 = L / im d2
-        rank_in = d2.rank()
-        if dom.is_field:
-            inv = field_invariants(dom, dim - rank_in)
-        else:
-            units, img = make_echelon(dom), make_echelon(dom)
-            for i in range(dim):
-                units.insert({i: 1})
-            for col in d2.columns().values():
-                img.insert(col)
-            inv = subquotient(units, img, dim, dom)
-        return HomologyReport(L.name, 1, inv, dim, 0, rank_in, True)
+        img = make_echelon(dom)
+        for col in d2.columns().values():
+            img.insert(col)
+        inv = moduli_invariants(dom, present_quotient(img, dim, dom).moduli)
+        return HomologyReport(L.name, 1, inv, dim, 0, img.rank, True)
 
     if degree != 2:
         raise ValueError("homology_hl implemented for degrees 1 and 2")
 
     pair = dim * dim
     rank_d2 = d2.rank()
-    img = _d3_image(L, d2)
+    img = _d3_image(L)
     rank_d3 = img.rank
 
     if dom.is_field:
@@ -937,7 +921,7 @@ def uce(L: LeibnizAlgebra) -> CentralExtensionModel:
 
     # d2 w_s = -e_s, so L (x) L = ker(d2) (+) span w_s and, as im(d3) lies
     # in ker(d2), (L (x) L)/(im d3 + span w_s) presents ker(d2)/im(d3)
-    rel = _d3_image(L, d2, weight_filter, index)
+    rel = _d3_image(L, weight_filter, index)
     for s, w in preimages:
         if rel.insert(w) is None:
             raise AssertionError(

@@ -8,20 +8,22 @@ duck-typed API (``insert``, ``reduce``, ``rank``, ``pivots()``,
 * ``F2Forward``   -- GF(2); rows are Python ints used as bitmasks.
 * ``FpForward``   -- F_3 and F_5; dict rows with pivot entry 1.
 * ``QForward``    -- Q; fraction-free primitive integer rows.
-* ``HermiteBasis``-- integer row lattices in Hermite form (pivots positive,
-                     extended-gcd insertion; entries above pivots reduced on
-                     ``normalize()``).
+* ``HermiteBasis``-- integer row lattices in Hermite echelon form (pivots
+                     positive, extended-gcd insertion).
 
 The field engines keep forward rows: a row starts at its pivot but may carry
 other rows' pivot columns, so an insert never touches the stored rows.  The
 fully reduced rows (the reduced row echelon form of the span) are built on
 demand by ``row_dicts()``.
 
-On top of the engines: right kernels, Smith normal form with optional
-unimodular row transforms, and two readings of echelons the caller built:
-invariants of subquotients span(K)/span(I) (``subquotient``), and one
-quotient presentation dom^width/span(R) (``present_quotient``), from the
-non-pivot columns over a field, the Smith form of the Hermite rows over Z.
+On top of the engines: right kernels, span solvers, and one reading of a
+quotient dom^width/span(R) off the echelon R was inserted into
+(``present_quotient``): the non-pivot columns over a field, the Smith form
+of the Hermite rows over Z, whose unimodular row transform gives the
+coordinates.  ``present_quotient`` is the only caller of
+``smith_normal_form``.  The invariants of a subquotient span(K)/span(I)
+(``subquotient``) are those of the quotient presentation of I's
+coordinates in a basis of K.
 """
 
 from __future__ import annotations
@@ -115,8 +117,8 @@ class HermiteBasis:
 
     Pivot entries are positive; each pivot column is minimal in its row.
     ``reduce`` performs floor-division reduction, so a vector belongs to the
-    lattice iff its residual is empty.  ``normalize()`` additionally reduces
-    entries above each pivot into ``[0, pivot)`` (canonical form).
+    lattice iff its residual is empty.  Entries above a pivot are not
+    reduced: the rows are a basis, not the canonical Hermite form.
     """
 
     __slots__ = ("rows",)
@@ -171,20 +173,6 @@ class HermiteBasis:
             if j in v:
                 out[j] = v.pop(j)
         return out
-
-    def normalize(self) -> None:
-        """Reduce entries above pivots so the basis is canonical Hermite."""
-        rows = self.rows
-        for j in sorted(rows):
-            d = rows[j][j]
-            for p, r in rows.items():
-                if p == j:
-                    continue
-                c = r.get(j)
-                if c is not None:
-                    q = c // d
-                    if q:
-                        vec_axpy(r, rows[j], -q, _ZDOM)
 
     def row_dicts(self) -> dict[int, dict]:
         return self.rows
@@ -476,13 +464,12 @@ class SpanSolver:
 class SubspaceBasis:
     """A subspace (field) or sublattice (Z) of dom^width held in echelon form."""
 
-    __slots__ = ("dom", "width", "engine", "version")
+    __slots__ = ("dom", "width", "engine")
 
     def __init__(self, dom: ScalarDomain, width: int, gens=()):
         self.dom = dom
         self.width = width
         self.engine = make_echelon(dom)
-        self.version = 0
         for g in gens:
             self.add(g)
 
@@ -490,20 +477,12 @@ class SubspaceBasis:
         """Grow by one generator; True if the span/lattice changed."""
         eng = self.engine
         if isinstance(eng, HermiteBasis):
+            # a lattice that grows at the same rank lowers some pivot entry
             before = {p: r[p] for p, r in eng.rows.items()}
-            piv = eng.insert(v)
-            if piv is not None:
-                self.version += 1
+            if eng.insert(v) is not None:
                 return True
-            after = {p: r[p] for p, r in eng.rows.items()}
-            if after != before:
-                self.version += 1
-                return True
-            return False
-        if eng.insert(v) is not None:
-            self.version += 1
-            return True
-        return False
+            return {p: r[p] for p, r in eng.rows.items()} != before
+        return eng.insert(v) is not None
 
     @property
     def rank(self) -> int:
@@ -623,13 +602,6 @@ class ExactMatrix:
                 basis.append({k - self.nrows: x for k, x in row.items()})
         return basis
 
-    def smith(self, transform: bool = False) -> "SmithForm":
-        if self.dom.name != "z":
-            raise TypeError("Smith normal form is defined here for Z matrices")
-        entries = {(i, j): v for i, row in self.rows.items()
-                   for j, v in row.items()}
-        return smith_normal_form(entries, self.nrows, self.ncols, transform)
-
 
 # ---------------------------------------------------------------------------
 # Smith normal form
@@ -639,28 +611,25 @@ class SmithForm:
     """Result of a Smith reduction of an integer matrix.
 
     ``diag`` lists the nonzero invariant factors d_1 | d_2 | ... | d_r (all
-    positive); ``rank`` is r.  When requested, ``U`` (row-major) and
-    ``U_inv`` (column-major) are the unimodular row transforms with
-    U @ A @ V = D; the column transform V is not tracked.
+    positive); ``rank`` is r.  ``U`` (row-major, {row: {column: entry}}) is
+    the unimodular row transform with U @ A @ V = D; the column transform V
+    is not tracked.
     """
 
-    __slots__ = ("diag", "rank", "nrows", "ncols", "U", "U_inv")
+    __slots__ = ("diag", "rank", "U")
 
-    def __init__(self, diag, rank, nrows, ncols, U=None, U_inv=None):
+    def __init__(self, diag, rank, U):
         self.diag = diag
         self.rank = rank
-        self.nrows = nrows
-        self.ncols = ncols
         self.U = U
-        self.U_inv = U_inv
 
     def __repr__(self):
         return f"SmithForm(diag={self.diag}, rank={self.rank})"
 
 
-def smith_normal_form(entries: dict, nrows: int, ncols: int,
-                      transform: bool = False) -> SmithForm:
-    """Smith normal form of an integer matrix given as {(i, j): value}.
+def smith_normal_form(entries: dict, nrows: int, ncols: int) -> SmithForm:
+    """Smith normal form of an integer matrix given as {(i, j): value}, with
+    its unimodular row transform.
 
     Pivots are chosen by minimum absolute value (with an early exit on a
     unit), which keeps coefficient growth tame on the near-unimodular
@@ -671,23 +640,15 @@ def smith_normal_form(entries: dict, nrows: int, ncols: int,
     for (i, j), val in entries.items():
         if val:
             rows.setdefault(i, {})[j] = int(val)
-
-    U: dict[int, dict] | None = None
-    Uinv_cols: dict[int, dict] | None = None
-    if transform:
-        U = {i: {i: 1} for i in range(nrows)}
-        Uinv_cols = {i: {i: 1} for i in range(nrows)}
+    U: dict[int, dict] = {i: {i: 1} for i in range(nrows)}
 
     def row_op(i: int, t: int, q: int) -> None:
-        # A_i -= q * A_t, mirrored on the transforms (U_inv gains q*col_i
-        # added to col_t, the inverse elementary operation)
+        # A_i -= q * A_t, mirrored on U
         tgt = rows.setdefault(i, {})
         vec_axpy(tgt, rows.get(t, {}), -q, _ZDOM)
         if not tgt:
             del rows[i]
-        if transform:
-            vec_axpy(U.setdefault(i, {}), U.get(t, {}), -q, _ZDOM)
-            vec_axpy(Uinv_cols.setdefault(t, {}), Uinv_cols.get(i, {}), q, _ZDOM)
+        vec_axpy(U.setdefault(i, {}), U.get(t, {}), -q, _ZDOM)
 
     def row_swap(i: int, t: int) -> None:
         ri, rt = rows.pop(i, None), rows.pop(t, None)
@@ -695,16 +656,12 @@ def smith_normal_form(entries: dict, nrows: int, ncols: int,
             rows[i] = rt
         if ri is not None:
             rows[t] = ri
-        if transform:
-            U[i], U[t] = U.get(t, {}), U.get(i, {})
-            Uinv_cols[i], Uinv_cols[t] = Uinv_cols.get(t, {}), Uinv_cols.get(i, {})
+        U[i], U[t] = U.get(t, {}), U.get(i, {})
 
     def row_negate(i: int) -> None:
         if i in rows:
             rows[i] = {k: -x for k, x in rows[i].items()}
-        if transform:
-            U[i] = {k: -x for k, x in U.get(i, {}).items()}
-            Uinv_cols[i] = {k: -x for k, x in Uinv_cols.get(i, {}).items()}
+        U[i] = {k: -x for k, x in U.get(i, {}).items()}
 
     # column operations touch A only; V is not tracked
     def col_op(j: int, t: int, q: int) -> None:
@@ -799,9 +756,7 @@ def smith_normal_form(entries: dict, nrows: int, ncols: int,
         diag.append(d)
         t += 1
 
-    return SmithForm(diag, len(diag), nrows, ncols,
-                     U if transform else None,
-                     Uinv_cols if transform else None)
+    return SmithForm(diag, len(diag), U)
 
 
 # ---------------------------------------------------------------------------
@@ -877,17 +832,14 @@ def field_invariants(dom: ScalarDomain, dimension: int) -> SubquotientInvariants
     return SubquotientInvariants(dom.name, dimension, None)
 
 
-def z_invariants(factors: list[int]) -> SubquotientInvariants:
-    return SubquotientInvariants("z", len(factors), list(factors))
-
-
 def moduli_invariants(dom: ScalarDomain, moduli) -> SubquotientInvariants:
     """Invariants of the group with one coordinate per modulus: Z/d for
     d > 0, a free summand for 0 (over a field every modulus is 0)."""
     if dom.is_field:
         return field_invariants(dom, len(moduli))
-    return z_invariants(sorted(d for d in moduli if d)
-                        + [0] * sum(1 for d in moduli if not d))
+    factors = (sorted(d for d in moduli if d)
+               + [0] * sum(1 for d in moduli if not d))
+    return SubquotientInvariants("z", len(factors), factors)
 
 
 def subquotient(kern, img, width: int,
@@ -897,9 +849,10 @@ def subquotient(kern, img, width: int,
     into.  Neither engine is changed.
 
     Every image generator must lie in the span (lattice, over Z) of the
-    kernel generators, otherwise ``ContainmentError`` is raised.
+    kernel generators, otherwise ``ContainmentError`` is raised.  The
+    coordinates of the image rows in the kernel basis present the
+    subquotient as dom^rank(K)/span(coordinates) (``present_quotient``).
     """
-    k = kern.rank
     # augmented copy of the kernel basis: tails record coordinates
     kpivs = kern.pivots()
     tail = {p: width + idx for idx, p in enumerate(kpivs)}
@@ -910,27 +863,14 @@ def subquotient(kern, img, width: int,
         row[tail[p]] = dom.one
         aug.insert(row)
 
-    coeff_rows: list[dict] = []
-    one = dom.one
+    rel = make_echelon(dom)
     for p, row in img.row_dicts().items():
         res = aug.reduce(dict(row))
-        head = {kk: x for kk, x in res.items() if kk < width}
-        if head:
+        if any(kk < width for kk in res):
             raise ContainmentError(
                 f"image vector with pivot {p} is not contained in the kernel span")
-        coeff_rows.append({kk - width: dom.neg(x) for kk, x in res.items()})
-
-    if dom.is_field:
-        rel = make_echelon(dom)
-        for r in coeff_rows:
-            rel.insert(r)
-        return field_invariants(dom, k - rel.rank)
-
-    entries = {(i, j): val for j, col in enumerate(coeff_rows)
-               for i, val in col.items()}
-    sf = smith_normal_form(entries, k, len(coeff_rows))
-    factors = [d for d in sf.diag if d != 1] + [0] * (k - sf.rank)
-    return z_invariants(factors)
+        rel.insert({kk - width: dom.neg(x) for kk, x in res.items()})
+    return moduli_invariants(dom, present_quotient(rel, kern.rank, dom).moduli)
 
 
 # ---------------------------------------------------------------------------
@@ -943,23 +883,19 @@ class QuotientPresentation:
 
     ``dim`` is the number of retained coordinates and ``moduli[i]`` the
     modulus of coordinate i (0 = free; over a field always 0).  ``coords``
-    maps an ambient vector to quotient coordinates linearly, and vanishes
-    exactly on span(R); ``lift`` maps quotient coordinates back to a
-    representative.
+    maps an ambient vector to quotient coordinates linearly, is onto, and
+    vanishes exactly on span(R).
     """
 
-    __slots__ = ("dim", "moduli", "_mode", "_ech", "_free", "_U_cols",
-                 "_lift_cols")
+    __slots__ = ("dim", "moduli", "_mode", "_ech", "_free", "_U_cols")
 
-    def __init__(self, dim, moduli, mode, ech=None, free=None, U_cols=None,
-                 lift_cols=None):
+    def __init__(self, dim, moduli, mode, ech=None, free=None, U_cols=None):
         self.dim = dim
         self.moduli = moduli
         self._mode = mode
         self._ech = ech
         self._free = free
         self._U_cols = U_cols   # ambient column -> {coordinate: entry}
-        self._lift_cols = lift_cols
 
     def coords(self, v: dict) -> dict:
         if not self.dim:
@@ -983,20 +919,6 @@ class QuotientPresentation:
                 out[idx] = val
         return out
 
-    def lift(self, coords: dict) -> dict:
-        if self._mode == "field":
-            inv = self._inv_free()
-            return {inv[i]: x for i, x in coords.items() if x}
-        out: dict[int, int] = {}
-        for i, x in coords.items():
-            if x:
-                vec_axpy(out, self._lift_cols[i], x, _ZDOM)
-        return out
-
-    def _inv_free(self) -> dict:
-        # free: ambient column -> coord index; invert once
-        return {i: c for c, i in self._free.items()}
-
 
 def present_quotient(ech, width: int, dom: ScalarDomain) -> QuotientPresentation:
     """Present dom^width / span(R) with coordinates, where ``ech`` is the
@@ -1005,9 +927,9 @@ def present_quotient(ech, width: int, dom: ScalarDomain) -> QuotientPresentation
     Over a field the retained coordinates are the columns that are not a
     pivot of ``ech`` (not a key of its pivot-keyed ``rows``), and the
     coordinates of a vector are its residual under ``ech``.  Over Z the
-    Hermite rows of ``ech`` go through a Smith reduction with row-transform
-    tracking; retained coordinates are the rows of U whose invariant factor
-    is not 1.  No second echelon of the relations is built.
+    Hermite rows of ``ech`` go through a Smith reduction; retained
+    coordinates are the rows of its transform U whose invariant factor is
+    not 1.  No second echelon of the relations is built.
     """
     rows = ech.rows
     if dom.is_field:
@@ -1022,7 +944,7 @@ def present_quotient(ech, width: int, dom: ScalarDomain) -> QuotientPresentation
 
     entries = {(i, col): val for col, p in enumerate(sorted(rows))
                for i, val in rows[p].items()}
-    sf = smith_normal_form(entries, width, len(rows), transform=True)
+    sf = smith_normal_form(entries, width, len(rows))
     kept: list[int] = []
     moduli: list[int] = []
     for tt in range(width):
@@ -1034,6 +956,4 @@ def present_quotient(ech, width: int, dom: ScalarDomain) -> QuotientPresentation
     for idx, tt in enumerate(kept):
         for j, c in sf.U.get(tt, {}).items():
             U_cols.setdefault(j, {})[idx] = c
-    lift_cols = [sf.U_inv.get(tt, {}) for tt in kept]
-    return QuotientPresentation(len(kept), moduli, "z", U_cols=U_cols,
-                                lift_cols=lift_cols)
+    return QuotientPresentation(len(kept), moduli, "z", U_cols=U_cols)

@@ -220,24 +220,39 @@ def test_quotient_rm_frozen_dimensions():
         assert got.dim == dim, (name, scal, m, got.dim)
 
 
+def assert_products_with_the_ideal_vanish(alg, m, rm):
+    """coords(r_i g) = coords(g r_i) = 0 for every basis vector r_i and
+    every basis vector g of I_m: the products psi reads through coords
+    have well-defined classes in R_m."""
+    one = alg.dom.one
+    for g in ideal_Im(alg, m).vectors():
+        assert rm.coords(g) == {}
+        for i in range(alg.dim):
+            assert rm.coords(alg.multiply({i: one}, g)) == {}
+            assert rm.coords(alg.multiply(g, {i: one})) == {}
+
+
 def test_quotient_rm_over_z():
     alg = catalog_ring("int", Z)
     r2 = quotient_Rm(alg, 2)
     assert r2.dim == 1 and r2.moduli == [2]
-    # multiplication descends: the class of 1 squares to itself
-    u = r2.unit_coords
-    assert r2.mul(u, u) == u
+    assert r2.coords(alg.unit) == {0: 1}
+    assert_products_with_the_ideal_vanish(alg, 2, r2)
     r6 = quotient_Rm(alg, 6)
     assert r6.moduli == [6]
+    assert_products_with_the_ideal_vanish(alg, 6, r6)
 
 
 def test_quotient_rm_kills_ideal_and_multiplies():
     alg = catalog_ring("dual", F2)
     r2 = quotient_Rm(alg, 2)
     assert r2.dim == 2
-    # I_2 = 0 here, so coords are faithful and mul matches the algebra
-    x = r2.coords({1: 1})
-    assert r2.mul(x, x) == r2.coords(alg.multiply({1: 1}, {1: 1}))
+    # I_2 = 0 here, so coords are faithful
+    assert r2.coords({1: 1}) not in ({}, r2.coords({0: 1}))
+    assert_products_with_the_ideal_vanish(alg, 2, r2)
+    for name in ("upper2", "mat2", "trunc3"):
+        ring = catalog_ring(name, F2)
+        assert_products_with_the_ideal_vanish(ring, 2, quotient_Rm(ring, 2))
     alg3 = catalog_ring("dual", F3)
     r3 = quotient_Rm(alg3, 2)   # 2 invertible in F3 -> everything dies
     assert r3.dim == 0

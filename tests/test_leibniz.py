@@ -353,11 +353,14 @@ def test_homology_degree_validation():
 
 
 def test_d2_d3_consistency_guard_fires_on_broken_table():
-    # bypass make_leibniz: a non-Leibniz table breaks d2 . d3 = 0
+    # bypass make_leibniz: a non-Leibniz table breaks d2 . d3 = 0, and the
+    # d3 stream checks the identity on it first
     bad = LeibnizAlgebra(F3, 2, {(0, 1): {0: 1}, (1, 0): {0: 1}},
                          ["e0", "e1"], [0, 0], "bad")
-    with pytest.raises(AssertionError):
+    with pytest.raises(LeibnizIdentityError) as exc:
         homology_hl(bad, 2)
+    assert len(exc.value.triple) == 3
+    assert all(0 <= i < 2 for i in exc.value.triple)
     assert not bad.certified
 
 
@@ -736,12 +739,38 @@ def test_ungraded_algebras_stream_the_full_cube(monkeypatch):
         1 for _ in iter_d3_columns(sl))
 
 
-def test_a_pruned_stream_never_certifies():
+def test_uce_refuses_a_corrupted_uncertified_sl_before_streaming(
+        monkeypatch):
+    import stlhom.leibniz as leib
     L = build_sl(3, catalog_ring("ground", F3))
     L.certified = False
-    with pytest.raises(ValueError, match="cannot certify"):
+    # scale one entry: the weights still hold, the Leibniz identity fails
+    (s, t), w = min(L.table.items())
+    k = min(w)
+    L.table = {**L.table, (s, t): {**w, k: (2 * w[k]) % 3}}
+    inner = leib.iter_d3_columns
+    streams = []
+
+    def counted(*args, **kwargs):
+        streams.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(leib, "iter_d3_columns", counted)
+    with pytest.raises(LeibnizIdentityError) as exc:
         uce(L)
-    assert not L.certified
+    assert len(exc.value.triple) == 3
+    assert streams == [] and not L.certified
+
+
+def test_uce_certifies_a_clean_uncertified_sl():
+    ring = catalog_ring("ground", F3)
+    ref = uce(build_sl(3, ring))
+    L = build_sl(3, ring)
+    L.certified = False
+    model = uce(L)
+    assert L.certified
+    assert model.total.table == ref.total.table
+    assert model.kernel_invariants == ref.kernel_invariants
 
 
 # ---------------------------------------------------------------------------

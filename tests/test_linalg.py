@@ -126,8 +126,14 @@ def test_kernel_of_2_4_over_z():
     assert not mat.matvec(v)
 
 
+def smith(m):
+    """``smith_normal_form`` of a dense integer matrix."""
+    entries = {(i, j): v for i, row in enumerate(m) for j, v in enumerate(row)}
+    return smith_normal_form(entries, len(m), len(m[0]) if m else 0)
+
+
 def test_smith_of_2_4_0_6():
-    sf = ExactMatrix.from_dense(Z, [[2, 4], [0, 6]]).smith()
+    sf = smith([[2, 4], [0, 6]])
     assert sf.diag == [2, 6]
     assert sf.rank == 2
 
@@ -142,7 +148,7 @@ def test_smith_matches_minor_gcd_oracle_on_fixed_cases():
         [[2, 4, 4], [-6, 6, 12], [10, 4, 16]],
     ]
     for m in cases:
-        sf = ExactMatrix.from_dense(Z, m).smith()
+        sf = smith(m)
         assert sf.diag == minor_gcd_invariant_factors(m), m
 
 
@@ -248,21 +254,19 @@ def test_row_dicts_are_the_rref_of_the_span(scal, steps):
     assert (ech.row_dicts(), ech.pivots()) == sympy_rref(vecs, 5, dom)
 
 
-def test_hermite_membership_and_normalize():
+def test_hermite_membership_and_positive_pivots():
     h = HermiteBasis()
     h.insert({0: 4, 1: 2, 2: 1})
     h.insert({0: 6, 1: 2})
     h.insert({1: 8})
-    # combinations of inserted vectors are members
+    # combinations of inserted vectors are members, others are not
     assert h.reduce({0: 10, 1: 4, 2: 1}) == {}
     assert h.reduce({0: 4, 1: 10, 2: 1}) == {}
-    h.normalize()
+    assert h.reduce({0: 1}) != {}
     rows = h.row_dicts()
     for p, row in rows.items():
         assert row[p] > 0
-        for c, val in row.items():
-            if c != p and c in rows:
-                assert 0 <= val < rows[c][c]
+        assert min(row) == p
 
 
 def test_make_echelon_dispatch():
@@ -288,7 +292,7 @@ def matrices(max_rows=4, max_cols=5, entries=small_entries):
 @given(matrices())
 @settings(max_examples=120, deadline=None)
 def test_smith_matches_sympy(m):
-    sf = ExactMatrix.from_dense(Z, m).smith()
+    sf = smith(m)
     assert sorted(sf.diag) == sympy_snf_diag(m)
     # divisibility chain
     for a, b in zip(sf.diag, sf.diag[1:]):
@@ -298,22 +302,27 @@ def test_smith_matches_sympy(m):
 @given(matrices(max_rows=3, max_cols=3, entries=st.integers(-4, 4)))
 @settings(max_examples=60, deadline=None)
 def test_smith_matches_minor_gcd_oracle(m):
-    sf = ExactMatrix.from_dense(Z, m).smith()
+    sf = smith(m)
     assert sf.diag == minor_gcd_invariant_factors(m)
 
 
 @given(matrices())
 @settings(max_examples=100, deadline=None)
 def test_smith_transform_consistency(m):
-    """U and U_inv are mutually inverse and U*A has the expected row lattice."""
-    nr = len(m)
-    sf = ExactMatrix.from_dense(Z, m).smith(transform=True)
-    # U * U_inv = I  (U row-major, U_inv column-major)
-    for i in range(nr):
-        for j in range(nr):
-            acc = sum(c * sf.U_inv.get(j, {}).get(k, 0)
-                      for k, c in sf.U.get(i, {}).items())
-            assert acc == (1 if i == j else 0)
+    """U is unimodular and U*A = D*V^-1: row t of U*A is divisible by the
+    t-th invariant factor, and zero beyond the rank."""
+    import sympy
+    nr, nc = len(m), len(m[0])
+    sf = smith(m)
+    U = [[sf.U.get(i, {}).get(k, 0) for k in range(nr)] for i in range(nr)]
+    assert sympy.Matrix(U).det() in (1, -1)
+    UA = [[sum(U[i][k] * m[k][j] for k in range(nr)) for j in range(nc)]
+          for i in range(nr)]
+    for t, row in enumerate(UA):
+        if t < sf.rank:
+            assert all(x % sf.diag[t] == 0 for x in row)
+        else:
+            assert not any(row)
 
 
 @given(matrices(), st.sampled_from(["f2", "f3", "f5", "q"]))
@@ -407,15 +416,16 @@ def _present(relations, width, dom):
 
 
 def test_present_quotient_field_roundtrip():
-    pres = _present([{0: Fraction(1), 1: Fraction(2)}], 3, Q)
+    ech = _echelon([{0: Fraction(1), 1: Fraction(2)}], Q)
+    pres = present_quotient(ech, 3, Q)
     assert pres.dim == 2
     assert pres.moduli == [0, 0]
-    v = {0: Fraction(3), 1: Fraction(1), 2: Fraction(5)}
-    c = pres.coords(v)
     # coords kill the generator
     assert pres.coords({0: Fraction(1), 1: Fraction(2)}) == {}
-    # coords . lift = id
-    assert pres.coords(pres.lift(c)) == c
+    # coords are onto: free column -> coordinate -> free column
+    free = [c for c in range(3) if c not in ech.pivots()]
+    for idx, c in enumerate(free):
+        assert pres.coords({c: Fraction(1)}) == {idx: 1}
 
 
 def test_present_quotient_z_torsion():
@@ -457,10 +467,13 @@ def test_present_quotient_ambient_moduli():
 def test_present_quotient_z_free_and_roundtrip():
     pres = _present([{0: 1, 1: 1}], 3, Z)
     assert pres.dim == 2 and pres.moduli == [0, 0]
-    for idx in range(pres.dim):
-        lifted = pres.lift({idx: 1})
-        got = pres.coords(lifted)
-        assert got == {idx: 1}
+    assert pres.coords({0: 1, 1: 1}) == {}
+    # coords are onto Z^2: the 2 x 3 matrix of coords(e_j) has every
+    # invariant factor 1, so each coordinate vector has a preimage
+    images = [pres.coords({j: 1}) for j in range(3)]
+    matrix = [[images[j].get(idx, 0) for j in range(3)]
+              for idx in range(pres.dim)]
+    assert minor_gcd_invariant_factors(matrix) == [1, 1]
 
 
 relation_sets = st.lists(
@@ -469,17 +482,30 @@ relation_sets = st.lists(
 
 @settings(max_examples=40, deadline=None)
 @given(relation_sets)
-def test_present_quotient_matches_the_subquotient(rows):
-    # dom^4 / span(rows), presented off the echelon, has the invariants of
-    # span(units) / span(rows), and its coordinates kill every relation
+def test_present_quotient_matches_sympy(rows):
+    # dom^4 / span(rows), presented off the echelon, has dimension 4 - rank
+    # over a field (sympy's rank over GF(p) or QQ) and, over Z, the
+    # invariants from sympy's invariant factors of the relation matrix; its
+    # coordinates kill every relation
+    import sympy
+    from sympy.matrices.normalforms import invariant_factors
     width = 4
     for dom in (F2, F3, F5, Q, Z):
         gens = [{j: dom.normalize(x) for j, x in enumerate(row)
                  if dom.normalize(x)} for row in rows]
         pres = _present(gens, width, dom)
-        units = [{c: dom.one} for c in range(width)]
-        assert (moduli_invariants(dom, pres.moduli)
-                == _subquotient(units, gens, width, dom))
+        if dom.is_field:
+            rank = len(sympy_rref(gens, width, dom)[1])
+            expected = SubquotientInvariants(dom.name, width - rank, None)
+        else:
+            factors = [abs(int(d)) for d in invariant_factors(
+                sympy.Matrix(rows), domain=sympy.ZZ)] if rows else []
+            rank = sum(1 for d in factors if d)
+            torsion = sorted(d for d in factors if d > 1)
+            expected = SubquotientInvariants(
+                "z", len(torsion) + width - rank,
+                torsion + [0] * (width - rank))
+        assert moduli_invariants(dom, pres.moduli) == expected
         for g in gens:
             assert pres.coords(g) == {}
 

@@ -1,7 +1,9 @@
-"""Source lint as a test: no bare ``assert`` statements in the package.
+"""Source lint as tests: no bare ``assert`` statements and no unused
+imports in the package.
 
 ``python -O`` strips asserts, so a certification step or a grading check
-written as one would silently vanish; every check raises explicitly.
+written as one would silently vanish; every check raises explicitly.  An
+import that nothing reads is left over from deleted code.
 """
 
 import ast
@@ -19,3 +21,42 @@ def test_package_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"bare asserts (stripped by python -O): {found}"
+
+
+def _annotation_names(node) -> set[str]:
+    """Names read by an annotation, also when it is written as a string."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        node = ast.parse(node.value, mode="eval")
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def test_package_has_no_unused_imports():
+    # __init__.py imports to re-export, so it is not checked
+    sources = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert sources
+    unused = []
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    imported[a.asname or a.name.split(".")[0]] = node.lineno
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                for a in node.names:
+                    imported[a.asname or a.name] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.arg) and node.annotation is not None:
+                used |= _annotation_names(node.annotation)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.returns is not None:
+                    used |= _annotation_names(node.returns)
+            elif isinstance(node, ast.AnnAssign):
+                used |= _annotation_names(node.annotation)
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in sorted(imported.items())
+                   if name not in used]
+    assert not unused, f"unused imports: {unused}"

@@ -372,8 +372,8 @@ bad = LeibnizAlgebra(F3, 2, {(0, 1): {0: 1}, (1, 0): {0: 1}}, ["e0", "e1"],
                      [0, 0], "bad")
 try:
     homology_hl(bad, 2)
-except AssertionError:
-    print("homology raises")
+except LeibnizIdentityError as exc:
+    print("homology raises with a triple of", len(exc.triple))
 """
 
 
@@ -387,7 +387,8 @@ def test_negative_controls_fire_under_python_O():
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "debug False", "hat raises with a triple of 3", "homology raises"]
+        "debug False", "hat raises with a triple of 3",
+        "homology raises with a triple of 3"]
 
 
 @pytest.mark.parametrize("name,scal,n", [
