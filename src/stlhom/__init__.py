@@ -7,7 +7,7 @@ n = 3 and n = 4, and exposes a campaign runner / CLI over a ring catalog.
 """
 
 from .domains import F2, F3, F5, Q, Z, SCALARS, ScalarDomain, parse_scalar
-from .linalg import (ContainmentError, ExactMatrix, SmithForm, SpanSolver,
+from .linalg import (ContainmentError, SmithForm, SpanSolver,
                      SubquotientInvariants, SubspaceBasis, smith_normal_form,
                      subquotient)
 from .assoc import (AssocAlgebra, QuotientAlgebra, commutator_span,
@@ -16,9 +16,9 @@ from .assoc import (AssocAlgebra, QuotientAlgebra, commutator_span,
 from .catalog import ACCEPTANCE_PAIRS, RING_BUILDERS, catalog_ring
 from .leibniz import (CentralExtensionModel, GlAlgebra, HomologyReport,
                       LeibnizAlgebra, LeibnizIdentityError, SlAlgebra,
-                      StructuralReport, boundary, bracket_span, build_gl,
-                      build_sl, homology_hl, is_central, is_perfect,
-                      iter_d3_columns, make_leibniz, structural_report, uce)
+                      StructuralReport, bracket_span, build_gl, build_sl,
+                      homology_hl, is_central, is_perfect, iter_d3_columns,
+                      make_leibniz, structural_report, uce)
 from .steinberg import (CalculusReport, CocycleReport, CocycleSpace,
                         CocycleValue, HatModel, Hl2Report, SharpReport,
                         SteinbergModel, SteinbergSymbolic, ThetaMap,
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "F2", "F3", "F5", "Q", "Z", "SCALARS", "ScalarDomain", "parse_scalar",
-    "ContainmentError", "ExactMatrix", "SmithForm", "SpanSolver",
+    "ContainmentError", "SmithForm", "SpanSolver",
     "SubquotientInvariants", "SubspaceBasis", "smith_normal_form",
     "subquotient",
     "AssocAlgebra", "QuotientAlgebra", "commutator_span", "hochschild_h1",
@@ -42,7 +42,7 @@ __all__ = [
     "save_ring_json",
     "ACCEPTANCE_PAIRS", "RING_BUILDERS", "catalog_ring",
     "CentralExtensionModel", "GlAlgebra", "HomologyReport", "LeibnizAlgebra",
-    "LeibnizIdentityError", "SlAlgebra", "StructuralReport", "boundary",
+    "LeibnizIdentityError", "SlAlgebra", "StructuralReport",
     "bracket_span", "build_gl", "build_sl", "homology_hl", "is_central",
     "is_perfect", "iter_d3_columns", "make_leibniz", "structural_report",
     "uce",

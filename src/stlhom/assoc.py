@@ -270,22 +270,14 @@ def hochschild_h1(alg: AssocAlgebra) -> SubquotientInvariants:
     one = dom.one
     pair = dim * dim
 
-    # b1 as a matrix: column (i, j) is the commutator [e_i, e_j]
-    from .linalg import ExactMatrix
-    rows: dict[int, dict] = {}
-    for i in range(dim):
-        for j in range(dim):
-            col = i * dim + j
-            for k, c in alg.commutator({i: one}, {j: one}).items():
-                rows.setdefault(k, {})[col] = c
-    b1 = ExactMatrix(dom, dim, pair, rows)
+    # ker b1: the relations among the commutators [e_i, e_j], in (i, j) order
+    commutators = (alg.commutator({i: one}, {j: one})
+                   for i in range(dim) for j in range(dim))
     kern, image = make_echelon(dom), make_echelon(dom)
-    for v in b1.kernel_basis():
+    for v in SpanSolver(dom, dim, commutators).kernel():
         kern.insert(v)
     for i in range(dim):
-        ei = {i: one}
         for j in range(dim):
-            ej = {j: one}
             pij = alg.basis_product(i, j)
             for k in range(dim):
                 col: dict[int, object] = {}

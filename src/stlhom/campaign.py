@@ -97,10 +97,12 @@ class CampaignConfig:
                     f"ring spec must be (name_or_path, scalar), got {spec!r}")
             if spec not in algebras:  # validates token, scalar and the file
                 algebras[spec] = resolve_ring(*spec)
-        ns = sorted(set(ns))
-        if not ns or not set(ns) <= {3, 4, 5}:
+        ns = list(ns)
+        ints = all(isinstance(n, int) and not isinstance(n, bool) for n in ns)
+        if not ns or not ints or not set(ns) <= {3, 4, 5}:
             raise CampaignConfigError(f"ns must be a nonempty subset of "
                                       f"{{3, 4, 5}}, got {ns}")
+        ns = sorted(set(ns))
         checks = list(checks)
         if not checks:
             raise CampaignConfigError("at least one check is required")

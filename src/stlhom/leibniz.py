@@ -14,8 +14,7 @@ so HL_n = ker d_n / im d_(n+1) with d_1 = 0.
 
 Carriers may have per-coordinate torsion ``moduli`` (0 = free coordinate);
 equality of elements and the Leibniz identity are then read modulo those.
-Chain-complex computations (boundary, homology_hl, uce) require a free
-carrier.
+Chain-complex computations (homology_hl, uce) require a free carrier.
 
 Torus grading.  ``weights`` gives each basis vector a weight in Z^n, or is
 None for the trivial grading (every weight is 0 in Z^0).  ``build_sl``
@@ -41,7 +40,7 @@ from math import gcd
 
 from .assoc import AssocAlgebra
 from .domains import ScalarDomain
-from .linalg import (ExactMatrix, SpanSolver, SubspaceBasis, field_invariants,
+from .linalg import (SpanSolver, SubquotientInvariants, SubspaceBasis,
                      make_echelon, moduli_invariants, present_quotient,
                      subquotient, vec_axpy)
 
@@ -530,22 +529,6 @@ def iter_d3_columns(L: LeibnizAlgebra, weight_filter=None):
                     yield base + k, col
 
 
-def _column_applier(mat: ExactMatrix):
-    """A fast sparse 'multiply by mat' keyed on the vector's support."""
-    cols = mat.columns()
-    dom = mat.dom
-
-    def apply(vec: dict) -> dict:
-        out: dict[int, object] = {}
-        for j, x in vec.items():
-            col = cols.get(j)
-            if col:
-                vec_axpy(out, col, x, dom)
-        return out
-
-    return apply
-
-
 def _d3_image(L: LeibnizAlgebra, weight_filter=None, index=None):
     """Stream the d3 columns of L into an echelon of im(d3).
 
@@ -566,19 +549,12 @@ def _d3_image(L: LeibnizAlgebra, weight_filter=None, index=None):
     return img
 
 
-def boundary(L: LeibnizAlgebra, n: int) -> ExactMatrix:
-    """The chain differential d_2 as an ExactMatrix; d_3 is only streamed
-    (``iter_d3_columns``)."""
-    _require_free(L, "boundary")
-    if n != 2:
-        raise ValueError("boundary implemented for n = 2")
-    dim = L.dim
-    rows: dict[int, dict] = {}
-    for (i, j), w in L.table.items():
-        col = i * dim + j
-        for k, c in w.items():
-            rows.setdefault(k, {})[col] = L.dom.neg(c)
-    return ExactMatrix(L.dom, dim, dim * dim, rows)
+def _d2_columns(L: LeibnizAlgebra) -> dict[int, dict]:
+    """The nonzero columns of d2 in flat order: column i*dim + j is
+    -[e_i, e_j], read off the table."""
+    dim, neg = L.dim, L.dom.neg
+    return {i * dim + j: {k: neg(c) for k, c in w.items()}
+            for (i, j), w in sorted(L.table.items()) if w}
 
 
 class HomologyReport:
@@ -619,41 +595,40 @@ class HomologyReport:
 def homology_hl(L: LeibnizAlgebra, degree: int) -> HomologyReport:
     """HL_degree(L) for degree in {1, 2}, by exact sparse elimination.
 
-    Degree 1 presents L / im d2 off the echelon of the d2 columns
-    (``present_quotient``) on every domain.  Degree 2 streams the d3
-    columns straight into an echelon (see ``_d3_image``); over a field the
-    homology dimension then needs only the two ranks, while over Z the
+    The d2 columns are read off the table into one echelon: degree 1
+    presents L / im d2 off it (``present_quotient``) on every domain, and
+    degree 2 takes rank d2 from it.  Degree 2 streams the d3 columns
+    straight into an echelon (see ``_d3_image``); over a field the homology
+    dimension then needs only the two ranks, while over Z ker d2 is the
+    relation lattice of the d2 columns (``SpanSolver.kernel``) and the
     kernel/image subquotient is presented.
     """
     _require_free(L, "homology")
+    if degree not in (1, 2):
+        raise ValueError("homology_hl implemented for degrees 1 and 2")
     dom, dim = L.dom, L.dim
-    d2 = boundary(L, 2)
+    d2 = _d2_columns(L)
+    img2 = make_echelon(dom)
+    for col in d2.values():
+        img2.insert(col)
 
     if degree == 1:
         # d1 = 0: HL_1 = L / im d2
-        img = make_echelon(dom)
-        for col in d2.columns().values():
-            img.insert(col)
-        inv = moduli_invariants(dom, present_quotient(img, dim, dom).moduli)
-        return HomologyReport(L.name, 1, inv, dim, 0, img.rank, True)
-
-    if degree != 2:
-        raise ValueError("homology_hl implemented for degrees 1 and 2")
+        inv = moduli_invariants(dom, present_quotient(img2, dim, dom).moduli)
+        return HomologyReport(L.name, 1, inv, dim, 0, img2.rank, True)
 
     pair = dim * dim
-    rank_d2 = d2.rank()
     img = _d3_image(L)
-    rank_d3 = img.rank
-
     if dom.is_field:
-        inv = field_invariants(dom, (pair - rank_d2) - rank_d3)
-        return HomologyReport(L.name, 2, inv, pair, rank_d2, rank_d3, True)
-
-    kern = make_echelon(dom)
-    for v in d2.kernel_basis():
-        kern.insert(v)
-    inv = subquotient(kern, img, pair, dom)
-    return HomologyReport(L.name, 2, inv, pair, rank_d2, rank_d3, True)
+        inv = SubquotientInvariants(dom.name, (pair - img2.rank) - img.rank)
+    else:
+        # ker d2: the relations among all pair columns, zero ones included
+        cols = (d2.get(c, {}) for c in range(pair))
+        kern = make_echelon(dom)
+        for v in SpanSolver(dom, dim, cols).kernel():
+            kern.insert(v)
+        inv = subquotient(kern, img, pair, dom)
+    return HomologyReport(L.name, 2, inv, pair, img2.rank, img.rank, True)
 
 
 # ---------------------------------------------------------------------------
@@ -734,30 +709,24 @@ def structural_report(L: LeibnizAlgebra) -> StructuralReport:
     perfect = _spans_everything(span)
     abel = dim - span.rank
 
-    # center: [x, e_j] = 0 = [e_j, x] for all j, modulo moduli
-    ncond = 2 * dim * dim
-    slack: list[tuple[int, int]] = []   # (condition row, modulus)
-    rows_m: dict[int, dict] = {}
-    for i in range(dim):
-        for j in range(dim):
-            w = L.basis_bracket(i, j)
-            for k, c in w.items():
-                rows_m.setdefault(j * dim + k, {})[i] = c
-            for k, c in L.basis_bracket(j, i).items():
-                rows_m.setdefault(dim * dim + j * dim + k, {})[i] = c
-    ncols = dim
-    if not dom.is_field and any(L.moduli):
+    # center: [x, e_j] = 0 = [e_j, x] for all j, modulo moduli.  Its
+    # coordinates x_i, then one slack per (condition, modulus), are the
+    # relations among the columns of these 2 dim^2 conditions.
+    sq = dim * dim
+    cols: list[dict] = [{} for _ in range(dim)]
+    for (i, j), w in L.table.items():
+        for k, c in w.items():
+            cols[i][j * dim + k] = c
+            cols[j][sq + i * dim + k] = c
+    if not dom.is_field:
         for j in range(dim):
             for k, m in enumerate(L.moduli):
                 if m:
-                    rows_m.setdefault(j * dim + k, {})[ncols] = m
-                    ncols += 1
-                    rows_m.setdefault(dim * dim + j * dim + k, {})[ncols] = m
-                    ncols += 1
-    mat = ExactMatrix(dom, ncond, ncols, rows_m)
+                    cols.append({j * dim + k: m})
+                    cols.append({sq + j * dim + k: m})
     center = SubspaceBasis(dom, dim)
     basis_out = []
-    for v in mat.kernel_basis():
+    for v in SpanSolver(dom, 2 * sq, cols).kernel():
         x = L.reduce_vec({k: c for k, c in v.items() if k < dim})
         if x and center.add(x):
             basis_out.append(x)
@@ -842,7 +811,8 @@ def uce(L: LeibnizAlgebra) -> CentralExtensionModel:
     """The universal central extension of a perfect Leibniz algebra.
 
     Model: (L (x) L)/im(d3) with bracket [u, v] = class(pi(u) (x) pi(v)),
-    pi = -d2.  Coordinates are adapted: the first dim(L) coordinates are
+    where pi = -d2 is the bracket of the tensor factors, pi(x (x) y) =
+    [x, y].  Coordinates are adapted: the first dim(L) coordinates are
     pi(v), so the projection is literally [I | 0]; the rest present the
     kernel ker(d2)/im(d3) = HL_2(L).  With chosen preimages w_s, pi(w_s) =
     e_s, L (x) L = ker(d2) (+) span(w_s), so that kernel is
@@ -866,17 +836,13 @@ def uce(L: LeibnizAlgebra) -> CentralExtensionModel:
     _require_free(L, "uce")
     dom, dim = L.dom, L.dim
     one = dom.one
-    d2 = boundary(L, 2)
-    apply_d2 = _column_applier(d2)
 
     # choose preimages w_s with pi(w_s) = e_s, streaming d2 columns until
     # they span (unimodularly, over Z)
     head = SubspaceBasis(dom, dim)
     colsolver = SpanSolver(dom, dim)
     colindex: list[int] = []
-    cols = d2.columns()
-    for col in sorted(cols):
-        vec = cols[col]
+    for col, vec in _d2_columns(L).items():
         colsolver.add(vec)
         colindex.append(col)
         head.add(vec)
@@ -930,7 +896,11 @@ def uce(L: LeibnizAlgebra) -> CentralExtensionModel:
 
     def tensor_coords(v: dict) -> dict:
         """Coordinates of the class of a tensor v in the adapted basis."""
-        out = {s: dom.neg(c) for s, c in apply_d2(v).items()}  # pi = -d2
+        out: dict = {}   # pi(v): the bracket of the factors of each pair
+        for p, c in v.items():
+            w = L.table.get(divmod(p, dim))
+            if w:
+                vec_axpy(out, w, c, dom)
         if index is not None:   # the class of v is that of its special part
             v = {index[p]: c for p, c in v.items() if p in index}
         for i, c in pres.coords(v).items():

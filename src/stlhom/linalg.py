@@ -16,14 +16,16 @@ other rows' pivot columns, so an insert never touches the stored rows.  The
 fully reduced rows (the reduced row echelon form of the span) are built on
 demand by ``row_dicts()``.
 
-On top of the engines: right kernels, span solvers, and one reading of a
-quotient dom^width/span(R) off the echelon R was inserted into
-(``present_quotient``): the non-pivot columns over a field, the Smith form
-of the Hermite rows over Z, whose unimodular row transform gives the
-coordinates.  ``present_quotient`` is the only caller of
-``smith_normal_form``.  The invariants of a subquotient span(K)/span(I)
+On top of the engines: span solvers (``SpanSolver``), which express targets
+in a generating family and give the relations among its generators, so a
+kernel is the relation module of a matrix's columns and no matrix type is
+needed; and one reading of a quotient dom^width/span(R) off the echelon R
+was inserted into (``present_quotient``): the non-pivot columns over a
+field, the Smith form of the Hermite rows over Z, whose unimodular row
+transform gives the coordinates.  ``present_quotient`` is the only caller
+of ``smith_normal_form``.  The invariants of a subquotient span(K)/span(I)
 (``subquotient``) are those of the quotient presentation of I's
-coordinates in a basis of K.
+coordinates in a basis of K, solved for by a ``SpanSolver`` over K.
 """
 
 from __future__ import annotations
@@ -429,7 +431,8 @@ class SpanSolver:
     target is solvable iff its head reduces to zero, and the tail then holds
     the coefficients (with respect to the *original* generator indices, even
     when the generators are dependent).  Over Z solvability means lattice
-    membership.
+    membership.  The rows whose head vanishes carry the relations among the
+    generators in their tails (``kernel``).
     """
 
     __slots__ = ("dom", "width", "count", "_eng")
@@ -459,6 +462,19 @@ class SpanSolver:
             return None
         neg = self.dom.neg
         return {k - w: neg(x) for k, x in res.items()}
+
+    def kernel(self) -> list[dict]:
+        """Basis of the relations {c : sum c_i v_i = 0} among the generators.
+
+        These are the tails of the echelon rows whose pivot lies in the
+        tail, in pivot order.  Over Z the echelon of [generators | I] is in
+        Hermite form, so the relation lattice comes out saturated (it is the
+        kernel of a homomorphism).
+        """
+        w = self.width
+        rows = self._eng.row_dicts()
+        return [{k - w: x for k, x in rows[p].items()}
+                for p in sorted(rows) if p >= w]
 
 
 class SubspaceBasis:
@@ -497,110 +513,6 @@ class SubspaceBasis:
 
     def reduce(self, v: dict) -> dict:
         return self.engine.reduce(v)
-
-
-# ---------------------------------------------------------------------------
-# matrices
-
-
-class ExactMatrix:
-    """A sparse matrix over an exact domain (row-major dict of dicts)."""
-
-    __slots__ = ("dom", "nrows", "ncols", "rows")
-
-    def __init__(self, dom: ScalarDomain, nrows: int, ncols: int,
-                 rows: dict[int, dict] | None = None):
-        self.dom = dom
-        self.nrows = nrows
-        self.ncols = ncols
-        self.rows = rows if rows is not None else {}
-
-    @classmethod
-    def from_dense(cls, dom, matrix) -> "ExactMatrix":
-        rows: dict[int, dict] = {}
-        for i, row in enumerate(matrix):
-            for j, val in enumerate(row):
-                val = dom.normalize(val)
-                if val:
-                    rows.setdefault(i, {})[j] = val
-        return cls(dom, len(matrix), len(matrix[0]) if matrix else 0, rows)
-
-    def to_dense(self) -> list[list]:
-        zero = self.dom.zero
-        out = [[zero] * self.ncols for _ in range(self.nrows)]
-        for i, row in self.rows.items():
-            for j, val in row.items():
-                out[i][j] = val
-        return out
-
-    def columns(self) -> dict[int, dict]:
-        cols: dict[int, dict] = {}
-        for i, row in self.rows.items():
-            for j, val in row.items():
-                cols.setdefault(j, {})[i] = val
-        return cols
-
-    def matvec(self, v: dict) -> dict:
-        """Matrix-vector product A @ v for a sparse column vector v."""
-        out: dict[int, object] = {}
-        dom = self.dom
-        for i, row in self.rows.items():
-            acc = dom.zero
-            for j, c in row.items():
-                x = v.get(j)
-                if x is not None:
-                    acc = dom.add(acc, dom.mul(c, x))
-            if acc:
-                out[i] = acc
-        return out
-
-    def is_zero(self) -> bool:
-        return not any(self.rows.values())
-
-    def rank(self) -> int:
-        eng = make_echelon(self.dom)
-        for row in self.rows.values():
-            eng.insert(row)
-        return eng.rank
-
-    def kernel_basis(self) -> list[dict]:
-        """Basis of the right kernel {x : A x = 0}.
-
-        Over a field this is the standard free-column construction from the
-        reduced row echelon form.  Over Z we echelonize the rows of
-        [A^T | I]; basis rows whose head part vanishes carry a basis of the
-        kernel lattice in their tails, and that lattice is automatically
-        saturated (it is the kernel of a homomorphism).
-        """
-        if self.dom.is_field:
-            eng = make_echelon(self.dom)
-            for row in self.rows.values():
-                eng.insert(row)
-            rows = eng.row_dicts()
-            dom = self.dom
-            basis = []
-            for f in range(self.ncols):
-                if f in rows:
-                    continue
-                v = {f: dom.one}
-                for p, r in rows.items():
-                    c = r.get(f)
-                    if c:
-                        v[p] = dom.neg(c)
-                basis.append(v)
-            return basis
-        cols = self.columns()
-        eng = HermiteBasis()
-        for j in range(self.ncols):
-            v = dict(cols.get(j, {}))
-            v[self.nrows + j] = 1
-            eng.insert(v)
-        basis = []
-        for p in sorted(eng.rows):
-            if p >= self.nrows:
-                row = eng.rows[p]
-                basis.append({k - self.nrows: x for k, x in row.items()})
-        return basis
 
 
 # ---------------------------------------------------------------------------
@@ -828,15 +740,11 @@ class SubquotientInvariants:
         return " + ".join(parts) if parts else "0"
 
 
-def field_invariants(dom: ScalarDomain, dimension: int) -> SubquotientInvariants:
-    return SubquotientInvariants(dom.name, dimension, None)
-
-
 def moduli_invariants(dom: ScalarDomain, moduli) -> SubquotientInvariants:
     """Invariants of the group with one coordinate per modulus: Z/d for
     d > 0, a free summand for 0 (over a field every modulus is 0)."""
     if dom.is_field:
-        return field_invariants(dom, len(moduli))
+        return SubquotientInvariants(dom.name, len(moduli))
     factors = (sorted(d for d in moduli if d)
                + [0] * sum(1 for d in moduli if not d))
     return SubquotientInvariants("z", len(factors), factors)
@@ -853,23 +761,15 @@ def subquotient(kern, img, width: int,
     coordinates of the image rows in the kernel basis present the
     subquotient as dom^rank(K)/span(coordinates) (``present_quotient``).
     """
-    # augmented copy of the kernel basis: tails record coordinates
-    kpivs = kern.pivots()
-    tail = {p: width + idx for idx, p in enumerate(kpivs)}
-    aug = make_echelon(dom)
     kern_rows = kern.row_dicts()
-    for p in kpivs:
-        row = dict(kern_rows[p])
-        row[tail[p]] = dom.one
-        aug.insert(row)
-
+    solver = SpanSolver(dom, width, (kern_rows[p] for p in kern.pivots()))
     rel = make_echelon(dom)
     for p, row in img.row_dicts().items():
-        res = aug.reduce(dict(row))
-        if any(kk < width for kk in res):
+        coeffs = solver.solve(row)
+        if coeffs is None:
             raise ContainmentError(
                 f"image vector with pivot {p} is not contained in the kernel span")
-        rel.insert({kk - width: dom.neg(x) for kk, x in res.items()})
+        rel.insert(coeffs)
     return moduli_invariants(dom, present_quotient(rel, kern.rank, dom).moduli)
 
 

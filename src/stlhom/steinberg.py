@@ -219,15 +219,27 @@ class CocycleValue:
         return f"CocycleValue({self.space.describe(self.coords)})"
 
 
-def _check_descriptor(desc, n: int) -> None:
+def _in_range(x, lo: int, hi: int) -> bool:
+    """Is x an int (not a bool) with lo <= x < hi?"""
+    return isinstance(x, int) and not isinstance(x, bool) and lo <= x < hi
+
+
+def _check_descriptor(desc, n: int, dim: int) -> None:
+    """Raise ValueError unless desc is ("x", i, j, a) with i != j in 1..n,
+    ("t", a, b) or ("T", i, a) with i in 2..n, where the ring elements a, b
+    are dicts on basis keys in range(dim)."""
+    def element(a) -> bool:
+        return isinstance(a, dict) and all(_in_range(k, 0, dim) for k in a)
+
     ok = (isinstance(desc, tuple) and desc
           and ((desc[0] == "x" and len(desc) == 4
-                and 1 <= desc[1] != desc[2] and desc[1] <= n and desc[2] <= n
-                and isinstance(desc[3], dict))
+                and _in_range(desc[1], 1, n + 1)
+                and _in_range(desc[2], 1, n + 1) and desc[1] != desc[2]
+                and element(desc[3]))
                or (desc[0] == "t" and len(desc) == 3
-                   and isinstance(desc[1], dict) and isinstance(desc[2], dict))
+                   and element(desc[1]) and element(desc[2]))
                or (desc[0] == "T" and len(desc) == 3
-                   and 2 <= desc[1] <= n and isinstance(desc[2], dict))))
+                   and _in_range(desc[1], 2, n + 1) and element(desc[2]))))
     if not ok:
         raise ValueError(f"malformed basis element descriptor: {desc!r}")
 
@@ -248,8 +260,8 @@ def psi3(x, y, r3: QuotientAlgebra) -> CocycleValue:
 def _psi(n: int, x, y, rm: QuotientAlgebra,
          theta: ThetaMap | None) -> CocycleValue:
     """psi on two descriptors: the pair rule, bilinear in the ring elements."""
-    _check_descriptor(x, n)
-    _check_descriptor(y, n)
+    _check_descriptor(x, n, rm.base.dim)
+    _check_descriptor(y, n, rm.base.dim)
     space = CocycleSpace(n, rm)
     out: dict = {}
     if x[0] == "x" and y[0] == "x":

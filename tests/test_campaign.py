@@ -46,6 +46,13 @@ def test_config_rejects_bad_ns():
         small_config(ns=[3, 6])
 
 
+def test_config_rejects_non_int_ns():
+    # 3.0 == 3 and True == 1 would pass a bare subset test
+    for ns in ([3.0], [3, 4.0], [True], ["3"], [[3]]):
+        with pytest.raises(CampaignConfigError, match="subset"):
+            small_config(ns=ns)
+
+
 def test_config_rejects_bad_checks():
     with pytest.raises(CampaignConfigError):
         small_config(checks=["nope"])

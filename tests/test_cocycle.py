@@ -113,12 +113,21 @@ def test_psi_rejects_malformed_descriptors():
     rm2 = quotient_Rm(ring("ground", "f2"), 2)
     theta = build_theta()
     one = {0: 1}
+    # indices are ints (not bools) in 1..n, ring keys lie in range(dim R)
+    malformed = [("x", 1, 0, one), ("x", 1, -2, one), ("x", True, 2, one),
+                 ("x", 1, 2.0, one), ("x", 1, 2, {5: 1}),
+                 ("x", 1, 2, {"a": 1}), ("t", one, {1: 1}),
+                 ("T", True, one), ("T", 2, {-1: 1})]
     for bad in [("x", 1, 1, one), ("x", 0, 2, one), ("x", 1, 5, one),
-                ("y", 1, 2, one), ("x", 1, 2), ("T", 1, one), 7, ()]:
+                ("y", 1, 2, one), ("x", 1, 2), ("T", 1, one), 7,
+                ()] + malformed:
         with pytest.raises(ValueError):
             psi4(bad, ("x", 3, 4, one), rm2, theta)
-    with pytest.raises(ValueError):
-        psi3(("x", 1, 4, one), ("x", 1, 2, one), rm3)   # index out of range
+        with pytest.raises(ValueError):
+            psi4(("x", 3, 4, one), bad, rm2, theta)
+    for bad in [("x", 1, 4, one)] + malformed:   # 4 is out of range at n = 3
+        with pytest.raises(ValueError):
+            psi3(bad, ("x", 1, 2, one), rm3)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from stlhom.assoc import make_algebra
 from stlhom.catalog import ACCEPTANCE_PAIRS, catalog_ring
 from stlhom.domains import F2, F3, F5, Q, Z, parse_scalar
 from stlhom.leibniz import (CentralExtensionModel, LeibnizAlgebra,
-                            LeibnizIdentityError, boundary, build_gl,
+                            LeibnizIdentityError, _d2_columns, build_gl,
                             build_sl, homology_hl, is_central,
                             iter_d3_columns, make_leibniz, special_weight,
                             structural_report, uce)
@@ -297,12 +297,14 @@ _SL_DUAL_F5 = build_sl(3, catalog_ring("dual", F5))
 
 
 def test_boundary_matches_dense_assembly():
-    # d2 is assembled; d3 is only streamed, and the stream yields exactly
-    # the nonzero columns of the dense d3, in column order
+    # d2 and d3 are both read column by column off the table: each yields
+    # exactly the nonzero columns of its dense assembly, in column order
     for ring, dom in [("ground", F3), ("dual", F2)]:
         L = build_gl(2, catalog_ring(ring, dom))
-        d2 = boundary(L, 2)
-        assert d2.to_dense() == dense_d2(L)
+        d2 = dense_d2(L)
+        cols = [(c, {r: row[c] for r, row in enumerate(d2) if row[c]})
+                for c in range(L.dim ** 2)]
+        assert list(_d2_columns(L).items()) == [(c, v) for c, v in cols if v]
         d3 = dense_d3(L)
         cols = [(c, {r: row[c] for r, row in enumerate(d3) if row[c]})
                 for c in range(L.dim ** 3)]
@@ -324,14 +326,15 @@ def test_boundary_squares_to_zero_densely():
 
 def test_boundary_rejects_bad_degree_and_torsion():
     L = make_leibniz(F2, 2, {}, name="ab")
-    for n in (1, 3, 4):
-        with pytest.raises(ValueError):
-            boundary(L, n)
+    for n in (0, 3, 4):
+        with pytest.raises(ValueError, match="degrees 1 and 2"):
+            homology_hl(L, n)
     T = make_leibniz(Z, 2, {}, moduli=[2, 0], name="t")
-    with pytest.raises(ValueError):
-        boundary(T, 2)
-    with pytest.raises(ValueError):
-        homology_hl(T, 2)
+    for degree in (1, 2):
+        with pytest.raises(ValueError, match="free carrier"):
+            homology_hl(T, degree)
+    with pytest.raises(ValueError, match="free carrier"):
+        uce(T)
 
 
 def test_homology_of_abelian_carriers():

@@ -1,13 +1,17 @@
 """Source lint as tests: no bare ``assert`` statements and no unused
-imports in the package.
+imports in the package, and a package namespace that exports exactly what
+it imports.
 
 ``python -O`` strips asserts, so a certification step or a grading check
 written as one would silently vanish; every check raises explicitly.  An
-import that nothing reads is left over from deleted code.
+import that nothing reads, or an export of a name no longer imported, is
+left over from deleted code.
 """
 
 import ast
 from pathlib import Path
+
+import stlhom
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "stlhom"
 
@@ -60,3 +64,13 @@ def test_package_has_no_unused_imports():
                    for name, line in sorted(imported.items())
                    if name not in used]
     assert not unused, f"unused imports: {unused}"
+
+
+def test_init_exports_exactly_what_it_imports():
+    path = SRC / "__init__.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {a.asname or a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    exported = stlhom.__all__
+    assert len(exported) == len(set(exported)), "duplicates in __all__"
+    assert set(exported) == imported

@@ -360,8 +360,10 @@ def test_make_leibniz_accepts_the_certified_totals(name, scal, n):
 
 
 NEGATIVE_CONTROLS = """
-from stlhom import (F2, F3, LeibnizAlgebra, LeibnizIdentityError, build_hat,
-                    build_theta, catalog_ring, corrupted_theta, homology_hl)
+from stlhom import (F2, F3, CampaignConfig, CampaignConfigError,
+                    LeibnizAlgebra, LeibnizIdentityError, build_hat,
+                    build_theta, catalog_ring, corrupted_theta, homology_hl,
+                    psi3, quotient_Rm)
 print("debug", __debug__)
 try:
     build_hat(4, catalog_ring("ground", F2),
@@ -374,6 +376,16 @@ try:
     homology_hl(bad, 2)
 except LeibnizIdentityError as exc:
     print("homology raises with a triple of", len(exc.triple))
+r3 = quotient_Rm(catalog_ring("ground", F3), 3)
+for bad in [("x", 1, 0, {0: 1}), ("x", True, 2, {0: 1}), ("x", 1, 2, {5: 1})]:
+    try:
+        psi3(bad, ("x", 1, 2, {0: 1}), r3)
+    except ValueError:
+        print("psi3 rejects", bad)
+try:
+    CampaignConfig([("ground", "f3")], [3.0], ["homology"])
+except CampaignConfigError:
+    print("config rejects ns [3.0]")
 """
 
 
@@ -388,7 +400,11 @@ def test_negative_controls_fire_under_python_O():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "debug False", "hat raises with a triple of 3",
-        "homology raises with a triple of 3"]
+        "homology raises with a triple of 3",
+        "psi3 rejects ('x', 1, 0, {0: 1})",
+        "psi3 rejects ('x', True, 2, {0: 1})",
+        "psi3 rejects ('x', 1, 2, {5: 1})",
+        "config rejects ns [3.0]"]
 
 
 @pytest.mark.parametrize("name,scal,n", [
