@@ -180,21 +180,6 @@ def commutator_span(alg: AssocAlgebra) -> SubspaceBasis:
     return span
 
 
-def left_right_commutator_spans_agree(alg: AssocAlgebra) -> bool:
-    """Compare span(R*[R,R]) with span([R,R]*R) (not assumed equal)."""
-    comm = commutator_span(alg).vectors()
-    one = alg.dom.one
-    left = SubspaceBasis(alg.dom, alg.dim)
-    right = SubspaceBasis(alg.dom, alg.dim)
-    for i in range(alg.dim):
-        ei = {i: one}
-        for c in comm:
-            left.add(alg.multiply(ei, c))
-            right.add(alg.multiply(c, ei))
-    lv, rv = left.vectors(), right.vectors()
-    return all(right.contains(v) for v in lv) and all(left.contains(v) for v in rv)
-
-
 def ideal_Im(alg: AssocAlgebra, m: int) -> SubspaceBasis:
     """The two-sided ideal m*R + R*[R,R], closed under both multiplications.
 

@@ -76,6 +76,10 @@ def resolve_ring(token: str, scalar: str) -> AssocAlgebra:
         f"nor an existing file")
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class CampaignConfig:
     """Validated request: which rings, which n, which checks, how to run.
 
@@ -98,8 +102,7 @@ class CampaignConfig:
             if spec not in algebras:  # validates token, scalar and the file
                 algebras[spec] = resolve_ring(*spec)
         ns = list(ns)
-        ints = all(isinstance(n, int) and not isinstance(n, bool) for n in ns)
-        if not ns or not ints or not set(ns) <= {3, 4, 5}:
+        if not ns or not all(map(_is_int, ns)) or not set(ns) <= {3, 4, 5}:
             raise CampaignConfigError(f"ns must be a nonempty subset of "
                                       f"{{3, 4, 5}}, got {ns}")
         ns = sorted(set(ns))
@@ -113,9 +116,9 @@ class CampaignConfig:
         if "all" in checks:
             checks = list(CHECK_NAMES)
         checks = sorted(set(checks))
-        if not isinstance(jobs, int) or jobs < 1:
+        if not _is_int(jobs) or jobs < 1:
             raise CampaignConfigError(f"jobs must be a positive int, got {jobs!r}")
-        if not isinstance(max_cube, int) or max_cube < 1:
+        if not _is_int(max_cube) or max_cube < 1:
             raise CampaignConfigError(
                 f"max_cube must be a positive int, got {max_cube!r}")
         self.rings = rings

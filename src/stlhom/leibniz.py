@@ -91,9 +91,6 @@ class LeibnizAlgebra:
                 out[k] = x
         return out
 
-    def basis_bracket(self, i: int, j: int) -> dict:
-        return self.table.get((i, j), {})
-
     def bracket(self, u: dict, v: dict) -> dict:
         dom = self.dom
         out: dict[int, object] = {}
@@ -251,9 +248,6 @@ class GlAlgebra(LeibnizAlgebra):
 
     __slots__ = ("n", "ring")
 
-    def eij_index(self, i: int, j: int, lam: int) -> int:
-        return (i * self.n + j) * self.ring.dim + lam
-
     def eij(self, i: int, j: int, a: dict) -> dict:
         """E_ij(a) for a ring element a in coordinates."""
         base = (i * self.n + j) * self.ring.dim
@@ -315,12 +309,6 @@ class SlAlgebra(LeibnizAlgebra):
     """sl_n(R) = [gl, gl] in its own coordinates, with gl translation."""
 
     __slots__ = ("n", "ring", "gl", "basis", "_solver")
-
-    def to_gl(self, v: dict) -> dict:
-        out: dict[int, object] = {}
-        for t, c in v.items():
-            vec_axpy(out, self.basis[t], c, self.dom)
-        return out
 
     def from_gl(self, glvec: dict) -> dict:
         coeffs = self._solver.solve(glvec)
@@ -751,16 +739,14 @@ class CentralExtensionModel:
     kappa(x,[y,z]) - kappa([x,y],z) + kappa([x,z],y) = 0 on base triples
     (modulo the kernel moduli); the constructor checks it and raises
     ``LeibnizIdentityError`` with the witness triple.  ``kernel_invariants``
-    are read off the kernel moduli.  The universal model also maps tensor
-    classes to coordinates (``tensor_coords``).
+    are read off the kernel moduli.  The class of a tensor e_s (x) e_t is
+    the total bracket [e_s, e_t] (``tensor_coords``).
     """
 
-    __slots__ = ("total", "base", "kernel_invariants", "tensor_coords",
-                 "kernel_moduli")
+    __slots__ = ("total", "base", "kernel_invariants", "kernel_moduli")
 
     def __init__(self, base: LeibnizAlgebra, kernel_moduli: list[int],
-                 kappa: dict, name: str, kernel_labels: list[str],
-                 tensor_coords=None):
+                 kappa: dict, name: str, kernel_labels: list[str]):
         if not base.certified:
             raise ValueError(f"the base {base.name} of a central extension "
                              f"must be a certified Leibniz algebra")
@@ -776,7 +762,6 @@ class CentralExtensionModel:
             list(base.moduli) + list(kernel_moduli), name)
         self.base = base
         self.kernel_invariants = moduli_invariants(base.dom, kernel_moduli)
-        self.tensor_coords = tensor_coords
         self.kernel_moduli = kernel_moduli
         _check_identity(self.total, bd, base.table, shifted,
                         "cocycle condition kappa(x,[y,z]) = kappa([x,y],z) "
@@ -791,20 +776,17 @@ class CentralExtensionModel:
         bd = self.base.dim
         return {k - bd: c for k, c in v.items() if k >= bd}
 
-    def check_homomorphism_on_basis(self) -> None:
-        for (s, t), w in self.total.table.items():
-            ps = self.project({s: self.total.dom.one})
-            pt = self.project({t: self.total.dom.one})
-            if not self.base.eq_vec(self.project(w), self.base.bracket(ps, pt)):
-                raise AssertionError(
-                    f"projection is not a homomorphism at ({s},{t})")
-
-    def check_kernel_central(self) -> None:
-        bd = self.base.dim
-        for (s, t), w in self.total.table.items():
-            if (s >= bd or t >= bd) and w:
-                raise AssertionError(
-                    f"kernel coordinate brackets nontrivially at ({s},{t})")
+    def tensor_coords(self, v: dict) -> dict:
+        """Coordinates of the class of a tensor v over base (x) base, pair
+        (s, t) at flat index s * dim(base) + t: the sum of v_p [e_s, e_t]."""
+        total = self.total
+        dom, bd = total.dom, self.base.dim
+        out: dict = {}
+        for p, c in v.items():
+            w = total.table.get(divmod(p, bd))
+            if w:
+                vec_axpy(out, w, c, dom)
+        return total.reduce_vec(out)
 
 
 def uce(L: LeibnizAlgebra) -> CentralExtensionModel:
@@ -812,12 +794,15 @@ def uce(L: LeibnizAlgebra) -> CentralExtensionModel:
 
     Model: (L (x) L)/im(d3) with bracket [u, v] = class(pi(u) (x) pi(v)),
     where pi = -d2 is the bracket of the tensor factors, pi(x (x) y) =
-    [x, y].  Coordinates are adapted: the first dim(L) coordinates are
-    pi(v), so the projection is literally [I | 0]; the rest present the
-    kernel ker(d2)/im(d3) = HL_2(L).  With chosen preimages w_s, pi(w_s) =
-    e_s, L (x) L = ker(d2) (+) span(w_s), so that kernel is
-    (L (x) L)/(im d3 + span w_s): one presentation on every domain, read
-    off the d3 echelon with the w_s inserted (``present_quotient``).
+    [x, y].  So the class of e_s (x) e_t is the total bracket [e_s, e_t],
+    and the class of any tensor is read off the total's table
+    (``CentralExtensionModel.tensor_coords``).  Coordinates are adapted: the
+    first dim(L) coordinates are pi(v), so the projection is literally
+    [I | 0]; the rest present the kernel ker(d2)/im(d3) = HL_2(L).  With
+    chosen preimages w_s, pi(w_s) = e_s, L (x) L = ker(d2) (+) span(w_s),
+    so that kernel is (L (x) L)/(im d3 + span w_s): one presentation on
+    every domain, read off the d3 echelon with the w_s inserted
+    (``present_quotient``).
 
     On a graded L (``build_sl``) every piece splits by weight: the w_s are
     homogeneous (checked), and in a weight mu that is not special, some
@@ -826,12 +811,13 @@ def uce(L: LeibnizAlgebra) -> CentralExtensionModel:
     of weight mu has class 0.  So only the pairs (s, t) of special weight
     wt(s) + wt(t) are kept, numbered in their flat order; only the d3
     triples of special total weight are streamed, only the w_s of special
-    weight are inserted, and a tensor's class is read off its special part.
-    Over a field the pivots of a graded subspace are the union of its
-    weight blocks' pivots and forward residuals are canonical, so this is
-    the table of the full stream; over Z the kernel has the same
-    invariants, in another basis.  Under the trivial grading every pair is
-    special and the full cube is streamed.
+    weight are inserted, and kappa vanishes off the special pairs, so a
+    tensor's class is read off its special part.  Over a field the pivots
+    of a graded subspace are the union of its weight blocks' pivots and
+    forward residuals are canonical, so this is the table of the full
+    stream; over Z the kernel has the same invariants, in another basis.
+    Under the trivial grading every pair is special and the full cube is
+    streamed.
     """
     _require_free(L, "uce")
     dom, dim = L.dom, L.dim
@@ -894,20 +880,8 @@ def uce(L: LeibnizAlgebra) -> CentralExtensionModel:
                 f"the preimage of {L.labels[s]} adds no pivot to im(d3)")
     pres = present_quotient(rel, len(pairs), dom)
 
-    def tensor_coords(v: dict) -> dict:
-        """Coordinates of the class of a tensor v in the adapted basis."""
-        out: dict = {}   # pi(v): the bracket of the factors of each pair
-        for p, c in v.items():
-            w = L.table.get(divmod(p, dim))
-            if w:
-                vec_axpy(out, w, c, dom)
-        if index is not None:   # the class of v is that of its special part
-            v = {index[p]: c for p, c in v.items() if p in index}
-        for i, c in pres.coords(v).items():
-            out[dim + i] = c
-        return out
-
-    # the kernel part of each base-pair bracket in the adapted basis
+    # the kernel part of each base-pair bracket in the adapted basis; zero
+    # off the special pairs
     kappa: dict = {}
     for c, p in enumerate(pairs):
         kern = pres.coords({c: one})
@@ -915,5 +889,4 @@ def uce(L: LeibnizAlgebra) -> CentralExtensionModel:
             kappa[divmod(p, dim)] = kern
     return CentralExtensionModel(
         L, pres.moduli, kappa, f"uce({L.name})",
-        [f"z{i}" for i in range(pres.dim)],
-        tensor_coords=tensor_coords)
+        [f"z{i}" for i in range(pres.dim)])

@@ -20,12 +20,12 @@ Index conventions: matrix positions i, j are 1-based throughout this module
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import permutations
 
 from .assoc import AssocAlgebra, QuotientAlgebra, hochschild_h1, quotient_Rm
-from .leibniz import (CentralExtensionModel, LeibnizAlgebra, SlAlgebra,
-                      build_sl, is_central, is_perfect, structural_report,
-                      uce)
+from .leibniz import (CentralExtensionModel, LeibnizAlgebra, build_sl,
+                      is_central, is_perfect, structural_report, uce)
 from .linalg import (SpanSolver, SubquotientInvariants, make_echelon,
                      moduli_invariants, present_quotient, subquotient,
                      vec_axpy)
@@ -108,7 +108,8 @@ def build_theta() -> ThetaMap:
     quadruples into those orbits.  The orbit of (1,2,3,4) gets label 1; the
     remaining orbits get 2..6 in lexicographic order of their minimal
     member (the labeling of those five is a free choice; any relabeling
-    permutes the coordinates of W and nothing else).
+    permutes the coordinates of W and nothing else).  Raises ValueError
+    if the labeling fails ``ThetaMap.validate``.
     """
     seen: set[tuple] = set()
     orbits: list[list[tuple]] = []
@@ -127,7 +128,11 @@ def build_theta() -> ThetaMap:
         reps.append(min(orbit))
         for q in orbit:
             table[q] = m
-    return ThetaMap(table, tuple(reps))
+    theta = ThetaMap(table, tuple(reps))
+    problems = theta.validate()
+    if problems:
+        raise ValueError(f"theta breaks its defining properties: {problems}")
+    return theta
 
 
 def corrupted_theta(theta: ThetaMap) -> ThetaMap:
@@ -224,12 +229,17 @@ def _in_range(x, lo: int, hi: int) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and lo <= x < hi
 
 
-def _check_descriptor(desc, n: int, dim: int) -> None:
+def _check_descriptor(desc, n: int, ring: AssocAlgebra) -> None:
     """Raise ValueError unless desc is ("x", i, j, a) with i != j in 1..n,
     ("t", a, b) or ("T", i, a) with i in 2..n, where the ring elements a, b
-    are dicts on basis keys in range(dim)."""
+    are dicts from basis keys in range(dim R) to scalars of R: ints (not
+    bools), or Fractions over Q."""
+    scalars = (int, Fraction) if ring.dom.name == "q" else int
+
     def element(a) -> bool:
-        return isinstance(a, dict) and all(_in_range(k, 0, dim) for k in a)
+        return isinstance(a, dict) and all(
+            _in_range(k, 0, ring.dim) and isinstance(c, scalars)
+            and not isinstance(c, bool) for k, c in a.items())
 
     ok = (isinstance(desc, tuple) and desc
           and ((desc[0] == "x" and len(desc) == 4
@@ -260,8 +270,8 @@ def psi3(x, y, r3: QuotientAlgebra) -> CocycleValue:
 def _psi(n: int, x, y, rm: QuotientAlgebra,
          theta: ThetaMap | None) -> CocycleValue:
     """psi on two descriptors: the pair rule, bilinear in the ring elements."""
-    _check_descriptor(x, n, rm.base.dim)
-    _check_descriptor(y, n, rm.base.dim)
+    _check_descriptor(x, n, rm.base)
+    _check_descriptor(y, n, rm.base)
     space = CocycleSpace(n, rm)
     out: dict = {}
     if x[0] == "x" and y[0] == "x":
@@ -702,17 +712,6 @@ class SteinbergModel:
                 f"kernel={self.kernel_invariants.describe()})")
 
 
-def _tensor_of(sl: SlAlgebra, u: dict, v: dict) -> dict:
-    dom, dim = sl.dom, sl.dim
-    out = {}
-    for s, cu in u.items():
-        for t, cv in v.items():
-            c = dom.mul(cu, cv)
-            if c:
-                out[s * dim + t] = c
-    return out
-
-
 def build_stl(n: int, ring: AssocAlgebra) -> SteinbergModel:
     """Concrete stl_n(R): quotient the universal central extension of
     sl_n(R) by the span N of the tensor classes at disjoint positions.
@@ -737,6 +736,8 @@ def build_stl(n: int, ring: AssocAlgebra) -> SteinbergModel:
     one = dom.one
     m = ext.total.dim - sl.dim
 
+    # the class of u (x) v is the bracket [u, v] of the total, whose first
+    # coordinates are those of sl
     pos = _distinct(n, 2)
     d = ring.dim
     ngens: list[dict] = []
@@ -748,7 +749,7 @@ def build_stl(n: int, ring: AssocAlgebra) -> SteinbergModel:
                 ei = sl.eij(i - 1, j - 1, {lam: one})
                 for mu in range(d):
                     ek = sl.eij(k - 1, l - 1, {mu: one})
-                    coords = ext.tensor_coords(_tensor_of(sl, ei, ek))
+                    coords = ext.total.bracket(ei, ek)
                     if ext.project(coords):
                         raise AssertionError(
                             f"class of E{i}{j}(r{lam})(x)E{k}{l}(r{mu}) "
@@ -775,13 +776,6 @@ def build_stl(n: int, ring: AssocAlgebra) -> SteinbergModel:
             f"kernel of stl{n}({ring.name}) -> sl is "
             f"{invariants.describe()}, but HH1(R) is {hh1.describe()}")
 
-    def tensor_coords(v: dict) -> dict:
-        coords = ext.tensor_coords(v)
-        out = ext.project(coords)
-        for idx, val in pres.coords(ext.kernel_part(coords)).items():
-            out[sl.dim + idx] = val
-        return out
-
     kappa: dict = {}
     for p, w in ext.total.table.items():
         kern = pres.coords(ext.kernel_part(w))
@@ -789,7 +783,7 @@ def build_stl(n: int, ring: AssocAlgebra) -> SteinbergModel:
             kappa[p] = kern
     model_ext = CentralExtensionModel(
         sl, list(pres.moduli), kappa, f"stl{n}({ring.name})",
-        [f"hh1_{t}" for t in range(q)], tensor_coords=tensor_coords)
+        [f"hh1_{t}" for t in range(q)])
     total = model_ext.total
 
     # X_ij(a) := class of E_ip(a)(x)E_pj(1), independent of the pivot p
@@ -801,7 +795,7 @@ def build_stl(n: int, ring: AssocAlgebra) -> SteinbergModel:
             for p in pivots:
                 u = sl.eij(i - 1, p - 1, {lam: one})
                 v = sl.eij(p - 1, j - 1, ring.unit)
-                cur = tensor_coords(_tensor_of(sl, u, v))
+                cur = total.bracket(u, v)
                 if img is None:
                     img = cur
                 elif not total.eq_vec(img, cur):
@@ -1044,26 +1038,22 @@ class HatModel:
     """W (+) stl (resp. U (+) stl) with bracket ((c,x),(c',y)) |->
     (psi(x,y), [x,y]).
 
-    ``extension`` is the central extension hat -> stl.  Coordinates put stl
-    first and the cocycle-value block after it, so the stl inclusion is the
-    identity on coordinates.  ``xdecomp`` records, per stl basis vector, its
-    canonical X-part over the symbolic keys (the diagonal part carries no
-    psi weight).
+    ``extension`` is the central extension hat -> stl, whose kappa is psi on
+    pairs of stl basis vectors.  Coordinates put stl first and the
+    cocycle-value block (``space``) after it, so the stl inclusion is the
+    identity on coordinates.  ``theta`` is the index map psi was built from
+    (None for n = 3).
     """
 
-    __slots__ = ("n", "ring", "stl", "extension", "space", "theta",
-                 "xdecomp", "_pair_rule")
+    __slots__ = ("n", "ring", "stl", "extension", "space", "theta")
 
-    def __init__(self, n, ring, stl, extension, space, theta, xdecomp,
-                 pair_rule):
+    def __init__(self, n, ring, stl, extension, space, theta):
         self.n = n
         self.ring = ring
         self.stl = stl
         self.extension = extension
         self.space = space
         self.theta = theta
-        self.xdecomp = xdecomp
-        self._pair_rule = pair_rule
 
     @property
     def total(self) -> LeibnizAlgebra:
@@ -1076,17 +1066,6 @@ class HatModel:
     def sharp(self, i: int, j: int, a: dict) -> dict:
         """(0, X_ij(a)) in hat coordinates."""
         return self.stl.x_image(i, j, a)
-
-    def psi_value(self, s: int, t: int) -> dict:
-        """psi on a pair of stl basis vectors, via the X decompositions."""
-        dom = self.ring.dom
-        out: dict = {}
-        for k1, c1 in self.xdecomp[s]:
-            for k2, c2 in self.xdecomp[t]:
-                val = self._pair_rule(k1, k2)
-                if val:
-                    self.space.add_scaled(out, val, dom.mul(c1, c2))
-        return out
 
     def __repr__(self):
         return (f"HatModel(n={self.n}, ring={self.ring.name}, "
@@ -1136,19 +1115,25 @@ def build_hat(n: int, ring: AssocAlgebra,
         xdecomp.append([(xkeys[idx], c) for idx, c in sorted(sol.items())
                         if idx < len(xkeys) and c])
 
-    hat = HatModel(n, ring, model, None, space, theta, xdecomp, rule)
+    # psi on each pair of stl basis vectors, bilinear in their X-parts
+    mul = ring.dom.mul
     kappa: dict = {}
-    for s in range(stl_alg.dim):
-        for t in range(stl_alg.dim):
-            val = hat.psi_value(s, t)
+    for s, xs in enumerate(xdecomp):
+        for t, xt in enumerate(xdecomp):
+            val: dict = {}
+            for k1, c1 in xs:
+                for k2, c2 in xt:
+                    w = rule(k1, k2)
+                    if w:
+                        space.add_scaled(val, w, mul(c1, c2))
             if val:
                 kappa[(s, t)] = val
-    hat.extension = CentralExtensionModel(
+    ext = CentralExtensionModel(
         stl_alg, list(space.moduli), kappa, f"hat-stl{n}({ring.name})",
         space.labels)
-    if not is_perfect(hat.total):
-        raise AssertionError(f"{hat.total.name} is not perfect")
-    return hat
+    if not is_perfect(ext.total):
+        raise AssertionError(f"{ext.total.name} is not perfect")
+    return HatModel(n, ring, model, ext, space, theta)
 
 
 # ---------------------------------------------------------------------------

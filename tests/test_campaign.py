@@ -53,6 +53,18 @@ def test_config_rejects_non_int_ns():
             small_config(ns=ns)
 
 
+def test_config_rejects_non_int_jobs_and_bound():
+    # True == 1 would pass a bare isinstance(int) test and then refuse every
+    # request with "exceeds bound True"
+    for bad in (True, 2.0, "2", None):
+        with pytest.raises(CampaignConfigError, match="jobs"):
+            small_config(jobs=bad)
+        with pytest.raises(CampaignConfigError, match="max_cube"):
+            small_config(max_cube=bad)
+    with pytest.raises(CampaignConfigError):
+        small_config(max_cube=True, jobs=True)
+
+
 def test_config_rejects_bad_checks():
     with pytest.raises(CampaignConfigError):
         small_config(checks=["nope"])

@@ -1,5 +1,6 @@
 """psi values, the symbolic bracket engine, and exhaustive J = 0 runs."""
 
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -113,11 +114,15 @@ def test_psi_rejects_malformed_descriptors():
     rm2 = quotient_Rm(ring("ground", "f2"), 2)
     theta = build_theta()
     one = {0: 1}
-    # indices are ints (not bools) in 1..n, ring keys lie in range(dim R)
+    # indices are ints (not bools) in 1..n, ring keys lie in range(dim R),
+    # coefficients are ints (not bools); Fractions only over Q
     malformed = [("x", 1, 0, one), ("x", 1, -2, one), ("x", True, 2, one),
                  ("x", 1, 2.0, one), ("x", 1, 2, {5: 1}),
                  ("x", 1, 2, {"a": 1}), ("t", one, {1: 1}),
-                 ("T", True, one), ("T", 2, {-1: 1})]
+                 ("T", True, one), ("T", 2, {-1: 1}),
+                 ("x", 1, 2, {0: 0.5}), ("x", 1, 2, {0: True}),
+                 ("x", 1, 2, {0: "a"}), ("x", 1, 2, {0: Fraction(1, 2)}),
+                 ("t", one, {0: 1.0}), ("T", 2, {0: None})]
     for bad in [("x", 1, 1, one), ("x", 0, 2, one), ("x", 1, 5, one),
                 ("y", 1, 2, one), ("x", 1, 2), ("T", 1, one), 7,
                 ()] + malformed:
@@ -128,6 +133,9 @@ def test_psi_rejects_malformed_descriptors():
     for bad in [("x", 1, 4, one)] + malformed:   # 4 is out of range at n = 3
         with pytest.raises(ValueError):
             psi3(bad, ("x", 1, 2, one), rm3)
+    rq = quotient_Rm(ring("dual", "q"), 3)
+    assert psi3(("x", 1, 2, {0: Fraction(1, 2)}), ("x", 1, 3, {1: 3}),
+                rq).is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,10 @@ from stlhom.leibniz import (CentralExtensionModel, LeibnizAlgebra,
                             build_sl, homology_hl, is_central,
                             iter_d3_columns, make_leibniz, special_weight,
                             structural_report, uce)
+from stlhom.steinberg import build_stl
+
+from oracles import (check_homomorphism_on_basis, check_kernel_central,
+                     sl_to_gl)
 
 DOMS = {"f2": F2, "f3": F3, "f5": F5, "q": Q, "z": Z}
 
@@ -53,7 +57,7 @@ def dense_d2(L):
     M = [[L.dom.zero] * (n * n) for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            for k, c in L.basis_bracket(i, j).items():
+            for k, c in L.table.get((i, j), {}).items():
                 M[k][i * n + j] = L.dom.neg(c)
     return M
 
@@ -67,13 +71,13 @@ def dense_d3(L):
         for j in range(n):
             for k in range(n):
                 col = (i * n + j) * n + k
-                for t, c in L.basis_bracket(i, j).items():
+                for t, c in L.table.get((i, j), {}).items():
                     r = t * n + k
                     M[r][col] = dom.sub(M[r][col], c)
-                for t, c in L.basis_bracket(i, k).items():
+                for t, c in L.table.get((i, k), {}).items():
                     r = t * n + j
                     M[r][col] = dom.add(M[r][col], c)
-                for t, c in L.basis_bracket(j, k).items():
+                for t, c in L.table.get((j, k), {}).items():
                     r = i * n + t
                     M[r][col] = dom.add(M[r][col], c)
     return M
@@ -174,24 +178,28 @@ def test_validator_agrees_with_brute_force(table):
 # gl and sl
 
 
+def _gl_entry(gl, ij, kl) -> dict:
+    """[E_ij(1), E_kl(1)] over a ring of dimension 1, as a gl vector."""
+    return gl.bracket(gl.eij(*ij, {0: 1}), gl.eij(*kl, {0: 1}))
+
+
 def test_gl2_bracket_values():
     gl = build_gl(2, catalog_ring("ground", F3))
-    e = gl.eij_index
+    one = {0: 1}
     # [E12, E21] = E11 - E22
-    assert gl.basis_bracket(e(0, 1, 0), e(1, 0, 0)) == {e(0, 0, 0): 1,
-                                                        e(1, 1, 0): 2}
+    assert _gl_entry(gl, (0, 1), (1, 0)) == {**gl.eij(0, 0, one),
+                                             **gl.eij(1, 1, {0: 2})}
     # [E12, E12] = 0
-    assert gl.basis_bracket(e(0, 1, 0), e(0, 1, 0)) == {}
+    assert _gl_entry(gl, (0, 1), (0, 1)) == {}
     # [E11, E12] = E12
-    assert gl.basis_bracket(e(0, 0, 0), e(0, 1, 0)) == {e(0, 1, 0): 1}
+    assert _gl_entry(gl, (0, 0), (0, 1)) == gl.eij(0, 1, one)
 
 
 def test_gl4_disjoint_indices_commute():
     gl = build_gl(4, catalog_ring("ground", F2))
-    e = gl.eij_index
-    assert gl.basis_bracket(e(0, 1, 0), e(2, 3, 0)) == {}
+    assert _gl_entry(gl, (0, 1), (2, 3)) == {}
     # and the Steinberg-style product: [E12, E23] = E13
-    assert gl.basis_bracket(e(0, 1, 0), e(1, 2, 0)) == {e(0, 2, 0): 1}
+    assert _gl_entry(gl, (0, 1), (1, 2)) == gl.eij(0, 2, {0: 1})
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -207,7 +215,7 @@ def test_gl_satisfies_the_identity_by_brute_force(name, scal, n):
 def test_gl_antisymmetry_on_basis():
     gl = build_gl(3, catalog_ring("dual", F3))
     for (i, j), w in gl.table.items():
-        back = gl.basis_bracket(j, i)
+        back = gl.table.get((j, i), {})
         assert back == {k: gl.dom.neg(c) for k, c in w.items()}
 
 
@@ -242,7 +250,7 @@ def test_sl_embedding_roundtrip():
     for (i, j) in [(0, 1), (1, 0), (2, 1), (0, 2)]:
         for lam in range(2):
             v = sl.eij(i, j, {lam: 1})
-            glv = sl.to_gl(v)
+            glv = sl_to_gl(sl, v)
             assert glv == sl.gl.eij(i, j, {lam: 1})
             assert sl.from_gl(glv) == v
 
@@ -251,7 +259,7 @@ def test_sl_rejects_vectors_outside():
     sl = build_sl(3, catalog_ring("ground", F2))
     gl = sl.gl
     with pytest.raises(ValueError):
-        sl.from_gl({gl.eij_index(0, 0, 0): 1})   # E11 has nonzero trace
+        sl.from_gl(gl.eij(0, 0, {0: 1}))   # E11 has nonzero trace
 
 
 def test_sl_eij_diagonal_rejected():
@@ -264,7 +272,7 @@ def test_sl_brackets_match_gl():
     sl = build_sl(3, catalog_ring("group-c2", F3))
     for s in range(sl.dim):
         for t in range(sl.dim):
-            inside = sl.to_gl(sl.basis_bracket(s, t))
+            inside = sl_to_gl(sl, sl.table.get((s, t), {}))
             outside = sl.gl.bracket(sl.basis[s], sl.basis[t])
             assert inside == outside
 
@@ -477,7 +485,7 @@ def test_sl3_f3_has_central_scalars():
     assert rep.is_perfect
     assert rep.center_rank == 1
     gl = sl.gl
-    ident = {gl.eij_index(i, i, 0): 1 for i in range(3)}
+    ident = {k: 1 for i in range(3) for k in gl.eij(i, i, {0: 1})}
     assert is_central(sl, sl.from_gl(ident))
 
 
@@ -526,21 +534,35 @@ def test_uce_kernel_and_shape(name, scal, n, basedim, kernel):
     for _col, vec in iter_d3_columns(L):
         assert model.tensor_coords(vec) == {}
     # projection is a homomorphism with central kernel
-    model.check_homomorphism_on_basis()
-    model.check_kernel_central()
+    check_homomorphism_on_basis(model)
+    check_kernel_central(model)
     # the total is perfect (universal central extensions are)
     assert structural_report(model.total).is_perfect
 
 
 def test_uce_tensor_coords_match_bracket_table():
-    L = build_sl(3, catalog_ring("ground", F3))
-    model = uce(L)
-    one = L.dom.one
-    for s in range(0, L.dim, 3):
-        for t in range(L.dim):
-            got = model.tensor_coords({s * L.dim + t: one})
-            expected = model.total.basis_bracket(s, t)
-            assert model.total.eq_vec(got, expected)
+    # build_stl reads the class of u (x) v as the total bracket [u, v]: check
+    # that identity for random sl vectors, on uce(sl) and on stl -> sl
+    import random
+    rng = random.Random(11)
+    exts = [uce(build_sl(n, catalog_ring(name, DOMS[scal])))
+            for name, scal, n in (("dual", "f3", 3), ("dual", "q", 3),
+                                  ("dual", "z", 4))]
+    exts += [build_stl(4, catalog_ring(name, DOMS[scal])).extension
+             for name, scal in (("ground", "f3"), ("int", "z"))]
+    for ext in exts:
+        sl, dom = ext.base, ext.base.dom
+        coeffs = [dom.from_int(c) for c in (1, 2, -1)]
+        for _ in range(10):
+            u, v = ({rng.randrange(sl.dim): rng.choice(coeffs)
+                     for _ in range(3)} for _ in range(2))
+            tensor = {}
+            for s, cu in u.items():
+                for t, cv in v.items():
+                    c = dom.mul(cu, cv)
+                    if c:
+                        tensor[s * sl.dim + t] = c
+            assert ext.tensor_coords(tensor) == ext.total.bracket(u, v)
 
 
 @pytest.mark.parametrize("name,scal,n", [
@@ -816,8 +838,8 @@ def test_cocycle_check_agrees_with_brute_force(f, bump):
     assert ok
     assert ext.total.certified
     assert ext.total.table == probe.table
-    ext.check_homomorphism_on_basis()
-    ext.check_kernel_central()
+    check_homomorphism_on_basis(ext)
+    check_kernel_central(ext)
 
 
 def test_central_extension_needs_a_certified_base():

@@ -1,11 +1,12 @@
-"""Source lint as tests: no bare ``assert`` statements and no unused
-imports in the package, and a package namespace that exports exactly what
-it imports.
+"""Source lint as tests: no bare ``assert`` statements, no unused imports
+and no unreferenced private helpers in the package, and a package
+namespace that exports exactly what it imports.
 
 ``python -O`` strips asserts, so a certification step or a grading check
 written as one would silently vanish; every check raises explicitly.  An
-import that nothing reads, or an export of a name no longer imported, is
-left over from deleted code.
+import that nothing reads, a private function, method or class that nothing
+references, or an export of a name no longer imported, is left over from
+deleted code.
 """
 
 import ast
@@ -74,3 +75,26 @@ def test_init_exports_exactly_what_it_imports():
     exported = stlhom.__all__
     assert len(exported) == len(set(exported)), "duplicates in __all__"
     assert set(exported) == imported
+
+
+def test_private_helpers_are_used():
+    # a reference is a Name or an Attribute anywhere in the package; dunders
+    # are called by the language, not by name
+    defined = {}
+    used = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                name = node.name
+                if name.startswith("_") and not name.endswith("__"):
+                    defined.setdefault(name, f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert defined
+    unused = sorted(f"{where} {name}" for name, where in defined.items()
+                    if name not in used)
+    assert not unused, f"private helpers nothing references: {unused}"

@@ -21,6 +21,9 @@ from stlhom.steinberg import (build_hat, build_stl, build_theta,
                               psi3, psi4, verify_calculus,
                               verify_sharp_relations)
 
+from oracles import (check_homomorphism_on_basis, check_kernel_central,
+                     sl_to_gl)
+
 DOMS = {"f2": F2, "f3": F3, "f5": F5, "q": Q, "z": Z}
 
 
@@ -102,8 +105,8 @@ def test_build_stl_rejects_bad_n():
 def test_stl_is_perfect_and_extension_checks_pass():
     m = stl("dual", "f3", 3)
     assert is_perfect(m.total)
-    m.extension.check_homomorphism_on_basis()
-    m.extension.check_kernel_central()
+    check_homomorphism_on_basis(m.extension)
+    check_kernel_central(m.extension)
     for c in range(m.extension.base.dim, m.total.dim):
         assert is_central(m.total, {c: 1})
 
@@ -127,7 +130,7 @@ def test_T_image_projects_to_diagonal_difference():
     gl = sl.gl
     r = m.ring
     a, b = {1: 1}, {2: 1}                        # e12, e21 in M2(F2)
-    got = sl.to_gl(m.extension.project(m.T_image(1, 2, a, b)))
+    got = sl_to_gl(sl, m.extension.project(m.T_image(1, 2, a, b)))
     want = gl.eij(0, 0, r.multiply(a, b))
     for k, c in gl.eij(1, 1, r.multiply(b, a)).items():
         want[k] = gl.dom.sub(want.get(k, 0), c)
@@ -377,7 +380,8 @@ try:
 except LeibnizIdentityError as exc:
     print("homology raises with a triple of", len(exc.triple))
 r3 = quotient_Rm(catalog_ring("ground", F3), 3)
-for bad in [("x", 1, 0, {0: 1}), ("x", True, 2, {0: 1}), ("x", 1, 2, {5: 1})]:
+for bad in [("x", 1, 0, {0: 1}), ("x", True, 2, {0: 1}), ("x", 1, 2, {5: 1}),
+            ("x", 1, 2, {0: 0.5})]:
     try:
         psi3(bad, ("x", 1, 2, {0: 1}), r3)
     except ValueError:
@@ -386,6 +390,11 @@ try:
     CampaignConfig([("ground", "f3")], [3.0], ["homology"])
 except CampaignConfigError:
     print("config rejects ns [3.0]")
+try:
+    CampaignConfig([("ground", "f3")], [3], ["homology"], jobs=True,
+                   max_cube=True)
+except CampaignConfigError:
+    print("config rejects jobs True")
 """
 
 
@@ -404,7 +413,8 @@ def test_negative_controls_fire_under_python_O():
         "psi3 rejects ('x', 1, 0, {0: 1})",
         "psi3 rejects ('x', True, 2, {0: 1})",
         "psi3 rejects ('x', 1, 2, {5: 1})",
-        "config rejects ns [3.0]"]
+        "psi3 rejects ('x', 1, 2, {0: 0.5})",
+        "config rejects ns [3.0]", "config rejects jobs True"]
 
 
 @pytest.mark.parametrize("name,scal,n", [

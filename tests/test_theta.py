@@ -92,3 +92,12 @@ def test_corruption_swaps_exactly_two_quadruples():
     assert bad.validate() != []
     # the original is untouched
     assert theta.validate() == []
+
+
+def test_build_theta_refuses_a_labeling_that_fails_validate(monkeypatch):
+    # with singleton "orbits" every quadruple gets its own label, so the
+    # labels are not 1..6 with four quadruples each
+    import stlhom.steinberg as stb
+    monkeypatch.setattr(stb, "_position_orbit", lambda quad: [quad])
+    with pytest.raises(ValueError, match="defining properties"):
+        build_theta()
