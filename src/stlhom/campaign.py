@@ -11,11 +11,10 @@ binding resource is the third boundary map, whose columns are indexed by the
 cube L tensor L tensor L and whose rows by L tensor L: memory scales with
 the rows kept per echelon column, while the cube itself is only walked.  The
 only cube streamed is that of L = sl (its special-weight triples), inside
-uce while stl is built; HL_2(stl) is read off the N presentation.  A check
-declares (dim sl + dim HH_1)^2 = (dim stl)^2 rows, from the ring alone
-before any heavy work starts: an upper bound on the rows of that stream
-(at most (dim sl)^2), and the rows of a direct homology_hl stream of stl.
-The symbolic cocycle check never builds a matrix and is exempt.  Checks
+uce while stl is built; HL_2(stl) is read off the N presentation.  That
+stream keeps one row per special pair of sl, and a check declares exactly
+that count (``declared_rows``), from the ring alone before any heavy work
+starts.  The symbolic cocycle check never builds a matrix and is exempt.  Checks
 that only exist for the hat models (cocycle, sharp) are skipped -- not
 failed -- at n = 5.
 
@@ -33,10 +32,10 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from .assoc import AssocAlgebra, hochschild_h1, load_ring_json
+from .assoc import AssocAlgebra, load_ring_json
 from .catalog import RING_BUILDERS, catalog_ring
 from .domains import SCALARS
-from .leibniz import commutator_rank
+from .leibniz import commutator_rank, special_weight
 from .steinberg import (build_hat, build_stl, hl2_report, verify_calculus,
                         verify_cocycle, verify_sharp_relations)
 
@@ -142,17 +141,40 @@ class CampaignConfig:
 
 
 def declared_rows(n: int, ring: AssocAlgebra) -> int:
-    """Rows a (ring, n) stl task declares for the size guard.
+    """Rows a (ring, n) stl task declares for the size guard: the number of
+    special pairs of sl_n(R), the rows of the d3 stream in ``uce``.
 
-    This is (dim stl)^2, which bounds the (dim sl)^2 rows of the third
-    boundary that ``uce`` streams, with dim stl = dim sl +
-    dim HH_1(R) and dim sl = (n^2 - 1) dim R + rank [R, R] (the formula
-    ``build_sl`` asserts).  Only ring-level computations are needed, so the
-    declaration builds no Leibniz algebra.
+    sl_n(R) has r = dim R basis vectors of each root weight e_i - e_j and
+    d0 = (n - 1) r + rank [R, R] of weight 0 (the dimension ``build_sl``
+    asserts).  A pair has weight 0 + 0, a root plus 0, or the sum of two
+    roots, which falls into five kinds by how their indices meet.  The
+    weights of one kind are permutations of each other or their negatives,
+    so ``special_weight`` on one of them decides the kind; it turns on
+    whether 2 (a root twice, and four distinct indices at n = 4) and 3
+    (two roots sharing one end, at n = 3) are units.  Only ring-level
+    computations are needed, so the declaration builds no Leibniz algebra.
     """
-    d = ((n * n - 1) * ring.dim + commutator_rank(ring)
-         + hochschild_h1(ring).dimension)
-    return d * d
+    r = ring.dim
+    d0 = (n - 1) * r + commutator_rank(ring)
+    roots = n * (n - 1)
+    kinds = (   # (pairs of the kind, (index, entry) of one of its weights)
+        (d0 * d0 + roots * r * r, ()),   # 0 + 0; a root and its negative
+        (2 * d0 * roots * r, ((0, 1), (1, -1))),   # a root and 0
+        (roots * r * r, ((0, 2), (1, -2))),   # a root twice
+        (2 * roots * (n - 2) * r * r, ((0, 1), (2, -1))),   # sum a root
+        (2 * roots * (n - 2) * r * r, ((0, 2), (1, -1), (2, -1))),
+        (roots * (n - 2) * (n - 3) * r * r,
+         ((0, 1), (1, 1), (2, -1), (3, -1))),   # four distinct indices
+    )
+    rows = 0
+    for count, entries in kinds:
+        if count:
+            weight = [0] * n
+            for i, x in entries:
+                weight[i] = x
+            if special_weight(ring.dom, tuple(weight)):
+                rows += count
+    return rows
 
 
 def _entry(scalar, ring_name, n, check, status, computed, predicted,

@@ -32,6 +32,16 @@ and the left side is -(mu_i - mu_j) c.  A weight mu is *special* when
 g = gcd(mu_i - mu_j) is not a unit of the domain (F_p: p | g; Q: g = 0;
 Z: g != 1); HL_2 lives in the special weights only.  Under the trivial
 grading g = 0, so every weight is special.
+
+Weight blocks.  d2 and d3 preserve the total weight, so L (x) L and the d3
+cube split into blocks, one per weight mu, and ``iter_d3_columns`` walks
+the cube block by block.  On a certified table im(d3)_mu lies in
+ker(d2)_mu.  So once the columns streamed so far span ker(d2)_mu, every
+later column of the block lies in their span, and skipping the rest of the
+block leaves the echelon's span as the whole block would.  Over a field
+"span" means equal rank; over Z the image must also have index 1 in the
+kernel (``_d3_image``).  Only exactness is used, not the special-weight
+rule; under the trivial grading the cube is one block.
 """
 
 from __future__ import annotations
@@ -446,17 +456,76 @@ def _require_free(L: LeibnizAlgebra, what: str) -> None:
                          f"torsion moduli")
 
 
-def iter_d3_columns(L: LeibnizAlgebra, weight_filter=None):
-    """Yield (flat column index, sparse column) of d3 over the basis cube.
+class _WeightBlocks:
+    """The torus weights of a basis as integer codes, bucketed by weight.
 
-    Columns are produced in lexicographic (i, j, k) order; zero columns are
-    skipped.  d3(e_i (x) e_j (x) e_k) =
-    -[e_i,e_j] (x) e_k + [e_i,e_k] (x) e_j + e_i (x) [e_j,e_k].
+    A weight w in Z^n has the code sum_k w_k B^k, with B = 6m + 1 for m the
+    largest |w_k| over the basis.  Every entry of a sum or difference of up
+    to six basis weights is smaller than B in size, so the code of such a
+    sum is the sum of the codes and distinct sums have distinct codes.  Under
+    the trivial grading every code is 0.
+    """
 
-    With a ``weight_filter`` (a predicate on weights of a graded L), only
-    the triples whose total weight wt(i) + wt(j) + wt(k) passes are walked:
-    the basis is bucketed by weight and, for each (i, j), the k are looked
-    up from the buckets that complete a passing weight.
+    __slots__ = ("code", "buckets", "_base", "_n")
+
+    def __init__(self, L: LeibnizAlgebra):
+        weights = L.weights
+        if weights is None:
+            self._base, self._n = 1, 0
+            self.code = [0] * L.dim
+        else:
+            m = max((abs(x) for w in weights for x in w), default=0)
+            self._base, self._n = 6 * m + 1, len(weights[0]) if weights else 0
+            self.code = [sum(x * self._base ** e for e, x in enumerate(w))
+                         for w in weights]
+        self.buckets: dict[int, list[int]] = {}   # code -> basis, ascending
+        for s, c in enumerate(self.code):
+            self.buckets.setdefault(c, []).append(s)
+
+    def totals(self) -> list[int]:
+        """The codes of the blocks: the weights of basis triples, ascending."""
+        codes = list(self.buckets)
+        sums = {a + b for a in codes for b in codes}
+        return sorted({s + c for s in sums for c in codes})
+
+    def pairs(self, mu: int) -> int:
+        """The number of basis pairs (s, t) of weight mu."""
+        get = self.buckets.get
+        return sum(len(bucket) * len(get(mu - a, ()))
+                   for a, bucket in self.buckets.items())
+
+    def size(self, mu: int) -> int:
+        """The number of basis vectors of weight mu."""
+        return len(self.buckets.get(mu, ()))
+
+    def weight(self, mu: int) -> tuple:
+        """The weight whose code is mu."""
+        base, half = self._base, self._base // 2
+        out = []
+        for _ in range(self._n):
+            r = mu % base
+            if r > half:
+                r -= base
+            out.append(r)
+            mu = (mu - r) // base
+        return tuple(out)
+
+
+def iter_d3_columns(L: LeibnizAlgebra, full=None):
+    """Yield (flat column index, sparse column) of d3 over the basis cube,
+    one torus-weight block at a time; zero columns are skipped.
+
+    d3(e_i (x) e_j (x) e_k) = -[e_i,e_j] (x) e_k + [e_i,e_k] (x) e_j
+    + e_i (x) [e_j,e_k] meets only pairs of the total weight
+    mu = wt(i) + wt(j) + wt(k), so the cube splits into blocks by mu
+    (``_WeightBlocks``), walked in ascending code order.  Inside a block the
+    triples come by i, then by the weight bucket of j and j, then by k.
+    Under the trivial grading the cube is one block, in lexicographic
+    (i, j, k) order.  Nothing is built per triple but the yielded columns.
+
+    ``full``, a predicate on block codes, lets the consumer end a block: it
+    is asked before block mu is walked and again after each of its columns,
+    and once it holds the rest of the block is skipped (``_d3_image``).
     """
     dim = L.dim
     dom = L.dom
@@ -465,75 +534,113 @@ def iter_d3_columns(L: LeibnizAlgebra, weight_filter=None):
     for (i, j), w in L.table.items():
         byfirst.setdefault(i, {})[j] = w
     empty: dict[int, dict] = {}
-    every_k = range(dim)
-    if weight_filter is not None:
-        weights = L.weights
-        buckets: dict[tuple, list[int]] = {}
-        for k, wk in enumerate(weights):
-            buckets.setdefault(wk, []).append(k)
-        ks_of: dict[tuple, list[int]] = {}   # wt(i) + wt(j) -> sorted k
-    for i in range(dim):
-        row_i = byfirst.get(i, empty)
-        idim = i * dim
-        for j in range(dim):
-            bij = row_i.get(j)
-            row_j = byfirst.get(j, empty)
-            base = (idim + j) * dim
-            ks = every_k
-            if weight_filter is not None:
-                wij = _add_weights(weights[i], weights[j])
-                ks = ks_of.get(wij)
+    blocks = _WeightBlocks(L)
+    code, buckets = blocks.code, blocks.buckets
+    by_weight = sorted(buckets.items())
+
+    def block(mu):
+        for i in range(dim):
+            row_i = byfirst.get(i, empty)
+            idim = i * dim
+            rest = mu - code[i]
+            for b, js in by_weight:
+                ks = buckets.get(rest - b)
                 if ks is None:
-                    ks = ks_of[wij] = sorted(
-                        k for wk, bucket in buckets.items()
-                        if weight_filter(_add_weights(wij, wk))
-                        for k in bucket)
-            for k in ks:
-                bik = row_i.get(k)
-                bjk = row_j.get(k)
-                if not (bij or bik or bjk):
                     continue
-                col: dict[int, object] = {}
-                if bij:
-                    for t, c in bij.items():
-                        col[t * dim + k] = neg(c)
-                if bik:
-                    for t, c in bik.items():
-                        key = t * dim + j
-                        cur = add(col.get(key, zero), c)
-                        if cur:
-                            col[key] = cur
-                        else:
-                            col.pop(key, None)
-                if bjk:
-                    for t, c in bjk.items():
-                        key = idim + t
-                        cur = add(col.get(key, zero), c)
-                        if cur:
-                            col[key] = cur
-                        else:
-                            col.pop(key, None)
-                if col:
-                    yield base + k, col
+                for j in js:
+                    bij = row_i.get(j)
+                    row_j = byfirst.get(j, empty)
+                    base = (idim + j) * dim
+                    for k in ks:
+                        bik = row_i.get(k)
+                        bjk = row_j.get(k)
+                        if not (bij or bik or bjk):
+                            continue
+                        col: dict[int, object] = {}
+                        if bij:
+                            for t, c in bij.items():
+                                col[t * dim + k] = neg(c)
+                        if bik:
+                            for t, c in bik.items():
+                                key = t * dim + j
+                                cur = add(col.get(key, zero), c)
+                                if cur:
+                                    col[key] = cur
+                                else:
+                                    col.pop(key, None)
+                        if bjk:
+                            for t, c in bjk.items():
+                                key = idim + t
+                                cur = add(col.get(key, zero), c)
+                                if cur:
+                                    col[key] = cur
+                                else:
+                                    col.pop(key, None)
+                        if col:
+                            yield base + k, col
+
+    for mu in blocks.totals():
+        if full is None:
+            yield from block(mu)
+        elif not full(mu):
+            for item in block(mu):
+                yield item
+                if full(mu):
+                    break
 
 
-def _d3_image(L: LeibnizAlgebra, weight_filter=None, index=None):
-    """Stream the d3 columns of L into an echelon of im(d3).
+def _d3_image(L: LeibnizAlgebra, kernel_rank, kernel_pivot=None,
+              index=None):
+    """Stream the d3 columns of L into an echelon of im(d3), each weight
+    block only until it spans ker(d2) there.
 
     On a basis triple d2 . d3 = 0 is the Leibniz identity, so an uncertified
     table is checked first (``_check_leibniz_identity``, which raises
     ``LeibnizIdentityError`` with the witness triple) and then certified.
-    ``weight_filter`` prunes the stream (``iter_d3_columns``) and ``index``
-    renumbers the rows of the kept columns.
+
+    d2 and d3 preserve the weight, and on a certified table
+    im(d3)_mu lies in ker(d2)_mu, whose rank the caller gives as
+    ``kernel_rank(mu)`` (in the rows kept by ``index``).  Over a field an
+    image of that rank is the whole kernel, so every later column of the
+    block reduces to zero and the block stops there (``iter_d3_columns``).
+    Over Z an image of full rank has finite index; then image and kernel
+    share their pivot columns, each image pivot entry is a multiple of the
+    kernel's, and the index is the product of their ratios.  So a block
+    over Z stops once, moreover, each of its pivots p has the entry
+    ``kernel_pivot(p)``: the kernel's entry, or 1 where the kernel is not
+    built, since an image entry of 1 forces the kernel's to 1.  The rows of
+    a block are its own (the echelon rows stay homogeneous), so no block
+    touches another's, and stopping leaves the span of the full stream.
+
+    ``index`` renumbers the rows of the kept columns.
     """
     if not L.certified:
         _check_leibniz_identity(L)
         L.certified = True
     img = make_echelon(L.dom)
-    for _col, vec in iter_d3_columns(L, weight_filter):
+    rows = img.rows
+    lattice = not L.dom.is_field
+    block = None
+    goal = 0
+    loose: list[int] = []   # over Z: the block's pivots above their entry
+
+    def full(mu):
+        nonlocal block, goal
+        if mu != block:
+            block, goal = mu, img.rank + kernel_rank(mu)
+            loose.clear()
+        if img.rank < goal:
+            return False
+        if loose:
+            loose[:] = [p for p in loose if rows[p][p] != kernel_pivot(p)]
+        return not loose
+
+    for _col, vec in iter_d3_columns(L, full):
         if index is not None:
             vec = {index[k]: c for k, c in vec.items()}
-        img.insert(vec)
+        p = img.insert(vec)
+        if lattice and p is not None:
+            loose.append(p)
     return img
 
 
@@ -590,6 +697,15 @@ def homology_hl(L: LeibnizAlgebra, degree: int) -> HomologyReport:
     dimension then needs only the two ranks, while over Z ker d2 is the
     relation lattice of the d2 columns (``SpanSolver.kernel``) and the
     kernel/image subquotient is presented.
+
+    Every weight block is streamed, special or not, so this stays
+    independent of the special-weight rule that ``uce`` uses.  A block
+    stops once its image spans ker(d2)_mu (module docstring): at rank
+    #pairs_mu - rank d2_mu, where the rows of the d2 echelon are
+    homogeneous and rank d2_mu counts its pivots of weight mu; over Z, ker
+    d2 is built first and the block stops once, moreover, its image has
+    index 1 in it.  The reported ranks and invariants are those of the full
+    stream.
     """
     _require_free(L, "homology")
     if degree not in (1, 2):
@@ -605,9 +721,20 @@ def homology_hl(L: LeibnizAlgebra, degree: int) -> HomologyReport:
         inv = moduli_invariants(dom, present_quotient(img2, dim, dom).moduli)
         return HomologyReport(L.name, 1, inv, dim, 0, img2.rank, True)
 
+    # rank ker(d2)_mu = #pairs of weight mu - rank d2_mu, and the rows of
+    # img2 are homogeneous, so rank d2_mu counts its pivots of weight mu
+    blocks = _WeightBlocks(L)
+    rank2: dict[int, int] = {}
+    for p in img2.rows:
+        mu = blocks.code[p]
+        rank2[mu] = rank2.get(mu, 0) + 1
+
+    def kernel_rank(mu):
+        return blocks.pairs(mu) - rank2.get(mu, 0)
+
     pair = dim * dim
-    img = _d3_image(L)
     if dom.is_field:
+        img = _d3_image(L, kernel_rank)
         inv = SubquotientInvariants(dom.name, (pair - img2.rank) - img.rank)
     else:
         # ker d2: the relations among all pair columns, zero ones included
@@ -615,6 +742,13 @@ def homology_hl(L: LeibnizAlgebra, degree: int) -> HomologyReport:
         kern = make_echelon(dom)
         for v in SpanSolver(dom, dim, cols).kernel():
             kern.insert(v)
+        krows = kern.rows
+
+        def kernel_pivot(p):
+            row = krows.get(p)
+            return row[p] if row else None
+
+        img = _d3_image(L, kernel_rank, kernel_pivot)
         inv = subquotient(kern, img, pair, dom)
     return HomologyReport(L.name, 2, inv, pair, img2.rank, img.rank, True)
 
@@ -812,12 +946,22 @@ def uce(L: LeibnizAlgebra) -> CentralExtensionModel:
     wt(s) + wt(t) are kept, numbered in their flat order; only the d3
     triples of special total weight are streamed, only the w_s of special
     weight are inserted, and kappa vanishes off the special pairs, so a
-    tensor's class is read off its special part.  Over a field the pivots
-    of a graded subspace are the union of its weight blocks' pivots and
-    forward residuals are canonical, so this is the table of the full
+    tensor's class is read off its special part.
+
+    A special block stops once its image spans ker(d2)_mu (module
+    docstring).  L is perfect and the w_s are homogeneous, so d2 maps the
+    pairs of weight mu onto L_mu and rank ker(d2)_mu = #pairs_mu - dim L_mu.
+    Over Z the block must moreover have every Hermite pivot 1: a lattice
+    with unit pivots is saturated, so at full rank it is the kernel.  (On
+    int, upper2 and trunc3 over Z at n = 4 this stops at the same column as
+    inserting the block's w_s first and waiting for a full unimodular
+    block, so the w_s stay after the stream, with their check.)  A block of
+    another weight keeps no rows and is not walked.  Over a field the
+    pivots of a graded subspace are the union of its weight blocks' pivots
+    and forward residuals are canonical, so this is the table of the full
     stream; over Z the kernel has the same invariants, in another basis.
-    Under the trivial grading every pair is special and the full cube is
-    streamed.
+    Under the trivial grading every pair is special and the cube is one
+    block.
     """
     _require_free(L, "uce")
     dom, dim = L.dom, L.dim
@@ -847,33 +991,39 @@ def uce(L: LeibnizAlgebra) -> CentralExtensionModel:
         w = {colindex[t]: c for t, c in coeffs.items()}
         preimages.append((s, w))
 
-    weights = L.weights
-    if weights is None:
-        weight_filter = index = None
-        pairs = range(dim * dim)
-    else:
-        memo: dict[tuple, bool] = {}
+    blocks = _WeightBlocks(L)
+    code = blocks.code
+    special: dict[int, bool] = {}
 
-        def weight_filter(mu: tuple) -> bool:
-            ok = memo.get(mu)
-            if ok is None:
-                ok = memo[mu] = special_weight(dom, mu)
-            return ok
+    def is_special(mu: int) -> bool:
+        ok = special.get(mu)
+        if ok is None:
+            ok = special[mu] = special_weight(dom, blocks.weight(mu))
+        return ok
 
-        pair_weight = [_add_weights(ws, wt) for ws in weights for wt in weights]
-        pairs = [p for p, mu in enumerate(pair_weight) if weight_filter(mu)]
+    for s, w in preimages:
+        if any(code[p // dim] + code[p % dim] != code[s] for p in w):
+            raise AssertionError(
+                f"the preimage of {L.labels[s]} is not homogeneous")
+    pairs = [s * dim + t for s in range(dim) for t in range(dim)
+             if is_special(code[s] + code[t])]
+    index = None
+    if len(pairs) < dim * dim:
         index = {p: c for c, p in enumerate(pairs)}
-        for s, w in preimages:
-            if any(pair_weight[p] != weights[s] for p in w):
-                raise AssertionError(
-                    f"the preimage of {L.labels[s]} is not homogeneous")
         preimages = [(s, {index[p]: c for p, c in w.items()})
-                     for s, w in preimages if weight_filter(weights[s])]
-        del pair_weight
+                     for s, w in preimages if is_special(code[s])]
+
+    # L is perfect and the w_s are homogeneous, so d2 maps the pairs of a
+    # special weight mu onto L_mu: rank ker(d2)_mu = #pairs_mu - dim L_mu.
+    # Blocks of other weights keep no rows.
+    def kernel_rank(mu):
+        if not is_special(mu):
+            return 0
+        return blocks.pairs(mu) - blocks.size(mu)
 
     # d2 w_s = -e_s, so L (x) L = ker(d2) (+) span w_s and, as im(d3) lies
     # in ker(d2), (L (x) L)/(im d3 + span w_s) presents ker(d2)/im(d3)
-    rel = _d3_image(L, weight_filter, index)
+    rel = _d3_image(L, kernel_rank, lambda p: 1, index)
     for s, w in preimages:
         if rel.insert(w) is None:
             raise AssertionError(

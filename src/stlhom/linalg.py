@@ -31,6 +31,7 @@ coordinates in a basis of K, solved for by a ``SpanSolver`` over K.
 from __future__ import annotations
 
 import heapq
+import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -545,29 +546,53 @@ def smith_normal_form(entries: dict, nrows: int, ncols: int) -> SmithForm:
 
     Pivots are chosen by minimum absolute value (with an early exit on a
     unit), which keeps coefficient growth tame on the near-unimodular
-    matrices this package produces.  Column positions are scanned rather
-    than indexed; the matrices that reach this routine are small.
+    matrices this package produces.  A column -> rows index (``holders``)
+    lets the column operations and the clearing of a pivot column touch
+    only the rows that hold the column; ``seq`` records when each row last
+    entered ``rows``, so those rows are visited in the order a scan of
+    ``rows`` would meet them.  A finished pivot row {t: d} leaves ``rows``,
+    so the pivot search only scans the rows still in play.
     """
     rows: dict[int, dict] = {}
+    holders: dict[int, set[int]] = {}
     for (i, j), val in entries.items():
         if val:
             rows.setdefault(i, {})[j] = int(val)
+            holders.setdefault(j, set()).add(i)
+    clock = itertools.count()
+    seq = {i: next(clock) for i in rows}
     U: dict[int, dict] = {i: {i: 1} for i in range(nrows)}
 
     def row_op(i: int, t: int, q: int) -> None:
         # A_i -= q * A_t, mirrored on U
-        tgt = rows.setdefault(i, {})
-        vec_axpy(tgt, rows.get(t, {}), -q, _ZDOM)
+        tgt = rows.get(i)
+        if tgt is None:
+            tgt = rows[i] = {}
+            seq[i] = next(clock)
+        for k, x in rows.get(t, {}).items():
+            val = tgt.get(k, 0) - q * x
+            if val:
+                if k not in tgt:
+                    holders.setdefault(k, set()).add(i)
+                tgt[k] = val
+            elif k in tgt:
+                del tgt[k]
+                holders[k].discard(i)
         if not tgt:
             del rows[i]
         vec_axpy(U.setdefault(i, {}), U.get(t, {}), -q, _ZDOM)
 
     def row_swap(i: int, t: int) -> None:
         ri, rt = rows.pop(i, None), rows.pop(t, None)
-        if rt is not None:
-            rows[i] = rt
-        if ri is not None:
-            rows[t] = ri
+        for r, old in ((ri, i), (rt, t)):
+            for k in r or ():
+                holders[k].discard(old)
+        for r, new in ((rt, i), (ri, t)):
+            if r is not None:
+                rows[new] = r
+                seq[new] = next(clock)
+                for k in r:
+                    holders[k].add(new)
         U[i], U[t] = U.get(t, {}), U.get(i, {})
 
     def row_negate(i: int) -> None:
@@ -578,32 +603,41 @@ def smith_normal_form(entries: dict, nrows: int, ncols: int) -> SmithForm:
     # column operations touch A only; V is not tracked
     def col_op(j: int, t: int, q: int) -> None:
         # A[:, j] -= q * A[:, t]
-        for r in rows.values():
-            c = r.get(t)
-            if c:
-                val = r.get(j, 0) - q * c
-                if val:
-                    r[j] = val
-                else:
-                    r.pop(j, None)
+        hold_j = holders.setdefault(j, set())
+        for i in holders.get(t, ()):
+            r = rows[i]
+            val = r.get(j, 0) - q * r[t]
+            if val:
+                r[j] = val
+                hold_j.add(i)
+            elif j in r:
+                del r[j]
+                hold_j.discard(i)
 
     def col_swap(j: int, t: int) -> None:
-        for r in rows.values():
+        hold_j, hold_t = holders.get(j, set()), holders.get(t, set())
+        for i in hold_j | hold_t:
+            r = rows[i]
             a, b = r.pop(j, None), r.pop(t, None)
             if b is not None:
                 r[j] = b
             if a is not None:
                 r[t] = a
+        holders[j], holders[t] = hold_t, hold_j
+
+    def below(t: int) -> list[int]:
+        # the rows under t that hold column t, in the order of ``rows``
+        return sorted((i for i in holders.get(t, ()) if i > t),
+                      key=seq.__getitem__)
 
     diag: list[int] = []
     t = 0
     limit = min(nrows, ncols)
     while t < limit:
-        # select a pivot of minimal |value| in the region [t:, t:]
+        # select a pivot of minimal |value| in the region [t:, t:]; every
+        # row still in ``rows`` is at or below t
         best = None
         for i, row in rows.items():
-            if i < t:
-                continue
             for j, val in row.items():
                 if j < t:
                     continue
@@ -627,7 +661,7 @@ def smith_normal_form(entries: dict, nrows: int, ncols: int) -> SmithForm:
         while True:
             dirty = False
             # clear column t; a nonzero floor remainder is a smaller pivot
-            for i in [i for i, r in rows.items() if i > t and t in r]:
+            for i in below(t):
                 q = rows[i][t] // rows[t][t]
                 if q:
                     row_op(i, t, q)
@@ -646,26 +680,31 @@ def smith_normal_form(entries: dict, nrows: int, ncols: int) -> SmithForm:
                     dirty = True
             if dirty:
                 continue
-            if not any(i > t and t in r for i, r in rows.items()):
+            if not below(t):
                 break
 
         d = rows[t][t]
         # enforce the divisibility chain: fold an offending row into row t
-        # and redo this pivot (strictly decreases |pivot|, so it terminates)
+        # and redo this pivot (strictly decreases |pivot|, so it terminates);
+        # every entry is a multiple of a unit pivot
         offender = None
-        for i, row in rows.items():
-            if i <= t:
-                continue
-            for j, val in row.items():
-                if j > t and val % d:
-                    offender = i
+        if abs(d) != 1:
+            for i, row in rows.items():
+                if i <= t:
+                    continue
+                for j, val in row.items():
+                    if j > t and val % d:
+                        offender = i
+                        break
+                if offender is not None:
                     break
-            if offender is not None:
-                break
         if offender is not None:
             row_op(t, offender, -1)   # A_t += A_offender
             continue
         diag.append(d)
+        # row t is now {t: d} and column t holds row t only: retire both
+        del rows[t]
+        del holders[t]
         t += 1
 
     return SmithForm(diag, len(diag), U)

@@ -123,22 +123,29 @@ def test_resolve_ring_rejects_garbage_file(tmp_path):
 
 
 def test_declared_rows_values():
-    # rows of the third boundary = (dim sl + dim HH_1)^2; HH_1 of the dual
-    # numbers is 1-dimensional away from characteristic 2
-    assert declared_rows(4, catalog_ring("ground", F3)) == 15 ** 2
-    assert declared_rows(3, catalog_ring("dual", F3)) == (16 + 1) ** 2
-    from stlhom import F2
-    assert declared_rows(3, catalog_ring("dual", F2)) == (16 + 2) ** 2
-    assert declared_rows(4, catalog_ring("mat2", F2)) == 63 ** 2
+    # rows of the d3 stream in uce: the special pairs of sl_n(R)
+    from stlhom import F2, Q, Z
+    assert declared_rows(5, catalog_ring("mat2", F2)) == 1_001
+    assert declared_rows(5, catalog_ring("group-c2", Q)) == 144
+    assert declared_rows(3, catalog_ring("ground", F3)) == 22
+    assert declared_rows(4, catalog_ring("int", Z)) == 57
+    assert declared_rows(4, catalog_ring("dual", F2)) == 228
+    assert declared_rows(3, catalog_ring("trunc3", F3)) == 198
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 5])
 def test_declared_rows_formula_matches_build_sl(n):
-    from stlhom import ACCEPTANCE_PAIRS, SCALARS, build_sl, hochschild_h1
-    for name, scal in ACCEPTANCE_PAIRS:
+    from stlhom import ACCEPTANCE_PAIRS, SCALARS, build_sl
+    from stlhom.leibniz import special_weight
+    catalog = list(ACCEPTANCE_PAIRS) + [
+        (name, "z") for name in ("dual", "trunc3", "group-c2", "upper2")]
+    for name, scal in catalog:
         ring = catalog_ring(name, SCALARS[scal])
-        d = build_sl(n, ring).dim + hochschild_h1(ring).dimension
-        assert declared_rows(n, ring) == d * d, (name, scal)
+        sl = build_sl(n, ring)
+        special = sum(
+            special_weight(sl.dom, tuple(a + b for a, b in zip(ws, wt)))
+            for ws in sl.weights for wt in sl.weights)
+        assert declared_rows(n, ring) == special, (name, scal, n)
 
 
 def truncated_polynomial_ring(dom, dim):
@@ -162,8 +169,10 @@ def test_size_guard_refuses_without_building_sl(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "build_sl", no_build, raising=False)
     path = tmp_path / "trunc10.json"
     save_ring_json(truncated_polynomial_ring(F2, 10), str(path))
+    # K[x]/(x^10) at n = 5 declares 5,600 special pairs
     rep = run_campaign(CampaignConfig(rings=[(str(path), "f2")], ns=[5],
-                                      checks=["homology", "calculus"]))
+                                      checks=["homology", "calculus"],
+                                      max_cube=5_000))
     assert [e["status"] for e in rep.entries] == ["refused", "refused"]
 
 

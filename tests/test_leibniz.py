@@ -13,6 +13,8 @@ from stlhom.leibniz import (CentralExtensionModel, LeibnizAlgebra,
                             build_sl, homology_hl, is_central,
                             iter_d3_columns, make_leibniz, special_weight,
                             structural_report, uce)
+from stlhom.linalg import (SpanSolver, SubquotientInvariants, make_echelon,
+                           subquotient)
 from stlhom.steinberg import build_stl
 
 from oracles import (check_homomorphism_on_basis, check_kernel_central,
@@ -715,7 +717,9 @@ PRUNING_CASES = sorted(
 
 @pytest.mark.parametrize("name,scal,n", PRUNING_CASES)
 def test_pruned_uce_agrees_with_the_full_stream(name, scal, n):
-    # homology_hl streams the whole d3 cube: the oracle for the pruned uce
+    # homology_hl stops its blocks by ranks read off its own d2 echelon, not
+    # by the special-weight rule: the oracle for the pruned uce; and every
+    # column of the unfiltered cube must have class 0
     L = build_sl(n, catalog_ring(name, DOMS[scal]))
     model = uce(L)
     assert model.kernel_invariants == homology_hl(L, 2).invariants
@@ -723,17 +727,33 @@ def test_pruned_uce_agrees_with_the_full_stream(name, scal, n):
         assert model.tensor_coords(vec) == {}
 
 
+def _total(weights, *basis) -> tuple:
+    """The weight of a tensor of basis vectors; () under the trivial
+    grading."""
+    return tuple(map(sum, zip(*(weights[x] for x in basis))))
+
+
+def _triple(L, column) -> tuple:
+    """The basis triple (i, j, k) of a flat d3 column index."""
+    i, jk = divmod(column, L.dim * L.dim)
+    return (i, *divmod(jk, L.dim))
+
+
 def _streamed_columns(monkeypatch, L) -> list:
-    """Run uce(L), returning (weight filter, column count) per d3 stream."""
+    """Run uce(L), returning per d3 stream the set of total weights of the
+    streamed triples and the number of columns streamed."""
     import stlhom.leibniz as leib
     inner = leib.iter_d3_columns
+    weights = L.weights or [()] * L.dim
     streams = []
 
-    def counted(M, weight_filter=None):
-        streams.append([weight_filter, 0])
-        for col in inner(M, weight_filter):
-            streams[-1][1] += 1
-            yield col
+    def counted(*args, **kwargs):
+        stream = [set(), 0]
+        streams.append(stream)
+        for c, col in inner(*args, **kwargs):
+            stream[0].add(_total(weights, *_triple(L, c)))
+            stream[1] += 1
+            yield c, col
 
     monkeypatch.setattr(leib, "iter_d3_columns", counted)
     uce(L)
@@ -742,16 +762,19 @@ def _streamed_columns(monkeypatch, L) -> list:
 
 
 @pytest.mark.parametrize("name,scal,columns", [
-    ("mat2", "f2", 48_530), ("group-c2", "q", 2_880),
+    ("mat2", "f2", 5_017), ("group-c2", "q", 502),
 ])
 def test_pruned_uce_streams_only_special_columns_at_n5(monkeypatch, name,
                                                        scal, columns):
     L = build_sl(5, catalog_ring(name, DOMS[scal]))
-    ((weight_filter, count),) = _streamed_columns(monkeypatch, L)
-    assert weight_filter is not None and count == columns
+    ((weights, count),) = _streamed_columns(monkeypatch, L)
+    assert weights and all(special_weight(L.dom, mu) for mu in weights)
+    assert count == columns
 
 
 def test_ungraded_algebras_stream_the_full_cube(monkeypatch):
+    # under the trivial grading the cube is one block, which stops early
+    # only once it spans ker d2: never while it carries HL_2
     from stlhom import build_stl
     sl = build_sl(3, catalog_ring("ground", F3))
     stl_total = build_stl(3, catalog_ring("ground", F3)).total
@@ -759,9 +782,123 @@ def test_ungraded_algebras_stream_the_full_cube(monkeypatch):
     for L in (wrapped, stl_total):
         assert L.weights is None
         full = sum(1 for _ in iter_d3_columns(L))
-        assert _streamed_columns(monkeypatch, L) == [[None, full]]
-    assert _streamed_columns(monkeypatch, sl)[0][1] < sum(
-        1 for _ in iter_d3_columns(sl))
+        ((weights, count),) = _streamed_columns(monkeypatch, L)
+        assert weights == {()}
+        assert count <= full
+        if not homology_hl(L, 2).invariants.is_trivial():
+            assert count == full
+    # HL_2(sl_3(F2)) = 0: its one block stops before the end of the cube
+    sl2 = build_sl(3, catalog_ring("ground", F2))
+    wrapped2 = make_leibniz(F2, sl2.dim, sl2.table, name="wrapped2")
+    ((weights, count),) = _streamed_columns(monkeypatch, wrapped2)
+    assert weights == {()}
+    assert count < sum(1 for _ in iter_d3_columns(wrapped2))
+    ((weights, count),) = _streamed_columns(monkeypatch, sl)
+    assert len(weights) > 1
+    assert count < sum(1 for _ in iter_d3_columns(sl))
+
+
+def test_uce_stops_each_saturated_block_at_its_target_rank(monkeypatch):
+    # HL_2(sl_5(mat2)) = 0, so every special block of positive target
+    # saturates: its streamed columns are a prefix of the block, of rank
+    # #pairs - dim L_mu (counted here off the weights), and the last one
+    # streamed is the one that reaches that rank
+    from collections import Counter
+    import stlhom.leibniz as leib
+    L = build_sl(5, catalog_ring("mat2", F2))
+    weights = L.weights
+    code = leib._WeightBlocks(L).code
+    streamed: dict = {}
+    codes = set()
+    inner = leib.iter_d3_columns
+
+    def recorded(*args, **kwargs):
+        for c, col in inner(*args, **kwargs):
+            triple = _triple(L, c)
+            streamed.setdefault(_total(weights, *triple), []).append((c, col))
+            codes.add(sum(code[x] for x in triple))
+            yield c, col
+
+    monkeypatch.setattr(leib, "iter_d3_columns", recorded)
+    uce(L)
+    monkeypatch.undo()
+    # the same blocks, walked to the end
+    block: dict = {}
+    for c, col in iter_d3_columns(L, lambda mu: mu not in codes):
+        block.setdefault(_total(weights, *_triple(L, c)), []).append((c, col))
+    pairs = Counter(_total(weights, s, t)
+                    for s in range(L.dim) for t in range(L.dim))
+    sizes = Counter(weights)
+    saturated = 0
+    for mu in pairs:
+        target = pairs[mu] - sizes[mu]
+        if not special_weight(F2, mu) or not target:
+            assert mu not in streamed
+            continue
+        cols = streamed[mu]
+        assert cols == block[mu][:len(cols)]
+        ech = make_echelon(F2)
+        grew = [ech.insert(col) is not None for _c, col in cols]
+        assert ech.rank == target and grew[-1], mu
+        rest = block[mu][len(cols):]
+        assert all(ech.insert(col) is None for _c, col in rest), mu
+        saturated += bool(rest)
+    assert saturated
+
+
+def test_a_target_one_too_low_is_caught(monkeypatch):
+    # a block stopped one rank short leaves part of ker d2 out of im d3:
+    # homology_hl reports too large an HL_2, and the uce model either
+    # fails its cocycle check or has the wrong kernel
+    import stlhom.leibniz as leib
+    sls = {(name, scal): build_sl(3, catalog_ring(name, DOMS[scal]))
+           for name, scal in ACCEPTANCE_PAIRS}
+    truth = {key: homology_hl(L, 2).invariants for key, L in sls.items()}
+    inner = leib._d3_image
+
+    def lowered(L, kernel_rank, *args, **kwargs):
+        return inner(L, lambda mu: max(kernel_rank(mu) - 1, 0),
+                     *args, **kwargs)
+
+    monkeypatch.setattr(leib, "_d3_image", lowered)
+    wrong_hl2, wrong_uce = [], []
+    for key, L in sls.items():
+        if homology_hl(L, 2).invariants != truth[key]:
+            wrong_hl2.append(key)
+        try:
+            if uce(L).kernel_invariants != truth[key]:
+                wrong_uce.append(key)
+        except LeibnizIdentityError:
+            wrong_uce.append(key)
+    assert wrong_hl2 and wrong_uce
+
+
+@pytest.mark.parametrize("name,scal,n", [
+    ("dual", "f2", 3), ("ground", "f3", 3), ("dual", "f5", 3),
+    ("dual", "q", 3), ("int", "z", 3), ("dual", "z", 3),
+])
+def test_block_stops_agree_with_the_unfiltered_echelon(name, scal, n):
+    # the echelon of every nonzero d3 column, walked without stops, against
+    # homology_hl and uce, which stop each block once it spans ker d2
+    dom = DOMS[scal]
+    L = build_sl(n, catalog_ring(name, dom))
+    full = make_echelon(dom)
+    for _c, col in iter_d3_columns(L):
+        full.insert(col)
+    rep = homology_hl(L, 2)
+    assert rep.rank_in == full.rank
+    pair = L.dim * L.dim
+    if dom.is_field:
+        want = SubquotientInvariants(dom.name, pair - rep.rank_out - full.rank)
+    else:
+        d2 = _d2_columns(L)
+        kern = make_echelon(dom)
+        for v in SpanSolver(dom, L.dim,
+                            (d2.get(c, {}) for c in range(pair))).kernel():
+            kern.insert(v)
+        want = subquotient(kern, full, pair, dom)
+    assert rep.invariants == want
+    assert uce(L).kernel_invariants == want
 
 
 def test_uce_refuses_a_corrupted_uncertified_sl_before_streaming(

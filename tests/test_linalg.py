@@ -21,6 +21,8 @@ from stlhom.linalg import (ContainmentError, F2Forward, FpForward,
                            moduli_invariants, present_quotient,
                            smith_normal_form, subquotient, vec_axpy, xgcd)
 
+from oracles import reference_smith_normal_form
+
 FIELDS = [F2, F3, F5, Q]
 
 
@@ -326,6 +328,47 @@ def test_smith_matches_sympy(m):
     # divisibility chain
     for a, b in zip(sf.diag, sf.diag[1:]):
         assert b % a == 0
+
+
+def sparse_matrices(max_rows=8, max_cols=8):
+    """Dense matrices with about half their entries zero, so that ties of
+    |value| and empty rows and columns are common."""
+    return matrices(max_rows, max_cols, st.one_of(
+        st.just(0), st.integers(-4, 4), st.sampled_from([2, -2, 6])))
+
+
+def _assert_same_smith(entries, nrows, ncols):
+    got = smith_normal_form(entries, nrows, ncols)
+    want = reference_smith_normal_form(entries, nrows, ncols)
+    assert (got.diag, got.rank, got.U) == (want.diag, want.rank, want.U)
+
+
+@given(sparse_matrices())
+@settings(max_examples=200, deadline=None)
+def test_smith_makes_the_plain_scan_pivot_choices(m):
+    entries = {(i, j): v for i, row in enumerate(m) for j, v in enumerate(row)}
+    _assert_same_smith(entries, len(m), len(m[0]))
+
+
+def test_smith_makes_the_plain_scan_pivot_choices_on_uce_presentations(
+        monkeypatch):
+    import stlhom.linalg as la
+    from stlhom.catalog import catalog_ring
+    from stlhom.leibniz import build_sl, uce
+    inner = la.smith_normal_form
+    seen = []
+
+    def recorded(entries, nrows, ncols):
+        seen.append((dict(entries), nrows, ncols))
+        return inner(entries, nrows, ncols)
+
+    monkeypatch.setattr(la, "smith_normal_form", recorded)
+    for name, n in (("int", 4), ("dual", 3), ("upper2", 3)):
+        uce(build_sl(n, catalog_ring(name, Z)))
+    monkeypatch.undo()
+    assert len(seen) == 3
+    for case in seen:
+        _assert_same_smith(*case)
 
 
 @given(matrices(max_rows=3, max_cols=3, entries=st.integers(-4, 4)))

@@ -7,6 +7,7 @@ is executed, never written) and check them against the package.
 """
 
 import importlib
+import inspect
 import os
 import types
 
@@ -15,7 +16,8 @@ import pytest
 from stlhom.campaign import CampaignConfig, run_campaign
 from stlhom.catalog import catalog_ring
 from stlhom.domains import F3
-from stlhom.leibniz import build_sl, homology_hl
+import stlhom.leibniz as leibniz
+from stlhom.leibniz import build_sl, homology_hl, uce
 from stlhom.steinberg import (build_hat, build_stl, verify_calculus,
                               verify_cocycle, verify_sharp_relations)
 
@@ -56,3 +58,45 @@ def test_result_counts_read_real_reports(tracer):
         assert span in results, f"{metric} reads an unexercised span {span}"
         value = read(results[span])
         assert isinstance(value, int) and value > 0, (metric, value)
+
+
+def test_the_d3_stream_has_the_shape_the_tracer_reads(tracer):
+    # the tracer wraps leibniz.iter_d3_columns by name, iterates it and
+    # counts len(item[1]) per item
+    assert tracer.STREAM == ("leibniz", "iter_d3_columns")
+    assert inspect.isgeneratorfunction(leibniz.iter_d3_columns)
+    items = list(leibniz.iter_d3_columns(build_sl(3, catalog_ring("ground",
+                                                                  F3))))
+    assert items
+    for item in items:
+        column, vec = item
+        assert type(column) is int and type(vec) is dict and len(vec) > 0
+
+
+def test_uce_and_homology_look_the_stream_up_at_call_time(tracer,
+                                                          monkeypatch):
+    # a wrapper set on the module sees every column uce and homology_hl
+    # consume, and the outside tracer counts the same columns
+    L = build_sl(3, catalog_ring("ground", F3))
+    want = (uce(L).total.table, homology_hl(L, 2).to_dict())
+    inner = leibniz.iter_d3_columns
+    seen = []
+
+    def wrapper(*args, **kwargs):
+        seen.append(0)
+        for item in inner(*args, **kwargs):
+            seen[-1] += 1
+            yield item
+
+    monkeypatch.setattr(leibniz, "iter_d3_columns", wrapper)
+    got = (uce(L).total.table, homology_hl(L, 2).to_dict())
+    monkeypatch.undo()
+    assert got == want
+    assert len(seen) == 2 and all(seen)
+    with tracer.Tracer() as traced:
+        uce(L)
+        homology_hl(L, 2)
+    summary = traced.summary()
+    assert summary["leibniz.d3.streams"] == 2
+    assert summary["leibniz.d3.columns"] == sum(seen)
+    assert not tracer.traced_bindings()
