@@ -14,9 +14,9 @@ only cube streamed is that of L = sl (its special-weight triples), inside
 uce while stl is built; HL_2(stl) is read off the N presentation.  That
 stream keeps one row per special pair of sl, and a check declares exactly
 that count (``declared_rows``), from the ring alone before any heavy work
-starts.  The symbolic cocycle check never builds a matrix and is exempt.  Checks
-that only exist for the hat models (cocycle, sharp) are skipped -- not
-failed -- at n = 5.
+starts.  The symbolic cocycle check never builds a matrix and is exempt.
+Checks that only exist for the hat models (cocycle, sharp) are skipped --
+not failed -- at n = 5.
 
 A check ends ``passed`` or ``failed`` by its mathematical witness,
 ``error`` when it raised (the witness keeps the exception's class and
@@ -161,8 +161,9 @@ def declared_rows(n: int, ring: AssocAlgebra) -> int:
         (d0 * d0 + roots * r * r, ()),   # 0 + 0; a root and its negative
         (2 * d0 * roots * r, ((0, 1), (1, -1))),   # a root and 0
         (roots * r * r, ((0, 2), (1, -2))),   # a root twice
-        (2 * roots * (n - 2) * r * r, ((0, 1), (2, -1))),   # sum a root
-        (2 * roots * (n - 2) * r * r, ((0, 2), (1, -1), (2, -1))),
+        (2 * roots * (n - 2) * r * r, ((0, 1), (2, -1))),   # adding to a root
+        (2 * roots * (n - 2) * r * r,   # sharing one end
+         ((0, 2), (1, -1), (2, -1))),
         (roots * (n - 2) * (n - 3) * r * r,
          ((0, 1), (1, 1), (2, -1), (3, -1))),   # four distinct indices
     )
