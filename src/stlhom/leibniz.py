@@ -187,7 +187,7 @@ def _check_leibniz_identity(alg: LeibnizAlgebra) -> None:
 
 
 def _check_identity(alg: LeibnizAlgebra, dim: int, inner: dict,
-                    outer: dict, what: str) -> None:
+                    outer: dict, what: str, graded=None) -> None:
     """Raise ``LeibnizIdentityError`` at the first triple of basis vectors
     (x, y, z) = (e_i, e_j, e_k), i, j, k < dim, where
 
@@ -201,30 +201,49 @@ def _check_identity(alg: LeibnizAlgebra, dim: int, inner: dict,
     For fixed (y, z), every term vanishes unless [x, y] or [x, z] is nonzero
     or o(x, .) is nonzero on the support of [y, z]; only those candidate x
     are visited.
+
+    ``graded`` = (code, buckets, totals) visits the triples of a few
+    weights instead: ``code`` gives each basis vector an integer weight
+    code and ``buckets`` lists the basis by code (``_WeightBlocks``).  When
+    both tables are homogeneous under it (each entry (i, j) meets only
+    coordinates of weight wt(i) + wt(j)), every term of (x, y, z) lies in
+    coordinates of the weight wt(x) + wt(y) + wt(z), so a triple can fail
+    only if some coordinate has that weight.  The caller checks the
+    homogeneity and lists those weights' codes as ``totals``
+    (``CentralExtensionModel``); for each (y, z) every x of the buckets
+    that complete a code in ``totals`` is visited.
     """
     if not outer:
         return
     dom = alg.dom
     signs = (dom.neg(dom.one), dom.one)
     byfirst: dict[int, dict[int, dict]] = {}
-    bysecond: dict[int, set[int]] = {}
     for (i, j), w in inner.items():
         byfirst.setdefault(i, {})[j] = w
-        bysecond.setdefault(j, set()).add(i)
-    outer_bysecond: dict[int, set[int]] = {}
-    for (i, j) in outer:
-        outer_bysecond.setdefault(j, set()).add(i)
+    if graded is None:
+        bysecond: dict[int, set[int]] = {}
+        for (i, j) in inner:
+            bysecond.setdefault(j, set()).add(i)
+        outer_bysecond: dict[int, set[int]] = {}
+        for (i, j) in outer:
+            outer_bysecond.setdefault(j, set()).add(i)
+        empty_set: set[int] = set()
+    else:
+        code, buckets, totals = graded
     empty_row: dict[int, dict] = {}
-    empty_set: set[int] = set()
 
     for j in range(dim):
         row_j = byfirst.get(j, empty_row)
         for k in range(dim):
             w = row_j.get(k)
-            cand = bysecond.get(j, empty_set) | bysecond.get(k, empty_set)
-            if w:
-                for t in w:
-                    cand.update(outer_bysecond.get(t, empty_set))
+            if graded is None:
+                cand = bysecond.get(j, empty_set) | bysecond.get(k, empty_set)
+                if w:
+                    for t in w:
+                        cand.update(outer_bysecond.get(t, empty_set))
+            else:
+                rest = code[j] + code[k]
+                cand = [i for mu in totals for i in buckets.get(mu - rest, ())]
             for i in cand:
                 acc: dict = {}
                 if w:
@@ -468,11 +487,10 @@ class _WeightBlocks:
 
     __slots__ = ("code", "buckets", "_base", "_n")
 
-    def __init__(self, L: LeibnizAlgebra):
-        weights = L.weights
+    def __init__(self, weights: list | None, dim: int):
         if weights is None:
             self._base, self._n = 1, 0
-            self.code = [0] * L.dim
+            self.code = [0] * dim
         else:
             m = max((abs(x) for w in weights for x in w), default=0)
             self._base, self._n = 6 * m + 1, len(weights[0]) if weights else 0
@@ -534,7 +552,7 @@ def iter_d3_columns(L: LeibnizAlgebra, full=None):
     for (i, j), w in L.table.items():
         byfirst.setdefault(i, {})[j] = w
     empty: dict[int, dict] = {}
-    blocks = _WeightBlocks(L)
+    blocks = _WeightBlocks(L.weights, L.dim)
     code, buckets = blocks.code, blocks.buckets
     by_weight = sorted(buckets.items())
 
@@ -723,7 +741,7 @@ def homology_hl(L: LeibnizAlgebra, degree: int) -> HomologyReport:
 
     # rank ker(d2)_mu = #pairs of weight mu - rank d2_mu, and the rows of
     # img2 are homogeneous, so rank d2_mu counts its pivots of weight mu
-    blocks = _WeightBlocks(L)
+    blocks = _WeightBlocks(L.weights, L.dim)
     rank2: dict[int, int] = {}
     for p in img2.rows:
         mu = blocks.code[p]
@@ -862,6 +880,24 @@ def structural_report(L: LeibnizAlgebra) -> StructuralReport:
 # central extensions
 
 
+def _homogeneous_codes(total: LeibnizAlgebra, base_code: list[int]):
+    """The support check of ``CentralExtensionModel``: extend the weight
+    codes of the base to the total, each kernel coordinate taking the code
+    code[s] + code[t] of the first table entry (s, t) that meets it (None
+    where no entry does).  Returns None if some entry (s, t) meets a
+    coordinate of another code."""
+    code = base_code + [None] * (total.dim - len(base_code))
+    for (s, t), w in total.table.items():
+        mu = code[s] + code[t]
+        for k in w:
+            c = code[k]
+            if c != mu:
+                if c is not None:
+                    return None
+                code[k] = mu
+    return code
+
+
 class CentralExtensionModel:
     """A central extension total -> base: the total is base (+) K, K in the
     top coordinates, with bracket [x, y] = ([x, y], kappa(x, y)).
@@ -875,12 +911,31 @@ class CentralExtensionModel:
     ``LeibnizIdentityError`` with the witness triple.  ``kernel_invariants``
     are read off the kernel moduli.  The class of a tensor e_s (x) e_t is
     the total bracket [e_s, e_t] (``tensor_coords``).
+
+    On a graded base (``base_weights``, by default ``base.weights``) the
+    check runs in two steps.  The support check gives each kernel
+    coordinate the weight wt(s) + wt(t) of the first entry [e_s, e_t] that
+    meets it, and asks every entry of the total's table, the base's own
+    included, to meet only coordinates of its weight wt(s) + wt(t).  When
+    it passes, the total's table is homogeneous, so every term of the
+    cocycle condition on (x, y, z) lies in kernel coordinates of weight
+    wt(x) + wt(y) + wt(z), and the condition is checked on the triples of
+    a kernel weight only (``_check_identity``): every other triple is 0.
+    When it fails, or the base is ungraded, every candidate triple is
+    checked.  An empty kappa needs no check at all.
+
+    ``weights`` is the grading of the total that the support check
+    certified (a kernel coordinate that no entry meets gets weight 0), or
+    None where there is none.  It is kept here and not on the total, whose
+    ``weights`` would claim the h-action that ``build_sl`` checks.
     """
 
-    __slots__ = ("total", "base", "kernel_invariants", "kernel_moduli")
+    __slots__ = ("total", "base", "kernel_invariants", "kernel_moduli",
+                 "weights")
 
     def __init__(self, base: LeibnizAlgebra, kernel_moduli: list[int],
-                 kappa: dict, name: str, kernel_labels: list[str]):
+                 kappa: dict, name: str, kernel_labels: list[str],
+                 base_weights: list | None = None):
         if not base.certified:
             raise ValueError(f"the base {base.name} of a central extension "
                              f"must be a certified Leibniz algebra")
@@ -897,9 +952,26 @@ class CentralExtensionModel:
         self.base = base
         self.kernel_invariants = moduli_invariants(base.dom, kernel_moduli)
         self.kernel_moduli = kernel_moduli
-        _check_identity(self.total, bd, base.table, shifted,
-                        "cocycle condition kappa(x,[y,z]) = kappa([x,y],z) "
-                        "- kappa([x,z],y)")
+        self.weights = None
+        if base_weights is None:
+            base_weights = base.weights
+        if kappa:
+            graded = None
+            if base_weights is not None:
+                blocks = _WeightBlocks(base_weights, bd)
+                code = _homogeneous_codes(self.total, blocks.code)
+                if code is not None:
+                    kernel = code[bd:]
+                    graded = (code, blocks.buckets,
+                              sorted({mu for mu in kernel if mu is not None}))
+                    self.weights = list(base_weights) + [
+                        blocks.weight(mu or 0) for mu in kernel]
+            _check_identity(self.total, bd, base.table, shifted,
+                            "cocycle condition kappa(x,[y,z]) = "
+                            "kappa([x,y],z) - kappa([x,z],y)", graded)
+        elif base_weights is not None:
+            zero = (0,) * len(base_weights[0]) if bd else ()
+            self.weights = list(base_weights) + [zero] * len(kernel_moduli)
         self.total.certified = True
 
     def project(self, v: dict) -> dict:
@@ -946,7 +1018,11 @@ def uce(L: LeibnizAlgebra) -> CentralExtensionModel:
     wt(s) + wt(t) are kept, numbered in their flat order; only the d3
     triples of special total weight are streamed, only the w_s of special
     weight are inserted, and kappa vanishes off the special pairs, so a
-    tensor's class is read off its special part.
+    tensor's class is read off its special part.  Over a field each kernel
+    coordinate then has one special weight, and the model checks the
+    cocycle condition on the triples of those weights only
+    (``CentralExtensionModel``); over Z the Smith basis may mix weights, and
+    the check visits every candidate triple.
 
     A special block stops once its image spans ker(d2)_mu (module
     docstring).  L is perfect and the w_s are homogeneous, so d2 maps the
@@ -991,7 +1067,7 @@ def uce(L: LeibnizAlgebra) -> CentralExtensionModel:
         w = {colindex[t]: c for t, c in coeffs.items()}
         preimages.append((s, w))
 
-    blocks = _WeightBlocks(L)
+    blocks = _WeightBlocks(L.weights, L.dim)
     code = blocks.code
     special: dict[int, bool] = {}
 

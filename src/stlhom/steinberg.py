@@ -740,15 +740,19 @@ def build_stl(n: int, ring: AssocAlgebra) -> SteinbergModel:
     # coordinates are those of sl
     pos = _distinct(n, 2)
     d = ring.dim
+    # E_ij(r_lam) and E_ij(1) in sl coordinates, each solved for once
+    eij = {(i, j, lam): sl.eij(i - 1, j - 1, {lam: one})
+           for (i, j) in pos for lam in range(d)}
+    eij_one = {(i, j): sl.eij(i - 1, j - 1, ring.unit) for (i, j) in pos}
     ngens: list[dict] = []
     for (i, j) in pos:
         for (k, l) in pos:
             if j == k or i == l:
                 continue
             for lam in range(d):
-                ei = sl.eij(i - 1, j - 1, {lam: one})
+                ei = eij[(i, j, lam)]
                 for mu in range(d):
-                    ek = sl.eij(k - 1, l - 1, {mu: one})
+                    ek = eij[(k, l, mu)]
                     coords = ext.total.bracket(ei, ek)
                     if ext.project(coords):
                         raise AssertionError(
@@ -793,9 +797,7 @@ def build_stl(n: int, ring: AssocAlgebra) -> SteinbergModel:
         for lam in range(d):
             img = None
             for p in pivots:
-                u = sl.eij(i - 1, p - 1, {lam: one})
-                v = sl.eij(p - 1, j - 1, ring.unit)
-                cur = total.bracket(u, v)
+                cur = total.bracket(eij[(i, p, lam)], eij_one[(p, j)])
                 if img is None:
                     img = cur
                 elif not total.eq_vec(img, cur):
@@ -1082,7 +1084,11 @@ def build_hat(n: int, ring: AssocAlgebra,
     decomposition of each basis vector and becomes the kappa of a
     ``CentralExtensionModel``, which checks the cocycle condition on every
     stl triple that can violate it: a concrete, independent confirmation
-    that psi is a cocycle.
+    that psi is a cocycle.  The stl total is graded by the grading its own
+    support check certified (sl's weights, HH_1 at weight 0), under which
+    each W slot has the weight of its position class; so the condition is
+    checked on the triples of those six weights only, and on every
+    candidate triple if psi fails the support check.
     """
     if n not in (3, 4):
         raise ValueError("hat models exist for n in {3, 4}")
@@ -1130,7 +1136,7 @@ def build_hat(n: int, ring: AssocAlgebra,
                 kappa[(s, t)] = val
     ext = CentralExtensionModel(
         stl_alg, list(space.moduli), kappa, f"hat-stl{n}({ring.name})",
-        space.labels)
+        space.labels, model.extension.weights)
     if not is_perfect(ext.total):
         raise AssertionError(f"{ext.total.name} is not perfect")
     return HatModel(n, ring, model, ext, space, theta)

@@ -5,10 +5,40 @@ the projection is a homomorphism and the kernel is central without a check;
 these functions check both on the finished table, independently of how it
 was assembled.  ``reference_smith_normal_form`` is the plain-scan Smith
 reduction that the indexed one in the package must reproduce exactly.
+``cocycle_paths`` and ``kappa_of`` let a test see which way an extension
+was certified and rebuild it from a changed kappa.
 """
 
+import stlhom.leibniz as leibniz
 from stlhom.domains import Z
 from stlhom.linalg import SmithForm, vec_axpy
+
+
+def cocycle_paths(monkeypatch) -> dict:
+    """Record, per total name, whether the cocycle check of each
+    ``CentralExtensionModel`` built from here on visited the kernel-weight
+    triples only (True) or every candidate triple (False).  An extension
+    with an empty kappa checks nothing and is not recorded."""
+    paths: dict = {}
+    inner = leibniz._check_identity
+
+    def spy(alg, dim, inner_table, outer, what, graded=None):
+        if outer is not inner_table:
+            paths[alg.name] = graded is not None
+        return inner(alg, dim, inner_table, outer, what, graded)
+
+    monkeypatch.setattr(leibniz, "_check_identity", spy)
+    return paths
+
+
+def kappa_of(ext) -> dict:
+    """The kernel part of every nonzero table entry of an extension."""
+    out = {}
+    for p, w in ext.total.table.items():
+        kern = ext.kernel_part(w)
+        if kern:
+            out[p] = kern
+    return out
 
 
 def check_homomorphism_on_basis(ext) -> None:

@@ -18,7 +18,7 @@ from stlhom.linalg import (SpanSolver, SubquotientInvariants, make_echelon,
 from stlhom.steinberg import build_stl
 
 from oracles import (check_homomorphism_on_basis, check_kernel_central,
-                     sl_to_gl)
+                     cocycle_paths, kappa_of, sl_to_gl)
 
 DOMS = {"f2": F2, "f3": F3, "f5": F5, "q": Q, "z": Z}
 
@@ -807,7 +807,7 @@ def test_uce_stops_each_saturated_block_at_its_target_rank(monkeypatch):
     import stlhom.leibniz as leib
     L = build_sl(5, catalog_ring("mat2", F2))
     weights = L.weights
-    code = leib._WeightBlocks(L).code
+    code = leib._WeightBlocks(L.weights, L.dim).code
     streamed: dict = {}
     codes = set()
     inner = leib.iter_d3_columns
@@ -944,30 +944,54 @@ SL2_F3 = build_sl(2, catalog_ring("ground", F3))
 
 @given(st.dictionaries(st.integers(0, 2), st.integers(1, 2), max_size=3),
        st.one_of(st.none(), st.tuples(st.integers(0, 2), st.integers(0, 2),
-                                      st.integers(1, 2))))
-def test_cocycle_check_agrees_with_brute_force(f, bump):
+                                      st.integers(1, 2), st.integers(0, 2))),
+       st.booleans())
+def test_cocycle_check_agrees_with_brute_force(f, bump, split):
     """kappa = f o [,] is a coboundary, hence a cocycle; one bumped entry
-    usually breaks that.  The extension must be accepted exactly when the
-    assembled total passes the brute-force identity check."""
+    usually breaks that.  With ``split`` f sends each basis vector of the
+    graded base to the kernel coordinate of its weight, so kappa is
+    homogeneous over three coordinates and the check visits the
+    kernel-weight triples only, unless the bump lands on a coordinate of
+    another weight.  The extension must be accepted exactly when the
+    assembled total passes the brute-force identity check, and graded
+    exactly when each coordinate is met at one weight."""
     base = SL2_F3
+    weights = base.weights
+    levels = sorted(set(weights))
+    width = len(levels) if split else 1
+    slot = [levels.index(w) if split else 0 for w in weights]
     kappa = {}
     for p, w in base.table.items():
-        c = sum(f.get(t, 0) * x for t, x in w.items()) % 3
-        if c:
-            kappa[p] = {0: c}
+        v = {}
+        for t, x in w.items():
+            c = (v.get(slot[t], 0) + f.get(t, 0) * x) % 3
+            v[slot[t]] = c
+        v = {k: c for k, c in v.items() if c}
+        if v:
+            kappa[p] = v
     if bump is not None:
-        s, t, c = bump
-        c = (kappa.get((s, t), {}).get(0, 0) + c) % 3
-        kappa[(s, t)] = {0: c} if c else {}
+        s, t, c, k = bump
+        k %= width
+        v = dict(kappa.get((s, t), {}))
+        v[k] = (v.get(k, 0) + c) % 3
+        kappa[(s, t)] = {j: x for j, x in v.items() if x}
         kappa = {p: v for p, v in kappa.items() if v}
+    met: dict = {}
+    for (s, t), v in kappa.items():
+        wt = tuple(a + b for a, b in zip(weights[s], weights[t]))
+        for k in v:
+            met.setdefault(k, set()).add(wt)
+    homogeneous = all(len(ws) == 1 for ws in met.values())
     table = dict(base.table)
     for p, v in kappa.items():
-        table[p] = {**table.get(p, {}), base.dim: v[0]}
-    probe = LeibnizAlgebra(F3, base.dim + 1, table, base.labels + ["z"],
-                           [0] * (base.dim + 1), "probe")
+        table[p] = {**table.get(p, {}),
+                    **{base.dim + k: x for k, x in v.items()}}
+    labels = [f"z{k}" for k in range(width)]
+    probe = LeibnizAlgebra(F3, base.dim + width, table, base.labels + labels,
+                           [0] * (base.dim + width), "probe")
     ok, _witness = brute_leibniz_holds(probe)
     try:
-        ext = CentralExtensionModel(base, [0], kappa, "ext", ["z"])
+        ext = CentralExtensionModel(base, [0] * width, kappa, "ext", labels)
     except LeibnizIdentityError as exc:
         assert not ok
         assert len(exc.triple) == 3
@@ -975,8 +999,47 @@ def test_cocycle_check_agrees_with_brute_force(f, bump):
     assert ok
     assert ext.total.certified
     assert ext.total.table == probe.table
+    assert (ext.weights is not None) == homogeneous
+    if ext.weights is not None:
+        assert {k: ext.weights[base.dim + k] for k in met} == {
+            k: next(iter(ws)) for k, ws in met.items()}
     check_homomorphism_on_basis(ext)
     check_kernel_central(ext)
+
+
+def _uce_sl3_f3():
+    """uce(sl_3(F3)): six kernel coordinates at six distinct weights."""
+    ext = uce(build_sl(3, catalog_ring("ground", F3)))
+    bd = ext.base.dim
+    assert len(set(ext.weights[bd:])) == len(ext.kernel_moduli) == 6
+    return ext, kappa_of(ext), bd
+
+
+def test_a_kappa_entry_at_a_wrong_weight_falls_back_and_fails(monkeypatch):
+    ext, kappa, bd = _uce_sl3_f3()
+    (s, t), v = min(kappa.items())
+    (c, x), = v.items()
+    other = next(k for k in range(len(ext.kernel_moduli))
+                 if ext.weights[bd + k] != ext.weights[bd + c])
+    kappa[(s, t)] = {other: x}
+    paths = cocycle_paths(monkeypatch)
+    with pytest.raises(LeibnizIdentityError) as exc:
+        CentralExtensionModel(ext.base, ext.kernel_moduli, kappa, "moved",
+                              ext.total.labels[bd:])
+    assert len(exc.value.triple) == 3
+    assert paths == {"moved": False}
+
+
+def test_a_wrong_kappa_value_at_a_kernel_weight_fails_pruned(monkeypatch):
+    ext, kappa, bd = _uce_sl3_f3()
+    (s, t), v = min(kappa.items())
+    kappa[(s, t)] = {c: (2 * x) % 3 for c, x in v.items()}
+    paths = cocycle_paths(monkeypatch)
+    with pytest.raises(LeibnizIdentityError) as exc:
+        CentralExtensionModel(ext.base, ext.kernel_moduli, kappa, "scaled",
+                              ext.total.labels[bd:])
+    assert len(exc.value.triple) == 3
+    assert paths == {"scaled": True}
 
 
 def test_central_extension_needs_a_certified_base():

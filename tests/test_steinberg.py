@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stlhom.assoc import hochschild_h1
-from stlhom.catalog import catalog_ring
+from stlhom.catalog import ACCEPTANCE_PAIRS, catalog_ring
 from stlhom.domains import F2, F3, F5, Q, Z
 import stlhom
-from stlhom.leibniz import (LeibnizIdentityError, build_sl, homology_hl,
-                            is_central, is_perfect, make_leibniz,
-                            structural_report, uce)
+from stlhom.leibniz import (CentralExtensionModel, LeibnizIdentityError,
+                            build_sl, homology_hl, is_central, is_perfect,
+                            make_leibniz, special_weight, structural_report,
+                            uce)
 from stlhom.linalg import vec_axpy
 from stlhom.steinberg import (build_hat, build_stl, build_theta,
                               corrupted_theta, hl2_report, predicted_hl2,
@@ -22,7 +23,7 @@ from stlhom.steinberg import (build_hat, build_stl, build_theta,
                               verify_sharp_relations)
 
 from oracles import (check_homomorphism_on_basis, check_kernel_central,
-                     sl_to_gl)
+                     cocycle_paths, kappa_of, sl_to_gl)
 
 DOMS = {"f2": F2, "f3": F3, "f5": F5, "q": Q, "z": Z}
 
@@ -344,6 +345,109 @@ def test_corrupted_theta_breaks_the_hat():
         build_hat(4, ring("ground", "f2"), model=m,
                   theta=corrupted_theta(build_theta()))
     assert len(exc.value.triple) == 3
+
+
+# ---------------------------------------------------------------------------
+# certifying the extensions on their kernel weights
+
+
+FIELD_PAIRS = [(name, scal) for name, scal in ACCEPTANCE_PAIRS if scal != "z"]
+Z_RINGS = ("int", "ground", "dual", "trunc3", "group-c2", "upper2", "mat2")
+# Smith's U mixes weight blocks of the uce kernel over Z here, so its
+# support check fails and uce takes the full cocycle check
+Z_UCE_FALLBACKS = {("dual", 3), ("group-c2", 3), ("trunc3", 4)}
+# the hats of the all-checks workload; W is 0 for mat2 only
+ALL_CHECK_HATS = [
+    ("mat2", "f2", 4), ("upper2", "f2", 4), ("group-c2", "f2", 4),
+    ("dual", "f2", 4), ("trunc3", "f3", 3), ("dual", "f3", 3),
+    ("int", "z", 4), ("ground", "f2", 4), ("ground", "f3", 3),
+]
+
+
+def position_class_weight(h, slot: int) -> tuple:
+    """The torus weight of the W (n = 4) or U (n = 3) slot: that of
+    X_ij(a) (x) X_kl(b) at the position class the slot labels."""
+    n = h.n
+    if n == 4:
+        i, j, k, l = h.theta.representatives[slot - 1]
+        return tuple((t == i) - (t == j) + (t == k) - (t == l)
+                     for t in range(1, 5))
+    sign, i = (1, slot) if slot > 0 else (-1, -slot)
+    return tuple(sign * (3 * (t == i) - 1) for t in range(1, 4))
+
+
+def test_every_extension_is_certified_on_its_kernel_weights(monkeypatch):
+    """The support check passes, so the cocycle check visits the
+    kernel-weight triples only: uce, stl and hat on the field acceptance
+    pairs, stl and hat on every ring over Z, at n = 3 and 4.  Over Z, uce
+    falls back to the full check exactly on Z_UCE_FALLBACKS."""
+    paths = cocycle_paths(monkeypatch)
+    cases = ([(name, scal, n) for name, scal in FIELD_PAIRS for n in (3, 4)]
+             + [(name, "z", n) for name in Z_RINGS for n in (3, 4)])
+    for name, scal, n in cases:
+        r = ring(name, scal)
+        model = build_stl(n, r)
+        h = build_hat(n, r, model=model)
+        for ext in (model.extension, h.extension):
+            assert ext.weights is not None, ext.total.name
+            assert paths.get(ext.total.name, True), ext.total.name
+        want = scal != "z" or (name, n) not in Z_UCE_FALLBACKS
+        assert paths.get(f"uce({model.extension.base.name})", True) == want, \
+            (name, scal, n)
+
+
+def test_the_support_check_reads_off_the_grading_of_the_paper():
+    # uce(sl): the kernel ker(d2)/im(d3) lives in the special weights
+    for name, scal in FIELD_PAIRS:
+        for n in (3, 4):
+            sl = build_sl(n, ring(name, scal))
+            weights = uce(sl).weights
+            assert all(special_weight(sl.dom, w) for w in weights[sl.dim:])
+    # stl: the kernel HH_1(R) has weight 0
+    for name, scal in ACCEPTANCE_PAIRS:
+        for n in (3, 4):
+            ext = stl(name, scal, n).extension
+            assert set(ext.weights[ext.base.dim:]) <= {(0,) * n}
+    # hat: each W slot has the weight of its position class, six in all
+    # where W is not 0
+    for name, scal, n in ALL_CHECK_HATS:
+        h = hat(name, scal, n)
+        sd, d = h.stl.total.dim, h.space.quotient.dim
+        got = h.extension.weights[sd:]
+        want = [position_class_weight(h, slot)
+                for slot in h.space.slots for _ in range(d)]
+        assert got == want
+        assert len(set(got)) == (6 if got else 0)
+
+
+def test_corrupted_theta_fails_the_support_check_of_the_hat(monkeypatch):
+    # swapping the labels of two quadruples of different position classes
+    # moves kappa entries into W slots of another weight, so the hat takes
+    # the full check, which finds the witness triple
+    m = stl("ground", "f2", 4)
+    paths = cocycle_paths(monkeypatch)
+    with pytest.raises(LeibnizIdentityError) as exc:
+        build_hat(4, ring("ground", "f2"), model=m,
+                  theta=corrupted_theta(build_theta()))
+    assert len(exc.value.triple) == 3
+    assert paths == {"hat-stl4(ground)": False}
+
+
+@pytest.mark.parametrize("name,scal,n", [("ground", "f3", 3),
+                                         ("dual", "f3", 3)])
+def test_a_wrong_hat_kappa_value_fails_pruned(monkeypatch, name, scal, n):
+    h = hat(name, scal, n)
+    ext = h.extension
+    kappa = kappa_of(ext)
+    p, v = min(kappa.items())
+    kappa[p] = {c: (2 * x) % 3 for c, x in v.items()}
+    paths = cocycle_paths(monkeypatch)
+    with pytest.raises(LeibnizIdentityError) as exc:
+        CentralExtensionModel(ext.base, ext.kernel_moduli, kappa, "scaled",
+                              ext.total.labels[ext.base.dim:],
+                              h.stl.extension.weights)
+    assert len(exc.value.triple) == 3
+    assert paths == {"scaled": True}
 
 
 @pytest.mark.parametrize("name,scal,n", [
