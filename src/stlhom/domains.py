@@ -56,7 +56,11 @@ class ScalarDomain:
         return int(n)
 
     def normalize(self, x):
-        """Coerce ``x`` (int or Fraction) to canonical form; reject junk."""
+        """Coerce ``x`` (an int, not a bool, or a Fraction) to canonical
+        form; raise ``ValueError`` on anything else."""
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+            raise ValueError(f"{x!r} is not an exact scalar (an int or a "
+                             f"Fraction)")
         if self.p is not None:
             if isinstance(x, Fraction):
                 if x.denominator % self.p == 0:

@@ -132,11 +132,13 @@ class LeibnizAlgebra:
 
 
 class LeibnizIdentityError(ValueError):
-    """The alleged bracket table violates the Leibniz identity."""
+    """The alleged bracket table violates the Leibniz identity: ``triple``
+    is the witness (x, y, z) and ``defect`` its sparse nonzero value."""
 
-    def __init__(self, message, triple):
+    def __init__(self, message, triple, defect):
         super().__init__(message)
         self.triple = triple
+        self.defect = defect
 
 
 def make_leibniz(dom: ScalarDomain, dim: int, table: dict,
@@ -193,14 +195,19 @@ def _check_identity(alg: LeibnizAlgebra, dim: int, inner: dict,
 
         o(x, [y, z]) - o([x, y], z) + o([x, z], y)
 
-    is nonzero modulo the moduli of ``alg``.  [,] is the ``inner`` table
-    and o the ``outer`` one, both (i, j) -> sparse vector.  With both equal
-    to alg.table this is the Leibniz identity; with the base bracket inside
-    and kappa outside it is the cocycle condition on kappa.
+    is nonzero modulo the moduli of ``alg``; the error carries the triple
+    and this ``defect``.  [,] is the ``inner`` table and o the ``outer``
+    one, both (i, j) -> sparse vector.  ``alg`` only supplies the domain,
+    labels and moduli.  With both tables equal to alg.table this is the
+    Leibniz identity (``make_leibniz``, uncertified d3 streams); with the
+    base bracket inside and kappa outside it is the cocycle condition on
+    kappa (``CentralExtensionModel``); ``verify_cocycle`` puts the X-parts
+    of the symbolic brackets inside and psi outside.
 
     For fixed (y, z), every term vanishes unless [x, y] or [x, z] is nonzero
     or o(x, .) is nonzero on the support of [y, z]; only those candidate x
-    are visited.
+    are visited, in ascending order, so the triple raised is the first
+    failing one in (y, z, x) order.
 
     ``graded`` = (code, buckets, totals) visits the triples of a few
     weights instead: ``code`` gives each basis vector an integer weight
@@ -241,6 +248,7 @@ def _check_identity(alg: LeibnizAlgebra, dim: int, inner: dict,
                 if w:
                     for t in w:
                         cand.update(outer_bysecond.get(t, empty_set))
+                cand = sorted(cand)
             else:
                 rest = code[j] + code[k]
                 cand = [i for mu in totals for i in buckets.get(mu - rest, ())]
@@ -265,7 +273,7 @@ def _check_identity(alg: LeibnizAlgebra, dim: int, inner: dict,
                     raise LeibnizIdentityError(
                         f"{what} fails at ({lab[i]}, {lab[j]}, {lab[k]}): "
                         f"the defect is {alg.describe_element(acc)}",
-                        (i, j, k))
+                        (i, j, k), acc)
 
 
 # ---------------------------------------------------------------------------

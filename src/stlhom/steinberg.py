@@ -24,7 +24,8 @@ from fractions import Fraction
 from itertools import permutations
 
 from .assoc import AssocAlgebra, QuotientAlgebra, hochschild_h1, quotient_Rm
-from .leibniz import (CentralExtensionModel, LeibnizAlgebra, build_sl,
+from .leibniz import (CentralExtensionModel, LeibnizAlgebra,
+                      LeibnizIdentityError, _check_identity, build_sl,
                       is_central, is_perfect, structural_report, uce)
 from .linalg import (SpanSolver, SubquotientInvariants, make_echelon,
                      moduli_invariants, present_quotient, subquotient,
@@ -275,13 +276,9 @@ def _psi(n: int, x, y, rm: QuotientAlgebra,
     space = CocycleSpace(n, rm)
     out: dict = {}
     if x[0] == "x" and y[0] == "x":
-        rule = _psi_pair_rule(n, rm.base, rm, theta, space)
-        mul = rm.base.dom.mul
-        for lam, ca in x[3].items():
-            for mu, cb in y[3].items():
-                val = rule(("x", x[1], x[2], lam), ("x", y[1], y[2], mu))
-                if val:
-                    space.add_scaled(out, val, mul(ca, cb))
+        psi = _psi_pair_rule(n, rm.base, rm, theta, space)
+        out = psi([(("x", x[1], x[2], lam), c) for lam, c in x[3].items()],
+                  [(("x", y[1], y[2], mu), c) for mu, c in y[3].items()])
     return CocycleValue(space, out)
 
 
@@ -291,27 +288,30 @@ def _sign(m: int, n: int) -> int:
 
 def _psi_pair_rule(n: int, ring: AssocAlgebra, rm: QuotientAlgebra,
                    theta: ThetaMap | None, space: CocycleSpace):
-    """Shared kernel of psi on pairs of X basis keys -> raw coordinate dict."""
+    """Shared kernel of psi: the pair rules on X basis keys, expanded
+    bilinearly over two lists of (X key, coefficient) -> coordinate dict."""
+    mul = ring.dom.mul
 
-    def rule(k1, k2) -> dict | None:
-        _, i, j, lam = k1
-        _, k, l, mu = k2
-        if n == 4:
-            if len({i, j, k, l}) != 4:
-                return None
-            slot, sgn = theta((i, j, k, l)), 1
-        elif i == k and j != l:
-            slot, sgn = i, _sign(j, l)
-        elif j == l and i != k:
-            slot, sgn = -j, _sign(i, k)
-        else:
-            return None
+    def psi(xs, ys) -> dict:
         out: dict = {}
-        abar = rm.coords(ring.basis_product(lam, mu))
-        space.add_scaled(out, space.embed(slot, abar), sgn)
-        return out or None
+        for (_, i, j, lam), ca in xs:
+            for (_, k, l, mu), cb in ys:
+                if n == 4:
+                    if len({i, j, k, l}) != 4:
+                        continue
+                    slot, sgn = theta((i, j, k, l)), 1
+                elif i == k and j != l:
+                    slot, sgn = i, _sign(j, l)
+                elif j == l and i != k:
+                    slot, sgn = -j, _sign(i, k)
+                else:
+                    continue
+                abar = rm.coords(ring.basis_product(lam, mu))
+                space.add_scaled(out, space.embed(slot, abar),
+                                 mul(sgn, mul(ca, cb)))
+        return out
 
-    return rule
+    return psi
 
 
 # ---------------------------------------------------------------------------
@@ -542,9 +542,15 @@ class CocycleReport:
 
 def verify_cocycle(n: int, ring: AssocAlgebra,
                    theta: ThetaMap | None = None) -> CocycleReport:
-    """Evaluate J(x,y,z) on every ordered triple of symbolic basis elements.
+    """Check J(x,y,z) = psi(x,[y,z]) + psi([x,z],y) - psi([x,y],z) = 0 on
+    every ordered triple of the K symbolic basis keys.
 
     Brackets are computed by the rewriting engine; psi by the pair rules.
+    The triples are walked by ``_check_identity``, the walker that
+    certifies every Leibniz table, with the X-parts of the brackets inside
+    and psi outside; a triple it does not visit vanishes term by term.  So
+    a pass reports K^3 triples, and a failure the first failing triple in
+    (y, z, x) order and the count of triples up to and including it.
     ``theta`` may be supplied (n = 4 only) to run a negative control with a
     corrupted labeling.  Failures are report content, not exceptions.
     """
@@ -561,69 +567,45 @@ def verify_cocycle(n: int, ring: AssocAlgebra,
 
     engine = SteinbergSymbolic(n, ring)
     basis = engine.basis_keys()
+    K = len(basis)
+    index = {key: s for s, key in enumerate(basis)}
     space = CocycleSpace(n, rm)
-    rule = _psi_pair_rule(n, ring, rm, theta, space)
+    psi = _psi_pair_rule(n, ring, rm, theta, space)
+    one = ring.dom.one
 
-    xkeys = [k for k in basis if k[0] == "x"]
-    psi_pairs: dict = {}
-    for k1 in xkeys:
-        for k2 in xkeys:
-            val = rule(k1, k2)
-            if val:
-                psi_pairs[(k1, k2)] = val
-
-    # X-parts of all pairwise brackets; H-parts never contribute to psi
-    xparts: dict = {}
-    for k1 in basis:
-        for k2 in basis:
-            w = engine.bracket_keys(k1, k2)
-            xs = [(k, c) for k, c in w.items() if k[0] == "x"]
+    # inside: the X-parts of all pairwise brackets (psi vanishes on H);
+    # outside: psi on X-key pairs, in W/U coordinates shifted past the keys
+    inner: dict = {}
+    for s, k1 in enumerate(basis):
+        for t, k2 in enumerate(basis):
+            xs = {index[k]: c for k, c in engine.bracket_keys(k1, k2).items()
+                  if k[0] == "x"}
             if xs:
-                xparts[(k1, k2)] = xs
+                inner[(s, t)] = xs
+    xidx = [s for s, key in enumerate(basis) if key[0] == "x"]
+    outer: dict = {}
+    for s in xidx:
+        for t in xidx:
+            val = psi([(basis[s], one)], [(basis[t], one)])
+            if val:
+                outer[(s, t)] = {K + c: v for c, v in val.items()}
+    carrier = LeibnizAlgebra(ring.dom, K + space.width, {},
+                             [engine.describe_key(k) for k in basis]
+                             + space.labels, [0] * K + space.moduli,
+                             f"psi-{n}({ring.name})")
 
-    dom = ring.dom
-    neg_one = dom.neg(dom.one)
-    add = space.add_scaled
-    triples = 0
-    witness = None
-    for x in basis:
-        for y in basis:
-            for z in basis:
-                triples += 1
-                acc: dict = {}
-                got = xparts.get((y, z))
-                if got:
-                    for k, c in got:
-                        val = psi_pairs.get((x, k))
-                        if val:
-                            add(acc, val, c)
-                got = xparts.get((x, z))
-                if got:
-                    for k, c in got:
-                        val = psi_pairs.get((k, y))
-                        if val:
-                            add(acc, val, c)
-                got = xparts.get((x, y))
-                if got:
-                    for k, c in got:
-                        val = psi_pairs.get((k, z))
-                        if val:
-                            add(acc, val, dom.mul(neg_one, c))
-                if acc:
-                    witness = {
-                        "x": engine.describe_key(x),
-                        "y": engine.describe_key(y),
-                        "z": engine.describe_key(z),
-                        "value": space.describe(acc),
-                    }
-                    break
-            if witness:
-                break
-        if witness:
-            break
-
-    return CocycleReport(n, ring.name, witness is None, triples, witness,
-                         theta.to_dict() if n == 4 else None)
+    theta_table = theta.to_dict() if n == 4 else None
+    try:
+        _check_identity(carrier, K, inner, outer, "the cocycle identity "
+                        "psi(x,[y,z]) - psi([x,y],z) + psi([x,z],y) = 0")
+    except LeibnizIdentityError as exc:
+        x, y, z = exc.triple
+        lab = carrier.labels
+        witness = {"x": lab[x], "y": lab[y], "z": lab[z],
+                   "value": carrier.describe_element(exc.defect)}
+        return CocycleReport(n, ring.name, False, (y * K + z) * K + x + 1,
+                             witness, theta_table)
+    return CocycleReport(n, ring.name, True, K ** 3, None, theta_table)
 
 
 # ---------------------------------------------------------------------------
@@ -1102,7 +1084,7 @@ def build_hat(n: int, ring: AssocAlgebra,
     space = CocycleSpace(n, rm)
     if n == 4 and theta is None:
         theta = build_theta()
-    rule = _psi_pair_rule(n, ring, rm, theta, space)
+    psi = _psi_pair_rule(n, ring, rm, theta, space)
 
     # canonical X-part of every stl basis vector: solve over the image
     # family [X images | t images | T images | torsion relations] — any two
@@ -1122,16 +1104,10 @@ def build_hat(n: int, ring: AssocAlgebra,
                         if idx < len(xkeys) and c])
 
     # psi on each pair of stl basis vectors, bilinear in their X-parts
-    mul = ring.dom.mul
     kappa: dict = {}
     for s, xs in enumerate(xdecomp):
         for t, xt in enumerate(xdecomp):
-            val: dict = {}
-            for k1, c1 in xs:
-                for k2, c2 in xt:
-                    w = rule(k1, k2)
-                    if w:
-                        space.add_scaled(val, w, mul(c1, c2))
+            val = psi(xs, xt)
             if val:
                 kappa[(s, t)] = val
     ext = CentralExtensionModel(

@@ -6,19 +6,25 @@ these functions check both on the finished table, independently of how it
 was assembled.  ``reference_smith_normal_form`` is the plain-scan Smith
 reduction that the indexed one in the package must reproduce exactly.
 ``cocycle_paths`` and ``kappa_of`` let a test see which way an extension
-was certified and rebuild it from a changed kappa.
+was certified and rebuild it from a changed kappa.  ``reference_cocycle``
+is the plain keys^3 walk of the symbolic cocycle identity that
+``verify_cocycle`` must agree with.
 """
 
 import stlhom.leibniz as leibniz
+from stlhom.assoc import quotient_Rm
 from stlhom.domains import Z
 from stlhom.linalg import SmithForm, vec_axpy
+from stlhom.steinberg import (CocycleSpace, SteinbergSymbolic, build_theta,
+                              psi3, psi4)
 
 
 def cocycle_paths(monkeypatch) -> dict:
     """Record, per total name, whether the cocycle check of each
     ``CentralExtensionModel`` built from here on visited the kernel-weight
     triples only (True) or every candidate triple (False).  An extension
-    with an empty kappa checks nothing and is not recorded."""
+    with an empty kappa checks nothing and is not recorded, nor is
+    ``verify_cocycle``, which binds the walker by name."""
     paths: dict = {}
     inner = leibniz._check_identity
 
@@ -29,6 +35,53 @@ def cocycle_paths(monkeypatch) -> dict:
 
     monkeypatch.setattr(leibniz, "_check_identity", spy)
     return paths
+
+
+def reference_cocycle(n: int, ring, theta=None):
+    """J(x,y,z) = psi(x,[y,z]) + psi([x,z],y) - psi([x,y],z) on the
+    symbolic basis of stl_n(R), evaluated directly: psi from ``psi3`` /
+    ``psi4`` on every pair of X keys, brackets from the X-parts of the
+    engine's (psi vanishes on H).
+
+    Returns (engine, space, J, first): J maps three basis keys to a sparse
+    dict over the ``CocycleSpace`` ``space``, and ``first`` is the first
+    triple in (x, y, z) lexicographic order with J != 0, or None when J
+    vanishes on all keys^3 triples.
+    """
+    one = ring.dom.one
+    if n == 4:
+        rm, theta = quotient_Rm(ring, 2), theta or build_theta()
+    else:
+        rm = quotient_Rm(ring, 3)
+
+    def psi(k1, k2):
+        a, b = ("x", *k1[1:3], {k1[3]: one}), ("x", *k2[1:3], {k2[3]: one})
+        return psi4(a, b, rm, theta) if n == 4 else psi3(a, b, rm)
+
+    engine = SteinbergSymbolic(n, ring)
+    basis = engine.basis_keys()
+    xkeys = [k for k in basis if k[0] == "x"]
+    psi_pairs = {(k1, k2): psi(k1, k2).coords
+                 for k1 in xkeys for k2 in xkeys}
+    space = CocycleSpace(n, rm)
+    xparts = {(k1, k2): [(k, c) for k, c in
+                         engine.bracket_keys(k1, k2).items() if k[0] == "x"]
+              for k1 in basis for k2 in basis}
+    neg = ring.dom.neg
+
+    def J(x, y, z) -> dict:
+        acc: dict = {}
+        for k, c in xparts[(y, z)]:
+            space.add_scaled(acc, psi_pairs.get((x, k), {}), c)
+        for k, c in xparts[(x, z)]:
+            space.add_scaled(acc, psi_pairs.get((k, y), {}), c)
+        for k, c in xparts[(x, y)]:
+            space.add_scaled(acc, psi_pairs.get((k, z), {}), neg(c))
+        return acc
+
+    first = next(((x, y, z) for x in basis for y in basis for z in basis
+                  if J(x, y, z)), None)
+    return engine, space, J, first
 
 
 def kappa_of(ext) -> dict:

@@ -140,6 +140,15 @@ def test_make_algebra_rejects_bad_unit_index():
         make_algebra(F3, 2, structure, unit_index=1)
 
 
+def test_make_algebra_rejects_inexact_coefficients():
+    for dom, c in ((Z, True), (F3, 1.7), (Q, 0.1), (F5, "3"), (Z, 2.5)):
+        with pytest.raises(ValueError, match="not an exact scalar"):
+            make_algebra(dom, 1, {(0, 0): {0: c}}, unit_index=0)
+    # exact Fractions are still read in the domain
+    assert make_algebra(F3, 1, {(0, 0): {0: Fraction(4, 4)}},
+                        unit_index=0).basis_product(0, 0) == {0: 1}
+
+
 def test_make_algebra_rejects_unitless():
     # zero multiplication has no unit
     structure = {}

@@ -13,6 +13,8 @@ from stlhom.steinberg import (CocycleSpace, SteinbergSymbolic, build_stl,
                               build_theta, corrupted_theta, psi3, psi4,
                               verify_cocycle)
 
+from oracles import reference_cocycle
+
 DOMS = {"f2": F2, "f3": F3, "f5": F5, "q": Q, "z": Z}
 
 
@@ -228,6 +230,34 @@ def test_corrupted_theta_fails_with_witness():
     assert rep.witness is not None
     assert "value" in rep.witness and rep.witness["value"] != "0"
     assert rep.triples_checked < 16 ** 3     # stopped at the first failure
+
+
+@pytest.mark.parametrize("name,scal,n,corrupt", [
+    ("ground", "f2", 4, False),
+    ("ground", "f3", 3, False),
+    ("dual", "f3", 3, False),
+    ("ground", "f2", 4, True),
+])
+def test_verify_cocycle_agrees_with_the_lexicographic_walk(name, scal, n,
+                                                           corrupt):
+    r = ring(name, scal)
+    theta = corrupted_theta(build_theta()) if corrupt else None
+    rep = verify_cocycle(n, r, theta=theta)
+    engine, space, J, first = reference_cocycle(n, r, theta)
+    assert rep.ok == (first is None) == (not corrupt)
+    basis = engine.basis_keys()
+    if rep.ok:
+        assert rep.triples_checked == len(basis) ** 3
+        return
+    key = {engine.describe_key(k): k for k in basis}
+    x, y, z = (key[rep.witness[v]] for v in "xyz")
+    assert space.describe(J(x, y, z)) == rep.witness["value"] != "0"
+    # the witness is the first failing triple in (y, z, x) order, and
+    # triples_checked counts the triples up to and including it
+    order = [(a, b, c) for b in basis for c in basis for a in basis]
+    pos = order.index((x, y, z))
+    assert rep.triples_checked == pos + 1
+    assert not any(J(*t) for t in order[:pos])
 
 
 def test_verify_cocycle_input_validation():

@@ -85,22 +85,23 @@ def dense_d3(L):
     return M
 
 
+def brute_defect(alg, i, j, k):
+    """[x,[y,z]] - [[x,y],z] + [[x,z],y] at (e_i, e_j, e_k), reduced."""
+    dom, one = alg.dom, alg.dom.one
+    x, y, z = {i: one}, {j: one}, {k: one}
+    out = dict(alg.bracket(x, alg.bracket(y, z)))
+    for sign, term in ((dom.neg(one), alg.bracket(alg.bracket(x, y), z)),
+                       (one, alg.bracket(alg.bracket(x, z), y))):
+        for c, v in term.items():
+            out[c] = dom.add(out.get(c, dom.zero), dom.mul(sign, v))
+    return alg.reduce_vec({c: v for c, v in out.items() if v})
+
+
 def brute_leibniz_holds(alg):
-    one = alg.dom.one
     for i in range(alg.dim):
         for j in range(alg.dim):
             for k in range(alg.dim):
-                lhs = alg.bracket({i: one}, alg.bracket({j: one}, {k: one}))
-                r1 = alg.bracket(alg.bracket({i: one}, {j: one}), {k: one})
-                r2 = alg.bracket(alg.bracket({i: one}, {k: one}), {j: one})
-                rhs = dict(r1)
-                for c, x in r2.items():
-                    v = alg.dom.sub(rhs.get(c, alg.dom.zero), x)
-                    if v:
-                        rhs[c] = v
-                    else:
-                        rhs.pop(c, None)
-                if not alg.eq_vec(lhs, alg.reduce_vec(rhs)):
+                if brute_defect(alg, i, j, k):
                     return False, (i, j, k)
     return True, None
 
@@ -120,6 +121,16 @@ def test_tiny_table_is_leibniz_only_in_char_2():
         assert exc.value.triple == (1, 1, 0)
 
 
+def test_identity_witness_is_first_in_yzx_order():
+    # x = 2 and x = 9 both fail at (y, z) = (e0, e1); a set of candidates
+    # {2, 3, 9} iterates 9 first, so this pins the ascending visit
+    table = {(9, 0): {3: 1}, (2, 0): {3: 1}, (3, 1): {4: 1}}
+    with pytest.raises(LeibnizIdentityError) as exc:
+        make_leibniz(F3, 10, table)
+    assert exc.value.triple == (2, 0, 1)
+    assert exc.value.defect == {4: 2}
+
+
 def test_abelian_table_valid_everywhere():
     for dom in (F2, F3, F5, Q, Z):
         L = make_leibniz(dom, 3, {}, name="ab")
@@ -133,6 +144,11 @@ def test_make_leibniz_input_validation():
         make_leibniz(F2, 2, {}, labels=["a"])
     with pytest.raises(ValueError):
         make_leibniz(F2, 2, {}, moduli=[2])
+    # floats, strings and bools are not exact scalars; they used to be
+    # truncated (2.5 -> 2 over Z) or read as ints
+    for dom, c in ((Z, 2.5), (F3, 1.7), (Q, 0.1), (F5, "3"), (Z, True)):
+        with pytest.raises(ValueError, match="not an exact scalar"):
+            make_leibniz(dom, 2, {(0, 0): {1: c}})
 
 
 def test_make_leibniz_refuses_out_of_range_values():
@@ -161,7 +177,8 @@ def test_moduli_reduce_and_eq():
                        max_size=4))
 def test_validator_agrees_with_brute_force(table):
     """make_leibniz accepts exactly the tables where brute force finds no
-    violating triple."""
+    violating triple, and otherwise raises at the first one in (y, z, x)
+    order with its defect."""
     try:
         L = make_leibniz(F3, 2, table)
     except LeibnizIdentityError as e:
@@ -169,8 +186,12 @@ def test_validator_agrees_with_brute_force(table):
             p: {k: F3.normalize(c) for k, c in v.items() if F3.normalize(c)}
             for p, v in table.items()}, ["e0", "e1"], [0, 0], "probe")
         probe.table = {p: v for p, v in probe.table.items() if v}
-        ok, witness = brute_leibniz_holds(probe)
-        assert not ok
+        # the first failing triple in (y, z, x) order, with its defect
+        first = next(((i, j, k) for j in range(2) for k in range(2)
+                      for i in range(2) if brute_defect(probe, i, j, k)),
+                     None)
+        assert first is not None and e.triple == first
+        assert e.defect == brute_defect(probe, *first)
         return
     ok, witness = brute_leibniz_holds(L)
     assert ok, f"validator passed a violating table, witness {witness}"
