@@ -189,7 +189,7 @@ def _check_leibniz_identity(alg: LeibnizAlgebra) -> None:
 
 
 def _check_identity(alg: LeibnizAlgebra, dim: int, inner: dict,
-                    outer: dict, what: str, graded=None) -> None:
+                    outer: dict, what: str, code=None) -> None:
     """Raise ``LeibnizIdentityError`` at the first triple of basis vectors
     (x, y, z) = (e_i, e_j, e_k), i, j, k < dim, where
 
@@ -206,52 +206,51 @@ def _check_identity(alg: LeibnizAlgebra, dim: int, inner: dict,
 
     For fixed (y, z), every term vanishes unless [x, y] or [x, z] is nonzero
     or o(x, .) is nonzero on the support of [y, z]; only those candidate x
-    are visited, in ascending order, so the triple raised is the first
-    failing one in (y, z, x) order.
-
-    ``graded`` = (code, buckets, totals) visits the triples of a few
-    weights instead: ``code`` gives each basis vector an integer weight
-    code and ``buckets`` lists the basis by code (``_WeightBlocks``).  When
-    both tables are homogeneous under it (each entry (i, j) meets only
-    coordinates of weight wt(i) + wt(j)), every term of (x, y, z) lies in
-    coordinates of the weight wt(x) + wt(y) + wt(z), so a triple can fail
-    only if some coordinate has that weight.  The caller checks the
-    homogeneity and lists those weights' codes as ``totals``
-    (``CentralExtensionModel``); for each (y, z) every x of the buckets
-    that complete a code in ``totals`` is visited.
+    are visited.  A grading filters them further: ``code`` gives each
+    coordinate an integer weight code (``_WeightBlocks``) under which both
+    tables are homogeneous (each entry (i, j) meets only coordinates of code
+    code[i] + code[j]; ``_homogeneous_codes`` checks it).  Every term of
+    (x, y, z) then lies in coordinates of code code[x] + code[y] + code[z],
+    so only the candidates for which some coordinate of an outer value has
+    that code are visited.  On both paths the candidates are visited in
+    ascending order, and a triple that is not visited vanishes term by term
+    or lies at a weight no coordinate of an outer value has, so the triple
+    raised is the first failing one in (y, z, x) order.
     """
     if not outer:
         return
     dom = alg.dom
     signs = (dom.neg(dom.one), dom.one)
     byfirst: dict[int, dict[int, dict]] = {}
+    bysecond: dict[int, set[int]] = {}
     for (i, j), w in inner.items():
         byfirst.setdefault(i, {})[j] = w
-    if graded is None:
-        bysecond: dict[int, set[int]] = {}
-        for (i, j) in inner:
-            bysecond.setdefault(j, set()).add(i)
-        outer_bysecond: dict[int, set[int]] = {}
-        for (i, j) in outer:
-            outer_bysecond.setdefault(j, set()).add(i)
-        empty_set: set[int] = set()
-    else:
-        code, buckets, totals = graded
+        bysecond.setdefault(j, set()).add(i)
+    outer_bysecond: dict[int, set[int]] = {}
+    for (i, j) in outer:
+        outer_bysecond.setdefault(j, set()).add(i)
+    empty_set: set[int] = set()
     empty_row: dict[int, dict] = {}
+    if code is not None:
+        # the codes of the outer values, and the codes code[y] + code[z]
+        # that some x completes to one of them
+        totals = {code[t] for v in outer.values() for t in v}
+        reachable = {mu - c for mu in totals for c in set(code[:dim])}
 
     for j in range(dim):
         row_j = byfirst.get(j, empty_row)
         for k in range(dim):
+            if code is not None and code[j] + code[k] not in reachable:
+                continue
             w = row_j.get(k)
-            if graded is None:
-                cand = bysecond.get(j, empty_set) | bysecond.get(k, empty_set)
-                if w:
-                    for t in w:
-                        cand.update(outer_bysecond.get(t, empty_set))
-                cand = sorted(cand)
-            else:
+            cand = bysecond.get(j, empty_set) | bysecond.get(k, empty_set)
+            if w:
+                for t in w:
+                    cand.update(outer_bysecond.get(t, empty_set))
+            if code is not None:
                 rest = code[j] + code[k]
-                cand = [i for mu in totals for i in buckets.get(mu - rest, ())]
+                cand = [i for i in cand if code[i] + rest in totals]
+            cand = sorted(cand)
             for i in cand:
                 acc: dict = {}
                 if w:
@@ -267,7 +266,8 @@ def _check_identity(alg: LeibnizAlgebra, dim: int, inner: dict,
                             v = outer.get((t, z))
                             if v:
                                 vec_axpy(acc, v, dom.mul(sign, c), dom)
-                acc = alg.reduce_vec(acc)
+                if acc:
+                    acc = alg.reduce_vec(acc)
                 if acc:
                     lab = alg.labels
                     raise LeibnizIdentityError(
@@ -888,21 +888,24 @@ def structural_report(L: LeibnizAlgebra) -> StructuralReport:
 # central extensions
 
 
-def _homogeneous_codes(total: LeibnizAlgebra, base_code: list[int]):
-    """The support check of ``CentralExtensionModel``: extend the weight
-    codes of the base to the total, each kernel coordinate taking the code
-    code[s] + code[t] of the first table entry (s, t) that meets it (None
-    where no entry does).  Returns None if some entry (s, t) meets a
-    coordinate of another code."""
-    code = base_code + [None] * (total.dim - len(base_code))
-    for (s, t), w in total.table.items():
-        mu = code[s] + code[t]
-        for k in w:
-            c = code[k]
-            if c != mu:
-                if c is not None:
-                    return None
-                code[k] = mu
+def _homogeneous_codes(tables, base_code: list[int], dim: int):
+    """The support check: extend the weight codes ``base_code`` of the first
+    coordinates to all ``dim``, each further coordinate taking the code
+    code[s] + code[t] of the first entry (s, t) of ``tables`` that meets it
+    (None where no entry does).  Returns None if some entry (s, t) meets a
+    coordinate of another code.  ``CentralExtensionModel`` checks its
+    total's table over the base's codes, ``verify_cocycle`` the bracket and
+    psi tables over the symbolic keys' codes."""
+    code = base_code + [None] * (dim - len(base_code))
+    for table in tables:
+        for (s, t), w in table.items():
+            mu = code[s] + code[t]
+            for k in w:
+                c = code[k]
+                if c != mu:
+                    if c is not None:
+                        return None
+                    code[k] = mu
     return code
 
 
@@ -927,8 +930,9 @@ class CentralExtensionModel:
     included, to meet only coordinates of its weight wt(s) + wt(t).  When
     it passes, the total's table is homogeneous, so every term of the
     cocycle condition on (x, y, z) lies in kernel coordinates of weight
-    wt(x) + wt(y) + wt(z), and the condition is checked on the triples of
-    a kernel weight only (``_check_identity``): every other triple is 0.
+    wt(x) + wt(y) + wt(z), and the condition is checked on the candidate
+    triples of a kernel weight only (``_check_identity``): every other
+    triple is 0.
     When it fails, or the base is ungraded, every candidate triple is
     checked.  An empty kappa needs no check at all.
 
@@ -964,19 +968,17 @@ class CentralExtensionModel:
         if base_weights is None:
             base_weights = base.weights
         if kappa:
-            graded = None
+            code = None
             if base_weights is not None:
                 blocks = _WeightBlocks(base_weights, bd)
-                code = _homogeneous_codes(self.total, blocks.code)
+                code = _homogeneous_codes((table,), blocks.code,
+                                          self.total.dim)
                 if code is not None:
-                    kernel = code[bd:]
-                    graded = (code, blocks.buckets,
-                              sorted({mu for mu in kernel if mu is not None}))
                     self.weights = list(base_weights) + [
-                        blocks.weight(mu or 0) for mu in kernel]
+                        blocks.weight(mu or 0) for mu in code[bd:]]
             _check_identity(self.total, bd, base.table, shifted,
                             "cocycle condition kappa(x,[y,z]) = "
-                            "kappa([x,y],z) - kappa([x,z],y)", graded)
+                            "kappa([x,y],z) - kappa([x,z],y)", code)
         elif base_weights is not None:
             zero = (0,) * len(base_weights[0]) if bd else ()
             self.weights = list(base_weights) + [zero] * len(kernel_moduli)

@@ -25,8 +25,9 @@ from itertools import permutations
 
 from .assoc import AssocAlgebra, QuotientAlgebra, hochschild_h1, quotient_Rm
 from .leibniz import (CentralExtensionModel, LeibnizAlgebra,
-                      LeibnizIdentityError, _check_identity, build_sl,
-                      is_central, is_perfect, structural_report, uce)
+                      LeibnizIdentityError, _WeightBlocks, _check_identity,
+                      _homogeneous_codes, build_sl, is_central, is_perfect,
+                      structural_report, uce)
 from .linalg import (SpanSolver, SubquotientInvariants, make_echelon,
                      moduli_invariants, present_quotient, subquotient,
                      vec_axpy)
@@ -548,11 +549,18 @@ def verify_cocycle(n: int, ring: AssocAlgebra,
     Brackets are computed by the rewriting engine; psi by the pair rules.
     The triples are walked by ``_check_identity``, the walker that
     certifies every Leibniz table, with the X-parts of the brackets inside
-    and psi outside; a triple it does not visit vanishes term by term.  So
-    a pass reports K^3 triples, and a failure the first failing triple in
-    (y, z, x) order and the count of triples up to and including it.
-    ``theta`` may be supplied (n = 4 only) to run a negative control with a
-    corrupted labeling.  Failures are report content, not exceptions.
+    and psi outside.  The keys are graded by torus weight (X_ij(r) has
+    weight e_i - e_j, t and T weight 0); when the support check
+    (``_homogeneous_codes``) finds both tables homogeneous, the walker
+    visits only the triples whose weight is that of a W/U coordinate met
+    by psi, and otherwise every candidate triple.  A triple it does not
+    visit vanishes term by term or lies at a weight no W/U coordinate has;
+    where psi is 0 (as when W = 0) every term vanishes and no bracket is
+    computed.  So a pass reports K^3 triples, and a failure the first
+    failing triple in (y, z, x) order and the count of triples up to and
+    including it.  ``theta`` may be supplied (n = 4 only) to run a negative
+    control with a corrupted labeling.  Failures are report content, not
+    exceptions.
     """
     if n == 4:
         rm = quotient_Rm(ring, 2)
@@ -573,15 +581,9 @@ def verify_cocycle(n: int, ring: AssocAlgebra,
     psi = _psi_pair_rule(n, ring, rm, theta, space)
     one = ring.dom.one
 
-    # inside: the X-parts of all pairwise brackets (psi vanishes on H);
-    # outside: psi on X-key pairs, in W/U coordinates shifted past the keys
-    inner: dict = {}
-    for s, k1 in enumerate(basis):
-        for t, k2 in enumerate(basis):
-            xs = {index[k]: c for k, c in engine.bracket_keys(k1, k2).items()
-                  if k[0] == "x"}
-            if xs:
-                inner[(s, t)] = xs
+    # outside: psi on X-key pairs, in W/U coordinates shifted past the keys;
+    # inside: the X-parts of all pairwise brackets (psi vanishes on H),
+    # not needed where psi is 0 (as when W = 0): every J term is then 0
     xidx = [s for s, key in enumerate(basis) if key[0] == "x"]
     outer: dict = {}
     for s in xidx:
@@ -589,15 +591,27 @@ def verify_cocycle(n: int, ring: AssocAlgebra,
             val = psi([(basis[s], one)], [(basis[t], one)])
             if val:
                 outer[(s, t)] = {K + c: v for c, v in val.items()}
+    inner: dict = {}
+    for s, k1 in enumerate(basis if outer else ()):
+        for t, k2 in enumerate(basis):
+            xs = {index[k]: c for k, c in engine.bracket_keys(k1, k2).items()
+                  if k[0] == "x"}
+            if xs:
+                inner[(s, t)] = xs
     carrier = LeibnizAlgebra(ring.dom, K + space.width, {},
                              [engine.describe_key(k) for k in basis]
                              + space.labels, [0] * K + space.moduli,
                              f"psi-{n}({ring.name})")
+    weights = [tuple((k == key[1]) - (k == key[2]) for k in range(1, n + 1))
+               if key[0] == "x" else (0,) * n for key in basis]
+    code = _homogeneous_codes((inner, outer), _WeightBlocks(weights, K).code,
+                              carrier.dim)
 
     theta_table = theta.to_dict() if n == 4 else None
     try:
         _check_identity(carrier, K, inner, outer, "the cocycle identity "
-                        "psi(x,[y,z]) - psi([x,y],z) + psi([x,z],y) = 0")
+                        "psi(x,[y,z]) - psi([x,y],z) + psi([x,z],y) = 0",
+                        code)
     except LeibnizIdentityError as exc:
         x, y, z = exc.triple
         lab = carrier.labels
@@ -1069,8 +1083,8 @@ def build_hat(n: int, ring: AssocAlgebra,
     that psi is a cocycle.  The stl total is graded by the grading its own
     support check certified (sl's weights, HH_1 at weight 0), under which
     each W slot has the weight of its position class; so the condition is
-    checked on the triples of those six weights only, and on every
-    candidate triple if psi fails the support check.
+    checked on the candidate triples of those six weights only, and on
+    every candidate triple if psi fails the support check.
     """
     if n not in (3, 4):
         raise ValueError("hat models exist for n in {3, 4}")

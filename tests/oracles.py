@@ -6,12 +6,13 @@ these functions check both on the finished table, independently of how it
 was assembled.  ``reference_smith_normal_form`` is the plain-scan Smith
 reduction that the indexed one in the package must reproduce exactly.
 ``cocycle_paths`` and ``kappa_of`` let a test see which way an extension
-was certified and rebuild it from a changed kappa.  ``reference_cocycle``
-is the plain keys^3 walk of the symbolic cocycle identity that
-``verify_cocycle`` must agree with.
+or the symbolic cocycle was certified and rebuild an extension from a
+changed kappa.  ``reference_cocycle`` is the plain keys^3 walk of the
+symbolic cocycle identity that ``verify_cocycle`` must agree with.
 """
 
 import stlhom.leibniz as leibniz
+import stlhom.steinberg as steinberg
 from stlhom.assoc import quotient_Rm
 from stlhom.domains import Z
 from stlhom.linalg import SmithForm, vec_axpy
@@ -20,20 +21,22 @@ from stlhom.steinberg import (CocycleSpace, SteinbergSymbolic, build_theta,
 
 
 def cocycle_paths(monkeypatch) -> dict:
-    """Record, per total name, whether the cocycle check of each
-    ``CentralExtensionModel`` built from here on visited the kernel-weight
-    triples only (True) or every candidate triple (False).  An extension
-    with an empty kappa checks nothing and is not recorded, nor is
-    ``verify_cocycle``, which binds the walker by name."""
+    """Record, per carrier name, whether each cocycle check from here on
+    visited the weight-filtered candidate triples (True) or every candidate
+    triple (False): that of each ``CentralExtensionModel`` (under its
+    total's name) and of ``verify_cocycle`` (``psi-<n>(<ring>)``), whose
+    module binds the walker by name, so both bindings are patched.  An
+    extension with an empty kappa checks nothing and is not recorded."""
     paths: dict = {}
     inner = leibniz._check_identity
 
-    def spy(alg, dim, inner_table, outer, what, graded=None):
+    def spy(alg, dim, inner_table, outer, what, code=None):
         if outer is not inner_table:
-            paths[alg.name] = graded is not None
-        return inner(alg, dim, inner_table, outer, what, graded)
+            paths[alg.name] = code is not None
+        return inner(alg, dim, inner_table, outer, what, code)
 
     monkeypatch.setattr(leibniz, "_check_identity", spy)
+    monkeypatch.setattr(steinberg, "_check_identity", spy)
     return paths
 
 

@@ -5,15 +5,17 @@ from functools import lru_cache
 
 import pytest
 
+import stlhom.steinberg as steinberg
 from stlhom.assoc import quotient_Rm
-from stlhom.catalog import catalog_ring
+from stlhom.catalog import ACCEPTANCE_PAIRS, catalog_ring
 from stlhom.domains import F2, F3, F5, Q, Z
+from stlhom.leibniz import _WeightBlocks, _homogeneous_codes, build_sl, uce
 from stlhom.linalg import vec_axpy
 from stlhom.steinberg import (CocycleSpace, SteinbergSymbolic, build_stl,
                               build_theta, corrupted_theta, psi3, psi4,
                               verify_cocycle)
 
-from oracles import reference_cocycle
+from oracles import cocycle_paths, reference_cocycle
 
 DOMS = {"f2": F2, "f3": F3, "f5": F5, "q": Q, "z": Z}
 
@@ -232,6 +234,25 @@ def test_corrupted_theta_fails_with_witness():
     assert rep.triples_checked < 16 ** 3     # stopped at the first failure
 
 
+def assert_first_failing_in_yzx_order(rep, n, r, theta=None):
+    """The report agrees with the plain keys^3 walk: ``ok``, and on a
+    failure the witness is the first failing triple in (y, z, x) order,
+    with its value and the count of triples up to and including it."""
+    engine, space, J, first = reference_cocycle(n, r, theta)
+    assert rep.ok == (first is None)
+    basis = engine.basis_keys()
+    if rep.ok:
+        assert rep.triples_checked == len(basis) ** 3
+        return
+    key = {engine.describe_key(k): k for k in basis}
+    x, y, z = (key[rep.witness[v]] for v in "xyz")
+    assert space.describe(J(x, y, z)) == rep.witness["value"] != "0"
+    order = [(a, b, c) for b in basis for c in basis for a in basis]
+    pos = order.index((x, y, z))
+    assert rep.triples_checked == pos + 1
+    assert not any(J(*t) for t in order[:pos])
+
+
 @pytest.mark.parametrize("name,scal,n,corrupt", [
     ("ground", "f2", 4, False),
     ("ground", "f3", 3, False),
@@ -243,21 +264,94 @@ def test_verify_cocycle_agrees_with_the_lexicographic_walk(name, scal, n,
     r = ring(name, scal)
     theta = corrupted_theta(build_theta()) if corrupt else None
     rep = verify_cocycle(n, r, theta=theta)
-    engine, space, J, first = reference_cocycle(n, r, theta)
-    assert rep.ok == (first is None) == (not corrupt)
-    basis = engine.basis_keys()
-    if rep.ok:
-        assert rep.triples_checked == len(basis) ** 3
-        return
-    key = {engine.describe_key(k): k for k in basis}
-    x, y, z = (key[rep.witness[v]] for v in "xyz")
-    assert space.describe(J(x, y, z)) == rep.witness["value"] != "0"
-    # the witness is the first failing triple in (y, z, x) order, and
-    # triples_checked counts the triples up to and including it
-    order = [(a, b, c) for b in basis for c in basis for a in basis]
-    pos = order.index((x, y, z))
-    assert rep.triples_checked == pos + 1
-    assert not any(J(*t) for t in order[:pos])
+    assert rep.ok == (not corrupt)
+    assert_first_failing_in_yzx_order(rep, n, r, theta)
+
+
+# the acceptance pairs and four more rings over Z
+COCYCLE_RINGS = list(ACCEPTANCE_PAIRS) + [
+    (name, "z") for name in ("dual", "group-c2", "trunc3", "upper2")]
+
+
+def test_verify_cocycle_walks_the_graded_triples(monkeypatch):
+    """The support check passes on every genuine psi, so the walk visits
+    the weight-filtered candidates only; corrupted_theta moves psi values
+    into W slots of another weight wherever W is not 0, so the walk falls
+    back to every candidate triple there."""
+    paths = cocycle_paths(monkeypatch)
+    bad = corrupted_theta(build_theta())
+    for name, scal in COCYCLE_RINGS:
+        r = ring(name, scal)
+        for n in (3, 4):
+            paths.clear()
+            assert verify_cocycle(n, r).ok
+            assert paths == {f"psi-{n}({name})": True}, (name, scal, n)
+        paths.clear()
+        rep = verify_cocycle(4, r, theta=bad)
+        w_is_zero = CocycleSpace(4, quotient_Rm(r, 2)).width == 0
+        assert rep.ok == w_is_zero
+        assert paths == {f"psi-4({name})": w_is_zero}, (name, scal)
+
+
+@pytest.mark.parametrize("name", ["ground", "dual", "trunc3"])
+def test_a_scaled_psi_value_fails_on_the_graded_path(monkeypatch, name):
+    """Doubling psi(X12(1), X13(1)) inside its own U slot keeps psi
+    homogeneous, so the graded walk runs, and it must report the first
+    failing triple of the plain walk, which sees the same psi (psi3 wraps
+    the same pair rule)."""
+    rule = steinberg._psi_pair_rule
+    target = [("x", 1, 2, 0), ("x", 1, 3, 0)]
+
+    def scaled_rule(n, ring_, rm, theta, space):
+        psi = rule(n, ring_, rm, theta, space)
+
+        def scaled(xs, ys):
+            out = psi(xs, ys)
+            if [k for k, _ in xs] + [k for k, _ in ys] == target:
+                doubled: dict = {}
+                space.add_scaled(doubled, out, 2)
+                return doubled
+            return out
+        return scaled
+
+    monkeypatch.setattr(steinberg, "_psi_pair_rule", scaled_rule)
+    paths = cocycle_paths(monkeypatch)
+    r = ring(name, "f3")
+    rep = verify_cocycle(3, r)
+    assert paths == {f"psi-3({name})": True}
+    assert not rep.ok
+    assert_first_failing_in_yzx_order(rep, 3, r)
+
+
+def test_the_support_check_refuses_an_entry_at_another_weight(monkeypatch):
+    # an extension total: uce(sl_3(F3)), one kappa entry moved to a kernel
+    # coordinate of another weight
+    ext = uce(build_sl(3, ring("ground", "f3")))
+    bd, dim, table = ext.base.dim, ext.total.dim, ext.total.table
+    base_code = _WeightBlocks(ext.base.weights, bd).code
+    code = _homogeneous_codes((table,), base_code, dim)
+    assert code is not None and code[:bd] == base_code
+    p, w = min((p, w) for p, w in table.items() if max(w) >= bd)
+    k = max(w)
+    other = next(c for c in range(bd, dim) if code[c] != code[k])
+    moved = {**table, p: {**{c: x for c, x in w.items() if c != k},
+                          other: w[k]}}
+    assert _homogeneous_codes((moved,), base_code, dim) is None
+    # the cocycle carrier of verify_cocycle: one psi value moved to a W slot
+    # of another weight
+    seen = []
+    monkeypatch.setattr(steinberg, "_check_identity",
+                        lambda *args: seen.append(args))
+    verify_cocycle(4, ring("ground", "f2"))
+    (carrier, K, inner, outer, _what, code), = seen
+    assert code is not None
+    assert _homogeneous_codes((inner, outer), code[:K], carrier.dim) == code
+    p, w = min(outer.items())
+    k, x = min(w.items())
+    other = next(c for c in range(K, carrier.dim)
+                 if code[c] not in (None, code[k]))
+    moved = {**outer, p: {other: x}}
+    assert _homogeneous_codes((inner, moved), code[:K], carrier.dim) is None
 
 
 def test_verify_cocycle_input_validation():

@@ -975,7 +975,9 @@ def test_cocycle_check_agrees_with_brute_force(f, bump, split):
     kernel-weight triples only, unless the bump lands on a coordinate of
     another weight.  The extension must be accepted exactly when the
     assembled total passes the brute-force identity check, and graded
-    exactly when each coordinate is met at one weight."""
+    exactly when each coordinate is met at one weight.  On either path a
+    rejection names the first failing triple in (y, z, x) order, with the
+    brute-force defect."""
     base = SL2_F3
     weights = base.weights
     levels = sorted(set(weights))
@@ -1011,13 +1013,22 @@ def test_cocycle_check_agrees_with_brute_force(f, bump, split):
     probe = LeibnizAlgebra(F3, base.dim + width, table, base.labels + labels,
                            [0] * (base.dim + width), "probe")
     ok, _witness = brute_leibniz_holds(probe)
-    try:
-        ext = CentralExtensionModel(base, [0] * width, kappa, "ext", labels)
-    except LeibnizIdentityError as exc:
-        assert not ok
-        assert len(exc.triple) == 3
-        return
+    with pytest.MonkeyPatch.context() as mp:
+        paths = cocycle_paths(mp)
+        try:
+            ext = CentralExtensionModel(base, [0] * width, kappa, "ext",
+                                        labels)
+        except LeibnizIdentityError as exc:
+            assert not ok
+            assert paths == {"ext": homogeneous}
+            d = probe.dim
+            first = next((i, j, k) for j in range(d) for k in range(d)
+                         for i in range(d) if brute_defect(probe, i, j, k))
+            assert exc.triple == first
+            assert exc.defect == brute_defect(probe, *first)
+            return
     assert ok
+    assert paths == ({"ext": homogeneous} if kappa else {})
     assert ext.total.certified
     assert ext.total.table == probe.table
     assert (ext.weights is not None) == homogeneous
