@@ -30,7 +30,6 @@ import io
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .assoc import AssocAlgebra, load_ring_json
 from .catalog import RING_BUILDERS, catalog_ring
@@ -346,6 +345,8 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
                                       duration))
     work = [(*key, checks) for key, checks in units.items() if checks]
     if config.jobs > 1 and work:
+        # imported here, as it slows every import and only a pool needs it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(min(config.jobs, len(work))) as pool:
             done = list(pool.map(_run_unit, work))
     else:

@@ -41,7 +41,9 @@ later column of the block lies in their span, and skipping the rest of the
 block leaves the echelon's span as the whole block would.  Over a field
 "span" means equal rank; over Z the image must also have index 1 in the
 kernel (``_d3_image``).  Only exactness is used, not the special-weight
-rule; under the trivial grading the cube is one block.
+rule; under the trivial grading the cube is one block.  Where [z, y] =
+-[y, z], as on every pair of sl, the later of the twins (x, y, z) and
+(x, z, y) is walked neither in a block nor by ``_check_identity``.
 """
 
 from __future__ import annotations
@@ -188,6 +190,22 @@ def _check_leibniz_identity(alg: LeibnizAlgebra) -> None:
                     "Leibniz identity [x,[y,z]] = [[x,y],z] - [[x,z],y]")
 
 
+def _asymmetric_pairs(table: dict, dom: ScalarDomain) -> set:
+    """The pairs (s, t), in both orders, with [e_t, e_s] != -[e_s, e_t]
+    exactly in ``table``; empty on a Lie table.  The walkers skip a twin
+    on every other pair (``_check_identity``, ``iter_d3_columns``)."""
+    neg = dom.neg
+    out = set()
+    for (s, t), w in table.items():
+        if t < s and (t, s) in table:
+            continue    # compared from (t, s)
+        v = table.get((t, s))
+        if v is None or v != {k: neg(c) for k, c in w.items()}:
+            out.add((s, t))
+            out.add((t, s))
+    return out
+
+
 def _check_identity(alg: LeibnizAlgebra, dim: int, inner: dict,
                     outer: dict, what: str, code=None) -> None:
     """Raise ``LeibnizIdentityError`` at the first triple of basis vectors
@@ -215,7 +233,10 @@ def _check_identity(alg: LeibnizAlgebra, dim: int, inner: dict,
     that code are visited.  On both paths the candidates are visited in
     ascending order, and a triple that is not visited vanishes term by term
     or lies at a weight no coordinate of an outer value has, so the triple
-    raised is the first failing one in (y, z, x) order.
+    raised is the first failing one in (y, z, x) order.  A pair y > z that
+    is antisymmetric inside (``_asymmetric_pairs``) is skipped: J(x, y, z)
+    + J(x, z, y) = o(x, [y, z] + [z, y]) = 0, so (x, y, z) fails exactly
+    when its earlier twin (x, z, y) does.
     """
     if not outer:
         return
@@ -231,6 +252,7 @@ def _check_identity(alg: LeibnizAlgebra, dim: int, inner: dict,
         outer_bysecond.setdefault(j, set()).add(i)
     empty_set: set[int] = set()
     empty_row: dict[int, dict] = {}
+    asym = _asymmetric_pairs(inner, dom)
     if code is not None:
         # the codes of the outer values, and the codes code[y] + code[z]
         # that some x completes to one of them
@@ -240,6 +262,8 @@ def _check_identity(alg: LeibnizAlgebra, dim: int, inner: dict,
     for j in range(dim):
         row_j = byfirst.get(j, empty_row)
         for k in range(dim):
+            if k < j and (j, k) not in asym:
+                continue
             if code is not None and code[j] + code[k] not in reachable:
                 continue
             w = row_j.get(k)
@@ -364,6 +388,10 @@ def build_sl(n: int, ring: AssocAlgebra) -> SlAlgebra:
     """sl_n(R) = span of all gl brackets, with its induced bracket.
 
     dim = (n^2 - 1) dim R + dim[R, R]; checked.
+
+    Only [e_s, e_t], s < t, is solved: the gl commutator is alternating and
+    sl coordinates are unique, so (t, s) is stored as the negative of (s, t)
+    (keys in ascending order) and [e_s, e_s] = 0.
     """
     gl = build_gl(n, ring)
     dom = gl.dom
@@ -380,7 +408,11 @@ def build_sl(n: int, ring: AssocAlgebra) -> SlAlgebra:
     solver = SpanSolver(dom, gl.dim, basis)
     table: dict = {}
     for s in range(dim):
-        for t in range(dim):
+        for t in range(s):
+            w = table.get((t, s))
+            if w:
+                table[(s, t)] = {k: dom.neg(c) for k, c in w.items()}
+        for t in range(s + 1, dim):
             w = gl.bracket(basis[s], basis[t])
             if not w:
                 continue
@@ -549,6 +581,10 @@ def iter_d3_columns(L: LeibnizAlgebra, full=None):
     Under the trivial grading the cube is one block, in lexicographic
     (i, j, k) order.  Nothing is built per triple but the yielded columns.
 
+    A triple (i, j, k) whose twin (i, k, j) came first (k ahead of j by
+    weight bucket, then index) is skipped when [e_k, e_j] = -[e_j, e_k]
+    (``_asymmetric_pairs``): the twins' columns sum to e_i (x) 0.
+
     ``full``, a predicate on block codes, lets the consumer end a block: it
     is asked before block mu is walked and again after each of its columns,
     and once it holds the rest of the block is skipped (``_d3_image``).
@@ -563,6 +599,7 @@ def iter_d3_columns(L: LeibnizAlgebra, full=None):
     blocks = _WeightBlocks(L.weights, L.dim)
     code, buckets = blocks.code, blocks.buckets
     by_weight = sorted(buckets.items())
+    asym = _asymmetric_pairs(L.table, dom)
 
     def block(mu):
         for i in range(dim):
@@ -570,14 +607,20 @@ def iter_d3_columns(L: LeibnizAlgebra, full=None):
             idim = i * dim
             rest = mu - code[i]
             for b, js in by_weight:
-                ks = buckets.get(rest - b)
+                kb = rest - b
+                ks = buckets.get(kb)
                 if ks is None:
                     continue
-                for j in js:
+                for pos, j in enumerate(js):
                     bij = row_i.get(j)
                     row_j = byfirst.get(j, empty)
                     base = (idim + j) * dim
-                    for k in ks:
+                    # ks[:ahead]: the k whose twin (i, k, j) came first
+                    ahead = len(ks) if kb < b else pos if kb == b else 0
+                    walk = ks[ahead:]
+                    if asym and ahead:
+                        walk = [k for k in ks[:ahead] if (j, k) in asym] + walk
+                    for k in walk:
                         bik = row_i.get(k)
                         bjk = row_j.get(k)
                         if not (bij or bik or bjk):
@@ -636,7 +679,9 @@ def _d3_image(L: LeibnizAlgebra, kernel_rank, kernel_pivot=None,
     ``kernel_pivot(p)``: the kernel's entry, or 1 where the kernel is not
     built, since an image entry of 1 forces the kernel's to 1.  The rows of
     a block are its own (the echelon rows stay homogeneous), so no block
-    touches another's, and stopping leaves the span of the full stream.
+    touches another's, and stopping leaves the span of the full stream.  A
+    twin the stream skips (``iter_d3_columns``) is the negative of a column
+    already inserted, so it would change no row on any domain.
 
     ``index`` renumbers the rows of the kept columns.
     """

@@ -118,6 +118,19 @@ def check_kernel_central(ext) -> None:
                 f"kernel coordinate brackets nontrivially at ({s},{t})")
 
 
+def full_sl_table(sl) -> dict:
+    """The bracket table of ``sl`` solved afresh on every ordered pair of
+    basis vectors (dim^2 gl brackets), keys in ascending order."""
+    table = {}
+    for s, u in enumerate(sl.basis):
+        for t, v in enumerate(sl.basis):
+            w = sl.gl.bracket(u, v)
+            coeffs = sl.from_gl(w) if w else None
+            if coeffs:
+                table[(s, t)] = coeffs
+    return table
+
+
 def sl_to_gl(sl, v: dict) -> dict:
     """A vector in sl coordinates, written in gl coordinates."""
     out: dict = {}

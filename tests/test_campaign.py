@@ -500,6 +500,21 @@ def test_module_entry_point_runs():
     assert json.loads(proc.stdout)["summary"]["exit_code"] == 0
 
 
+def test_importing_the_cli_does_not_load_the_process_pool():
+    # run_campaign imports concurrent.futures.process only to start a pool
+    # (--jobs > 1), so a fresh interpreter's import of the CLI skips it
+    src = os.path.dirname(os.path.dirname(stlhom.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, stlhom.cli; "
+         "print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 # ---------------------------------------------------------------------------
 # ring files must be exact and in range
 

@@ -9,7 +9,8 @@ from stlhom.assoc import make_algebra
 from stlhom.catalog import ACCEPTANCE_PAIRS, catalog_ring
 from stlhom.domains import F2, F3, F5, Q, Z, parse_scalar
 from stlhom.leibniz import (CentralExtensionModel, LeibnizAlgebra,
-                            LeibnizIdentityError, _d2_columns, build_gl,
+                            LeibnizIdentityError, _check_leibniz_identity,
+                            _d2_columns, build_gl,
                             build_sl, homology_hl, is_central,
                             iter_d3_columns, make_leibniz, special_weight,
                             structural_report, uce)
@@ -18,7 +19,7 @@ from stlhom.linalg import (SpanSolver, SubquotientInvariants, make_echelon,
 from stlhom.steinberg import build_stl
 
 from oracles import (check_homomorphism_on_basis, check_kernel_central,
-                     cocycle_paths, kappa_of, sl_to_gl)
+                     cocycle_paths, full_sl_table, kappa_of, sl_to_gl)
 
 DOMS = {"f2": F2, "f3": F3, "f5": F5, "q": Q, "z": Z}
 
@@ -104,6 +105,27 @@ def brute_leibniz_holds(alg):
                 if brute_defect(alg, i, j, k):
                     return False, (i, j, k)
     return True, None
+
+
+def first_brute_failure(alg, dim):
+    """The first triple of the first ``dim`` basis vectors, in (y, z, x)
+    order, with a nonzero brute-force defect, or None."""
+    return next(((i, j, k) for j in range(dim) for k in range(dim)
+                 for i in range(dim) if brute_defect(alg, i, j, k)), None)
+
+
+def hemisemidirect(dom):
+    """gl_2 (+) V, V = dom^2, with [v, x] = -x.v and [x, v] = [v, w] = 0:
+    a Leibniz algebra (make_leibniz checks it) that is not Lie, since
+    [e_j, e_k] = -[e_k, e_j] fails on the pairs of gl_2 and V that meet."""
+    gl = build_gl(2, catalog_ring("ground", dom))
+    table = dict(gl.table)
+    for k in range(2):
+        for i in range(2):
+            # E_ik.v_k = v_i
+            table[(4 + k, 2 * i + k)] = {4 + i: dom.neg(dom.one)}
+    return make_leibniz(dom, 6, table, gl.labels + ["v1", "v2"],
+                        name=f"gl2+V({dom.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -328,18 +350,40 @@ _SL_DUAL_F5 = build_sl(3, catalog_ring("dual", F5))
 
 
 def test_boundary_matches_dense_assembly():
-    # d2 and d3 are both read column by column off the table: each yields
-    # exactly the nonzero columns of its dense assembly, in column order
-    for ring, dom in [("ground", F3), ("dual", F2)]:
-        L = build_gl(2, catalog_ring(ring, dom))
+    # d2 and d3 are both read column by column off the table.  d2 yields
+    # exactly the nonzero columns of its dense assembly, in column order;
+    # d3 the same less the later twin (i, j, k), k < j, of each pair with
+    # [e_k, e_j] = -[e_j, e_k], whose column is minus that of (i, k, j).
+    # On the pairs where the hemisemidirect product is not Lie, both twins
+    # are yielded
+    nonlie = hemisemidirect(F3)
+    for L in (build_gl(2, catalog_ring("ground", F3)),
+              build_gl(2, catalog_ring("dual", F2)), nonlie):
+        dom, n = L.dom, L.dim
         d2 = dense_d2(L)
         cols = [(c, {r: row[c] for r, row in enumerate(d2) if row[c]})
-                for c in range(L.dim ** 2)]
+                for c in range(n ** 2)]
         assert list(_d2_columns(L).items()) == [(c, v) for c, v in cols if v]
         d3 = dense_d3(L)
-        cols = [(c, {r: row[c] for r, row in enumerate(d3) if row[c]})
-                for c in range(L.dim ** 3)]
-        assert list(iter_d3_columns(L)) == [(c, v) for c, v in cols if v]
+        cols = [{r: row[c] for r, row in enumerate(d3) if row[c]}
+                for c in range(n ** 3)]
+        want, skipped, both = [], 0, 0
+        for c, v in enumerate(cols):
+            if not v:
+                continue
+            i, j, k = _triple(L, c)
+            ejk = L.bracket({j: dom.one}, {k: dom.one})
+            ekj = L.bracket({k: dom.one}, {j: dom.one})
+            twin = cols[(i * n + k) * n + j]
+            if k < j and ekj == {t: dom.neg(x) for t, x in ejk.items()}:
+                assert v == {t: dom.neg(x) for t, x in twin.items()}
+                skipped += 1
+                continue
+            want.append((c, v))
+            both += k < j and bool(twin)
+        assert list(iter_d3_columns(L)) == want
+        assert skipped
+        assert bool(both) == (L is nonlie)
 
 
 def test_boundary_squares_to_zero_densely():
@@ -422,6 +466,19 @@ HOMOLOGY_RANKS = [
 def test_hl2_dimension_matches_dense_oracle(name, scal, n):
     dom = DOMS[scal]
     L = build_sl(n, catalog_ring(name, dom))
+    rep = homology_hl(L, 2)
+    r2 = dense_rank(dom, dense_d2(L))
+    r3 = dense_rank(dom, dense_d3(L))
+    assert rep.rank_out == r2
+    assert rep.rank_in == r3
+    assert rep.invariants.dimension == L.dim * L.dim - r2 - r3
+
+
+@pytest.mark.parametrize("dom", [F3, Q], ids=["f3", "q"])
+def test_hl2_of_a_non_lie_algebra_matches_dense_oracle(dom):
+    # the d3 stream walks both twins of every pair that is not
+    # antisymmetric; the ranks must still be those of the whole cube
+    L = hemisemidirect(dom)
     rep = homology_hl(L, 2)
     r2 = dense_rank(dom, dense_d2(L))
     r3 = dense_rank(dom, dense_d3(L))
@@ -676,6 +733,19 @@ def test_build_sl_records_the_torus_weights():
         assert L.weights[s] == tuple((k == i) - (k == j) for k in range(3))
 
 
+@pytest.mark.parametrize("name,scal", ACCEPTANCE_PAIRS)
+def test_half_solved_sl_table_equals_the_full_solve(name, scal):
+    # build_sl solves s < t only; the table must be the full dim^2 solve,
+    # in the same key order, and alternating
+    for n in (3, 4):
+        sl = build_sl(n, catalog_ring(name, DOMS[scal]))
+        assert list(sl.table.items()) == list(full_sl_table(sl).items())
+        neg = sl.dom.neg
+        for (s, t), w in sl.table.items():
+            assert s != t
+            assert sl.table[(t, s)] == {k: neg(c) for k, c in w.items()}
+
+
 def _mutated_build_sl(monkeypatch, mutate):
     """build_sl(3, dual@f3) with ``mutate`` applied to the sl just before
     build_sl runs its grading check."""
@@ -783,7 +853,7 @@ def _streamed_columns(monkeypatch, L) -> list:
 
 
 @pytest.mark.parametrize("name,scal,columns", [
-    ("mat2", "f2", 5_017), ("group-c2", "q", 502),
+    ("mat2", "f2", 2_673), ("group-c2", "q", 254),
 ])
 def test_pruned_uce_streams_only_special_columns_at_n5(monkeypatch, name,
                                                        scal, columns):
@@ -1079,3 +1149,73 @@ def test_central_extension_needs_a_certified_base():
                          SL2_F3.moduli, "raw")
     with pytest.raises(ValueError, match="certified"):
         CentralExtensionModel(raw, [0], {}, "ext", ["z"])
+
+
+# ---------------------------------------------------------------------------
+# one side of an antisymmetric pair corrupted: the walker skips (x, y, z),
+# y > z, only while [e_z, e_y] = -[e_y, e_z] holds exactly
+
+
+def one_sided_mutants(table, dom, count):
+    """For ``count`` pairs s < t with entries on both sides, spread over
+    ``table``: the table with the first coefficient of [e_s, e_t] raised by
+    one, then the same for [e_t, e_s].  The entry keeps its coordinates,
+    so a graded table stays graded."""
+    keys = [(s, t) for s, t in sorted(table) if s < t and (t, s) in table]
+    for s, t in keys[::max(1, len(keys) // count)][:count]:
+        for p in ((s, t), (t, s)):
+            w = dict(table[p])
+            k = min(w)
+            w[k] = dom.add(w[k], dom.one)
+            if not w[k]:
+                del w[k]
+            mutant = dict(table)
+            mutant[p] = w
+            yield {q: v for q, v in mutant.items() if v}
+
+
+def assert_fails_at_the_brute_force_witness(check, probe, dim):
+    """``check`` raises at the first failing triple of ``probe`` in
+    (y, z, x) order by brute force, with its defect."""
+    first = first_brute_failure(probe, dim)
+    with pytest.raises(LeibnizIdentityError) as exc:
+        check()
+    assert first is not None and exc.value.triple == first
+    assert exc.value.defect == brute_defect(probe, *first)
+
+
+@pytest.mark.parametrize("name,scal", [("dual", "f3"), ("ground", "q")])
+def test_a_one_sided_sl_corruption_fails_at_the_brute_force_witness(name,
+                                                                     scal):
+    sl = build_sl(3, catalog_ring(name, DOMS[scal]))
+    mutants = list(one_sided_mutants(sl.table, sl.dom, 6))
+    assert len(mutants) == 12
+    for table in mutants:
+        probe = LeibnizAlgebra(sl.dom, sl.dim, table, sl.labels, sl.moduli,
+                               "probe")
+        assert_fails_at_the_brute_force_witness(
+            lambda: _check_leibniz_identity(probe), probe, sl.dim)
+
+
+@pytest.mark.parametrize("name", ["ground", "dual"])
+def test_a_one_sided_kappa_corruption_fails_at_the_brute_force_witness(
+        name, monkeypatch):
+    # sl stays Lie, so the walker still skips y > z: J(x, z, y) =
+    # -J(x, y, z) holds for any kappa; the graded path is kept
+    ext = uce(build_sl(3, catalog_ring(name, F3)))
+    base, bd = ext.base, ext.base.dim
+    labels = ext.total.labels[bd:]
+    mutants = list(one_sided_mutants(kappa_of(ext), F3, 6))
+    assert len(mutants) == 12
+    paths = cocycle_paths(monkeypatch)
+    for m, kappa in enumerate(mutants):
+        table = dict(base.table)
+        for p, v in kappa.items():
+            table[p] = {**table.get(p, {}),
+                        **{bd + k: x for k, x in v.items()}}
+        probe = LeibnizAlgebra(F3, ext.total.dim, table, ext.total.labels,
+                               ext.total.moduli, "probe")
+        assert_fails_at_the_brute_force_witness(
+            lambda: CentralExtensionModel(base, ext.kernel_moduli, kappa,
+                                          f"bad{m}", labels), probe, bd)
+    assert paths == {f"bad{m}": True for m in range(12)}
