@@ -16,13 +16,14 @@ Carriers may have per-coordinate torsion ``moduli`` (0 = free coordinate);
 equality of elements and the Leibniz identity are then read modulo those.
 Chain-complex computations (homology_hl, uce) require a free carrier.
 
-Torus grading.  ``weights`` gives each basis vector a weight in Z^n, or is
-None for the trivial grading (every weight is 0 in Z^0).  ``build_sl``
-grades sl_n(R) by the torus: E_ij(r) has weight e_i - e_j and the diagonal
-weight 0.  It checks, on the actual table, that every basis vector is
-homogeneous, that [e_s, e_t] has weight wt(s) + wt(t), and that each
-h_ij = [E_ij(1), E_ji(1)] acts by [x, h_ij] = -(a_i - a_j) x on every basis
-vector x of weight a.  Then HL_2 in weight mu is killed by every
+Torus grading.  Each algebra carries one ``Grading``: an integer weight
+code per basis vector, under the fixed linear code sum_k w_k 7^k of a weight
+w in Z^n; all-zero codes are the trivial grading (every weight is 0).
+``build_sl`` grades sl_n(R) by the torus: E_ij(r) has weight e_i - e_j and
+the diagonal weight 0.  It checks, on the actual table, that every basis
+vector is homogeneous, that [e_s, e_t] has weight wt(s) + wt(t), and that
+each h_ij = [E_ij(1), E_ji(1)] acts by [x, h_ij] = -(a_i - a_j) x on every
+basis vector x of weight a.  Then HL_2 in weight mu is killed by every
 mu_i - mu_j: for a 2-cycle c = sum x (x) z of weight mu (sum [x, z] = 0),
 
     sum([x, h] (x) z + x (x) [z, h]) = d3(c (x) h) + sum [x, z] (x) h
@@ -30,11 +31,16 @@ mu_i - mu_j: for a 2-cycle c = sum x (x) z of weight mu (sum [x, z] = 0),
 
 and the left side is -(mu_i - mu_j) c.  A weight mu is *special* when
 g = gcd(mu_i - mu_j) is not a unit of the domain (F_p: p | g; Q: g = 0;
-Z: g != 1); HL_2 lives in the special weights only.  Under the trivial
-grading g = 0, so every weight is special.
+Z: g != 1); HL_2 lives in the special weights only.  ``Grading.special``
+applies this rule only on the grading of sl, whose h-action was checked.
+The total of a ``CentralExtensionModel`` carries the codes its support
+check certifies but claims no h-action: a homogeneous coboundary may put
+a central kernel coordinate at a root weight, where h would have to act
+by a nonzero scalar.  On a total, as under the trivial grading, every
+code is special.
 
 Weight blocks.  d2 and d3 preserve the total weight, so L (x) L and the d3
-cube split into blocks, one per weight mu, and ``iter_d3_columns`` walks
+cube split into blocks, one per weight code mu, and ``iter_d3_columns`` walks
 the cube block by block.  On a certified table im(d3)_mu lies in
 ker(d2)_mu.  So once the columns streamed so far span ker(d2)_mu, every
 later column of the block lies in their span, and skipping the rest of the
@@ -57,6 +63,74 @@ from .linalg import (SpanSolver, SubquotientInvariants, SubspaceBasis,
                      subquotient, vec_axpy)
 
 
+class Grading:
+    """A grading of a basis: one integer weight code per basis vector,
+    bucketed by code.
+
+    A weight w in Z^n has the code sum_k w_k 7^k.  The code is linear, so
+    the code of a sum of weights is the sum of their codes, and a table
+    homogeneous in the weights is homogeneous in the codes.  Weights whose
+    entries lie in [-3, 3], as every sum of up to three weights of sl_n
+    does, have distinct codes and decode exactly (``weight``).  Elsewhere
+    two weights may share a code, which only merges their blocks: the code
+    is itself a grading.
+
+    ``torus`` is (n, dom) on the grading of sl_n(R) that ``build_sl``
+    checked, and None elsewhere; ``special`` is selective only with it.
+    """
+
+    __slots__ = ("code", "buckets", "torus", "_special")
+
+    def __init__(self, code: list[int], torus: tuple | None = None):
+        self.code = code
+        self.torus = torus
+        self._special: dict[int, bool] = {}
+        self.buckets: dict[int, list[int]] = {}   # code -> basis, ascending
+        for s, c in enumerate(code):
+            self.buckets.setdefault(c, []).append(s)
+
+    def totals(self) -> list[int]:
+        """The codes of the blocks: the weights of basis triples, ascending."""
+        codes = list(self.buckets)
+        sums = {a + b for a in codes for b in codes}
+        return sorted({s + c for s in sums for c in codes})
+
+    def pairs(self, mu: int) -> int:
+        """The number of basis pairs (s, t) of weight mu."""
+        get = self.buckets.get
+        return sum(len(bucket) * len(get(mu - a, ()))
+                   for a, bucket in self.buckets.items())
+
+    def size(self, mu: int) -> int:
+        """The number of basis vectors of weight mu."""
+        return len(self.buckets.get(mu, ()))
+
+    def weight(self, mu: int) -> tuple:
+        """The torus weight in Z^n of code mu, entries in [-3, 3]."""
+        out = []
+        for _ in range(self.torus[0]):
+            r = (mu + 3) % 7 - 3
+            out.append(r)
+            mu = (mu - r) // 7
+        return tuple(out)
+
+    def special(self, mu: int) -> bool:
+        """Can HL_2 live in weight code mu (``special_weight``)?  True for
+        every code of a grading without a torus."""
+        if self.torus is None:
+            return True
+        ok = self._special.get(mu)
+        if ok is None:
+            ok = self._special[mu] = special_weight(self.torus[1],
+                                                    self.weight(mu))
+        return ok
+
+
+def _root_code(i: int, j: int) -> int:
+    """The code of the torus weight e_i - e_j (0 when i = j)."""
+    return 7 ** i - 7 ** j
+
+
 class LeibnizAlgebra:
     """A Leibniz algebra on dom^dim (possibly with torsion coordinates).
 
@@ -65,15 +139,17 @@ class LeibnizAlgebra:
     ``CentralExtensionModel``.  A table wrapped directly starts uncertified,
     and a d3 stream checks the identity on it first (``_d3_image``).
 
-    ``weights`` is the torus grading (see the module docstring): None, the
-    trivial grading, except on the ``sl`` that ``build_sl`` has checked.
+    ``grading`` is its one ``Grading`` (module docstring), under which its
+    table is homogeneous: the trivial one unless ``build_sl`` or a
+    ``CentralExtensionModel`` gives another.
     """
 
     __slots__ = ("dom", "dim", "labels", "table", "moduli", "name",
-                 "certified", "weights")
+                 "certified", "grading")
 
     def __init__(self, dom: ScalarDomain, dim: int, table: dict,
-                 labels: list[str], moduli: list[int], name: str):
+                 labels: list[str], moduli: list[int], name: str,
+                 grading: Grading | None = None):
         self.dom = dom
         self.dim = dim
         self.table = table          # (i, j) -> sparse bracket vector
@@ -81,7 +157,7 @@ class LeibnizAlgebra:
         self.moduli = moduli
         self.name = name
         self.certified = False
-        self.weights = None
+        self.grading = grading or Grading([0] * dim)
 
     def __repr__(self):
         return f"LeibnizAlgebra({self.name}, dim={self.dim}, dom={self.dom.name})"
@@ -207,7 +283,7 @@ def _asymmetric_pairs(table: dict, dom: ScalarDomain) -> set:
 
 
 def _check_identity(alg: LeibnizAlgebra, dim: int, inner: dict,
-                    outer: dict, what: str, code=None) -> None:
+                    outer: dict, what: str) -> None:
     """Raise ``LeibnizIdentityError`` at the first triple of basis vectors
     (x, y, z) = (e_i, e_j, e_k), i, j, k < dim, where
 
@@ -216,18 +292,18 @@ def _check_identity(alg: LeibnizAlgebra, dim: int, inner: dict,
     is nonzero modulo the moduli of ``alg``; the error carries the triple
     and this ``defect``.  [,] is the ``inner`` table and o the ``outer``
     one, both (i, j) -> sparse vector.  ``alg`` only supplies the domain,
-    labels and moduli.  With both tables equal to alg.table this is the
-    Leibniz identity (``make_leibniz``, uncertified d3 streams); with the
+    labels, moduli and grading.  With both tables equal to alg.table this is
+    the Leibniz identity (``make_leibniz``, uncertified d3 streams); with the
     base bracket inside and kappa outside it is the cocycle condition on
     kappa (``CentralExtensionModel``); ``verify_cocycle`` puts the X-parts
     of the symbolic brackets inside and psi outside.
 
     For fixed (y, z), every term vanishes unless [x, y] or [x, z] is nonzero
     or o(x, .) is nonzero on the support of [y, z]; only those candidate x
-    are visited.  A grading filters them further: ``code`` gives each
-    coordinate an integer weight code (``_WeightBlocks``) under which both
-    tables are homogeneous (each entry (i, j) meets only coordinates of code
-    code[i] + code[j]; ``_homogeneous_codes`` checks it).  Every term of
+    are visited.  A nontrivial ``alg.grading`` filters them further: its
+    codes make both tables homogeneous (each entry (i, j) meets only
+    coordinates of code code[i] + code[j]; ``_homogeneous_codes`` checks
+    it, and an algebra carries no grading its table fails).  Every term of
     (x, y, z) then lies in coordinates of code code[x] + code[y] + code[z],
     so only the candidates for which some coordinate of an outer value has
     that code are visited.  On both paths the candidates are visited in
@@ -240,6 +316,9 @@ def _check_identity(alg: LeibnizAlgebra, dim: int, inner: dict,
     """
     if not outer:
         return
+    code = alg.grading.code
+    if not any(code):
+        code = None
     dom = alg.dom
     signs = (dom.neg(dom.one), dom.one)
     byfirst: dict[int, dict[int, dict]] = {}
@@ -429,55 +508,46 @@ def build_sl(n: int, ring: AssocAlgebra) -> SlAlgebra:
     # certified without a check: sl is a bracket-closed subspace of the
     # certified gl, and each table entry is a solver-certified coordinate
     # vector of a gl bracket
-    alg = SlAlgebra(dom, dim, table, labels, [0] * dim, f"sl{n}({ring.name})")
+    grading = Grading([_gl_code(gl, min(b)) for b in basis], (n, dom))
+    alg = SlAlgebra(dom, dim, table, labels, [0] * dim, f"sl{n}({ring.name})",
+                    grading)
     alg.certified = True
     alg.n = n
     alg.ring = ring
     alg.gl = gl
     alg.basis = basis
     alg._solver = solver
-    alg.weights = [_gl_weight(gl, min(b)) for b in basis]
     check_torus_grading(alg)
     return alg
 
 
-def _gl_weight(gl: GlAlgebra, index: int) -> tuple[int, ...]:
-    """The torus weight e_i - e_j of the gl basis vector E_ij(r)."""
-    n = gl.n
-    i, j = divmod(index // gl.ring.dim, n)
-    return tuple((k == i) - (k == j) for k in range(n))
-
-
-def _add_weights(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+def _gl_code(gl: GlAlgebra, index: int) -> int:
+    """The weight code of the gl basis vector E_ij(r): that of e_i - e_j."""
+    return _root_code(*divmod(index // gl.ring.dim, gl.n))
 
 
 def check_torus_grading(sl: SlAlgebra) -> None:
     """Check the hypotheses of the special-weight rule on the actual table
-    (module docstring): each basis vector of ``sl`` is homogeneous of its
-    recorded weight in gl, each entry [e_s, e_t] has weight wt(s) + wt(t),
-    and each h_ij = [E_ij(1), E_ji(1)], i < j, acts on every basis vector of
-    weight a by -(a_i - a_j).  Raises ``AssertionError`` on the first
-    violation.
+    (module docstring): each basis vector of ``sl`` is homogeneous in gl of
+    its weight code, each entry [e_s, e_t] has weight wt(s) + wt(t) (the
+    support check ``_homogeneous_codes``), and each h_ij = [E_ij(1),
+    E_ji(1)], i < j, acts on every basis vector of weight a by
+    -(a_i - a_j).  Raises ``AssertionError`` on the first violation.
     """
-    gl, weights, dom = sl.gl, sl.weights, sl.dom
-    if len(weights) != sl.dim:
-        raise AssertionError(f"{sl.name} has {len(weights)} weights for "
-                             f"{sl.dim} basis vectors")
+    gl, grading, dom = sl.gl, sl.grading, sl.dom
+    code = grading.code
     for s, b in enumerate(sl.basis):
         for k in b:
-            if _gl_weight(gl, k) != weights[s]:
+            if _gl_code(gl, k) != code[s]:
                 raise AssertionError(
-                    f"{sl.labels[s]} is not homogeneous of weight "
-                    f"{weights[s]}: it meets {gl.labels[k]}")
-    for (s, t), w in sl.table.items():
-        want = _add_weights(weights[s], weights[t])
-        for k in w:
-            if weights[k] != want:
-                raise AssertionError(
-                    f"[{sl.labels[s]}, {sl.labels[t]}] meets {sl.labels[k]} "
-                    f"of weight {weights[k]}, not {want}")
+                    f"{sl.labels[s]} is not homogeneous of weight code "
+                    f"{code[s]}: it meets {gl.labels[k]}")
+    if _homogeneous_codes((sl.table,), code, sl.dim) is None:
+        raise AssertionError(
+            f"a bracket [e_s, e_t] of {sl.name} meets a basis vector not "
+            f"of weight wt(s) + wt(t)")
     unit = sl.ring.unit
+    weights = [grading.weight(mu) for mu in code]
     for i in range(sl.n):
         for j in range(i + 1, sl.n):
             h = sl.from_gl(gl.bracket(gl.eij(i, j, unit), gl.eij(j, i, unit)))
@@ -515,69 +585,15 @@ def _require_free(L: LeibnizAlgebra, what: str) -> None:
                          f"torsion moduli")
 
 
-class _WeightBlocks:
-    """The torus weights of a basis as integer codes, bucketed by weight.
-
-    A weight w in Z^n has the code sum_k w_k B^k, with B = 6m + 1 for m the
-    largest |w_k| over the basis.  Every entry of a sum or difference of up
-    to six basis weights is smaller than B in size, so the code of such a
-    sum is the sum of the codes and distinct sums have distinct codes.  Under
-    the trivial grading every code is 0.
-    """
-
-    __slots__ = ("code", "buckets", "_base", "_n")
-
-    def __init__(self, weights: list | None, dim: int):
-        if weights is None:
-            self._base, self._n = 1, 0
-            self.code = [0] * dim
-        else:
-            m = max((abs(x) for w in weights for x in w), default=0)
-            self._base, self._n = 6 * m + 1, len(weights[0]) if weights else 0
-            self.code = [sum(x * self._base ** e for e, x in enumerate(w))
-                         for w in weights]
-        self.buckets: dict[int, list[int]] = {}   # code -> basis, ascending
-        for s, c in enumerate(self.code):
-            self.buckets.setdefault(c, []).append(s)
-
-    def totals(self) -> list[int]:
-        """The codes of the blocks: the weights of basis triples, ascending."""
-        codes = list(self.buckets)
-        sums = {a + b for a in codes for b in codes}
-        return sorted({s + c for s in sums for c in codes})
-
-    def pairs(self, mu: int) -> int:
-        """The number of basis pairs (s, t) of weight mu."""
-        get = self.buckets.get
-        return sum(len(bucket) * len(get(mu - a, ()))
-                   for a, bucket in self.buckets.items())
-
-    def size(self, mu: int) -> int:
-        """The number of basis vectors of weight mu."""
-        return len(self.buckets.get(mu, ()))
-
-    def weight(self, mu: int) -> tuple:
-        """The weight whose code is mu."""
-        base, half = self._base, self._base // 2
-        out = []
-        for _ in range(self._n):
-            r = mu % base
-            if r > half:
-                r -= base
-            out.append(r)
-            mu = (mu - r) // base
-        return tuple(out)
-
-
 def iter_d3_columns(L: LeibnizAlgebra, full=None):
     """Yield (flat column index, sparse column) of d3 over the basis cube,
     one torus-weight block at a time; zero columns are skipped.
 
     d3(e_i (x) e_j (x) e_k) = -[e_i,e_j] (x) e_k + [e_i,e_k] (x) e_j
     + e_i (x) [e_j,e_k] meets only pairs of the total weight
-    mu = wt(i) + wt(j) + wt(k), so the cube splits into blocks by mu
-    (``_WeightBlocks``), walked in ascending code order.  Inside a block the
-    triples come by i, then by the weight bucket of j and j, then by k.
+    mu = wt(i) + wt(j) + wt(k), so the cube splits into blocks by the code
+    of mu (``L.grading``), walked in ascending code order.  Inside a block
+    the triples come by i, then by the weight bucket of j and j, then by k.
     Under the trivial grading the cube is one block, in lexicographic
     (i, j, k) order.  Nothing is built per triple but the yielded columns.
 
@@ -596,8 +612,8 @@ def iter_d3_columns(L: LeibnizAlgebra, full=None):
     for (i, j), w in L.table.items():
         byfirst.setdefault(i, {})[j] = w
     empty: dict[int, dict] = {}
-    blocks = _WeightBlocks(L.weights, L.dim)
-    code, buckets = blocks.code, blocks.buckets
+    grading = L.grading
+    code, buckets = grading.code, grading.buckets
     by_weight = sorted(buckets.items())
     asym = _asymmetric_pairs(L.table, dom)
 
@@ -648,7 +664,7 @@ def iter_d3_columns(L: LeibnizAlgebra, full=None):
                         if col:
                             yield base + k, col
 
-    for mu in blocks.totals():
+    for mu in grading.totals():
         if full is None:
             yield from block(mu)
         elif not full(mu):
@@ -769,7 +785,7 @@ def homology_hl(L: LeibnizAlgebra, degree: int) -> HomologyReport:
     relation lattice of the d2 columns (``SpanSolver.kernel``) and the
     kernel/image subquotient is presented.
 
-    Every weight block is streamed, special or not, so this stays
+    Every block of ``L.grading`` is streamed, special or not, so this stays
     independent of the special-weight rule that ``uce`` uses.  A block
     stops once its image spans ker(d2)_mu (module docstring): at rank
     #pairs_mu - rank d2_mu, where the rows of the d2 echelon are
@@ -794,14 +810,14 @@ def homology_hl(L: LeibnizAlgebra, degree: int) -> HomologyReport:
 
     # rank ker(d2)_mu = #pairs of weight mu - rank d2_mu, and the rows of
     # img2 are homogeneous, so rank d2_mu counts its pivots of weight mu
-    blocks = _WeightBlocks(L.weights, L.dim)
+    grading = L.grading
     rank2: dict[int, int] = {}
     for p in img2.rows:
-        mu = blocks.code[p]
+        mu = grading.code[p]
         rank2[mu] = rank2.get(mu, 0) + 1
 
     def kernel_rank(mu):
-        return blocks.pairs(mu) - rank2.get(mu, 0)
+        return grading.pairs(mu) - rank2.get(mu, 0)
 
     pair = dim * dim
     if dom.is_field:
@@ -968,65 +984,47 @@ class CentralExtensionModel:
     are read off the kernel moduli.  The class of a tensor e_s (x) e_t is
     the total bracket [e_s, e_t] (``tensor_coords``).
 
-    On a graded base (``base_weights``, by default ``base.weights``) the
-    check runs in two steps.  The support check gives each kernel
-    coordinate the weight wt(s) + wt(t) of the first entry [e_s, e_t] that
-    meets it, and asks every entry of the total's table, the base's own
-    included, to meet only coordinates of its weight wt(s) + wt(t).  When
-    it passes, the total's table is homogeneous, so every term of the
-    cocycle condition on (x, y, z) lies in kernel coordinates of weight
-    wt(x) + wt(y) + wt(z), and the condition is checked on the candidate
-    triples of a kernel weight only (``_check_identity``): every other
-    triple is 0.
-    When it fails, or the base is ungraded, every candidate triple is
-    checked.  An empty kappa needs no check at all.
-
-    ``weights`` is the grading of the total that the support check
-    certified (a kernel coordinate that no entry meets gets weight 0), or
-    None where there is none.  It is kept here and not on the total, whose
-    ``weights`` would claim the h-action that ``build_sl`` checks.
+    The check runs in two steps.  The support check gives each kernel
+    coordinate the code code(s) + code(t) of the first kappa entry (s, t)
+    that meets it, and asks every kappa entry to meet only coordinates of
+    its code.  The base's own table is homogeneous under its grading, so
+    when this passes the total's table is homogeneous, and the total
+    carries these codes as its ``grading`` (code 0 where no entry meets a
+    kernel coordinate; no torus, see the module docstring).  Then every
+    term of the cocycle condition on (x, y, z) lies in kernel coordinates
+    of code code(x) + code(y) + code(z), and on a graded base the
+    condition is checked on the candidate triples of a kernel code only
+    (``_check_identity``): every other triple is 0.  When the support check
+    fails, or the base is ungraded, the total's grading is trivial and
+    every candidate triple is checked.  An empty kappa needs no check.
     """
 
-    __slots__ = ("total", "base", "kernel_invariants", "kernel_moduli",
-                 "weights")
+    __slots__ = ("total", "base", "kernel_invariants", "kernel_moduli")
 
     def __init__(self, base: LeibnizAlgebra, kernel_moduli: list[int],
-                 kappa: dict, name: str, kernel_labels: list[str],
-                 base_weights: list | None = None):
+                 kappa: dict, name: str, kernel_labels: list[str]):
         if not base.certified:
             raise ValueError(f"the base {base.name} of a central extension "
                              f"must be a certified Leibniz algebra")
         bd = base.dim
+        dim = bd + len(kernel_moduli)
         shifted = {p: {bd + k: c for k, c in w.items()}
                    for p, w in kappa.items()}
         table = dict(base.table)
         for p, w in shifted.items():
             table[p] = {**table.get(p, {}), **w}
+        code = _homogeneous_codes((shifted,), base.grading.code, dim)
         self.total = LeibnizAlgebra(
-            base.dom, bd + len(kernel_moduli), table,
-            list(base.labels) + list(kernel_labels),
-            list(base.moduli) + list(kernel_moduli), name)
+            base.dom, dim, table, list(base.labels) + list(kernel_labels),
+            list(base.moduli) + list(kernel_moduli), name,
+            Grading([mu or 0 for mu in code]) if code else None)
         self.base = base
         self.kernel_invariants = moduli_invariants(base.dom, kernel_moduli)
         self.kernel_moduli = kernel_moduli
-        self.weights = None
-        if base_weights is None:
-            base_weights = base.weights
         if kappa:
-            code = None
-            if base_weights is not None:
-                blocks = _WeightBlocks(base_weights, bd)
-                code = _homogeneous_codes((table,), blocks.code,
-                                          self.total.dim)
-                if code is not None:
-                    self.weights = list(base_weights) + [
-                        blocks.weight(mu or 0) for mu in code[bd:]]
             _check_identity(self.total, bd, base.table, shifted,
                             "cocycle condition kappa(x,[y,z]) = "
-                            "kappa([x,y],z) - kappa([x,z],y)", code)
-        elif base_weights is not None:
-            zero = (0,) * len(base_weights[0]) if bd else ()
-            self.weights = list(base_weights) + [zero] * len(kernel_moduli)
+                            "kappa([x,y],z) - kappa([x,z],y)")
         self.total.certified = True
 
     def project(self, v: dict) -> dict:
@@ -1065,8 +1063,9 @@ def uce(L: LeibnizAlgebra) -> CentralExtensionModel:
     every domain, read off the d3 echelon with the w_s inserted
     (``present_quotient``).
 
-    On a graded L (``build_sl``) every piece splits by weight: the w_s are
-    homogeneous (checked), and in a weight mu that is not special, some
+    On a graded L every piece splits by weight: the w_s are homogeneous
+    (checked), and in a weight mu that is not special (``Grading.special``,
+    selective on the torus grading of sl only), some
     mu_i - mu_j is a unit that kills ker(d2)/im(d3) (module docstring), so
     (L (x) L)_mu = im(d3)_mu (+) span(w_s of weight mu) and every tensor
     of weight mu has class 0.  So only the pairs (s, t) of special weight
@@ -1091,8 +1090,8 @@ def uce(L: LeibnizAlgebra) -> CentralExtensionModel:
     pivots of a graded subspace are the union of its weight blocks' pivots
     and forward residuals are canonical, so this is the table of the full
     stream; over Z the kernel has the same invariants, in another basis.
-    Under the trivial grading every pair is special and the cube is one
-    block.
+    Under a grading without a torus every pair is special; under the
+    trivial grading the cube is moreover one block.
     """
     _require_free(L, "uce")
     dom, dim = L.dom, L.dim
@@ -1122,35 +1121,27 @@ def uce(L: LeibnizAlgebra) -> CentralExtensionModel:
         w = {colindex[t]: c for t, c in coeffs.items()}
         preimages.append((s, w))
 
-    blocks = _WeightBlocks(L.weights, L.dim)
-    code = blocks.code
-    special: dict[int, bool] = {}
-
-    def is_special(mu: int) -> bool:
-        ok = special.get(mu)
-        if ok is None:
-            ok = special[mu] = special_weight(dom, blocks.weight(mu))
-        return ok
-
+    grading = L.grading
+    code, special = grading.code, grading.special
     for s, w in preimages:
         if any(code[p // dim] + code[p % dim] != code[s] for p in w):
             raise AssertionError(
                 f"the preimage of {L.labels[s]} is not homogeneous")
     pairs = [s * dim + t for s in range(dim) for t in range(dim)
-             if is_special(code[s] + code[t])]
+             if special(code[s] + code[t])]
     index = None
     if len(pairs) < dim * dim:
         index = {p: c for c, p in enumerate(pairs)}
         preimages = [(s, {index[p]: c for p, c in w.items()})
-                     for s, w in preimages if is_special(code[s])]
+                     for s, w in preimages if special(code[s])]
 
     # L is perfect and the w_s are homogeneous, so d2 maps the pairs of a
     # special weight mu onto L_mu: rank ker(d2)_mu = #pairs_mu - dim L_mu.
     # Blocks of other weights keep no rows.
     def kernel_rank(mu):
-        if not is_special(mu):
+        if not special(mu):
             return 0
-        return blocks.pairs(mu) - blocks.size(mu)
+        return grading.pairs(mu) - grading.size(mu)
 
     # d2 w_s = -e_s, so L (x) L = ker(d2) (+) span w_s and, as im(d3) lies
     # in ker(d2), (L (x) L)/(im d3 + span w_s) presents ker(d2)/im(d3)

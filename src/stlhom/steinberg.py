@@ -24,10 +24,10 @@ from fractions import Fraction
 from itertools import permutations
 
 from .assoc import AssocAlgebra, QuotientAlgebra, hochschild_h1, quotient_Rm
-from .leibniz import (CentralExtensionModel, LeibnizAlgebra,
-                      LeibnizIdentityError, _WeightBlocks, _check_identity,
-                      _homogeneous_codes, build_sl, is_central, is_perfect,
-                      structural_report, uce)
+from .leibniz import (CentralExtensionModel, Grading, LeibnizAlgebra,
+                      LeibnizIdentityError, _check_identity,
+                      _homogeneous_codes, _root_code, build_sl, is_central,
+                      is_perfect, structural_report, uce)
 from .linalg import (SpanSolver, SubquotientInvariants, make_echelon,
                      moduli_invariants, present_quotient, subquotient,
                      vec_axpy)
@@ -549,8 +549,8 @@ def verify_cocycle(n: int, ring: AssocAlgebra,
     Brackets are computed by the rewriting engine; psi by the pair rules.
     The triples are walked by ``_check_identity``, the walker that
     certifies every Leibniz table, with the X-parts of the brackets inside
-    and psi outside.  The keys are graded by torus weight (X_ij(r) has
-    weight e_i - e_j, t and T weight 0); when the support check
+    and psi outside.  The keys are graded by the weight codes of sl
+    (X_ij(r) has weight e_i - e_j, t and T weight 0); when the support check
     (``_homogeneous_codes``) finds both tables homogeneous, the walker
     visits only the triples whose weight is that of a W/U coordinate met
     by psi, and otherwise every candidate triple.  A triple it does not
@@ -598,20 +598,20 @@ def verify_cocycle(n: int, ring: AssocAlgebra,
                   if k[0] == "x"}
             if xs:
                 inner[(s, t)] = xs
+    key_code = [_root_code(key[1] - 1, key[2] - 1) if key[0] == "x" else 0
+                for key in basis]
+    code = _homogeneous_codes((inner, outer), key_code, K + space.width)
     carrier = LeibnizAlgebra(ring.dom, K + space.width, {},
                              [engine.describe_key(k) for k in basis]
                              + space.labels, [0] * K + space.moduli,
-                             f"psi-{n}({ring.name})")
-    weights = [tuple((k == key[1]) - (k == key[2]) for k in range(1, n + 1))
-               if key[0] == "x" else (0,) * n for key in basis]
-    code = _homogeneous_codes((inner, outer), _WeightBlocks(weights, K).code,
-                              carrier.dim)
+                             f"psi-{n}({ring.name})",
+                             Grading([mu or 0 for mu in code]) if code
+                             else None)
 
     theta_table = theta.to_dict() if n == 4 else None
     try:
         _check_identity(carrier, K, inner, outer, "the cocycle identity "
-                        "psi(x,[y,z]) - psi([x,y],z) + psi([x,z],y) = 0",
-                        code)
+                        "psi(x,[y,z]) - psi([x,y],z) + psi([x,z],y) = 0")
     except LeibnizIdentityError as exc:
         x, y, z = exc.triple
         lab = carrier.labels
@@ -1080,7 +1080,7 @@ def build_hat(n: int, ring: AssocAlgebra,
     decomposition of each basis vector and becomes the kappa of a
     ``CentralExtensionModel``, which checks the cocycle condition on every
     stl triple that can violate it: a concrete, independent confirmation
-    that psi is a cocycle.  The stl total is graded by the grading its own
+    that psi is a cocycle.  The stl total carries the grading its own
     support check certified (sl's weights, HH_1 at weight 0), under which
     each W slot has the weight of its position class; so the condition is
     checked on the candidate triples of those six weights only, and on
@@ -1126,7 +1126,7 @@ def build_hat(n: int, ring: AssocAlgebra,
                 kappa[(s, t)] = val
     ext = CentralExtensionModel(
         stl_alg, list(space.moduli), kappa, f"hat-stl{n}({ring.name})",
-        space.labels, model.extension.weights)
+        space.labels)
     if not is_perfect(ext.total):
         raise AssertionError(f"{ext.total.name} is not perfect")
     return HatModel(n, ring, model, ext, space, theta)

@@ -9,6 +9,7 @@ reduction that the indexed one in the package must reproduce exactly.
 or the symbolic cocycle was certified and rebuild an extension from a
 changed kappa.  ``reference_cocycle`` is the plain keys^3 walk of the
 symbolic cocycle identity that ``verify_cocycle`` must agree with.
+``torus_weight`` reads a weight code of the package back as a weight.
 """
 
 import stlhom.leibniz as leibniz
@@ -22,18 +23,19 @@ from stlhom.steinberg import (CocycleSpace, SteinbergSymbolic, build_theta,
 
 def cocycle_paths(monkeypatch) -> dict:
     """Record, per carrier name, whether each cocycle check from here on
-    visited the weight-filtered candidate triples (True) or every candidate
-    triple (False): that of each ``CentralExtensionModel`` (under its
-    total's name) and of ``verify_cocycle`` (``psi-<n>(<ring>)``), whose
-    module binds the walker by name, so both bindings are patched.  An
-    extension with an empty kappa checks nothing and is not recorded."""
+    visited the weight-filtered candidate triples (True: the checked
+    algebra's grading is not trivial) or every candidate triple (False):
+    that of each ``CentralExtensionModel`` (under its total's name) and of
+    ``verify_cocycle`` (``psi-<n>(<ring>)``), whose module binds the walker
+    by name, so both bindings are patched.  An extension with an empty
+    kappa checks nothing and is not recorded."""
     paths: dict = {}
     inner = leibniz._check_identity
 
-    def spy(alg, dim, inner_table, outer, what, code=None):
+    def spy(alg, dim, inner_table, outer, what):
         if outer is not inner_table:
-            paths[alg.name] = code is not None
-        return inner(alg, dim, inner_table, outer, what, code)
+            paths[alg.name] = any(alg.grading.code)
+        return inner(alg, dim, inner_table, outer, what)
 
     monkeypatch.setattr(leibniz, "_check_identity", spy)
     monkeypatch.setattr(steinberg, "_check_identity", spy)
@@ -129,6 +131,21 @@ def full_sl_table(sl) -> dict:
             if coeffs:
                 table[(s, t)] = coeffs
     return table
+
+
+def torus_weight(code: int, n: int) -> tuple:
+    """The weight w in Z^n, entries in [-3, 3], whose code sum_k w_k 7^k
+    is ``code`` (balanced base-7 digits)."""
+    digits = []
+    for _ in range(n):
+        r = code % 7
+        if r > 3:
+            r -= 7
+        digits.append(r)
+        code = (code - r) // 7
+    if code:
+        raise ValueError("the code has an entry outside [-3, 3]")
+    return tuple(digits)
 
 
 def sl_to_gl(sl, v: dict) -> dict:

@@ -137,14 +137,15 @@ def test_declared_rows_values():
 def test_declared_rows_formula_matches_build_sl(n):
     from stlhom import ACCEPTANCE_PAIRS, SCALARS, build_sl
     from stlhom.leibniz import special_weight
+    from oracles import torus_weight
     catalog = list(ACCEPTANCE_PAIRS) + [
         (name, "z") for name in ("dual", "trunc3", "group-c2", "upper2")]
     for name, scal in catalog:
         ring = catalog_ring(name, SCALARS[scal])
         sl = build_sl(n, ring)
-        special = sum(
-            special_weight(sl.dom, tuple(a + b for a, b in zip(ws, wt)))
-            for ws in sl.weights for wt in sl.weights)
+        code = sl.grading.code
+        special = sum(special_weight(sl.dom, torus_weight(cs + ct, n))
+                      for cs in code for ct in code)
         assert declared_rows(n, ring) == special, (name, scal, n)
 
 

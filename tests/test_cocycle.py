@@ -9,7 +9,7 @@ import stlhom.steinberg as steinberg
 from stlhom.assoc import quotient_Rm
 from stlhom.catalog import ACCEPTANCE_PAIRS, catalog_ring
 from stlhom.domains import F2, F3, F5, Q, Z
-from stlhom.leibniz import _WeightBlocks, _homogeneous_codes, build_sl, uce
+from stlhom.leibniz import _homogeneous_codes, build_sl, uce
 from stlhom.linalg import vec_axpy
 from stlhom.steinberg import (CocycleSpace, SteinbergSymbolic, build_stl,
                               build_theta, corrupted_theta, psi3, psi4,
@@ -328,9 +328,10 @@ def test_the_support_check_refuses_an_entry_at_another_weight(monkeypatch):
     # coordinate of another weight
     ext = uce(build_sl(3, ring("ground", "f3")))
     bd, dim, table = ext.base.dim, ext.total.dim, ext.total.table
-    base_code = _WeightBlocks(ext.base.weights, bd).code
+    base_code = ext.base.grading.code
     code = _homogeneous_codes((table,), base_code, dim)
     assert code is not None and code[:bd] == base_code
+    assert code == ext.total.grading.code
     p, w = min((p, w) for p, w in table.items() if max(w) >= bd)
     k = max(w)
     other = next(c for c in range(bd, dim) if code[c] != code[k])
@@ -343,9 +344,11 @@ def test_the_support_check_refuses_an_entry_at_another_weight(monkeypatch):
     monkeypatch.setattr(steinberg, "_check_identity",
                         lambda *args: seen.append(args))
     verify_cocycle(4, ring("ground", "f2"))
-    (carrier, K, inner, outer, _what, code), = seen
-    assert code is not None
-    assert _homogeneous_codes((inner, outer), code[:K], carrier.dim) == code
+    (carrier, K, inner, outer, _what), = seen
+    code = _homogeneous_codes((inner, outer), carrier.grading.code[:K],
+                              carrier.dim)
+    assert code is not None and any(code)
+    assert [mu or 0 for mu in code] == carrier.grading.code
     p, w = min(outer.items())
     k, x = min(w.items())
     other = next(c for c in range(K, carrier.dim)

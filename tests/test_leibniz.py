@@ -16,10 +16,11 @@ from stlhom.leibniz import (CentralExtensionModel, LeibnizAlgebra,
                             structural_report, uce)
 from stlhom.linalg import (SpanSolver, SubquotientInvariants, make_echelon,
                            subquotient)
-from stlhom.steinberg import build_stl
+from stlhom.steinberg import build_hat, build_stl
 
 from oracles import (check_homomorphism_on_basis, check_kernel_central,
-                     cocycle_paths, full_sl_table, kappa_of, sl_to_gl)
+                     cocycle_paths, full_sl_table, kappa_of, sl_to_gl,
+                     torus_weight)
 
 DOMS = {"f2": F2, "f3": F3, "f5": F5, "q": Q, "z": Z}
 
@@ -726,11 +727,12 @@ def test_special_weight_rule():
 
 def test_build_sl_records_the_torus_weights():
     L = build_sl(3, catalog_ring("dual", F3))
-    assert make_leibniz(F3, 2, {}).weights is None
-    assert len(L.weights) == L.dim
+    assert make_leibniz(F3, 2, {}).grading.code == [0, 0]
+    assert len(L.grading.code) == L.dim
     for s, lbl in enumerate(L.labels):
         i, j = int(lbl[2]) - 1, int(lbl[3]) - 1     # "<Eij(r)>"
-        assert L.weights[s] == tuple((k == i) - (k == j) for k in range(3))
+        assert torus_weight(L.grading.code[s], 3) == tuple(
+            (k == i) - (k == j) for k in range(3))
 
 
 @pytest.mark.parametrize("name,scal", ACCEPTANCE_PAIRS)
@@ -764,8 +766,9 @@ def test_grading_check_rejects_an_entry_of_the_wrong_weight(monkeypatch):
     def move_entry(sl):
         (s, t), w = next(iter(sl.table.items()))
         k = next(iter(w))
+        code = sl.grading.code
         far = next(x for x in range(sl.dim)
-                   if sl.weights[x] != sl.weights[k] and x not in w)
+                   if code[x] != code[k] and x not in w)
         sl.table[(s, t)] = {**{x: c for x, c in w.items() if x != k},
                             far: w[k]}
 
@@ -775,8 +778,9 @@ def test_grading_check_rejects_an_entry_of_the_wrong_weight(monkeypatch):
 
 def test_grading_check_rejects_a_basis_vector_of_the_wrong_weight(monkeypatch):
     def reweigh(sl):
-        s = next(s for s, w in enumerate(sl.weights) if any(w))
-        sl.weights[s] = tuple(-x for x in sl.weights[s])
+        code = sl.grading.code
+        s = next(s for s, c in enumerate(code) if c)
+        code[s] = -code[s]
 
     with pytest.raises(AssertionError, match="not homogeneous"):
         _mutated_build_sl(monkeypatch, reweigh)
@@ -786,11 +790,10 @@ def test_grading_check_rejects_a_wrong_torus_action(monkeypatch):
     # rescaling [e_s, e_t] for t on the diagonal keeps every weight but
     # breaks [x, h12] = -(a_1 - a_2) x
     def rescale(sl):
-        t = next(t for t in range(sl.dim) if not any(sl.weights[t])
-                 and any(sl.weights[s] and (s, t) in sl.table
-                         for s in range(sl.dim)))
-        s = next(s for s in range(sl.dim)
-                 if sl.weights[s] and (s, t) in sl.table)
+        code = sl.grading.code
+        t = next(t for t in range(sl.dim) if not code[t]
+                 and any((s, t) in sl.table for s in range(sl.dim)))
+        s = next(s for s in range(sl.dim) if (s, t) in sl.table)
         sl.table[(s, t)] = {k: 2 * c % 3 for k, c in sl.table[(s, t)].items()}
 
     with pytest.raises(AssertionError, match="does not act"):
@@ -818,10 +821,10 @@ def test_pruned_uce_agrees_with_the_full_stream(name, scal, n):
         assert model.tensor_coords(vec) == {}
 
 
-def _total(weights, *basis) -> tuple:
-    """The weight of a tensor of basis vectors; () under the trivial
+def _total(L, *basis) -> int:
+    """The weight code of a tensor of basis vectors; 0 under the trivial
     grading."""
-    return tuple(map(sum, zip(*(weights[x] for x in basis))))
+    return sum(L.grading.code[x] for x in basis)
 
 
 def _triple(L, column) -> tuple:
@@ -831,18 +834,17 @@ def _triple(L, column) -> tuple:
 
 
 def _streamed_columns(monkeypatch, L) -> list:
-    """Run uce(L), returning per d3 stream the set of total weights of the
-    streamed triples and the number of columns streamed."""
+    """Run uce(L), returning per d3 stream the set of total weight codes of
+    the streamed triples and the number of columns streamed."""
     import stlhom.leibniz as leib
     inner = leib.iter_d3_columns
-    weights = L.weights or [()] * L.dim
     streams = []
 
     def counted(*args, **kwargs):
         stream = [set(), 0]
         streams.append(stream)
         for c, col in inner(*args, **kwargs):
-            stream[0].add(_total(weights, *_triple(L, c)))
+            stream[0].add(_total(L, *_triple(L, c)))
             stream[1] += 1
             yield c, col
 
@@ -858,56 +860,54 @@ def _streamed_columns(monkeypatch, L) -> list:
 def test_pruned_uce_streams_only_special_columns_at_n5(monkeypatch, name,
                                                        scal, columns):
     L = build_sl(5, catalog_ring(name, DOMS[scal]))
-    ((weights, count),) = _streamed_columns(monkeypatch, L)
-    assert weights and all(special_weight(L.dom, mu) for mu in weights)
+    ((codes, count),) = _streamed_columns(monkeypatch, L)
+    assert codes and all(special_weight(L.dom, torus_weight(mu, 5))
+                         for mu in codes)
     assert count == columns
 
 
 def test_ungraded_algebras_stream_the_full_cube(monkeypatch):
     # under the trivial grading the cube is one block, which stops early
     # only once it spans ker d2: never while it carries HL_2
-    from stlhom import build_stl
+    # (an stl total is graded by its support check; its table is wrapped)
     sl = build_sl(3, catalog_ring("ground", F3))
     stl_total = build_stl(3, catalog_ring("ground", F3)).total
     wrapped = make_leibniz(F3, sl.dim, sl.table, name="wrapped")
-    for L in (wrapped, stl_total):
-        assert L.weights is None
+    wrapped_stl = make_leibniz(F3, stl_total.dim, stl_total.table,
+                               name="wrapped-stl")
+    for L in (wrapped, wrapped_stl):
+        assert not any(L.grading.code)
         full = sum(1 for _ in iter_d3_columns(L))
-        ((weights, count),) = _streamed_columns(monkeypatch, L)
-        assert weights == {()}
+        ((codes, count),) = _streamed_columns(monkeypatch, L)
+        assert codes == {0}
         assert count <= full
         if not homology_hl(L, 2).invariants.is_trivial():
             assert count == full
     # HL_2(sl_3(F2)) = 0: its one block stops before the end of the cube
     sl2 = build_sl(3, catalog_ring("ground", F2))
     wrapped2 = make_leibniz(F2, sl2.dim, sl2.table, name="wrapped2")
-    ((weights, count),) = _streamed_columns(monkeypatch, wrapped2)
-    assert weights == {()}
+    ((codes, count),) = _streamed_columns(monkeypatch, wrapped2)
+    assert codes == {0}
     assert count < sum(1 for _ in iter_d3_columns(wrapped2))
-    ((weights, count),) = _streamed_columns(monkeypatch, sl)
-    assert len(weights) > 1
+    ((codes, count),) = _streamed_columns(monkeypatch, sl)
+    assert len(codes) > 1
     assert count < sum(1 for _ in iter_d3_columns(sl))
 
 
 def test_uce_stops_each_saturated_block_at_its_target_rank(monkeypatch):
     # HL_2(sl_5(mat2)) = 0, so every special block of positive target
     # saturates: its streamed columns are a prefix of the block, of rank
-    # #pairs - dim L_mu (counted here off the weights), and the last one
-    # streamed is the one that reaches that rank
+    # #pairs - dim L_mu (counted here off the weight codes), and the last
+    # one streamed is the one that reaches that rank
     from collections import Counter
     import stlhom.leibniz as leib
     L = build_sl(5, catalog_ring("mat2", F2))
-    weights = L.weights
-    code = leib._WeightBlocks(L.weights, L.dim).code
     streamed: dict = {}
-    codes = set()
     inner = leib.iter_d3_columns
 
     def recorded(*args, **kwargs):
         for c, col in inner(*args, **kwargs):
-            triple = _triple(L, c)
-            streamed.setdefault(_total(weights, *triple), []).append((c, col))
-            codes.add(sum(code[x] for x in triple))
+            streamed.setdefault(_total(L, *_triple(L, c)), []).append((c, col))
             yield c, col
 
     monkeypatch.setattr(leib, "iter_d3_columns", recorded)
@@ -915,15 +915,15 @@ def test_uce_stops_each_saturated_block_at_its_target_rank(monkeypatch):
     monkeypatch.undo()
     # the same blocks, walked to the end
     block: dict = {}
-    for c, col in iter_d3_columns(L, lambda mu: mu not in codes):
-        block.setdefault(_total(weights, *_triple(L, c)), []).append((c, col))
-    pairs = Counter(_total(weights, s, t)
+    for c, col in iter_d3_columns(L, lambda mu: mu not in streamed):
+        block.setdefault(_total(L, *_triple(L, c)), []).append((c, col))
+    pairs = Counter(_total(L, s, t)
                     for s in range(L.dim) for t in range(L.dim))
-    sizes = Counter(weights)
+    sizes = Counter(L.grading.code)
     saturated = 0
     for mu in pairs:
         target = pairs[mu] - sizes[mu]
-        if not special_weight(F2, mu) or not target:
+        if not special_weight(F2, torus_weight(mu, 5)) or not target:
             assert mu not in streamed
             continue
         cols = streamed[mu]
@@ -1049,10 +1049,10 @@ def test_cocycle_check_agrees_with_brute_force(f, bump, split):
     rejection names the first failing triple in (y, z, x) order, with the
     brute-force defect."""
     base = SL2_F3
-    weights = base.weights
-    levels = sorted(set(weights))
+    code = base.grading.code
+    levels = sorted(set(code))
     width = len(levels) if split else 1
-    slot = [levels.index(w) if split else 0 for w in weights]
+    slot = [levels.index(c) if split else 0 for c in code]
     kappa = {}
     for p, w in base.table.items():
         v = {}
@@ -1071,7 +1071,7 @@ def test_cocycle_check_agrees_with_brute_force(f, bump, split):
         kappa = {p: v for p, v in kappa.items() if v}
     met: dict = {}
     for (s, t), v in kappa.items():
-        wt = tuple(a + b for a, b in zip(weights[s], weights[t]))
+        wt = code[s] + code[t]
         for k in v:
             met.setdefault(k, set()).add(wt)
     homogeneous = all(len(ws) == 1 for ws in met.values())
@@ -1101,9 +1101,11 @@ def test_cocycle_check_agrees_with_brute_force(f, bump, split):
     assert paths == ({"ext": homogeneous} if kappa else {})
     assert ext.total.certified
     assert ext.total.table == probe.table
-    assert (ext.weights is not None) == homogeneous
-    if ext.weights is not None:
-        assert {k: ext.weights[base.dim + k] for k in met} == {
+    graded = ext.total.grading.code
+    assert any(graded) == homogeneous
+    if homogeneous:
+        assert graded[:base.dim] == code
+        assert {k: graded[base.dim + k] for k in met} == {
             k: next(iter(ws)) for k, ws in met.items()}
     check_homomorphism_on_basis(ext)
     check_kernel_central(ext)
@@ -1113,7 +1115,7 @@ def _uce_sl3_f3():
     """uce(sl_3(F3)): six kernel coordinates at six distinct weights."""
     ext = uce(build_sl(3, catalog_ring("ground", F3)))
     bd = ext.base.dim
-    assert len(set(ext.weights[bd:])) == len(ext.kernel_moduli) == 6
+    assert len(set(ext.total.grading.code[bd:])) == len(ext.kernel_moduli) == 6
     return ext, kappa_of(ext), bd
 
 
@@ -1121,8 +1123,9 @@ def test_a_kappa_entry_at_a_wrong_weight_falls_back_and_fails(monkeypatch):
     ext, kappa, bd = _uce_sl3_f3()
     (s, t), v = min(kappa.items())
     (c, x), = v.items()
+    code = ext.total.grading.code
     other = next(k for k in range(len(ext.kernel_moduli))
-                 if ext.weights[bd + k] != ext.weights[bd + c])
+                 if code[bd + k] != code[bd + c])
     kappa[(s, t)] = {other: x}
     paths = cocycle_paths(monkeypatch)
     with pytest.raises(LeibnizIdentityError) as exc:
@@ -1130,6 +1133,32 @@ def test_a_kappa_entry_at_a_wrong_weight_falls_back_and_fails(monkeypatch):
                               ext.total.labels[bd:])
     assert len(exc.value.triple) == 3
     assert paths == {"moved": False}
+
+
+def test_the_cocycle_walk_reads_the_grading_of_the_total(monkeypatch):
+    # one kappa over sl_3(F3) and over an ungraded copy of it: the same
+    # total, whose graded walk visits fewer candidates (the walker sorts
+    # the candidates of each (y, z) before visiting them)
+    import stlhom.leibniz as leib
+    ext, kappa, bd = _uce_sl3_f3()
+    plain = LeibnizAlgebra(F3, bd, ext.base.table, ext.base.labels,
+                           ext.base.moduli, "plain")
+    plain.certified = True
+    visits = []
+
+    def counted(items):
+        items = sorted(items)
+        visits[-1] += len(items)
+        return items
+
+    monkeypatch.setattr(leib, "sorted", counted, raising=False)
+    for base in (ext.base, plain):
+        visits.append(0)
+        again = CentralExtensionModel(base, ext.kernel_moduli, kappa, "again",
+                                      ext.total.labels[bd:])
+        assert again.total.table == ext.total.table
+    assert not any(again.total.grading.code)
+    assert 0 < visits[0] < visits[1], visits
 
 
 def test_a_wrong_kappa_value_at_a_kernel_weight_fails_pruned(monkeypatch):
@@ -1149,6 +1178,97 @@ def test_central_extension_needs_a_certified_base():
                          SL2_F3.moduli, "raw")
     with pytest.raises(ValueError, match="certified"):
         CentralExtensionModel(raw, [0], {}, "ext", ["z"])
+
+
+def split_coboundary(base):
+    """The extension of a graded ``base`` by kappa = f o [,], f sending each
+    basis vector to the kernel coordinate of its weight: a homogeneous
+    coboundary."""
+    code = base.grading.code
+    levels = sorted(set(code))
+    kappa = {}
+    for p, w in base.table.items():
+        v: dict = {}
+        for t, x in w.items():
+            k = levels.index(code[t])
+            v[k] = base.dom.add(v.get(k, base.dom.zero), x)
+        v = {k: c for k, c in v.items() if c}
+        if v:
+            kappa[p] = v
+    return CentralExtensionModel(base, [0] * len(levels), kappa, "split",
+                                 [f"z{k}" for k in range(len(levels))])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_only_the_sl_grading_is_special_selective(n):
+    # on sl, special decodes each pair code and asks special_weight
+    for name, scal in (("ground", "f2"), ("ground", "f3"), ("dual", "q"),
+                       ("int", "z")):
+        sl = build_sl(n, catalog_ring(name, DOMS[scal]))
+        code = sl.grading.code
+        pairs = {cs + ct for cs in code for ct in code}
+        got = {mu: sl.grading.special(mu) for mu in pairs}
+        assert got == {mu: special_weight(sl.dom, torus_weight(mu, n))
+                       for mu in pairs}
+        assert any(got.values()) and not all(got.values())
+    # every code of an extension total is special: its grading claims no
+    # h-action
+    r = catalog_ring("dual", F3)
+    model = build_stl(n, r)
+    totals = [uce(build_sl(n, r)).total, model.total,
+              build_hat(n, r, model=model).total,
+              split_coboundary(SL2_F3).total]
+    for total in totals:
+        code = total.grading.code
+        assert any(code) and total.grading.torus is None, total.name
+        assert all(total.grading.special(a + b) for a in code for b in code)
+
+
+def test_a_homogeneous_coboundary_breaks_the_torus_action():
+    # why a total carries no torus: here a central kernel coordinate has a
+    # root weight, where h = [E12(1), E21(1)] would act by a_2 - a_1 = -+2,
+    # a unit of F3, while [z, h] = 0
+    ext = split_coboundary(SL2_F3)
+    base, total = ext.base, ext.total
+    gl, unit = base.gl, base.ring.unit
+    h = base.from_gl(gl.bracket(gl.eij(0, 1, unit), gl.eij(1, 0, unit)))
+    roots = [z for z in range(base.dim, total.dim) if total.grading.code[z]]
+    assert roots
+    for z in roots:
+        a = torus_weight(total.grading.code[z], 2)
+        assert (a[1] - a[0]) % 3 and not total.bracket({z: 1}, h)
+
+
+def test_each_algebra_builds_its_grading_once(monkeypatch):
+    import stlhom.leibniz as leib
+    built = []
+    init = leib.Grading.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(leib.Grading, "__init__", spy)
+    r = catalog_ring("dual", F3)
+    model = build_stl(3, r)
+    hat = build_hat(3, r, model=model)
+    sl = model.extension.base
+    # gl (trivial), sl, the uce total, the stl total, the hat total
+    assert len(built) == 5
+    assert built[0] is sl.gl.grading and not any(built[0].code)
+    assert built[1] is sl.grading and built[1].torus == (3, F3)
+    assert built[3] is model.total.grading and built[4] is hat.total.grading
+    assert len(built[2].code) > sl.dim == len(built[1].code)
+    assert all(g.torus is None for g in built[2:])
+    # the walks read the algebra's grading and build none
+    for _ in iter_d3_columns(sl):
+        pass
+    homology_hl(sl, 2)
+    homology_hl(model.total, 2)
+    _check_leibniz_identity(hat.total)
+    plain = make_leibniz(F3, sl.dim, sl.table)
+    homology_hl(plain, 2)
+    assert len(built) == 6 and built[5] is plain.grading
 
 
 # ---------------------------------------------------------------------------
