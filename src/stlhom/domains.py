@@ -1,8 +1,10 @@
 """Exact scalar domains: the prime fields F_2, F_3, F_5, the rationals, and
 the ring of integers.
 
-Scalars are plain Python objects (``int`` for F_p and Z, ``fractions.Fraction``
-for Q) kept in canonical form: F_p elements always live in ``range(p)``.  A
+Scalars are plain Python objects kept in canonical form: ``int`` for F_p
+(always in ``range(p)``) and Z; over Q an ``int`` when integral, else a
+``fractions.Fraction``, compared by value (``Fraction(2) == 2``, with equal
+hashes), so integral rational work runs on int arithmetic.  A
 ``ScalarDomain`` bundles the arithmetic; hot loops elsewhere specialize on the
 representation (GF(2) rows become bitmask ints) and only fall back to these
 methods in generic code.
@@ -17,8 +19,9 @@ class ScalarDomain:
     """Arithmetic for one exact coefficient domain.
 
     ``p`` is the prime for F_p and ``None`` for Q and Z.  ``is_field`` is
-    False exactly for Z.  Domain objects are stateless singletons; compare
-    them by identity or by ``name``.
+    False exactly for Z.  Canonical scalars are ints, except over Q: int
+    when integral, else Fraction; compared by value.  Domain objects are
+    stateless singletons; compare them by identity or by ``name``.
     """
 
     __slots__ = ("name", "p", "is_field")
@@ -39,20 +42,13 @@ class ScalarDomain:
 
     # -- canonical values ------------------------------------------------
 
-    @property
-    def zero(self):
-        return Fraction(0) if self.name == "q" else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.name == "q" else 1
+    zero = 0
+    one = 1
 
     def from_int(self, n: int):
         """Canonical image of the integer ``n`` in this domain."""
         if self.p is not None:
             return n % self.p
-        if self.name == "q":
-            return Fraction(n)
         return int(n)
 
     def normalize(self, x):
@@ -67,12 +63,12 @@ class ScalarDomain:
                     raise ZeroDivisionError(f"denominator of {x} vanishes mod {self.p}")
                 return x.numerator * pow(x.denominator, -1, self.p) % self.p
             return int(x) % self.p
-        if self.name == "q":
-            return Fraction(x)
         if isinstance(x, Fraction):
-            if x.denominator != 1:
+            if x.denominator == 1:
+                return x.numerator
+            if self.name != "q":
                 raise ValueError(f"{x} is not an integer")
-            return x.numerator
+            return x
         return int(x)
 
     # -- arithmetic -------------------------------------------------------
@@ -93,7 +89,7 @@ class ScalarDomain:
         if self.p is not None:
             return pow(a, -1, self.p)
         if self.name == "q":
-            return Fraction(1) / a
+            return self.normalize(1 / Fraction(a))
         if a in (1, -1):
             return a
         raise ZeroDivisionError(f"{a} is not invertible in Z")

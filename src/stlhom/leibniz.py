@@ -142,10 +142,13 @@ class LeibnizAlgebra:
     ``grading`` is its one ``Grading`` (module docstring), under which its
     table is homogeneous: the trivial one unless ``build_sl`` or a
     ``CentralExtensionModel`` gives another.
+
+    ``torsion`` (some modulus is nonzero) is decided once, here; nothing
+    reassigns or mutates ``moduli`` after construction.
     """
 
-    __slots__ = ("dom", "dim", "labels", "table", "moduli", "name",
-                 "certified", "grading")
+    __slots__ = ("dom", "dim", "labels", "table", "moduli", "torsion",
+                 "name", "certified", "grading")
 
     def __init__(self, dom: ScalarDomain, dim: int, table: dict,
                  labels: list[str], moduli: list[int], name: str,
@@ -155,6 +158,7 @@ class LeibnizAlgebra:
         self.table = table          # (i, j) -> sparse bracket vector
         self.labels = labels
         self.moduli = moduli
+        self.torsion = any(moduli)
         self.name = name
         self.certified = False
         self.grading = grading or Grading([0] * dim)
@@ -163,11 +167,11 @@ class LeibnizAlgebra:
         return f"LeibnizAlgebra({self.name}, dim={self.dim}, dom={self.dom.name})"
 
     def is_free_carrier(self) -> bool:
-        return not any(self.moduli)
+        return not self.torsion
 
     def reduce_vec(self, v: dict) -> dict:
         """Canonicalize modulo the coordinate moduli, dropping zeros."""
-        if not any(self.moduli):
+        if not self.torsion:
             return v
         out = {}
         moduli = self.moduli

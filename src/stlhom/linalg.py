@@ -199,7 +199,7 @@ def _back_substitute(rows: dict[int, dict], p: int | None) -> dict[int, dict]:
     Works from the rightmost pivot leftwards, so every pivot column a row
     meets belongs to a row that is already fully reduced; each hit is
     cleared once and adds support at non-pivot columns only.  ``p`` is the
-    prime, or None for rational entries.
+    prime, or None for canonical Q entries (kept canonical).
     """
     out: dict[int, dict] = {}
     for j in sorted(rows, reverse=True):
@@ -210,6 +210,8 @@ def _back_substitute(rows: dict[int, dict], p: int | None) -> dict[int, dict]:
                 val = r.get(k, 0) - c * x
                 if p is not None:
                     val %= p
+                elif val.denominator == 1:
+                    val = val.numerator
                 if val:
                     r[k] = val
                 else:
@@ -328,8 +330,9 @@ class QForward:
     ``reduce_tracked(v)`` returns (r, d) with r an integer vector congruent
     to d*v modulo the row span and supported off the pivot columns; d is a
     positive Fraction.  Rational input is pre-scaled by the lcm of its
-    denominators (folded into d).  ``reduce`` and ``row_dicts`` return
-    Fractions, the canonical Q scalars."""
+    denominators (folded into d).  The reduction keeps d as a coprime pair
+    of ints, so ``insert`` builds no Fraction; ``reduce`` and ``row_dicts``
+    return canonical Q scalars (ints where the division is exact)."""
 
     __slots__ = ("rows",)
 
@@ -343,19 +346,10 @@ class QForward:
     def pivots(self) -> list[int]:
         return sorted(self.rows)
 
-    def reduce_tracked(self, v: dict) -> tuple[dict, object]:
-        d = Fraction(1)
-        scale = 1
-        for x in v.values():
-            den = getattr(x, "denominator", 1)
-            if den != 1:
-                scale = lcm(scale, den)
-        w = {}
-        for k, x in v.items():
-            xi = int(x * scale)
-            if xi:
-                w[k] = xi
-        d *= scale
+    def _reduce(self, v: dict) -> tuple[dict, int, int]:
+        """(r, dn, dd): ``reduce_tracked`` with d = dn/dd in lowest terms."""
+        dn, dd = lcm(*[x.denominator for x in v.values()]), 1
+        w = {k: int(x * dn) for k, x in v.items() if x}
         rows = self.rows
         cand = [j for j in w if j in rows]
         heapq.heapify(cand)
@@ -372,7 +366,9 @@ class QForward:
             if a != 1:
                 for k in w:
                     w[k] *= a
-                d *= a
+                g = gcd(a, dd)
+                dn *= a // g
+                dd //= g
             for k, x in row.items():
                 old = w.get(k)
                 nv = (old or 0) - b * x
@@ -391,11 +387,17 @@ class QForward:
                 if g2 > 1:
                     for k in w:
                         w[k] //= g2
-                    d /= g2
-        return w, d
+                    g = gcd(dn, g2)
+                    dn //= g
+                    dd *= g2 // g
+        return w, dn, dd
+
+    def reduce_tracked(self, v: dict) -> tuple[dict, Fraction]:
+        r, dn, dd = self._reduce(v)
+        return r, Fraction(dn, dd)
 
     def insert(self, v: dict) -> int | None:
-        r, _d = self.reduce_tracked(v)
+        r = self._reduce(v)[0]
         if not r:
             return None
         j = min(r)
@@ -405,13 +407,18 @@ class QForward:
         return j
 
     def reduce(self, v: dict) -> dict:
-        r, d = self.reduce_tracked(v)
-        return {k: x / d for k, x in r.items()}
+        r, dn, dd = self._reduce(v)
+        return {k: _ratio(x * dd, dn) for k, x in r.items()}
 
     def row_dicts(self) -> dict[int, dict]:
         return _back_substitute(
-            {j: {k: Fraction(x, r[j]) for k, x in r.items()}
+            {j: {k: _ratio(x, r[j]) for k, x in r.items()}
              for j, r in self.rows.items()}, None)
+
+
+def _ratio(a: int, b: int):
+    """The canonical Q scalar a/b: an int when b divides a."""
+    return a // b if a % b == 0 else Fraction(a, b)
 
 
 def make_echelon(dom: ScalarDomain):

@@ -194,6 +194,17 @@ def test_moduli_reduce_and_eq():
     assert L.bracket({0: 1}, {0: 1}) == {1: 1}
 
 
+def test_torsion_is_decided_at_construction():
+    # reduce_vec and is_free_carrier read the flag, not the moduli
+    tors = make_leibniz(Z, 2, {}, moduli=[0, 2])
+    free = make_leibniz(Z, 2, {})
+    assert tors.torsion and not tors.is_free_carrier()
+    assert not free.torsion and free.is_free_carrier()
+    v = {0: 3, 1: 4}
+    assert free.reduce_vec(v) is v
+    assert tors.reduce_vec(v) == {0: 3}
+
+
 @given(st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, 1)),
                        st.dictionaries(st.integers(0, 1), st.integers(-2, 2),
                                        max_size=2),

@@ -7,7 +7,9 @@ reduced rows, pivots and ranks are checked against sympy's reduced row
 echelon form over GF(p) and QQ.
 """
 
+import fractions
 import itertools
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -667,6 +669,85 @@ def test_qforward_multiplier_example():
     # residual must be off the pivot column 0: (0, y) with y/d = 3 - 1 = 2
     assert set(r) == {1}
     assert Fraction(r[1]) / d == 2
+
+
+def _fraction_calls(fn) -> int:
+    """Number of calls into ``fractions.py`` while ``fn()`` runs: every
+    Fraction construction and every Fraction operation is one or more."""
+    calls = 0
+
+    def spy(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls += 1
+
+    sys.setprofile(spy)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_integer_q_work_constructs_no_fraction():
+    from stlhom import build_sl, catalog_ring
+
+    def inserts():
+        fwd = QForward()
+        for row in ([2, 4, 6, 0, 1], [3, 1, 0, 5, 2], [1, 1, 1, 1, 1],
+                    [5, 5, 6, 5, 3], [0, 2, 3, 7, 1]):
+            fwd.insert({j: x for j, x in enumerate(row) if x})
+        assert fwd.rank == 4
+
+    assert _fraction_calls(inserts) == 0
+    assert _fraction_calls(lambda: build_sl(3, catalog_ring("ground", Q))) == 0
+    # the spy does see a Fraction when one is made
+    assert _fraction_calls(lambda: SpanSolver(Q, 1, [{0: 2}]).solve({0: 1}))
+
+
+def _canonical_q(x) -> bool:
+    """An int exactly when integral, else a Fraction."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+q_entries = st.builds(lambda a, b: Q.normalize(Fraction(a, b)),
+                      st.integers(-6, 6), st.sampled_from([1, 1, 1, 2, 3]))
+q_vec = st.lists(q_entries, min_size=4, max_size=4).map(
+    lambda row: {j: x for j, x in enumerate(row) if x})
+
+
+@given(st.lists(q_vec, min_size=1, max_size=6), q_vec)
+@settings(max_examples=100, deadline=None)
+def test_q_engines_return_canonical_scalars_of_the_rref(vecs, probe):
+    rref, pivots = sympy_rref(vecs, 4, Q)
+    fwd = _echelon(vecs, Q)
+    rows = fwd.row_dicts()
+    assert rows == rref and list(rows) == pivots
+    # the residual off the pivot columns is probe - sum probe[p] * rref_p
+    want = dict(probe)
+    for p in pivots:
+        if p in want:
+            vec_axpy(want, rref[p], -want[p], Q)
+    got = fwd.reduce(probe)
+    assert got == want
+    solver = SpanSolver(Q, 4, vecs)
+    coeffs = solver.solve(probe)
+    assert (coeffs is not None) == (not want)
+    if coeffs is not None:
+        total = {}
+        for i, c in coeffs.items():
+            vec_axpy(total, vecs[i], c, Q)
+        assert total == probe
+    scalars = [x for r in rows.values() for x in r.values()]
+    scalars += list(got.values()) + list((coeffs or {}).values())
+    assert all(_canonical_q(x) for x in scalars), scalars
+
+
+def test_q_solve_is_int_exactly_when_integral():
+    solver = SpanSolver(Q, 1, [{0: 2}])
+    half, two = solver.solve({0: 1}), solver.solve({0: 4})
+    assert half == {0: Fraction(1, 2)} and type(half[0]) is Fraction
+    assert two == {0: 2} and type(two[0]) is int
 
 
 @given(int_matrix)

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -124,6 +125,26 @@ def test_graded_stl_total_streams_fewer_columns_to_the_same_hl2(
 def test_kernel_is_hochschild_h1(name, scal, n):
     m = stl(name, scal, n)
     assert m.kernel_invariants == hochschild_h1(m.ring)
+
+
+def _integral_fractions(vectors) -> list:
+    """The entries of the vectors that are Fractions of denominator 1: a Q
+    scalar is canonical as an int when it is integral."""
+    return [x for v in vectors for x in v.values()
+            if isinstance(x, Fraction) and x.denominator == 1]
+
+
+@pytest.mark.parametrize("name,n", [
+    (name, n) for name in ("ground", "dual", "group-c2") for n in (3, 4)
+] + [("group-c2", 5)])
+def test_q_tables_hold_no_integral_fraction(name, n):
+    m = stl(name, "q", n)
+    tables = [m.extension.base.table, m.total.table]
+    if n < 5:
+        tables += [uce(m.extension.base).total.table,
+                   hat(name, "q", n).total.table]
+    for table in tables + [m.x_basis]:
+        assert table and not _integral_fractions(table.values())
 
 
 def test_build_stl_rejects_bad_n():
