@@ -380,7 +380,10 @@ def load_ring_json(path: str) -> AssocAlgebra:
             raise ValueError(f"malformed structure entry {quad!r} in {path}")
         i, j, k = (_index_from_json(x, dim, "structure index")
                    for x in quad[:3])
-        structure.setdefault((i, j), {})[k] = _coeff_from_json(quad[3], dom)
+        entry = structure.setdefault((i, j), {})
+        if k in entry:
+            raise ValueError(f"repeated structure entry {(i, j, k)} in {path}")
+        entry[k] = _coeff_from_json(quad[3], dom)
     unit_index = _index_from_json(doc["unit_index"], dim, "unit_index")
     labels = doc.get("labels")
     if labels is not None and not (isinstance(labels, list) and all(

@@ -13,8 +13,9 @@ the rows kept per echelon column, while the cube itself is only walked.  The
 only cube streamed is that of L = sl (its special-weight triples), inside
 uce while stl is built; HL_2(stl) is read off the N presentation.  That
 stream keeps one row per special pair of sl, and a check declares exactly
-that count (``declared_rows``), from the ring alone before any heavy work
-starts.  The symbolic cocycle check never builds a matrix and is exempt.
+that count (``declared_rows``) on sl's weight shape, read off the ring
+alone before any heavy work starts (``build_sl`` checks it per weight).
+The symbolic cocycle check never builds a matrix and is exempt.
 Checks that only exist for the hat models (cocycle, sharp) are skipped --
 not failed -- at n = 5.
 
@@ -34,7 +35,7 @@ import time
 from .assoc import AssocAlgebra, load_ring_json
 from .catalog import RING_BUILDERS, catalog_ring
 from .domains import SCALARS
-from .leibniz import commutator_rank, special_weight
+from .leibniz import Grading, _sl_codes
 from .steinberg import (build_hat, build_stl, hl2_report, verify_calculus,
                         verify_cocycle, verify_sharp_relations)
 
@@ -62,7 +63,7 @@ def resolve_ring(token: str, scalar: str) -> AssocAlgebra:
     if os.path.exists(token):
         try:
             alg = load_ring_json(token)
-        except (ValueError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise CampaignConfigError(f"bad ring file {token}: {exc}") from None
         if alg.dom.name != scalar:
             raise CampaignConfigError(
@@ -143,38 +144,15 @@ def declared_rows(n: int, ring: AssocAlgebra) -> int:
     """Rows a (ring, n) stl task declares for the size guard: the number of
     special pairs of sl_n(R), the rows of the d3 stream in ``uce``.
 
-    sl_n(R) has r = dim R basis vectors of each root weight e_i - e_j and
-    d0 = (n - 1) r + rank [R, R] of weight 0 (the dimension ``build_sl``
-    asserts).  A pair has weight 0 + 0, a root plus 0, or the sum of two
-    roots, which falls into five kinds by how their indices meet.  The
-    weights of one kind are permutations of each other or their negatives,
-    so ``special_weight`` on one of them decides the kind; it turns on
-    whether 2 (a root twice, and four distinct indices at n = 4) and 3
-    (two roots sharing one end, at n = 3) are units.  Only ring-level
-    computations are needed, so the declaration builds no Leibniz algebra.
+    The pairs are counted on the weight shape of sl_n(R), which ``build_sl``
+    checks per weight (``_sl_codes``), with the rule ``uce`` applies
+    (``Grading.special``).  The shape is read off the ring alone, so the
+    declaration builds no Leibniz algebra.
     """
-    r = ring.dim
-    d0 = (n - 1) * r + commutator_rank(ring)
-    roots = n * (n - 1)
-    kinds = (   # (pairs of the kind, (index, entry) of one of its weights)
-        (d0 * d0 + roots * r * r, ()),   # 0 + 0; a root and its negative
-        (2 * d0 * roots * r, ((0, 1), (1, -1))),   # a root and 0
-        (roots * r * r, ((0, 2), (1, -2))),   # a root twice
-        (2 * roots * (n - 2) * r * r, ((0, 1), (2, -1))),   # adding to a root
-        (2 * roots * (n - 2) * r * r,   # sharing one end
-         ((0, 2), (1, -1), (2, -1))),
-        (roots * (n - 2) * (n - 3) * r * r,
-         ((0, 1), (1, 1), (2, -1), (3, -1))),   # four distinct indices
-    )
-    rows = 0
-    for count, entries in kinds:
-        if count:
-            weight = [0] * n
-            for i, x in entries:
-                weight[i] = x
-            if special_weight(ring.dom, tuple(weight)):
-                rows += count
-    return rows
+    grading = Grading(_sl_codes(n, ring), (n, ring.dom))
+    buckets = grading.buckets
+    return sum(len(s) * len(t) for a, s in buckets.items()
+               for b, t in buckets.items() if grading.special(a + b))
 
 
 def _entry(scalar, ring_name, n, check, status, computed, predicted,

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .assoc import AssocAlgebra
+from .assoc import AssocAlgebra, commutator_span
 from .domains import ScalarDomain
 from .linalg import (SpanSolver, SubquotientInvariants, SubspaceBasis,
                      make_echelon, moduli_invariants, present_quotient,
@@ -76,7 +76,8 @@ class Grading:
     is itself a grading.
 
     ``torus`` is (n, dom) on the grading of sl_n(R) that ``build_sl``
-    checked, and None elsewhere; ``special`` is selective only with it.
+    checked, or on its shape (``_sl_codes``) in the size guard, and None
+    elsewhere; ``special`` is selective only with it.
     """
 
     __slots__ = ("code", "buckets", "torus", "_special")
@@ -129,6 +130,16 @@ class Grading:
 def _root_code(i: int, j: int) -> int:
     """The code of the torus weight e_i - e_j (0 when i = j)."""
     return 7 ** i - 7 ** j
+
+
+def _sl_codes(n: int, ring: AssocAlgebra) -> list[int]:
+    """The weight codes of sl_n(R) from the ring alone, ascending: dim R
+    basis vectors of each root weight e_i - e_j and (n - 1) dim R +
+    rank [R, R] of weight 0 (the shape ``build_sl`` checks)."""
+    codes = [_root_code(i, j) for i in range(n) for j in range(n) if i != j
+             for _ in range(ring.dim)]
+    codes += [0] * ((n - 1) * ring.dim + commutator_span(ring).rank)
+    return sorted(codes)
 
 
 class LeibnizAlgebra:
@@ -470,7 +481,7 @@ class SlAlgebra(LeibnizAlgebra):
 def build_sl(n: int, ring: AssocAlgebra) -> SlAlgebra:
     """sl_n(R) = span of all gl brackets, with its induced bracket.
 
-    dim = (n^2 - 1) dim R + dim[R, R]; checked.
+    Its weight shape, ``_sl_codes``, is checked per weight.
 
     Only [e_s, e_t], s < t, is solved: the gl commutator is alternating and
     sl coordinates are unique, so (t, s) is stored as the negative of (s, t)
@@ -483,10 +494,10 @@ def build_sl(n: int, ring: AssocAlgebra) -> SlAlgebra:
         span.add(w)
     basis = span.vectors()
     dim = len(basis)
-    expected = (n * n - 1) * ring.dim + commutator_rank(ring)
-    if dim != expected:
-        raise AssertionError(
-            f"dim sl{n}({ring.name}) = {dim}, expected {expected}")
+    grading = Grading([_gl_code(gl, min(b)) for b in basis], (n, dom))
+    if sorted(grading.code) != _sl_codes(n, ring):
+        raise AssertionError(f"the {dim} basis weights of sl{n}({ring.name}) "
+                             f"are not the shape _sl_codes(n, R)")
 
     solver = SpanSolver(dom, gl.dim, basis)
     table: dict = {}
@@ -512,7 +523,6 @@ def build_sl(n: int, ring: AssocAlgebra) -> SlAlgebra:
     # certified without a check: sl is a bracket-closed subspace of the
     # certified gl, and each table entry is a solver-certified coordinate
     # vector of a gl bracket
-    grading = Grading([_gl_code(gl, min(b)) for b in basis], (n, dom))
     alg = SlAlgebra(dom, dim, table, labels, [0] * dim, f"sl{n}({ring.name})",
                     grading)
     alg.certified = True
@@ -572,11 +582,6 @@ def special_weight(dom: ScalarDomain, mu: tuple) -> bool:
     if dom.p is not None:
         return g % dom.p == 0
     return g == 0 if dom.is_field else g != 1
-
-
-def commutator_rank(ring: AssocAlgebra) -> int:
-    from .assoc import commutator_span
-    return commutator_span(ring).rank
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,16 @@ def test_resolve_ring_from_file(tmp_path):
         resolve_ring(str(tmp_path / "missing.json"), "f3")
 
 
+def test_ring_path_that_cannot_be_opened_is_a_config_error(tmp_path,
+                                                           capsys):
+    with pytest.raises(CampaignConfigError, match="bad ring file"):
+        CampaignConfig(rings=[(str(tmp_path), "f2")], ns=[3])
+    rc = main(["--ring", str(tmp_path), "--scalar", "f2", "--n", "3",
+               "--check", "homology"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: bad ring file")
+
+
 def test_resolve_ring_rejects_garbage_file(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{\"name\": \"x\"}\n")
@@ -553,6 +563,10 @@ RING_PROBES = {
                         "f2", "unit_index None"),
     "list-name": (lambda d: d.__setitem__("name", ["x"]), "f2",
                   "name ['x']"),
+    # x.x = x and x.x = 0: keeping either one silently changes the ring
+    "repeated-entry": (lambda d: d["structure"].extend(
+        [[1, 1, 1, 1], [1, 1, 1, 0]]), "f2",
+        "repeated structure entry (1, 1, 1)"),
 }
 
 

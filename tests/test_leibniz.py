@@ -302,6 +302,26 @@ def test_sl_dimension(name, scal, n, expected):
     assert sl.dim == expected
 
 
+@pytest.mark.parametrize("name,scal", [("ground", "f3"), ("dual", "q")])
+def test_build_sl_checks_its_shape_per_weight(monkeypatch, name, scal):
+    # trading one basis weight e_1 - e_2 for e_2 - e_1 keeps the dimension,
+    # so only a check per weight sees the wrong shape
+    import stlhom.leibniz
+    from stlhom.assoc import commutator_span
+    from stlhom.leibniz import _root_code, _sl_codes
+
+    def mutant(n, ring):
+        codes = _sl_codes(n, ring)
+        codes.remove(_root_code(0, 1))
+        return sorted(codes + [_root_code(1, 0)])
+
+    ring = catalog_ring(name, DOMS[scal])
+    assert len(mutant(3, ring)) == 8 * ring.dim + commutator_span(ring).rank
+    monkeypatch.setattr(stlhom.leibniz, "_sl_codes", mutant)
+    with pytest.raises(AssertionError, match="basis weights"):
+        build_sl(3, ring)
+
+
 def test_sl_embedding_roundtrip():
     sl = build_sl(3, catalog_ring("dual", F3))
     for (i, j) in [(0, 1), (1, 0), (2, 1), (0, 2)]:

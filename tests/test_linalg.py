@@ -592,6 +592,7 @@ int_matrix = st.lists(st.lists(st.integers(-6, 6), min_size=5, max_size=5),
 
 
 @given(int_matrix)
+@settings(deadline=None)
 def test_forward_rank_agrees_with_reduced_echelon(rows):
     for dom in FIELDS:
         fwd = make_echelon(dom)
@@ -630,6 +631,7 @@ def test_forward_residual_is_canonical(rows, probe, pick):
 
 
 @given(int_matrix, st.lists(st.integers(-6, 6), min_size=5, max_size=5))
+@settings(deadline=None)
 def test_qforward_matches_rational_echelon(rows, probe):
     fwd = QForward()
     vecs = []

@@ -1,6 +1,7 @@
 """Source lint as tests: no bare ``assert`` statements, no unused imports
-and no unreferenced private helpers in the package, and a package
-namespace that exports exactly what it imports.
+and no unreferenced private helpers in the package, a package namespace
+that exports exactly what it imports, and one home for the special-weight
+rule.
 
 ``python -O`` strips asserts, so a certification step or a grading check
 written as one would silently vanish; every check raises explicitly.  An
@@ -98,3 +99,25 @@ def test_private_helpers_are_used():
     unused = sorted(f"{where} {name}" for name, where in defined.items()
                     if name not in used)
     assert not unused, f"private helpers nothing references: {unused}"
+
+
+def test_special_weight_rule_lives_in_leibniz_only():
+    # the rule is applied by Grading.special; a caller elsewhere would be a
+    # second derivation of which weights are special
+    refs = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "leibniz.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name == "special_weight":
+                refs.append(f"{path.name}:{node.lineno}")
+    assert not refs, f"special_weight referenced outside leibniz.py: {refs}"
