@@ -63,16 +63,6 @@ class AssocAlgebra:
         vec_axpy(uv, vu, self.dom.neg(self.dom.one), self.dom)
         return uv
 
-    def describe_element(self, v: dict) -> str:
-        if not v:
-            return "0"
-        parts = []
-        for i in sorted(v):
-            c = v[i]
-            parts.append(self.labels[i] if c == self.dom.one
-                         else f"{c}*{self.labels[i]}")
-        return " + ".join(parts)
-
 
 def make_algebra(dom: ScalarDomain, dim: int, structure: dict,
                  labels: list[str] | None = None,

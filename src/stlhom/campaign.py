@@ -27,6 +27,7 @@ or ``skipped``.  Any failed, error or refused entry makes the exit code 1.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import os
@@ -120,6 +121,14 @@ class CampaignConfig:
         if not _is_int(max_cube) or max_cube < 1:
             raise CampaignConfigError(
                 f"max_cube must be a positive int, got {max_cube!r}")
+        for what, path in (("out", out), ("csv_out", csv_out)):
+            # refused before any work: the reports are written at the end
+            parent = os.path.dirname(path or "") or "."
+            if path and os.path.isdir(path):
+                raise CampaignConfigError(f"{what} {path} is a directory")
+            if path and not os.path.isdir(parent):
+                raise CampaignConfigError(
+                    f"{what} {path}: directory {parent} does not exist")
         self.rings = rings
         self.ns = ns
         self.checks = checks
@@ -262,12 +271,11 @@ class CampaignReport:
         """Summary table in the three-column shape (n, predicted, computed),
         one row per homology entry, keyed by ring."""
         buf = io.StringIO()
-        buf.write("ring,scalar,n,predicted,computed\n")
-        for e in self.entries:
-            if e["check"] != "homology":
-                continue
-            buf.write(f"{e['ring']},{e['scalar']},{e['n']},"
-                      f"{e['predicted']},{e['computed']}\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["ring", "scalar", "n", "predicted", "computed"])
+        writer.writerows([e["ring"], e["scalar"], e["n"], e["predicted"],
+                          e["computed"]]
+                         for e in self.entries if e["check"] == "homology")
         return buf.getvalue()
 
     def lines(self):

@@ -59,8 +59,8 @@ from math import gcd
 from .assoc import AssocAlgebra, commutator_span
 from .domains import ScalarDomain
 from .linalg import (SpanSolver, SubquotientInvariants, SubspaceBasis,
-                     make_echelon, moduli_invariants, present_quotient,
-                     subquotient, vec_axpy)
+                     describe_vector, make_echelon, moduli_invariants,
+                     present_quotient, subquotient, vec_axpy)
 
 
 class Grading:
@@ -177,9 +177,6 @@ class LeibnizAlgebra:
     def __repr__(self):
         return f"LeibnizAlgebra({self.name}, dim={self.dim}, dom={self.dom.name})"
 
-    def is_free_carrier(self) -> bool:
-        return not self.torsion
-
     def reduce_vec(self, v: dict) -> dict:
         """Canonicalize modulo the coordinate moduli, dropping zeros."""
         if not self.torsion:
@@ -212,16 +209,6 @@ class LeibnizAlgebra:
         diff = dict(u)
         vec_axpy(diff, v, dom.neg(dom.one), dom)
         return not self.reduce_vec(diff)
-
-    def describe_element(self, v: dict) -> str:
-        if not v:
-            return "0"
-        parts = []
-        for k in sorted(v):
-            c = v[k]
-            lbl = self.labels[k]
-            parts.append(lbl if c == self.dom.one else f"{c}*{lbl}")
-        return " + ".join(parts)
 
 
 class LeibnizIdentityError(ValueError):
@@ -315,25 +302,24 @@ def _check_identity(alg: LeibnizAlgebra, dim: int, inner: dict,
 
     For fixed (y, z), every term vanishes unless [x, y] or [x, z] is nonzero
     or o(x, .) is nonzero on the support of [y, z]; only those candidate x
-    are visited.  A nontrivial ``alg.grading`` filters them further: its
-    codes make both tables homogeneous (each entry (i, j) meets only
-    coordinates of code code[i] + code[j]; ``_homogeneous_codes`` checks
-    it, and an algebra carries no grading its table fails).  Every term of
-    (x, y, z) then lies in coordinates of code code[x] + code[y] + code[z],
-    so only the candidates for which some coordinate of an outer value has
-    that code are visited.  On both paths the candidates are visited in
-    ascending order, and a triple that is not visited vanishes term by term
-    or lies at a weight no coordinate of an outer value has, so the triple
-    raised is the first failing one in (y, z, x) order.  A pair y > z that
-    is antisymmetric inside (``_asymmetric_pairs``) is skipped: J(x, y, z)
-    + J(x, z, y) = o(x, [y, z] + [z, y]) = 0, so (x, y, z) fails exactly
-    when its earlier twin (x, z, y) does.
+    are visited.  ``alg.grading`` filters them further: its codes make
+    both tables homogeneous (each entry (i, j) meets only coordinates of
+    code code[i] + code[j]; ``_homogeneous_codes`` checks it, and an
+    algebra carries no grading its table fails).  Every term of (x, y, z)
+    then lies in coordinates of code code[x] + code[y] + code[z], so only
+    the candidates for which some coordinate of an outer value has that
+    code are visited; under the trivial grading that is every candidate.
+    The candidates are visited in ascending order, and a triple that is not
+    visited vanishes term by term or lies at a weight no coordinate of an
+    outer value has, so the triple raised is the first failing one in
+    (y, z, x) order.  A pair y > z that is antisymmetric inside
+    (``_asymmetric_pairs``) is skipped: J(x, y, z) + J(x, z, y) =
+    o(x, [y, z] + [z, y]) = 0, so (x, y, z) fails exactly when its earlier
+    twin (x, z, y) does.
     """
     if not outer:
         return
     code = alg.grading.code
-    if not any(code):
-        code = None
     dom = alg.dom
     signs = (dom.neg(dom.one), dom.one)
     byfirst: dict[int, dict[int, dict]] = {}
@@ -347,29 +333,26 @@ def _check_identity(alg: LeibnizAlgebra, dim: int, inner: dict,
     empty_set: set[int] = set()
     empty_row: dict[int, dict] = {}
     asym = _asymmetric_pairs(inner, dom)
-    if code is not None:
-        # the codes of the outer values, and the codes code[y] + code[z]
-        # that some x completes to one of them
-        totals = {code[t] for v in outer.values() for t in v}
-        reachable = {mu - c for mu in totals for c in set(code[:dim])}
+    # the codes of the outer values, and the codes code[y] + code[z] that
+    # some x completes to one of them
+    totals = {code[t] for v in outer.values() for t in v}
+    reachable = {mu - c for mu in totals for c in set(code[:dim])}
 
     for j in range(dim):
         row_j = byfirst.get(j, empty_row)
         for k in range(dim):
             if k < j and (j, k) not in asym:
                 continue
-            if code is not None and code[j] + code[k] not in reachable:
+            rest = code[j] + code[k]
+            if rest not in reachable:
                 continue
             w = row_j.get(k)
             cand = bysecond.get(j, empty_set) | bysecond.get(k, empty_set)
             if w:
                 for t in w:
                     cand.update(outer_bysecond.get(t, empty_set))
-            if code is not None:
-                rest = code[j] + code[k]
-                cand = [i for i in cand if code[i] + rest in totals]
-            cand = sorted(cand)
-            for i in cand:
+            cand = [i for i in cand if code[i] + rest in totals]
+            for i in sorted(cand):
                 acc: dict = {}
                 if w:
                     for t, c in w.items():
@@ -390,7 +373,7 @@ def _check_identity(alg: LeibnizAlgebra, dim: int, inner: dict,
                     lab = alg.labels
                     raise LeibnizIdentityError(
                         f"{what} fails at ({lab[i]}, {lab[j]}, {lab[k]}): "
-                        f"the defect is {alg.describe_element(acc)}",
+                        f"the defect is {describe_vector(acc, lab)}",
                         (i, j, k), acc)
 
 
@@ -571,7 +554,7 @@ def check_torus_grading(sl: SlAlgebra) -> None:
                 if got != ({s: c} if c else {}):
                     raise AssertionError(
                         f"h{i+1}{j+1} does not act on {sl.labels[s]} by "
-                        f"{c}: the bracket is {sl.describe_element(got)}")
+                        f"{c}: the bracket is {describe_vector(got, sl.labels)}")
 
 
 def special_weight(dom: ScalarDomain, mu: tuple) -> bool:
@@ -589,7 +572,7 @@ def special_weight(dom: ScalarDomain, mu: tuple) -> bool:
 
 
 def _require_free(L: LeibnizAlgebra, what: str) -> None:
-    if not L.is_free_carrier():
+    if L.torsion:
         raise ValueError(f"{what} needs a free carrier, but {L.name} has "
                          f"torsion moduli")
 
@@ -752,31 +735,16 @@ class HomologyReport:
     """Outcome of one homology computation."""
 
     __slots__ = ("algebra_name", "degree", "invariants", "dim_chain",
-                 "rank_out", "rank_in", "square_zero_checked")
+                 "rank_out", "rank_in")
 
     def __init__(self, algebra_name, degree, invariants, dim_chain,
-                 rank_out, rank_in, square_zero_checked):
+                 rank_out, rank_in):
         self.algebra_name = algebra_name
         self.degree = degree
         self.invariants = invariants
         self.dim_chain = dim_chain
         self.rank_out = rank_out          # rank of d_degree
         self.rank_in = rank_in            # rank of d_(degree+1)
-        # d2 . d3 = 0 holds: L is certified, checked first if it was not
-        self.square_zero_checked = square_zero_checked
-
-    def to_dict(self) -> dict:
-        return {
-            "algebra": self.algebra_name,
-            "degree": self.degree,
-            "invariants": self.invariants.describe(),
-            "dimension": self.invariants.dimension,
-            "invariant_factors": self.invariants.invariant_factors,
-            "dim_chain": self.dim_chain,
-            "rank_out": self.rank_out,
-            "rank_in": self.rank_in,
-            "square_zero_checked": self.square_zero_checked,
-        }
 
     def __repr__(self):
         return (f"HomologyReport(HL_{self.degree}({self.algebra_name}) = "
@@ -815,7 +783,7 @@ def homology_hl(L: LeibnizAlgebra, degree: int) -> HomologyReport:
     if degree == 1:
         # d1 = 0: HL_1 = L / im d2
         inv = moduli_invariants(dom, present_quotient(img2, dim, dom).moduli)
-        return HomologyReport(L.name, 1, inv, dim, 0, img2.rank, True)
+        return HomologyReport(L.name, 1, inv, dim, 0, img2.rank)
 
     # rank ker(d2)_mu = #pairs of weight mu - rank d2_mu, and the rows of
     # img2 are homogeneous, so rank d2_mu counts its pivots of weight mu
@@ -846,7 +814,7 @@ def homology_hl(L: LeibnizAlgebra, degree: int) -> HomologyReport:
 
         img = _d3_image(L, kernel_rank, kernel_pivot)
         inv = subquotient(kern, img, pair, dom)
-    return HomologyReport(L.name, 2, inv, pair, img2.rank, img.rank, True)
+    return HomologyReport(L.name, 2, inv, pair, img2.rank, img.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -865,15 +833,6 @@ class StructuralReport:
         self.center_rank = center_rank
         self.center_basis = center_basis
         self.abelianization_dim = abelianization_dim
-
-    def to_dict(self) -> dict:
-        return {
-            "algebra": self.algebra_name,
-            "dim": self.dim,
-            "is_perfect": self.is_perfect,
-            "center_rank": self.center_rank,
-            "abelianization_dim": self.abelianization_dim,
-        }
 
 
 def is_central(L: LeibnizAlgebra, v: dict) -> bool:

@@ -93,6 +93,15 @@ def vec_combine(u: dict, v: dict, cu: int, cv: int) -> dict:
     return out
 
 
+def describe_vector(v: dict, labels) -> str:
+    """``label`` or ``c*label`` per nonzero key, ascending, joined by
+    `` + ``; ``"0"`` for the empty vector."""
+    if not v:
+        return "0"
+    return " + ".join(labels[k] if c == 1 else f"{c}*{labels[k]}"
+                      for k, c in sorted(v.items()))
+
+
 def mask_of(v: dict) -> int:
     """GF(2) bitmask of a dict vector (coefficients taken mod 2)."""
     m = 0

@@ -28,9 +28,9 @@ from .leibniz import (CentralExtensionModel, Grading, LeibnizAlgebra,
                       LeibnizIdentityError, _check_identity,
                       _homogeneous_codes, _root_code, build_sl, is_central,
                       is_perfect, structural_report, uce)
-from .linalg import (SpanSolver, SubquotientInvariants, make_echelon,
-                     moduli_invariants, present_quotient, subquotient,
-                     vec_axpy)
+from .linalg import (SpanSolver, SubquotientInvariants, describe_vector,
+                     make_echelon, moduli_invariants, present_quotient,
+                     subquotient, vec_axpy)
 
 __all__ = [
     "ThetaMap", "build_theta", "corrupted_theta",
@@ -164,6 +164,8 @@ class CocycleSpace:
     __slots__ = ("n", "quotient", "slots", "width", "moduli", "labels")
 
     def __init__(self, n: int, quotient: QuotientAlgebra):
+        if n not in (3, 4):
+            raise ValueError("cocycle spaces exist for n in {3, 4}")
         self.n = n
         self.quotient = quotient
         self.slots = (1, 2, 3, 4, 5, 6) if n == 4 else (1, 2, 3, -1, -2, -3)
@@ -196,13 +198,6 @@ class CocycleSpace:
             elif k in dst:
                 del dst[k]
 
-    def describe(self, coords: dict) -> str:
-        if not coords:
-            return "0"
-        return " + ".join(f"{c}*{self.labels[k]}" if c != 1
-                          else self.labels[k]
-                          for k, c in sorted(coords.items()))
-
 
 class CocycleValue:
     """A value of psi: a sparse element of the space it lives in."""
@@ -223,7 +218,8 @@ class CocycleValue:
                 and self.coords == other.coords)
 
     def __repr__(self):
-        return f"CocycleValue({self.space.describe(self.coords)})"
+        coords = describe_vector(self.coords, self.space.labels)
+        return f"CocycleValue({coords})"
 
 
 def _in_range(x, lo: int, hi: int) -> bool:
@@ -524,17 +520,6 @@ class CocycleReport:
         self.witness = witness
         self.theta_table = theta_table
 
-    def to_dict(self) -> dict:
-        return {
-            "check": "cocycle",
-            "n": self.n,
-            "ring": self.ring_name,
-            "ok": self.ok,
-            "triples_checked": self.triples_checked,
-            "witness": self.witness,
-            "theta": self.theta_table,
-        }
-
     def __repr__(self):
         tag = "pass" if self.ok else f"FAIL at {self.witness}"
         return (f"CocycleReport(n={self.n}, ring={self.ring_name}, "
@@ -616,7 +601,7 @@ def verify_cocycle(n: int, ring: AssocAlgebra,
         x, y, z = exc.triple
         lab = carrier.labels
         witness = {"x": lab[x], "y": lab[y], "z": lab[z],
-                   "value": carrier.describe_element(exc.defect)}
+                   "value": describe_vector(exc.defect, lab)}
         return CocycleReport(n, ring.name, False, (y * K + z) * K + x + 1,
                              witness, theta_table)
     return CocycleReport(n, ring.name, True, K ** 3, None, theta_table)
@@ -894,16 +879,6 @@ class CalculusReport:
         self.checks = checks
         self.witness = witness
 
-    def to_dict(self) -> dict:
-        return {
-            "check": "calculus",
-            "n": self.n,
-            "ring": self.ring_name,
-            "ok": self.ok,
-            "instances": dict(self.checks),
-            "witness": self.witness,
-        }
-
     def __repr__(self):
         tag = "pass" if self.ok else f"FAIL: {self.witness}"
         return (f"CalculusReport(n={self.n}, ring={self.ring_name}, "
@@ -1092,6 +1067,12 @@ def build_hat(n: int, ring: AssocAlgebra,
         raise ValueError("theta only parameterizes the n = 4 cocycle")
     if model is None:
         model = build_stl(n, ring)
+    elif model.n != n or ((model.ring.dom, model.ring.dim, model.ring.table)
+                          != (ring.dom, ring.dim, ring.table)):
+        raise ValueError(
+            f"the model is stl_{model.n} of {model.ring.name} over "
+            f"{model.ring.dom.name}, which does not match n = {n} and the "
+            f"structure table of {ring.name} over {ring.dom.name}")
     stl_alg = model.total
     one = ring.dom.one
     rm = quotient_Rm(ring, {3: 3, 4: 2}[n])
@@ -1150,19 +1131,6 @@ class SharpReport:
         self.perfect = perfect
         self.center_rank = center_rank
         self.center_contains_kernel = center_contains_kernel
-
-    def to_dict(self) -> dict:
-        return {
-            "check": "sharp",
-            "n": self.n,
-            "ring": self.ring_name,
-            "ok": self.ok,
-            "relations": dict(self.relations),
-            "witness": self.witness,
-            "perfect": self.perfect,
-            "center_rank": self.center_rank,
-            "center_contains_kernel": self.center_contains_kernel,
-        }
 
     def __repr__(self):
         tag = "pass" if self.ok else f"FAIL: {self.witness}"
@@ -1274,17 +1242,6 @@ class Hl2Report:
         self.predicted = predicted
         self.ok = ok
         self.stl_dim = stl_dim
-
-    def to_dict(self) -> dict:
-        return {
-            "check": "homology",
-            "n": self.n,
-            "ring": self.ring_name,
-            "ok": self.ok,
-            "stl_dim": self.stl_dim,
-            "computed": self.computed.describe(),
-            "predicted": self.predicted.describe(),
-        }
 
     def __repr__(self):
         tag = "match" if self.ok else "MISMATCH"

@@ -10,6 +10,7 @@ or the symbolic cocycle was certified and rebuild an extension from a
 changed kappa.  ``reference_cocycle`` is the plain keys^3 walk of the
 symbolic cocycle identity that ``verify_cocycle`` must agree with.
 ``torus_weight`` reads a weight code of the package back as a weight.
+``fields`` reads a verifier's report as a dict of its attributes.
 """
 
 import stlhom.leibniz as leibniz
@@ -21,10 +22,16 @@ from stlhom.steinberg import (CocycleSpace, SteinbergSymbolic, build_theta,
                               psi3, psi4)
 
 
+def fields(report, *skip) -> dict:
+    """The attributes of a report (its ``__slots__``) but ``skip``."""
+    return {name: getattr(report, name) for name in type(report).__slots__
+            if name not in skip}
+
+
 def cocycle_paths(monkeypatch) -> dict:
     """Record, per carrier name, whether each cocycle check from here on
-    visited the weight-filtered candidate triples (True: the checked
-    algebra's grading is not trivial) or every candidate triple (False):
+    filtered its candidate triples by a nontrivial grading (True) or ran
+    under the trivial grading, where every candidate passes (False):
     that of each ``CentralExtensionModel`` (under its total's name) and of
     ``verify_cocycle`` (``psi-<n>(<ring>)``), whose module binds the walker
     by name, so both bindings are patched.  An extension with an empty

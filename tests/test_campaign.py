@@ -6,6 +6,8 @@ artifacts stay diffable; the determinism test compares a serial run against
 a parallel one of the same config.
 """
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -430,6 +432,18 @@ def test_csv_mirrors_theorem_shape():
     ]
 
 
+def test_csv_quotes_a_ring_name_with_a_comma(tmp_path):
+    alg = catalog_ring("ground", F3)
+    alg.name = "a,b"
+    path = tmp_path / "ab.json"
+    save_ring_json(alg, str(path))
+    rep = run_campaign(CampaignConfig(rings=[(str(path), "f3")], ns=[3],
+                                      checks=["homology"]))
+    rows = list(csv.reader(io.StringIO(rep.to_csv())))
+    assert rows == [["ring", "scalar", "n", "predicted", "computed"],
+                    ["a,b", "f3", "3", "f3^6", "f3^6"]]
+
+
 def test_report_files_are_written(tmp_path):
     out = tmp_path / "report.json"
     csv_out = tmp_path / "report.csv"
@@ -470,6 +484,25 @@ def test_cli_config_error_exits_2(capsys):
                "--check", "all"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_cli_refuses_unwritable_report_paths_up_front(tmp_path, capsys,
+                                                      monkeypatch, flag):
+    import stlhom.campaign
+
+    def no_run(*_args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(stlhom.campaign, "_run_unit", no_run)
+    for path, why in [(tmp_path, "is a directory"),
+                      (tmp_path / "missing" / "r.json", "does not exist")]:
+        rc = main(["--ring", "ground", "--scalar", "f3", "--n", "3",
+                   "--check", "homology", flag, str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and why in err
+    assert not (tmp_path / "missing").exists()
 
 
 def test_cli_usage_error_exits_2():

@@ -10,7 +10,7 @@ from stlhom.assoc import quotient_Rm
 from stlhom.catalog import ACCEPTANCE_PAIRS, catalog_ring
 from stlhom.domains import F2, F3, F5, Q, Z
 from stlhom.leibniz import _homogeneous_codes, build_sl, uce
-from stlhom.linalg import vec_axpy
+from stlhom.linalg import describe_vector, vec_axpy
 from stlhom.steinberg import (CocycleSpace, SteinbergSymbolic, build_stl,
                               build_theta, corrupted_theta, psi3, psi4,
                               verify_cocycle)
@@ -39,6 +39,13 @@ def test_space_shapes():
     assert u.width == 6
     assert [u.slot_pos(s) for s in u.slots] == [0, 1, 2, 3, 4, 5]
     assert u.labels[0] == "u(+1).0" and u.labels[3] == "u(-1).0"
+
+
+def test_space_exists_for_n_3_and_4_only():
+    rm = quotient_Rm(ring("ground", "f2"), 2)
+    for n in (2, 5):
+        with pytest.raises(ValueError, match="n in"):
+            CocycleSpace(n, rm)
 
 
 def test_space_embed_and_reduce_mod_z():
@@ -216,13 +223,11 @@ def test_cocycle_identity_holds(name, scal, n):
 
 
 def test_cocycle_report_to_dict():
-    d = verify_cocycle(3, ring("ground", "f3")).to_dict()
-    assert list(d) == ["check", "n", "ring", "ok", "triples_checked",
-                       "witness", "theta"]
-    assert d["check"] == "cocycle" and d["ok"] is True
-    assert d["theta"] is None
-    d4 = verify_cocycle(4, ring("ground", "f2")).to_dict()
-    assert d4["theta"]["1234"] == 1
+    rep = verify_cocycle(3, ring("ground", "f3"))
+    assert (rep.n, rep.ring_name, rep.ok) == (3, "ground", True)
+    assert rep.witness is None and rep.theta_table is None
+    rep4 = verify_cocycle(4, ring("ground", "f2"))
+    assert rep4.theta_table["1234"] == 1
 
 
 def test_corrupted_theta_fails_with_witness():
@@ -246,7 +251,8 @@ def assert_first_failing_in_yzx_order(rep, n, r, theta=None):
         return
     key = {engine.describe_key(k): k for k in basis}
     x, y, z = (key[rep.witness[v]] for v in "xyz")
-    assert space.describe(J(x, y, z)) == rep.witness["value"] != "0"
+    assert (describe_vector(J(x, y, z), space.labels)
+            == rep.witness["value"] != "0")
     order = [(a, b, c) for b in basis for c in basis for a in basis]
     pos = order.index((x, y, z))
     assert rep.triples_checked == pos + 1

@@ -195,11 +195,10 @@ def test_moduli_reduce_and_eq():
 
 
 def test_torsion_is_decided_at_construction():
-    # reduce_vec and is_free_carrier read the flag, not the moduli
+    # reduce_vec reads the flag, not the moduli
     tors = make_leibniz(Z, 2, {}, moduli=[0, 2])
     free = make_leibniz(Z, 2, {})
-    assert tors.torsion and not tors.is_free_carrier()
-    assert not free.torsion and free.is_free_carrier()
+    assert tors.torsion and not free.torsion
     v = {0: 3, 1: 4}
     assert free.reduce_vec(v) is v
     assert tors.reduce_vec(v) == {0: 3}
@@ -564,11 +563,10 @@ def test_hl2_integer_invariant_factors():
 
 def test_homology_report_to_dict_shape():
     L = build_sl(3, catalog_ring("ground", F3))
-    d = homology_hl(L, 2).to_dict()
-    assert d["degree"] == 2
-    assert d["dimension"] == 6
-    assert d["square_zero_checked"] is True
-    assert d["dim_chain"] == 64
+    rep = homology_hl(L, 2)
+    assert rep.degree == 2
+    assert rep.invariants.dimension == 6
+    assert rep.dim_chain == 64
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 from stlhom.domains import F2, F3, F5, Q, Z, parse_scalar
 from stlhom.linalg import (ContainmentError, F2Forward, FpForward,
                            HermiteBasis, QForward, SpanSolver,
-                           SubquotientInvariants, make_echelon,
+                           SubquotientInvariants, describe_vector,
+                           make_echelon,
                            moduli_invariants, present_quotient,
                            smith_normal_form, subquotient, vec_axpy, xgcd)
 
@@ -235,6 +236,20 @@ def test_invariants_eq_and_describe():
     assert a.describe() == "Z/2^2 + Z^1"
     assert SubquotientInvariants("f2", 0, None).describe() == "0"
     assert SubquotientInvariants("f3", 6, None).describe() == "f3^6"
+
+
+@pytest.mark.parametrize("dom,coeff,text", [
+    (F2, 1, "x"), (F3, 2, "2*x"), (F5, 4, "4*x"),
+    (Q, Fraction(1, 2), "1/2*x"), (Z, -1, "-1*x"),
+])
+def test_describe_vector_on_every_domain(dom, coeff, text):
+    # canonical scalars: the coefficient 1 is dropped, keys ascend
+    labels = ["w", "x", "y"]
+    one = dom.normalize(1)
+    v = {2: one, 1: dom.normalize(coeff)}
+    assert describe_vector(v, labels) == f"{text} + y"
+    assert describe_vector({0: one}, labels) == "w"
+    assert describe_vector({}, labels) == "0"
 
 
 # ---------------------------------------------------------------------------

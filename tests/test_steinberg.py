@@ -24,7 +24,8 @@ from stlhom.steinberg import (build_hat, build_stl, build_theta,
                               verify_sharp_relations)
 
 from oracles import (check_homomorphism_on_basis, check_kernel_central,
-                     cocycle_paths, kappa_of, sl_to_gl, torus_weight)
+                     cocycle_paths, fields, kappa_of, sl_to_gl,
+                     torus_weight)
 
 DOMS = {"f2": F2, "f3": F3, "f5": F5, "q": Q, "z": Z}
 
@@ -113,8 +114,8 @@ def test_graded_stl_total_streams_fewer_columns_to_the_same_hl2(
 
     monkeypatch.setattr(leib, "iter_d3_columns", counted)
     graded, ungraded = homology_hl(total, 2), homology_hl(plain, 2)
-    assert graded.to_dict() == {**ungraded.to_dict(),
-                                "algebra": total.name}
+    assert graded.algebra_name == total.name
+    assert fields(graded, "algebra_name") == fields(ungraded, "algebra_name")
     assert streamed[0] < streamed[1], streamed
 
 
@@ -257,11 +258,10 @@ def test_calculus_passes(name, scal, n):
 
 
 def test_calculus_report_to_dict():
-    d = verify_calculus(stl("ground", "f3", 3)).to_dict()
-    assert list(d) == ["check", "n", "ring", "ok", "instances", "witness"]
-    assert d["ok"] is True and d["witness"] is None
-    assert d["instances"]["tX-first-row"] == 2
-    assert d["instances"]["TX-same-position"] == 6
+    rep = verify_calculus(stl("ground", "f3", 3))
+    assert rep.ok is True and rep.witness is None
+    assert rep.checks["tX-first-row"] == 2
+    assert rep.checks["TX-same-position"] == 6
 
 
 def corrupt_entry(total, idx):
@@ -302,10 +302,10 @@ def test_calculus_reports_a_corrupted_table(name, scal, n, idx, counts,
                                             witness):
     m = build_stl(n, ring(name, scal))
     corrupt_entry(m.total, idx)
-    d = verify_calculus(m).to_dict()
-    assert d == {"check": "calculus", "n": n, "ring": name, "ok": False,
-                 "instances": counts, "witness": witness}
-    assert list(d["instances"]) == list(counts)
+    rep = verify_calculus(m)
+    assert fields(rep) == {"n": n, "ring_name": name, "ok": False,
+                           "checks": counts, "witness": witness}
+    assert list(rep.checks) == list(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +387,17 @@ def test_build_hat_input_validation():
         build_hat(5, ring("ground", "f2"))
     with pytest.raises(ValueError):
         build_hat(3, ring("ground", "f3"), theta=build_theta())
+
+
+def test_build_hat_rejects_a_mismatched_model():
+    # caught before any work: a model of another n used to end in a bare
+    # KeyError, and one of another ring in a false cocycle failure
+    with pytest.raises(ValueError, match="does not match") as exc:
+        build_hat(4, ring("ground", "f2"), model=stl("ground", "f2", 3))
+    assert type(exc.value) is ValueError
+    with pytest.raises(ValueError, match="does not match") as exc:
+        build_hat(3, ring("group-c2", "f3"), model=stl("dual", "f3", 3))
+    assert type(exc.value) is ValueError
 
 
 def test_corrupted_theta_breaks_the_hat():
@@ -581,8 +592,7 @@ def test_sharp_relations_hold(name, scal, n):
     assert rep.perfect
     assert rep.center_contains_kernel
     assert rep.relations["two-sided-product"] > 0
-    d = rep.to_dict()
-    assert d["check"] == "sharp" and d["ok"] is True
+    assert rep.ok is True
 
 
 @pytest.mark.parametrize("name,scal,n,idx,counts,witness,center", [
@@ -600,11 +610,12 @@ def test_sharp_reports_a_corrupted_table(name, scal, n, idx, counts, witness,
                                          center):
     h = build_hat(n, ring(name, scal), model=stl(name, scal, n))
     corrupt_entry(h.total, idx)
-    d = verify_sharp_relations(h).to_dict()
-    assert d == {"check": "sharp", "n": n, "ring": name, "ok": False,
-                 "relations": counts, "witness": witness, "perfect": True,
-                 "center_rank": center, "center_contains_kernel": True}
-    assert list(d["relations"]) == list(counts)
+    rep = verify_sharp_relations(h)
+    assert fields(rep) == {"n": n, "ring_name": name, "ok": False,
+                           "relations": counts, "witness": witness,
+                           "perfect": True, "center_rank": center,
+                           "center_contains_kernel": True}
+    assert list(rep.relations) == list(counts)
 
 
 def test_hat_is_the_universal_central_extension():
@@ -662,7 +673,7 @@ def test_hl2_report_on_torsion_carriers(name, n, expected):
     # HH_1(R) has torsion, so stl has a torsion carrier: the d3 stream
     # refuses it, while the N-image route answers
     model = stl(name, "z", n)
-    assert not model.total.is_free_carrier()
+    assert model.total.torsion
     with pytest.raises(ValueError, match="free carrier"):
         homology_hl(model.total, 2)
     rep = hl2_report(model)
@@ -671,11 +682,10 @@ def test_hl2_report_on_torsion_carriers(name, n, expected):
 
 
 def test_hl2_report_to_dict():
-    d = hl2_report(stl("ground", "f3", 3)).to_dict()
-    assert list(d) == ["check", "n", "ring", "ok", "stl_dim", "computed",
-                       "predicted"]
-    assert d["computed"] == d["predicted"] == "f3^6"
-    assert d["stl_dim"] == 8
+    rep = hl2_report(stl("ground", "f3", 3))
+    assert rep.ok is True
+    assert rep.computed.describe() == rep.predicted.describe() == "f3^6"
+    assert rep.stl_dim == 8
 
 
 def test_predicted_hl2_values():

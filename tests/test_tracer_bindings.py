@@ -21,6 +21,8 @@ from stlhom.leibniz import build_sl, homology_hl, uce
 from stlhom.steinberg import (build_hat, build_stl, verify_calculus,
                               verify_cocycle, verify_sharp_relations)
 
+from oracles import fields
+
 TRACER_PATH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench", "tracer.py")
 
@@ -78,7 +80,7 @@ def test_uce_and_homology_look_the_stream_up_at_call_time(tracer,
     # a wrapper set on the module sees every column uce and homology_hl
     # consume, and the outside tracer counts the same columns
     L = build_sl(3, catalog_ring("ground", F3))
-    want = (uce(L).total.table, homology_hl(L, 2).to_dict())
+    want = (uce(L).total.table, fields(homology_hl(L, 2)))
     inner = leibniz.iter_d3_columns
     seen = []
 
@@ -89,7 +91,7 @@ def test_uce_and_homology_look_the_stream_up_at_call_time(tracer,
             yield item
 
     monkeypatch.setattr(leibniz, "iter_d3_columns", wrapper)
-    got = (uce(L).total.table, homology_hl(L, 2).to_dict())
+    got = (uce(L).total.table, fields(homology_hl(L, 2)))
     monkeypatch.undo()
     assert got == want
     assert len(seen) == 2 and all(seen)
