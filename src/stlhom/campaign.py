@@ -129,6 +129,10 @@ class CampaignConfig:
             if path and not os.path.isdir(parent):
                 raise CampaignConfigError(
                     f"{what} {path}: directory {parent} does not exist")
+        if out and csv_out and (os.path.realpath(out)
+                                == os.path.realpath(csv_out)):
+            raise CampaignConfigError(
+                f"out {out} and csv_out {csv_out} are the same file")
         self.rings = rings
         self.ns = ns
         self.checks = checks

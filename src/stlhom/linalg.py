@@ -21,17 +21,17 @@ in a generating family and give the relations among its generators, so a
 kernel is the relation module of a matrix's columns and no matrix type is
 needed; and one reading of a quotient dom^width/span(R) off the echelon R
 was inserted into (``present_quotient``): the non-pivot columns over a
-field, the Smith form of the Hermite rows over Z, whose unimodular row
-transform gives the coordinates.  ``present_quotient`` is the only caller
-of ``smith_normal_form``.  The invariants of a subquotient span(K)/span(I)
-(``subquotient``) are those of the quotient presentation of I's
-coordinates in a basis of K, solved for by a ``SpanSolver`` over K.
+field; over Z, the Smith form of the few Hermite rows left once the rows
+with a unit pivot have eliminated their pivot columns, whose unimodular
+row transform gives the coordinates.  ``present_quotient`` is the only
+caller of ``smith_normal_form``.  The invariants of a subquotient
+span(K)/span(I) (``subquotient``) are those of the quotient presentation
+of I's coordinates in a basis of K, solved for by a ``SpanSolver`` over K.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -562,53 +562,31 @@ def smith_normal_form(entries: dict, nrows: int, ncols: int) -> SmithForm:
 
     Pivots are chosen by minimum absolute value (with an early exit on a
     unit), which keeps coefficient growth tame on the near-unimodular
-    matrices this package produces.  A column -> rows index (``holders``)
-    lets the column operations and the clearing of a pivot column touch
-    only the rows that hold the column; ``seq`` records when each row last
-    entered ``rows``, so those rows are visited in the order a scan of
-    ``rows`` would meet them.  A finished pivot row {t: d} leaves ``rows``,
-    so the pivot search only scans the rows still in play.
+    matrices this package produces.  Every pivot search, column swap and
+    column operation scans all rows: ``present_quotient``, the only caller,
+    eliminates the unit pivots first, so the matrices that reach here are
+    small (at most 22 x 20 on the catalog rings over Z at n = 3, 4).
     """
     rows: dict[int, dict] = {}
-    holders: dict[int, set[int]] = {}
     for (i, j), val in entries.items():
         if val:
             rows.setdefault(i, {})[j] = int(val)
-            holders.setdefault(j, set()).add(i)
-    clock = itertools.count()
-    seq = {i: next(clock) for i in rows}
     U: dict[int, dict] = {i: {i: 1} for i in range(nrows)}
 
     def row_op(i: int, t: int, q: int) -> None:
         # A_i -= q * A_t, mirrored on U
-        tgt = rows.get(i)
-        if tgt is None:
-            tgt = rows[i] = {}
-            seq[i] = next(clock)
-        for k, x in rows.get(t, {}).items():
-            val = tgt.get(k, 0) - q * x
-            if val:
-                if k not in tgt:
-                    holders.setdefault(k, set()).add(i)
-                tgt[k] = val
-            elif k in tgt:
-                del tgt[k]
-                holders[k].discard(i)
+        tgt = rows.setdefault(i, {})
+        vec_axpy(tgt, rows.get(t, {}), -q, _ZDOM)
         if not tgt:
             del rows[i]
         vec_axpy(U.setdefault(i, {}), U.get(t, {}), -q, _ZDOM)
 
     def row_swap(i: int, t: int) -> None:
         ri, rt = rows.pop(i, None), rows.pop(t, None)
-        for r, old in ((ri, i), (rt, t)):
-            for k in r or ():
-                holders[k].discard(old)
-        for r, new in ((rt, i), (ri, t)):
-            if r is not None:
-                rows[new] = r
-                seq[new] = next(clock)
-                for k in r:
-                    holders[k].add(new)
+        if rt is not None:
+            rows[i] = rt
+        if ri is not None:
+            rows[t] = ri
         U[i], U[t] = U.get(t, {}), U.get(i, {})
 
     def row_negate(i: int) -> None:
@@ -619,41 +597,32 @@ def smith_normal_form(entries: dict, nrows: int, ncols: int) -> SmithForm:
     # column operations touch A only; V is not tracked
     def col_op(j: int, t: int, q: int) -> None:
         # A[:, j] -= q * A[:, t]
-        hold_j = holders.setdefault(j, set())
-        for i in holders.get(t, ()):
-            r = rows[i]
-            val = r.get(j, 0) - q * r[t]
-            if val:
-                r[j] = val
-                hold_j.add(i)
-            elif j in r:
-                del r[j]
-                hold_j.discard(i)
+        for r in rows.values():
+            c = r.get(t)
+            if c:
+                val = r.get(j, 0) - q * c
+                if val:
+                    r[j] = val
+                else:
+                    r.pop(j, None)
 
     def col_swap(j: int, t: int) -> None:
-        hold_j, hold_t = holders.get(j, set()), holders.get(t, set())
-        for i in hold_j | hold_t:
-            r = rows[i]
+        for r in rows.values():
             a, b = r.pop(j, None), r.pop(t, None)
             if b is not None:
                 r[j] = b
             if a is not None:
                 r[t] = a
-        holders[j], holders[t] = hold_t, hold_j
-
-    def below(t: int) -> list[int]:
-        # the rows under t that hold column t, in the order of ``rows``
-        return sorted((i for i in holders.get(t, ()) if i > t),
-                      key=seq.__getitem__)
 
     diag: list[int] = []
     t = 0
     limit = min(nrows, ncols)
     while t < limit:
-        # select a pivot of minimal |value| in the region [t:, t:]; every
-        # row still in ``rows`` is at or below t
+        # select a pivot of minimal |value| in the region [t:, t:]
         best = None
         for i, row in rows.items():
+            if i < t:
+                continue
             for j, val in row.items():
                 if j < t:
                     continue
@@ -677,7 +646,7 @@ def smith_normal_form(entries: dict, nrows: int, ncols: int) -> SmithForm:
         while True:
             dirty = False
             # clear column t; a nonzero floor remainder is a smaller pivot
-            for i in below(t):
+            for i in [i for i, r in rows.items() if i > t and t in r]:
                 q = rows[i][t] // rows[t][t]
                 if q:
                     row_op(i, t, q)
@@ -696,31 +665,26 @@ def smith_normal_form(entries: dict, nrows: int, ncols: int) -> SmithForm:
                     dirty = True
             if dirty:
                 continue
-            if not below(t):
+            if not any(i > t and t in r for i, r in rows.items()):
                 break
 
         d = rows[t][t]
         # enforce the divisibility chain: fold an offending row into row t
-        # and redo this pivot (strictly decreases |pivot|, so it terminates);
-        # every entry is a multiple of a unit pivot
+        # and redo this pivot (strictly decreases |pivot|, so it terminates)
         offender = None
-        if abs(d) != 1:
-            for i, row in rows.items():
-                if i <= t:
-                    continue
-                for j, val in row.items():
-                    if j > t and val % d:
-                        offender = i
-                        break
-                if offender is not None:
+        for i, row in rows.items():
+            if i <= t:
+                continue
+            for j, val in row.items():
+                if j > t and val % d:
+                    offender = i
                     break
+            if offender is not None:
+                break
         if offender is not None:
             row_op(t, offender, -1)   # A_t += A_offender
             continue
         diag.append(d)
-        # row t is now {t: d} and column t holds row t only: retire both
-        del rows[t]
-        del holders[t]
         t += 1
 
     return SmithForm(diag, len(diag), U)
@@ -881,10 +845,15 @@ def present_quotient(ech, width: int, dom: ScalarDomain) -> QuotientPresentation
 
     Over a field the retained coordinates are the columns that are not a
     pivot of ``ech`` (not a key of its pivot-keyed ``rows``), and the
-    coordinates of a vector are its residual under ``ech``.  Over Z the
-    Hermite rows of ``ech`` go through a Smith reduction; retained
-    coordinates are the rows of its transform U whose invariant factor is
-    not 1.  No second echelon of the relations is built.
+    coordinates of a vector are its residual under ``ech``.  Over Z a
+    Hermite row with pivot entry 1 says e_p = -(its tail) modulo the
+    lattice.  ``phi`` writes each such e_p in the remaining columns C,
+    walking p downwards so that a tail only meets columns already written;
+    phi(v) = v modulo the lattice and phi kills the unit rows, so
+    Z^width / span(R) = Z^C / span(phi(other rows)).  Only those few rows go
+    through a Smith reduction; retained coordinates are the rows of its
+    transform U whose invariant factor is not 1, and ``coords`` applies
+    U after phi.  No second echelon of the relations is built.
     """
     rows = ech.rows
     if dom.is_field:
@@ -897,18 +866,38 @@ def present_quotient(ech, width: int, dom: ScalarDomain) -> QuotientPresentation
         return QuotientPresentation(dim, [0] * dim, "field",
                                     ech=ech if dim else None, free=free)
 
-    entries = {(i, col): val for col, p in enumerate(sorted(rows))
-               for i, val in rows[p].items()}
-    sf = smith_normal_form(entries, width, len(rows))
+    def image(row: dict) -> dict:
+        # phi(row), with e_k for a column k that phi does not (yet) write
+        out: dict[int, int] = {}
+        for k, x in row.items():
+            vec_axpy(out, phi.get(k, {k: 1}), x, _ZDOM)
+        return out
+
+    phi: dict[int, dict] = {}
+    for p in sorted((p for p, r in rows.items() if r[p] == 1), reverse=True):
+        phi[p] = {k: -x for k, x in image(rows[p]).items() if k != p}
+    cols = [c for c in range(width) if c not in phi]
+    index = {c: i for i, c in enumerate(cols)}
+    others = [p for p in sorted(rows) if p not in phi]
+    entries = {(index[k], col): x for col, p in enumerate(others)
+               for k, x in image(rows[p]).items()}
+    sf = smith_normal_form(entries, len(cols), len(others))
     kept: list[int] = []
     moduli: list[int] = []
-    for tt in range(width):
+    for tt in range(len(cols)):
         d = sf.diag[tt] if tt < sf.rank else 0
         if d != 1:
             kept.append(tt)
             moduli.append(d)
     U_cols: dict[int, dict] = {}
     for idx, tt in enumerate(kept):
-        for j, c in sf.U.get(tt, {}).items():
-            U_cols.setdefault(j, {})[idx] = c
+        for i, c in sf.U.get(tt, {}).items():
+            U_cols.setdefault(cols[i], {})[idx] = c
+    for p, img in phi.items():
+        col: dict[int, int] = {}
+        for k, x in img.items():
+            if k in U_cols:
+                vec_axpy(col, U_cols[k], x, _ZDOM)
+        if col:
+            U_cols[p] = col
     return QuotientPresentation(len(kept), moduli, "z", U_cols=U_cols)

@@ -16,10 +16,12 @@ import sys
 import pytest
 
 import stlhom
-from stlhom import (F3, CampaignConfig, CampaignConfigError, CampaignReport,
-                    catalog_ring, declared_rows, resolve_ring, run_campaign,
-                    save_ring_json)
+from stlhom import (F3, Z, CampaignConfig, CampaignConfigError,
+                    CampaignReport, catalog_ring, declared_rows, resolve_ring,
+                    run_campaign, save_ring_json)
 from stlhom.cli import main
+
+from oracles import s3_ring
 
 FAST_RING = ("ground", "f3")
 
@@ -505,6 +507,25 @@ def test_cli_refuses_unwritable_report_paths_up_front(tmp_path, capsys,
     assert not (tmp_path / "missing").exists()
 
 
+def test_cli_refuses_one_file_for_json_and_csv(tmp_path, capsys,
+                                               monkeypatch):
+    import stlhom.campaign
+
+    def no_run(*_args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(stlhom.campaign, "_run_unit", no_run)
+    monkeypatch.chdir(tmp_path)
+    for csv_path in ("same.txt", "./same.txt"):
+        rc = main(["--ring", "ground", "--scalar", "f3", "--n", "3",
+                   "--check", "homology", "--out", "same.txt",
+                   "--csv", csv_path])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "the same file" in err
+    assert not (tmp_path / "same.txt").exists()
+
+
 def test_cli_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["--ring", "ground", "--scalar", "f2", "--n", "9",
@@ -528,6 +549,18 @@ def test_cli_csv_flag(tmp_path):
                "--csv", str(csv_out)])
     assert rc == 0
     assert csv_out.read_text().splitlines()[1] == "ground,f3,3,f3^6,f3^6"
+
+
+def test_cli_answers_a_z_s3_ring_file(tmp_path):
+    # a 6-dim noncommutative ring over Z, off the catalog, read from a file
+    path = tmp_path / "s3.json"
+    save_ring_json(s3_ring(Z), str(path))
+    out = tmp_path / "r.json"
+    rc = main(["--ring", str(path), "--scalar", "z", "--n", "3",
+               "--check", "homology", "--out", str(out)])
+    assert rc == 0
+    (entry,) = json.loads(out.read_text())["entries"]
+    assert entry["computed"] == entry["predicted"] == "Z/3^12"
 
 
 def test_module_entry_point_runs():

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stlhom.domains import F2, F3, F5, Q, Z, parse_scalar
 from stlhom.linalg import (ContainmentError, F2Forward, FpForward,
@@ -24,7 +24,7 @@ from stlhom.linalg import (ContainmentError, F2Forward, FpForward,
                            moduli_invariants, present_quotient,
                            smith_normal_form, subquotient, vec_axpy, xgcd)
 
-from oracles import reference_smith_normal_form
+from oracles import smith_sizes
 
 FIELDS = [F2, F3, F5, Q]
 
@@ -347,45 +347,21 @@ def test_smith_matches_sympy(m):
         assert b % a == 0
 
 
-def sparse_matrices(max_rows=8, max_cols=8):
-    """Dense matrices with about half their entries zero, so that ties of
-    |value| and empty rows and columns are common."""
-    return matrices(max_rows, max_cols, st.one_of(
-        st.just(0), st.integers(-4, 4), st.sampled_from([2, -2, 6])))
-
-
-def _assert_same_smith(entries, nrows, ncols):
-    got = smith_normal_form(entries, nrows, ncols)
-    want = reference_smith_normal_form(entries, nrows, ncols)
-    assert (got.diag, got.rank, got.U) == (want.diag, want.rank, want.U)
-
-
-@given(sparse_matrices())
-@settings(max_examples=200, deadline=None)
-def test_smith_makes_the_plain_scan_pivot_choices(m):
-    entries = {(i, j): v for i, row in enumerate(m) for j, v in enumerate(row)}
-    _assert_same_smith(entries, len(m), len(m[0]))
-
-
-def test_smith_makes_the_plain_scan_pivot_choices_on_uce_presentations(
-        monkeypatch):
-    import stlhom.linalg as la
-    from stlhom.catalog import catalog_ring
-    from stlhom.leibniz import build_sl, uce
-    inner = la.smith_normal_form
-    seen = []
-
-    def recorded(entries, nrows, ncols):
-        seen.append((dict(entries), nrows, ncols))
-        return inner(entries, nrows, ncols)
-
-    monkeypatch.setattr(la, "smith_normal_form", recorded)
-    for name, n in (("int", 4), ("dual", 3), ("upper2", 3)):
-        uce(build_sl(n, catalog_ring(name, Z)))
-    monkeypatch.undo()
-    assert len(seen) == 3
-    for case in seen:
-        _assert_same_smith(*case)
+def test_smith_only_sees_small_matrices_on_z_builds(z_s3_stl3):
+    # present_quotient eliminates the unit Hermite pivots first, so Smith
+    # sees a few rows per quotient: on stl_3(Z[S3]) the d3 echelon holds
+    # 1,089 rows, 1,074 of them with a unit pivot
+    from stlhom.catalog import RING_BUILDERS, catalog_ring
+    from stlhom.steinberg import build_stl
+    with smith_sizes() as sizes:
+        for name in sorted(RING_BUILDERS):
+            for n in (3, 4):
+                build_stl(n, catalog_ring(name, Z))
+    assert len(sizes) == 4 * 2 * len(RING_BUILDERS)
+    assert max(rows for rows, _ in sizes) <= 22
+    assert max(cols for _, cols in sizes) <= 20
+    assert len(z_s3_stl3.smith_sizes) == 4
+    assert max(max(size) for size in z_s3_stl3.smith_sizes) <= 15
 
 
 @given(matrices(max_rows=3, max_cols=3, entries=st.integers(-4, 4)))
@@ -570,11 +546,16 @@ relation_sets = st.lists(
 
 @settings(max_examples=40, deadline=None)
 @given(relation_sets)
+# Hermite rows with unit pivots 0 and 1, row 0's tail meeting column 1,
+# and one non-unit row: over Z, phi(e_0) = -e_2 - 2 phi(e_1)
+@example([[1, 2, 1, 0], [0, 1, 3, 2], [0, 0, 2, 4]])
 def test_present_quotient_matches_sympy(rows):
     # dom^4 / span(rows), presented off the echelon, has dimension 4 - rank
     # over a field (sympy's rank over GF(p) or QQ) and, over Z, the
     # invariants from sympy's invariant factors of the relation matrix; its
-    # coordinates kill every relation
+    # coordinates kill every relation, and over Z they are onto the group
+    # with those moduli: the matrix of the coords(e_j) and the moduli
+    # columns d_i e_i has every invariant factor 1
     import sympy
     from sympy.matrices.normalforms import invariant_factors
     width = 4
@@ -596,6 +577,12 @@ def test_present_quotient_matches_sympy(rows):
         assert moduli_invariants(dom, pres.moduli) == expected
         for g in gens:
             assert pres.coords(g) == {}
+        if not dom.is_field:
+            images = [pres.coords({j: 1}) for j in range(width)]
+            matrix = [[images[j].get(idx, 0) for j in range(width)]
+                      + [d * (k == idx) for k, d in enumerate(pres.moduli)]
+                      for idx in range(pres.dim)]
+            assert minor_gcd_invariant_factors(matrix) == [1] * pres.dim
 
 
 # ---------------------------------------------------------------------------
