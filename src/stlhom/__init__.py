@@ -8,8 +8,7 @@ n = 3 and n = 4, and exposes a campaign runner / CLI over a ring catalog.
 
 from .domains import F2, F3, F5, Q, Z, SCALARS, ScalarDomain, parse_scalar
 from .linalg import (ContainmentError, SmithForm, SpanSolver,
-                     SubquotientInvariants, SubspaceBasis, smith_normal_form,
-                     subquotient)
+                     SubquotientInvariants, smith_normal_form, subquotient)
 from .assoc import (AssocAlgebra, QuotientAlgebra, commutator_span,
                     hochschild_h1, ideal_Im, load_ring_json, make_algebra,
                     quotient_Rm, save_ring_json)
@@ -35,8 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "F2", "F3", "F5", "Q", "Z", "SCALARS", "ScalarDomain", "parse_scalar",
     "ContainmentError", "SmithForm", "SpanSolver",
-    "SubquotientInvariants", "SubspaceBasis", "smith_normal_form",
-    "subquotient",
+    "SubquotientInvariants", "smith_normal_form", "subquotient",
     "AssocAlgebra", "QuotientAlgebra", "commutator_span", "hochschild_h1",
     "ideal_Im", "load_ring_json", "make_algebra", "quotient_Rm",
     "save_ring_json",

@@ -5,10 +5,10 @@ basis and a multiplication table.  The unit need not be a basis element: it
 is stored as a coordinate vector, either taken from ``unit_index`` or found
 by solving the two-sided unit equations.
 
-Also here: commutator spans, the ideals I_m = m*R + R*[R,R] (built by a
-two-sided closure, without assuming left and right commutator multiples
-agree), the quotients R_m = R/I_m, first Hochschild homology, and the JSON
-ring format used by the CLI.
+Also here: commutator spans, the ideals I_m = m*R + R*[R,R] (built from
+their generators as the paper defines them; the identity
+[a,b]c = [a,bc] - b[a,c] makes them two-sided), the quotients R_m = R/I_m,
+first Hochschild homology, and the JSON ring format used by the CLI.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import re
 from fractions import Fraction
 
 from .domains import SCALARS, ScalarDomain
-from .linalg import (SpanSolver, SubspaceBasis, make_echelon, subquotient,
-                     vec_axpy, QuotientPresentation, present_quotient,
+from .linalg import (SpanSolver, make_echelon, subquotient, vec_axpy,
+                     QuotientPresentation, present_quotient,
                      SubquotientInvariants)
 
 
@@ -158,43 +158,38 @@ def _solve_unit(alg: AssocAlgebra) -> dict:
 # commutators, ideals, quotients
 
 
-def commutator_span(alg: AssocAlgebra) -> SubspaceBasis:
-    """Span (lattice, over Z) of all commutators [r_i, r_j]."""
-    span = SubspaceBasis(alg.dom, alg.dim)
+def commutator_span(alg: AssocAlgebra):
+    """Echelon (``make_echelon``) of the span, or lattice over Z, of all
+    commutators [r_i, r_j]."""
+    span = make_echelon(alg.dom)
     one = alg.dom.one
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
             c = alg.commutator({i: one}, {j: one})
             if c:
-                span.add(c)
+                span.insert(c)
     return span
 
 
-def ideal_Im(alg: AssocAlgebra, m: int) -> SubspaceBasis:
-    """The two-sided ideal m*R + R*[R,R], closed under both multiplications.
+def ideal_Im(alg: AssocAlgebra, m: int):
+    """Echelon (``make_echelon``) of I_m = m*R + R*[R,R], spanned by the
+    m*e_i and the e_i*c for c in a basis of [R,R].
 
-    Closure matters over Z and for noncommutative R; we iterate until the
-    span stops growing rather than assuming one-sided generation suffices.
+    I_m is a two-sided ideal of every associative unital ring, with no
+    closure step: [a,b]c = [a,bc] - b[a,c] puts [R,R]*R inside R*[R,R], so
+    R*[R,R]*R = R*[R,R].  The identity needs associativity, which
+    ``make_algebra`` has checked on every basis triple.
     """
     dom = alg.dom
-    span = SubspaceBasis(dom, alg.dim)
+    span = make_echelon(dom)
     m_scal = dom.from_int(m)
     if m_scal:
         for i in range(alg.dim):
-            span.add({i: m_scal})
+            span.insert({i: m_scal})
     one = dom.one
-    for c in commutator_span(alg).vectors():
+    for c in commutator_span(alg).row_dicts().values():
         for i in range(alg.dim):
-            span.add(alg.multiply({i: one}, c))
-    # two-sided closure fixpoint: stop after a pass that changes nothing
-    grew = True
-    while grew:
-        grew = False
-        for v in span.vectors():
-            for i in range(alg.dim):
-                ei = {i: one}
-                grew |= span.add(alg.multiply(ei, v))
-                grew |= span.add(alg.multiply(v, ei))
+            span.insert(alg.multiply({i: one}, c))
     return span
 
 
@@ -227,7 +222,7 @@ class QuotientAlgebra:
 
 def quotient_Rm(alg: AssocAlgebra, m: int) -> QuotientAlgebra:
     """Build R_m = R/I_m with coordinates (used as cocycle value modules)."""
-    pres = present_quotient(ideal_Im(alg, m).engine, alg.dim, alg.dom)
+    pres = present_quotient(ideal_Im(alg, m), alg.dim, alg.dom)
     return QuotientAlgebra(alg, pres, f"{alg.name}_{m}")
 
 

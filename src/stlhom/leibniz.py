@@ -58,9 +58,9 @@ from math import gcd
 
 from .assoc import AssocAlgebra, commutator_span
 from .domains import ScalarDomain
-from .linalg import (SpanSolver, SubquotientInvariants, SubspaceBasis,
-                     describe_vector, make_echelon, moduli_invariants,
-                     present_quotient, subquotient, vec_axpy)
+from .linalg import (SpanSolver, SubquotientInvariants, describe_vector,
+                     make_echelon, moduli_invariants, present_quotient,
+                     subquotient, vec_axpy)
 
 
 class Grading:
@@ -472,10 +472,10 @@ def build_sl(n: int, ring: AssocAlgebra) -> SlAlgebra:
     """
     gl = build_gl(n, ring)
     dom = gl.dom
-    span = SubspaceBasis(dom, gl.dim)
+    span = make_echelon(dom)
     for w in gl.table.values():
-        span.add(w)
-    basis = span.vectors()
+        span.insert(w)
+    basis = list(span.row_dicts().values())
     dim = len(basis)
     grading = Grading([_gl_code(gl, min(b)) for b in basis], (n, dom))
     if sorted(grading.code) != _sl_codes(n, ring):
@@ -845,32 +845,30 @@ def is_central(L: LeibnizAlgebra, v: dict) -> bool:
     return True
 
 
-def bracket_span(L: LeibnizAlgebra) -> SubspaceBasis:
-    """Span of [L, L] plus the moduli relations of a torsion carrier."""
-    span = SubspaceBasis(L.dom, L.dim)
+def bracket_span(L: LeibnizAlgebra):
+    """Echelon (``make_echelon``) of [L, L] plus the moduli relations of a
+    torsion carrier."""
+    span = make_echelon(L.dom)
     for w in L.table.values():
-        span.add(w)
+        span.insert(w)
     if not L.dom.is_field:
         for c, m in enumerate(L.moduli):
             if m:
-                span.add({c: m})
+                span.insert({c: m})
     return span
 
 
-def _spans_everything(span: SubspaceBasis) -> bool:
-    """Is span all of dom^width?  Over Z it must be unimodular, not just
-    of full rank."""
-    if span.rank != span.width:
+def _spans_everything(eng, width: int, dom: ScalarDomain) -> bool:
+    """Is the span held in ``eng`` all of dom^width?  Over Z it must be
+    unimodular, not just of full rank: every Hermite pivot entry is 1."""
+    if eng.rank != width:
         return False
-    if span.dom.is_field:
-        return True
-    rows = span.engine.rows
-    return all(rows[p][p] == 1 for p in rows)
+    return dom.is_field or all(r[p] == 1 for p, r in eng.rows.items())
 
 
 def is_perfect(L: LeibnizAlgebra) -> bool:
     """Does [L, L] = L?"""
-    return _spans_everything(bracket_span(L))
+    return _spans_everything(bracket_span(L), L.dim, L.dom)
 
 
 def structural_report(L: LeibnizAlgebra) -> StructuralReport:
@@ -883,7 +881,7 @@ def structural_report(L: LeibnizAlgebra) -> StructuralReport:
     dom, dim = L.dom, L.dim
 
     span = bracket_span(L)
-    perfect = _spans_everything(span)
+    perfect = _spans_everything(span, dim, dom)
     abel = dim - span.rank
 
     # center: [x, e_j] = 0 = [e_j, x] for all j, modulo moduli.  Its
@@ -901,16 +899,14 @@ def structural_report(L: LeibnizAlgebra) -> StructuralReport:
                 if m:
                     cols.append({j * dim + k: m})
                     cols.append({sq + j * dim + k: m})
-    center = SubspaceBasis(dom, dim)
-    basis_out = []
+    center = make_echelon(dom)
     for v in SpanSolver(dom, 2 * sq, cols).kernel():
-        x = L.reduce_vec({k: c for k, c in v.items() if k < dim})
-        if x and center.add(x):
-            basis_out.append(x)
-    for x in basis_out:
+        center.insert(L.reduce_vec({k: c for k, c in v.items() if k < dim}))
+    basis = list(center.row_dicts().values())
+    for x in basis:
         if not is_central(L, x):
             raise AssertionError("center solve produced a non-central vector")
-    return StructuralReport(L.name, dim, perfect, center.rank, basis_out, abel)
+    return StructuralReport(L.name, dim, perfect, center.rank, basis, abel)
 
 
 # ---------------------------------------------------------------------------
@@ -1067,14 +1063,14 @@ def uce(L: LeibnizAlgebra) -> CentralExtensionModel:
 
     # choose preimages w_s with pi(w_s) = e_s, streaming d2 columns until
     # they span (unimodularly, over Z)
-    head = SubspaceBasis(dom, dim)
+    head = make_echelon(dom)
     colsolver = SpanSolver(dom, dim)
     colindex: list[int] = []
     for col, vec in _d2_columns(L).items():
         colsolver.add(vec)
         colindex.append(col)
-        head.add(vec)
-        if _spans_everything(head):
+        head.insert(vec)
+        if _spans_everything(head, dim, dom):
             break
     else:
         raise ValueError(f"{L.name} is not perfect; uce undefined")

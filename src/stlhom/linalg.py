@@ -2,8 +2,10 @@
 
 Vectors are dicts ``{column: scalar}`` with no explicit zeros.  The work
 horses are four echelon engines, one per domain family, sharing one
-duck-typed API (``insert``, ``reduce``, ``rank``, ``pivots()``,
-``row_dicts()``); ``make_echelon(dom)`` picks the engine:
+duck-typed API (``insert``, ``reduce``, ``rank``, the pivot-keyed ``rows``
+and ``row_dicts()`` in ascending pivot order); ``make_echelon(dom)`` is the
+one place that picks and builds an engine, and every span, ideal and center
+in the package is held in one:
 
 * ``F2Forward``   -- GF(2); rows are Python ints used as bitmasks.
 * ``FpForward``   -- F_3 and F_5; dict rows with pivot entry 1.
@@ -142,9 +144,6 @@ class HermiteBasis:
     def rank(self) -> int:
         return len(self.rows)
 
-    def pivots(self) -> list[int]:
-        return sorted(self.rows)
-
     def insert(self, v: dict) -> int | None:
         """Grow the lattice by ``v``; return a new pivot column or None."""
         v = {k: x for k, x in v.items() if x}
@@ -187,7 +186,7 @@ class HermiteBasis:
         return out
 
     def row_dicts(self) -> dict[int, dict]:
-        return self.rows
+        return dict(sorted(self.rows.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +241,6 @@ class F2Forward:
     def rank(self) -> int:
         return len(self.rows)
 
-    def pivots(self) -> list[int]:
-        return sorted(self.rows)
-
     def reduce_mask(self, m: int) -> int:
         rows = self.rows
         pu = self._pivunion
@@ -290,9 +286,6 @@ class FpForward:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    def pivots(self) -> list[int]:
-        return sorted(self.rows)
 
     def reduce(self, v: dict) -> dict:
         v = dict(v)
@@ -351,9 +344,6 @@ class QForward:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    def pivots(self) -> list[int]:
-        return sorted(self.rows)
 
     def _reduce(self, v: dict) -> tuple[dict, int, int]:
         """(r, dn, dd): ``reduce_tracked`` with d = dn/dd in lowest terms."""
@@ -489,47 +479,8 @@ class SpanSolver:
         kernel of a homomorphism).
         """
         w = self.width
-        rows = self._eng.row_dicts()
-        return [{k - w: x for k, x in rows[p].items()}
-                for p in sorted(rows) if p >= w]
-
-
-class SubspaceBasis:
-    """A subspace (field) or sublattice (Z) of dom^width held in echelon form."""
-
-    __slots__ = ("dom", "width", "engine")
-
-    def __init__(self, dom: ScalarDomain, width: int, gens=()):
-        self.dom = dom
-        self.width = width
-        self.engine = make_echelon(dom)
-        for g in gens:
-            self.add(g)
-
-    def add(self, v: dict) -> bool:
-        """Grow by one generator; True if the span/lattice changed."""
-        eng = self.engine
-        if isinstance(eng, HermiteBasis):
-            # a lattice that grows at the same rank lowers some pivot entry
-            before = {p: r[p] for p, r in eng.rows.items()}
-            if eng.insert(v) is not None:
-                return True
-            return {p: r[p] for p, r in eng.rows.items()} != before
-        return eng.insert(v) is not None
-
-    @property
-    def rank(self) -> int:
-        return self.engine.rank
-
-    def contains(self, v: dict) -> bool:
-        return not self.engine.reduce(v)
-
-    def vectors(self) -> list[dict]:
-        rows = self.engine.row_dicts()
-        return [dict(rows[p]) for p in sorted(rows)]
-
-    def reduce(self, v: dict) -> dict:
-        return self.engine.reduce(v)
+        return [{k - w: x for k, x in row.items()}
+                for p, row in self._eng.row_dicts().items() if p >= w]
 
 
 # ---------------------------------------------------------------------------
@@ -780,8 +731,7 @@ def subquotient(kern, img, width: int,
     coordinates of the image rows in the kernel basis present the
     subquotient as dom^rank(K)/span(coordinates) (``present_quotient``).
     """
-    kern_rows = kern.row_dicts()
-    solver = SpanSolver(dom, width, (kern_rows[p] for p in kern.pivots()))
+    solver = SpanSolver(dom, width, kern.row_dicts().values())
     rel = make_echelon(dom)
     for p, row in img.row_dicts().items():
         coeffs = solver.solve(row)

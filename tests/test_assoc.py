@@ -11,11 +11,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stlhom import (F2, F3, F5, Q, Z, SubspaceBasis, catalog_ring,
-                    commutator_span, hochschild_h1, ideal_Im, load_ring_json,
-                    make_algebra, quotient_Rm, save_ring_json)
+from stlhom import (F2, F3, F5, Q, Z, catalog_ring, commutator_span,
+                    hochschild_h1, ideal_Im, load_ring_json, make_algebra,
+                    quotient_Rm, save_ring_json)
+from stlhom.linalg import make_echelon
+
+from oracles import s3_ring
 
 FIELDS = {"f2": F2, "f3": F3, "f5": F5, "q": Q}
+DOMAINS = {**FIELDS, "z": Z}
+
+
+def ring_of(name, scal):
+    """A catalog ring, or the group ring of S_3 for ``"s3"``."""
+    dom = DOMAINS[scal]
+    return s3_ring(dom) if name == "s3" else catalog_ring(name, dom)
 
 
 # ---------------------------------------------------------------------------
@@ -190,37 +200,48 @@ def test_multiply_is_associative_and_unital_on_random_elements(name, scal, data)
 
 
 @pytest.mark.parametrize("name", ["ground", "dual", "trunc3", "group-c2",
-                                  "upper2", "mat2"])
-@pytest.mark.parametrize("scal", ["f2", "f3", "q"])
+                                  "upper2", "mat2", "s3"])
+@pytest.mark.parametrize("scal", ["f2", "f3", "q", "z"])
 @pytest.mark.parametrize("m", [2, 3])
 def test_ideal_is_two_sided(name, scal, m):
-    dom = FIELDS[scal]
-    alg = catalog_ring(name, dom)
+    # ideal_Im inserts its generators once, with no closure step: the ideal
+    # they generate must already be two-sided and hold m*R + R*[R,R]
+    alg = ring_of(name, scal)
     ideal = ideal_Im(alg, m)
-    one = dom.one
-    for v in ideal.vectors():
+    one = alg.dom.one
+    for v in ideal.row_dicts().values():
         for i in range(alg.dim):
-            assert ideal.contains(alg.multiply({i: one}, v))
-            assert ideal.contains(alg.multiply(v, {i: one}))
+            assert not ideal.reduce(alg.multiply({i: one}, v))
+            assert not ideal.reduce(alg.multiply(v, {i: one}))
+    m_scal = alg.dom.from_int(m)
+    for i in range(alg.dim):
+        if m_scal:
+            assert not ideal.reduce({i: m_scal})
+        for j in range(alg.dim):
+            for k in range(alg.dim):
+                assert not ideal.reduce(alg.multiply(
+                    {i: one}, alg.commutator({j: one}, {k: one})))
 
 
 @pytest.mark.parametrize("name,scal", [
     ("ground", "f2"), ("dual", "f2"), ("trunc3", "f2"), ("group-c2", "f2"),
     ("upper2", "f3"), ("mat2", "f3"), ("dual", "q"),
+    ("dual", "z"), ("trunc3", "z"), ("upper2", "z"), ("mat2", "z"),
+    ("s3", "f3"), ("s3", "z"),
 ])
 def test_left_right_commutator_ideals_agree(name, scal):
-    # span(R*[R,R]) = span([R,R]*R), not assumed by the package
-    alg = catalog_ring(name, FIELDS[scal])
+    # span(R*[R,R]) = span([R,R]*R): [a,b]c = [a,bc] - b[a,c] and its
+    # mirror c[a,b] = [ca,b] - [c,b]a, which ideal_Im relies on
+    alg = ring_of(name, scal)
     one = alg.dom.one
-    comm = commutator_span(alg).vectors()
-    left = SubspaceBasis(alg.dom, alg.dim)
-    right = SubspaceBasis(alg.dom, alg.dim)
+    comm = commutator_span(alg).row_dicts().values()
+    left, right = make_echelon(alg.dom), make_echelon(alg.dom)
     for i in range(alg.dim):
         for c in comm:
-            left.add(alg.multiply({i: one}, c))
-            right.add(alg.multiply(c, {i: one}))
-    assert all(right.contains(v) for v in left.vectors())
-    assert all(left.contains(v) for v in right.vectors())
+            left.insert(alg.multiply({i: one}, c))
+            right.insert(alg.multiply(c, {i: one}))
+    assert all(not right.reduce(v) for v in left.row_dicts().values())
+    assert all(not left.reduce(v) for v in right.row_dicts().values())
 
 
 def test_quotient_rm_frozen_dimensions():
@@ -244,7 +265,7 @@ def assert_products_with_the_ideal_vanish(alg, m, rm):
     every basis vector g of I_m: the products psi reads through coords
     have well-defined classes in R_m."""
     one = alg.dom.one
-    for g in ideal_Im(alg, m).vectors():
+    for g in ideal_Im(alg, m).row_dicts().values():
         assert rm.coords(g) == {}
         for i in range(alg.dim):
             assert rm.coords(alg.multiply({i: one}, g)) == {}

@@ -551,14 +551,28 @@ def test_cli_csv_flag(tmp_path):
     assert csv_out.read_text().splitlines()[1] == "ground,f3,3,f3^6,f3^6"
 
 
-def test_cli_answers_a_z_s3_ring_file(tmp_path):
-    # a 6-dim noncommutative ring over Z, off the catalog, read from a file
+def test_cli_answers_a_z_s3_ring_file(tmp_path, monkeypatch, z_s3_stl3):
+    # a 6-dim noncommutative ring over Z, off the catalog, read from a file.
+    # Ring parsing, the size guard, hl2_report and the report run here; the
+    # stl build is the session fixture's (whose own tests cover it), handed
+    # over only for n = 3 and the ring the file holds
+    ref = s3_ring(Z)
+    calls = []
+
+    def fixture_build(n, ring):
+        calls.append(n)
+        if n != 3 or (ring.dom, ring.dim, ring.table) != (ref.dom, ref.dim,
+                                                          ref.table):
+            raise ValueError(f"no prebuilt stl{n}({ring.name})")
+        return z_s3_stl3.model
+
+    monkeypatch.setattr(stlhom.campaign, "build_stl", fixture_build)
     path = tmp_path / "s3.json"
-    save_ring_json(s3_ring(Z), str(path))
+    save_ring_json(ref, str(path))
     out = tmp_path / "r.json"
     rc = main(["--ring", str(path), "--scalar", "z", "--n", "3",
                "--check", "homology", "--out", str(out)])
-    assert rc == 0
+    assert rc == 0 and calls == [3]
     (entry,) = json.loads(out.read_text())["entries"]
     assert entry["computed"] == entry["predicted"] == "Z/3^12"
 

@@ -1,7 +1,7 @@
 """Source lint as tests: no bare ``assert`` statements, no unused imports
 and no unreferenced private helpers in the package, a package namespace
-that exports exactly what it imports, and one home for the special-weight
-rule.
+that exports exactly what it imports, one home for the special-weight
+rule, and one factory for echelon engines.
 
 ``python -O`` strips asserts, so a certification step or a grading check
 written as one would silently vanish; every check raises explicitly.  An
@@ -121,3 +121,33 @@ def test_special_weight_rule_lives_in_leibniz_only():
             if name == "special_weight":
                 refs.append(f"{path.name}:{node.lineno}")
     assert not refs, f"special_weight referenced outside leibniz.py: {refs}"
+
+
+ENGINES = {"HermiteBasis", "F2Forward", "FpForward", "QForward"}
+
+
+def test_echelon_engines_are_built_by_make_echelon_only():
+    # every span, ideal and center is a make_echelon(dom) engine; building
+    # one by its class elsewhere would be a second way to pick an engine
+    built = []
+    outside = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        factory = {id(n) for f in tree.body
+                   if path.name == "linalg.py"
+                   and isinstance(f, ast.FunctionDef)
+                   and f.name == "make_echelon" for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name) else
+                    func.attr if isinstance(func, ast.Attribute) else None)
+            if name not in ENGINES:
+                continue
+            if id(node) in factory:
+                built.append(name)
+            else:
+                outside.append(f"{path.name}:{node.lineno} {name}")
+    assert sorted(built) == sorted(ENGINES)
+    assert not outside, f"engines built outside make_echelon: {outside}"

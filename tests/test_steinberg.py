@@ -457,6 +457,19 @@ def test_every_extension_is_certified_on_its_kernel_weights(monkeypatch):
             (name, scal, n)
 
 
+@pytest.mark.parametrize("name", Z_RINGS)
+@pytest.mark.parametrize("n", [3, 4])
+def test_center_basis_is_a_basis_of_the_center_over_z(name, n):
+    # center_basis is the rows of the center's Hermite echelon, a basis of
+    # the center lattice: rank-many vectors, each central (verify_calculus
+    # counts one center-inside-H instance per vector)
+    h = hat(name, "z", n)
+    for alg in (h.stl.extension.base, h.stl.total, h.total):
+        rep = structural_report(alg)
+        assert len(rep.center_basis) == rep.center_rank, alg.name
+        assert all(is_central(alg, v) for v in rep.center_basis), alg.name
+
+
 def test_the_support_check_reads_off_the_grading_of_the_paper():
     # uce(sl): the kernel ker(d2)/im(d3) lives in the special weights
     for name, scal in FIELD_PAIRS:
