@@ -239,6 +239,11 @@ def make_leibniz(dom: ScalarDomain, dim: int, table: dict,
         moduli = [0] * dim
     if len(moduli) != dim:
         raise ValueError("moduli length does not match dimension")
+    for d in moduli:
+        # a bool is an int, and a field carrier has no torsion coordinate
+        if type(d) is not int or d < 0 or (d and dom.is_field):
+            raise ValueError(f"bad modulus {d!r}: expected an int >= 0, "
+                             f"and 0 over a field")
 
     clean: dict = {}
     for (i, j), vec in table.items():

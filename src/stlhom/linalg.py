@@ -26,7 +26,8 @@ was inserted into (``present_quotient``): the non-pivot columns over a
 field; over Z, the Smith form of the few Hermite rows left once the rows
 with a unit pivot have eliminated their pivot columns, whose unimodular
 row transform gives the coordinates.  ``present_quotient`` is the only
-caller of ``smith_normal_form``.  The invariants of a subquotient
+caller of ``smith_normal_form``, which holds that small matrix and its
+transform in dense lists.  The invariants of a subquotient
 span(K)/span(I) (``subquotient``) are those of the quotient presentation
 of I's coordinates in a basis of K, solved for by a ``SpanSolver`` over K.
 """
@@ -511,134 +512,62 @@ def smith_normal_form(entries: dict, nrows: int, ncols: int) -> SmithForm:
     """Smith normal form of an integer matrix given as {(i, j): value}, with
     its unimodular row transform.
 
-    Pivots are chosen by minimum absolute value (with an early exit on a
-    unit), which keeps coefficient growth tame on the near-unimodular
-    matrices this package produces.  Every pivot search, column swap and
-    column operation scans all rows: ``present_quotient``, the only caller,
+    The matrix and U are held dense: ``present_quotient``, the only caller,
     eliminates the unit pivots first, so the matrices that reach here are
-    small (at most 22 x 20 on the catalog rings over Z at n = 3, 4).
+    small (at most 22 x 20 on the catalog rings over Z at n = 3, 4).  Step t
+    moves the first entry of minimal |value| in the region [t:, t:]
+    (row-major) to (t, t), then clears column t with row operations and
+    row t with column operations, both by floor division; a nonzero
+    remainder is a smaller pivot and is picked next.  A row with an entry
+    the pivot does not divide is folded into row t and step t is redone.
+    After a remainder or a fold |pivot| falls within one more pick, so the
+    reduction terminates.
     """
-    rows: dict[int, dict] = {}
+    A = [[0] * ncols for _ in range(nrows)]
     for (i, j), val in entries.items():
-        if val:
-            rows.setdefault(i, {})[j] = int(val)
-    U: dict[int, dict] = {i: {i: 1} for i in range(nrows)}
-
-    def row_op(i: int, t: int, q: int) -> None:
-        # A_i -= q * A_t, mirrored on U
-        tgt = rows.setdefault(i, {})
-        vec_axpy(tgt, rows.get(t, {}), -q, _ZDOM)
-        if not tgt:
-            del rows[i]
-        vec_axpy(U.setdefault(i, {}), U.get(t, {}), -q, _ZDOM)
-
-    def row_swap(i: int, t: int) -> None:
-        ri, rt = rows.pop(i, None), rows.pop(t, None)
-        if rt is not None:
-            rows[i] = rt
-        if ri is not None:
-            rows[t] = ri
-        U[i], U[t] = U.get(t, {}), U.get(i, {})
-
-    def row_negate(i: int) -> None:
-        if i in rows:
-            rows[i] = {k: -x for k, x in rows[i].items()}
-        U[i] = {k: -x for k, x in U.get(i, {}).items()}
-
-    # column operations touch A only; V is not tracked
-    def col_op(j: int, t: int, q: int) -> None:
-        # A[:, j] -= q * A[:, t]
-        for r in rows.values():
-            c = r.get(t)
-            if c:
-                val = r.get(j, 0) - q * c
-                if val:
-                    r[j] = val
-                else:
-                    r.pop(j, None)
-
-    def col_swap(j: int, t: int) -> None:
-        for r in rows.values():
-            a, b = r.pop(j, None), r.pop(t, None)
-            if b is not None:
-                r[j] = b
-            if a is not None:
-                r[t] = a
-
+        A[i][j] = int(val)
+    U = [[int(i == k) for k in range(nrows)] for i in range(nrows)]
     diag: list[int] = []
     t = 0
-    limit = min(nrows, ncols)
-    while t < limit:
-        # select a pivot of minimal |value| in the region [t:, t:]
-        best = None
-        for i, row in rows.items():
-            if i < t:
-                continue
-            for j, val in row.items():
-                if j < t:
-                    continue
-                a = abs(val)
-                if best is None or a < best[0]:
-                    best = (a, i, j)
-                    if a == 1:
-                        break
-            if best is not None and best[0] == 1:
-                break
+    while t < min(nrows, ncols):
+        best = min(((abs(A[i][j]), i, j) for i in range(t, nrows)
+                    for j in range(t, ncols) if A[i][j]), default=None)
         if best is None:
             break
         _, bi, bj = best
-        if bi != t:
-            row_swap(bi, t)
-        if bj != t:
-            col_swap(bj, t)
-        if rows[t][t] < 0:
-            row_negate(t)
-
-        while True:
-            dirty = False
-            # clear column t; a nonzero floor remainder is a smaller pivot
-            for i in [i for i, r in rows.items() if i > t and t in r]:
-                q = rows[i][t] // rows[t][t]
-                if q:
-                    row_op(i, t, q)
-                if rows.get(i, {}).get(t):
-                    row_swap(i, t)
-                    dirty = True
-            if dirty:
-                continue
-            # clear row t with column operations
-            for j in [j for j in rows.get(t, {}) if j > t]:
-                q = rows[t][j] // rows[t][t]
-                if q:
-                    col_op(j, t, q)
-                if rows.get(t, {}).get(j):
-                    col_swap(j, t)
-                    dirty = True
-            if dirty:
-                continue
-            if not any(i > t and t in r for i, r in rows.items()):
-                break
-
-        d = rows[t][t]
-        # enforce the divisibility chain: fold an offending row into row t
-        # and redo this pivot (strictly decreases |pivot|, so it terminates)
-        offender = None
-        for i, row in rows.items():
-            if i <= t:
-                continue
-            for j, val in row.items():
-                if j > t and val % d:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        A[t], A[bi] = A[bi], A[t]
+        U[t], U[bi] = U[bi], U[t]
+        for row in A:
+            row[t], row[bj] = row[bj], row[t]
+        if A[t][t] < 0:
+            A[t] = [-x for x in A[t]]
+            U[t] = [-x for x in U[t]]
+        d = A[t][t]
+        for i in range(t + 1, nrows):
+            q = A[i][t] // d
+            if q:
+                A[i] = [x - q * y for x, y in zip(A[i], A[t])]
+                U[i] = [x - q * y for x, y in zip(U[i], U[t])]
+        for j in range(t + 1, ncols):   # V is not tracked
+            q = A[t][j] // d
+            if q:
+                for row in A:
+                    row[j] -= q * row[t]
+        if (any(A[i][t] for i in range(t + 1, nrows))
+                or any(A[t][t + 1:])):
+            continue    # a remainder: pick again
+        # enforce the divisibility chain
+        offender = next((i for i in range(t + 1, nrows)
+                         if any(x % d for x in A[i][t + 1:])), None)
         if offender is not None:
-            row_op(t, offender, -1)   # A_t += A_offender
+            A[t] = [x + y for x, y in zip(A[t], A[offender])]
+            U[t] = [x + y for x, y in zip(U[t], U[offender])]
             continue
         diag.append(d)
         t += 1
-
-    return SmithForm(diag, len(diag), U)
+    return SmithForm(diag, len(diag),
+                     {i: {k: x for k, x in enumerate(row) if x}
+                      for i, row in enumerate(U)})
 
 
 # ---------------------------------------------------------------------------
@@ -678,6 +607,7 @@ class SubquotientInvariants:
             return []
         return [d for d in self.invariant_factors if d]
 
+    @property
     def is_trivial(self) -> bool:
         return self.dimension == 0 and not self.torsion
 

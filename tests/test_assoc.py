@@ -370,7 +370,7 @@ def test_hochschild_h1_matches_dense_recomputation(name, scal, expected):
 
 
 def test_hochschild_h1_of_integers_is_trivial():
-    assert hochschild_h1(catalog_ring("int", Z)).is_trivial()
+    assert hochschild_h1(catalog_ring("int", Z)).is_trivial
 
 
 # ---------------------------------------------------------------------------

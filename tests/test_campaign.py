@@ -647,6 +647,18 @@ RING_PROBES = {
     "repeated-entry": (lambda d: d["structure"].extend(
         [[1, 1, 1, 1], [1, 1, 1, 0]]), "f2",
         "repeated structure entry (1, 1, 1)"),
+    # an edit that returns a value replaces the whole document
+    "not-an-object": (lambda d: [d], "f2", "does not hold a JSON object"),
+    "unknown-scalar": (lambda d: d.__setitem__("scalar", "f7"), "f2",
+                       "unknown scalar 'f7'"),
+    "structure-not-a-list": (lambda d: d.__setitem__("structure", {}),
+                             "f2", "is not a list"),
+    "three-item-entry": (lambda d: d["structure"][0].__delitem__(3), "f2",
+                         "malformed structure entry"),
+    "int-labels": (lambda d: d.__setitem__("labels", [0, 1]), "f2",
+                   "not a list of strings"),
+    "short-labels": (lambda d: d.__setitem__("labels", ["x"]), "f2",
+                     "label count does not match dimension"),
 }
 
 
@@ -658,8 +670,8 @@ def test_cli_rejects_inexact_or_out_of_range_ring_files(tmp_path, capsys,
     path = tmp_path / f"{probe}.json"
     save_ring_json(catalog_ring("dual", SCALARS[scal]), str(path))
     doc = json.loads(path.read_text())
-    edit(doc)
-    path.write_text(json.dumps(doc))
+    replaced = edit(doc)
+    path.write_text(json.dumps(doc if replaced is None else replaced))
     rc = main(["--ring", str(path), "--scalar", scal, "--n", "3",
                "--check", "homology"])
     err = capsys.readouterr().err

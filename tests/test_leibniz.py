@@ -167,6 +167,13 @@ def test_make_leibniz_input_validation():
         make_leibniz(F2, 2, {}, labels=["a"])
     with pytest.raises(ValueError):
         make_leibniz(F2, 2, {}, moduli=[2])
+    # a modulus that is not an int >= 0, or nonzero over a field, used to
+    # be taken: 1.5 put a float in the exact pipeline, -3 gave negative
+    # residues, True read as 1, and [e0, e1] = 2 e0 vanished over F3
+    for dom, moduli in ((Z, [1.5, 0]), (Z, [-3, 0]), (Z, [True, 0]),
+                        (F3, [2, 0])):
+        with pytest.raises(ValueError, match="bad modulus"):
+            make_leibniz(dom, 2, {(0, 1): {0: 2}}, moduli=moduli)
     # floats, strings and bools are not exact scalars; they used to be
     # truncated (2.5 -> 2 over Z) or read as ints
     for dom, c in ((Z, 2.5), (F3, 1.7), (Q, 0.1), (F5, "3"), (Z, True)):
@@ -910,7 +917,7 @@ def test_ungraded_algebras_stream_the_full_cube(monkeypatch):
         ((codes, count),) = _streamed_columns(monkeypatch, L)
         assert codes == {0}
         assert count <= full
-        if not homology_hl(L, 2).invariants.is_trivial():
+        if not homology_hl(L, 2).invariants.is_trivial:
             assert count == full
     # HL_2(sl_3(F2)) = 0: its one block stops before the end of the cube
     sl2 = build_sl(3, catalog_ring("ground", F2))

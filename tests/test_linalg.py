@@ -180,6 +180,10 @@ def test_smith_matches_minor_gcd_oracle_on_fixed_cases():
         [[6, 10], [15, 4]],
         [[0, 0], [0, 0]],
         [[2, 4, 4], [-6, 6, 12], [10, 4, 16]],
+        # shapes present_quotient hands over: no relation columns (every
+        # Hermite pivot was a unit), and rows no relation touches
+        [[], [], []],
+        [[0, 0, 0], [4, 6, 0], [0, 0, 0], [0, 10, 0]],
     ]
     for m in cases:
         sf = smith(m)
@@ -348,8 +352,30 @@ def matrices(max_rows=4, max_cols=5, entries=small_entries):
                                min_size=r, max_size=r)))
 
 
-@given(matrices())
+def _dense(r, c, cells):
+    m = [[0] * c for _ in range(r)]
+    for i, j, v in cells:
+        if c:
+            m[i % r][j % c] = v
+    return m
+
+
+def sparse_matrices():
+    """The shapes ``present_quotient`` hands to Smith: up to 22 x 20, at
+    most 25 nonzero entries, some with no columns, entries small or of
+    Hermite size (up to 2^40)."""
+    entries = st.one_of(small_entries, st.integers(-2 ** 40, 2 ** 40))
+    cells = st.lists(st.tuples(st.integers(0, 21), st.integers(0, 19),
+                               entries), max_size=25)
+    return st.builds(_dense, st.integers(1, 22), st.integers(0, 20), cells)
+
+
+smith_inputs = st.one_of(matrices(), sparse_matrices())
+
+
+@given(smith_inputs)
 @settings(max_examples=120, deadline=None)
+@example([[], [], []])
 def test_smith_matches_sympy(m):
     sf = smith(m)
     assert sorted(sf.diag) == sympy_snf_diag(m)
@@ -382,8 +408,10 @@ def test_smith_matches_minor_gcd_oracle(m):
     assert sf.diag == minor_gcd_invariant_factors(m)
 
 
-@given(matrices())
+@given(smith_inputs)
 @settings(max_examples=100, deadline=None)
+@example([[], [], []])
+@example([[0, 0], [2 ** 40, 6], [0, 0], [3, 2 ** 39]])
 def test_smith_transform_consistency(m):
     """U is unimodular and U*A = D*V^-1: row t of U*A is divisible by the
     t-th invariant factor, and zero beyond the rank."""

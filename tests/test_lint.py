@@ -1,7 +1,8 @@
 """Source lint as tests: no bare ``assert`` statements, no unused imports
 and no unreferenced private helpers in the package, a package namespace
 that exports exactly what it imports, one home for the special-weight
-rule, and one factory for echelon engines.
+rule, one factory for echelon engines, and no test that asserts a bound
+method where it meant to call it.
 
 ``python -O`` strips asserts, so a certification step or a grading check
 written as one would silently vanish; every check raises explicitly.  An
@@ -151,3 +152,42 @@ def test_echelon_engines_are_built_by_make_echelon_only():
                 outside.append(f"{path.name}:{node.lineno} {name}")
     assert sorted(built) == sorted(ENGINES)
     assert not outside, f"engines built outside make_echelon: {outside}"
+
+
+def _self_only_methods() -> set[str]:
+    """Public methods of package classes that take only ``self`` and are
+    not properties: ``x.m`` without a call is a bound method, always true."""
+    names = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for f in cls.body:
+                if (isinstance(f, ast.FunctionDef)
+                        and not f.name.startswith("_")
+                        and [a.arg for a in f.args.args] == ["self"]
+                        and not (f.args.vararg or f.args.kwarg
+                                 or f.args.kwonlyargs)
+                        and not any(isinstance(d, ast.Name)
+                                    and d.id == "property"
+                                    for d in f.decorator_list)):
+                    names.add(f.name)
+    return names
+
+
+def test_tests_do_not_assert_uncalled_methods():
+    methods = _self_only_methods()
+    assert {"describe", "row_dicts", "to_json"} <= methods
+    found = []
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Assert):
+                continue
+            test = node.test
+            if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
+                test = test.operand
+            if isinstance(test, ast.Attribute) and test.attr in methods:
+                found.append(f"{path.name}:{node.lineno} {test.attr}")
+    assert not found, f"asserts of an uncalled method: {found}"
