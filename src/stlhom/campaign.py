@@ -1,8 +1,9 @@
 """Campaign orchestration: batches of verification checks with stable reports.
 
 A campaign runs one unit per (ring, n): the checks requested there, which
-share one stl model.  Units run in turn, or with jobs > 1 in up to that many
-worker processes.  Entries are sorted by (ring, scalar, n, check), so all of
+share one stl model.  Units run in turn in the calling process, or, when
+jobs > 1 and there are at least two units, in up to min(jobs, units) worker
+processes.  Entries are sorted by (ring, scalar, n, check), so all of
 the JSON document but the measured durations is byte-identical across runs
 and across parallelism degrees.
 
@@ -334,10 +335,11 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
                                       status, None, None, {"reason": reason},
                                       duration))
     work = [(*key, checks) for key, checks in units.items() if checks]
-    if config.jobs > 1 and work:
+    workers = min(config.jobs, len(work))
+    if workers > 1:
         # imported here, as it slows every import and only a pool needs it
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(min(config.jobs, len(work))) as pool:
+        with ProcessPoolExecutor(workers) as pool:
             done = list(pool.map(_run_unit, work))
     else:
         done = map(_run_unit, work)

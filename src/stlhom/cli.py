@@ -39,7 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "summary to this file")
     parser.add_argument("--jobs", type=int, default=1, metavar="K",
                         help="run the (ring, n) units in up to K worker "
-                             "processes (default 1)")
+                             "processes, started only when there are at "
+                             "least two units (default 1)")
     parser.add_argument("--max-cube", type=int, default=DEFAULT_MAX_CUBE,
                         metavar="ROWS",
                         help="refuse checks whose tensor cube exceeds this "

@@ -850,16 +850,21 @@ def is_central(L: LeibnizAlgebra, v: dict) -> bool:
     return True
 
 
+def _bracket_rows(L: LeibnizAlgebra):
+    """The moduli relations of a torsion carrier, then the brackets."""
+    if not L.dom.is_field:
+        for c, m in enumerate(L.moduli):
+            if m:
+                yield {c: m}
+    yield from L.table.values()
+
+
 def bracket_span(L: LeibnizAlgebra):
     """Echelon (``make_echelon``) of [L, L] plus the moduli relations of a
     torsion carrier."""
     span = make_echelon(L.dom)
-    for w in L.table.values():
+    for w in _bracket_rows(L):
         span.insert(w)
-    if not L.dom.is_field:
-        for c, m in enumerate(L.moduli):
-            if m:
-                span.insert({c: m})
     return span
 
 
@@ -872,8 +877,16 @@ def _spans_everything(eng, width: int, dom: ScalarDomain) -> bool:
 
 
 def is_perfect(L: LeibnizAlgebra) -> bool:
-    """Does [L, L] = L?"""
-    return _spans_everything(bracket_span(L), L.dim, L.dom)
+    """Does [L, L] = L?  The span of ``bracket_span`` is grown row by row,
+    and the answer is True as soon as it is everything, before the rest of
+    the table is read."""
+    dom, dim = L.dom, L.dim
+    span = make_echelon(dom)
+    for w in _bracket_rows(L):
+        if _spans_everything(span, dim, dom):
+            return True
+        span.insert(w)
+    return _spans_everything(span, dim, dom)
 
 
 def structural_report(L: LeibnizAlgebra) -> StructuralReport:

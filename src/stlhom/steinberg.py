@@ -21,7 +21,7 @@ Index conventions: matrix positions i, j are 1-based throughout this module
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 from .assoc import AssocAlgebra, QuotientAlgebra, hochschild_h1, quotient_Rm
 from .leibniz import (CentralExtensionModel, Grading, LeibnizAlgebra,
@@ -901,21 +901,36 @@ def verify_calculus(model: SteinbergModel) -> CalculusReport:
     total = model.total
     dom = total.dom
     one = dom.one
-    basis = [{lam: one} for lam in range(ring.dim)]
+    d = ring.dim
+    basis = [{lam: one} for lam in range(d)]
     unit = ring.unit
     mul = ring.multiply
     T, xi = model.T_image, model.x_image
+    # X_pq(r_z), already reduced: the value of xi(p, q, basis[z])
+    xb = model.x_basis
     tally = _Tally(total)
     check, bracket = tally.check, tally.bracket
 
+    # the ring products of basis elements the rules read, computed once:
+    # ab[x][y] = r_x r_y, and per basis triple (ab)c, (ca)b, (cb)a, (ba)c
+    # and abc + cba
+    ab = [[mul(a, b) for b in basis] for a in basis]
+    triple = {}
+    for x, y, z in product(range(d), repeat=3):
+        prods = (mul(ab[x][y], basis[z]), mul(ab[z][x], basis[y]),
+                 mul(ab[z][y], basis[x]), mul(ab[y][x], basis[z]))
+        same = dict(prods[0])
+        vec_axpy(same, prods[2], one, dom)
+        triple[x, y, z] = (*prods, same)
+
     # T recombination
     for (i, j, k) in _distinct(n, 3):
-        for a in basis:
-            for b in basis:
-                for c in basis:
-                    lhs = T(i, j, a, mul(b, c))
-                    rhs = T(i, k, mul(a, b), c)
-                    vec_axpy(rhs, T(k, j, mul(c, a), b), one, dom)
+        for x, a in enumerate(basis):
+            for y, b in enumerate(basis):
+                for z, c in enumerate(basis):
+                    lhs = T(i, j, a, ab[y][z])
+                    rhs = T(i, k, ab[x][y], c)
+                    vec_axpy(rhs, T(k, j, ab[z][x], b), one, dom)
                     check("T-recombination", total.eq_vec(lhs, rhs),
                           f"T{i}{j}(a,bc) != T{i}{k}(ab,c)+T{k}{j}(ca,b)")
 
@@ -940,31 +955,31 @@ def verify_calculus(model: SteinbergModel) -> CalculusReport:
     for (i, j, k, l) in _distinct(n, 4):
         for a in basis:
             for b in basis:
-                for c in basis:
-                    bracket("TX-disjoint-zero", T(i, j, a, b), xi(k, l, c), {},
+                t_ab = T(i, j, a, b)
+                for z in range(d):
+                    bracket("TX-disjoint-zero", t_ab, xb[k, l, z], {},
                             f"[T{i}{j}, X{k}{l}] != 0")
 
     for (i, j, k) in _distinct(n, 3):
-        for a in basis:
-            for b in basis:
+        for x, a in enumerate(basis):
+            for y, b in enumerate(basis):
                 t_ab = T(i, j, a, b)
-                for c in basis:
+                for z in range(d):
+                    abc, cab, cba, bac, same = triple[x, y, z]
                     # (rule, position of X, ring product, negated value)
                     for name, p, q, prod, neg in (
-                            ("TX-same-row", i, k, mul(mul(a, b), c), False),
-                            ("TX-into-column", k, i, mul(mul(c, a), b), True),
-                            ("TX-same-column", k, j, mul(mul(c, b), a), False),
-                            ("TX-from-row", j, k, mul(mul(b, a), c), True)):
+                            ("TX-same-row", i, k, abc, False),
+                            ("TX-into-column", k, i, cab, True),
+                            ("TX-same-column", k, j, cba, False),
+                            ("TX-from-row", j, k, bac, True)):
                         want = xi(p, q, prod)
-                        bracket(name, t_ab, xi(p, q, c),
+                        bracket(name, t_ab, xb[p, q, z],
                                 _neg_sym(want, dom) if neg else want,
                                 f"{name} fails at T{i}{j}/X{p}{q}",
                                 f"{name} reversed fails at T{i}{j}/X{p}{q}")
                     # same-position rule: [T_ij(a,b), X_ij(c)] = X_ij(abc+cba)
-                    val = mul(mul(a, b), c)
-                    vec_axpy(val, mul(mul(c, b), a), one, dom)
-                    bracket("TX-same-position", t_ab, xi(i, j, c),
-                            xi(i, j, val), f"TX-same-position fails at T{i}{j}",
+                    bracket("TX-same-position", t_ab, xb[i, j, z],
+                            xi(i, j, same), f"TX-same-position fails at T{i}{j}",
                             f"TX-same-position reversed fails at T{i}{j}")
 
     # t against X: first row, first column, and neither
@@ -972,19 +987,20 @@ def verify_calculus(model: SteinbergModel) -> CalculusReport:
         for b in basis:
             comm = ring.commutator(a, b)
             t_ab = model.t_image(a, b)
-            for c in basis:
+            for z, c in enumerate(basis):
+                comm_c, c_comm = mul(comm, c), mul(c, comm)
                 for i in range(2, n + 1):
-                    bracket("tX-first-row", t_ab, xi(1, i, c),
-                            xi(1, i, mul(comm, c)),
+                    bracket("tX-first-row", t_ab, xb[1, i, z],
+                            xi(1, i, comm_c),
                             f"[t(a,b), X1{i}(c)] != X1{i}((ab-ba)c)",
                             f"[X1{i}(c), t(a,b)] != -X1{i}((ab-ba)c)")
-                    bracket("tX-first-column", t_ab, xi(i, 1, c),
-                            _neg_sym(xi(i, 1, mul(c, comm)), dom),
+                    bracket("tX-first-column", t_ab, xb[i, 1, z],
+                            _neg_sym(xi(i, 1, c_comm), dom),
                             f"[t(a,b), X{i}1(c)] != -X{i}1(c(ab-ba))",
                             f"[X{i}1(c), t(a,b)] reversed rule fails")
                 for (j, k) in _distinct(n, 2):
                     if j != 1 and k != 1:
-                        bracket("tX-interior-zero", t_ab, xi(j, k, c), {},
+                        bracket("tX-interior-zero", t_ab, xb[j, k, z], {},
                                 f"[t(a,b), X{j}{k}(c)] != 0")
 
     # decomposition of H over the normal form, and center inside H
@@ -1151,14 +1167,17 @@ def verify_sharp_relations(hat: HatModel) -> SharpReport:
     rm = space.quotient
     tally = _Tally(total)
     check, bracket = tally.check, tally.bracket
+    # ab[x][y] = r_x r_y, in R and in R_m coordinates, computed once
+    ab = [[mul(a, b) for b in basis] for a in basis]
+    ab_rm = [[rm.coords(p) for p in row] for row in ab]
 
     # two-sided product relation
     for (i, j, k) in _distinct(n, 3):
-        for a in basis:
+        for x, a in enumerate(basis):
             xa = X(i, j, a)
-            for b in basis:
+            for y, b in enumerate(basis):
                 bracket("two-sided-product", xa, X(j, k, b),
-                        X(i, k, mul(a, b)),
+                        X(i, k, ab[x][y]),
                         f"[X{i}{j}#, X{j}{k}#] != X{i}{k}#(ab)",
                         f"[X{j}{k}#, X{i}{j}#] != -X{i}{k}#(ab)")
 
@@ -1190,19 +1209,18 @@ def verify_sharp_relations(hat: HatModel) -> SharpReport:
                           f"[X{i}{j}#, X{k}{j}#] != 0")
         for (i, j, k, l) in _distinct(n, 4):
             slot = hat.theta((i, j, k, l))
-            for a in basis:
-                for b in basis:
-                    want = hat.include_w(
-                        space.embed(slot, rm.coords(mul(a, b))))
+            for x, a in enumerate(basis):
+                for y, b in enumerate(basis):
+                    want = hat.include_w(space.embed(slot, ab_rm[x][y]))
                     check("disjoint-cocycle-value",
                           total.eq_vec(total.bracket(X(i, j, a), X(k, l, b)),
                                        want),
                           f"[X{i}{j}#, X{k}{l}#] != eps_{slot}(ab)")
     else:
         for (i, j, k) in _distinct(n, 3):
-            for a in basis:
-                for b in basis:
-                    prod = rm.coords(mul(a, b))
+            for x, a in enumerate(basis):
+                for y, b in enumerate(basis):
+                    prod = ab_rm[x][y]
                     for name, slot, u, v, msg in (
                             ("same-row-cocycle-value", i, X(i, j, a),
                              X(i, k, b), f"[X{i}{j}#, X{i}{k}#] != "

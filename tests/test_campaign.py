@@ -400,12 +400,46 @@ def masked_json(report: CampaignReport) -> str:
 
 
 def test_reports_identical_across_parallelism_degrees():
-    def run(jobs, ns):
-        cfg = CampaignConfig(rings=[("ground", "f3"), ("ground", "f2")],
-                             ns=ns, checks=["all"], jobs=jobs)
+    def run(jobs, rings, ns):
+        cfg = CampaignConfig(rings=rings, ns=ns, checks=["all"], jobs=jobs)
         return masked_json(run_campaign(cfg))
-    for ns in ([3], [3, 4]):  # two units; four units
-        assert run(1, ns) == run(2, ns)
+    both = [("ground", "f3"), ("ground", "f2")]
+    for rings, ns, jobs in (([("ground", "f2")], [4], (2, 4)),  # one unit
+                            (both, [3], (2,)),                  # two units
+                            (both, [3, 4], (2,))):              # four units
+        want = run(1, rings, ns)
+        for k in jobs:
+            assert run(k, rings, ns) == want
+
+
+def test_a_pool_starts_only_for_two_or_more_units(monkeypatch):
+    import concurrent.futures
+    started = []
+
+    class Pool:  # runs the units in this process, recording each pool start
+        def __init__(self, workers):
+            started.append(workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+
+    def run(ns, jobs):
+        rep = run_campaign(CampaignConfig(rings=[("ground", "f2")], ns=ns,
+                                          checks=["homology"], jobs=jobs))
+        assert rep.ok
+    run([4], 2)  # a lone unit runs in the calling process
+    assert started == []
+    run([3, 4], 2)
+    run([3, 4], 4)  # no more workers than units
+    assert started == [2, 2]
 
 
 def test_json_field_order_is_stable():

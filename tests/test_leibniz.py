@@ -12,8 +12,8 @@ from stlhom.leibniz import (CentralExtensionModel, LeibnizAlgebra,
                             LeibnizIdentityError, _check_leibniz_identity,
                             _d2_columns, build_gl,
                             build_sl, homology_hl, is_central,
-                            iter_d3_columns, make_leibniz, special_weight,
-                            structural_report, uce)
+                            is_perfect, iter_d3_columns, make_leibniz,
+                            special_weight, structural_report, uce)
 from stlhom.linalg import (SpanSolver, SubquotientInvariants, make_echelon,
                            subquotient)
 from stlhom.steinberg import build_hat, build_stl
@@ -613,6 +613,30 @@ def test_structural_report_torsion_carrier():
     assert rep.center_rank == 6
     for i in range(15, 21):
         assert is_central(model.total, {i: 1})
+
+
+def sl2_z_form():
+    """sl2 over Z on (h, e, f): [h,e] = 2e, [h,f] = -2f, [e,f] = h and the
+    antisymmetric twins.  The brackets span a rank-3 sublattice of index 4."""
+    table = {(0, 1): {1: 2}, (1, 0): {1: -2}, (0, 2): {2: -2},
+             (2, 0): {2: 2}, (1, 2): {0: 1}, (2, 1): {0: -1}}
+    return make_leibniz(Z, 3, table, ["h", "e", "f"], name="sl2(Z)")
+
+
+@pytest.mark.parametrize("name,scal,n", [
+    ("ground", "f2", 4), ("dual", "q", 3), ("int", "z", 4), ("trunc3", "z", 3),
+])
+def test_is_perfect_matches_the_full_bracket_span(name, scal, n):
+    # is_perfect stops once the span is everything; structural_report
+    # reads every bracket.  The hat over Z and stl3(trunc3) carry moduli.
+    ring = catalog_ring(name, DOMS[scal])
+    model = build_stl(n, ring)
+    hat = build_hat(n, ring, model=model)
+    for L in (model.extension.base, model.total, hat.total):
+        assert (is_perfect(L), structural_report(L).is_perfect) == (True, True)
+    for L in (build_gl(n, ring), sl2_z_form()):
+        assert (is_perfect(L), structural_report(L).is_perfect) == (False,
+                                                                    False)
 
 
 # ---------------------------------------------------------------------------

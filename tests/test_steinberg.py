@@ -291,13 +291,23 @@ CALC_N4 = {"T-recombination": 24, "T-unit-antisymmetry": 12,
            "TX-same-row": 24, "TX-into-column": 24, "TX-same-column": 24,
            "TX-from-row": 24, "TX-same-position": 24, "tX-first-row": 3,
            "tX-first-column": 3, "tX-interior-zero": 6, "H-decomposition": 12}
+# dual@f2 n=4: dim R = 2, so a product read at the wrong basis index shows
+CALC_DUAL_N4 = {"T-recombination": 192, "T-unit-antisymmetry": 24,
+                "t-column-independence": 8, "TX-disjoint-zero": 192,
+                "TX-same-row": 192, "TX-into-column": 192,
+                "TX-same-column": 192, "TX-from-row": 192,
+                "TX-same-position": 192, "tX-first-row": 24,
+                "tX-first-column": 24, "tX-interior-zero": 48,
+                "H-decomposition": 48, "center-inside-H": 3}
 
 
 @pytest.mark.parametrize("name,scal,n,idx,counts,witness", [
     ("ground", "f3", 3, 0, CALC_N3, "TX-same-position fails at T12"),
     ("ground", "f3", 3, 27, CALC_N3, "TX-from-row reversed fails at T12/X23"),
     ("ground", "f2", 4, 54, CALC_N4, "[T13, X24] != 0"),
-], ids=["ground-f3-3-0", "ground-f3-3-27", "ground-f2-4-54"])
+    # the last TX triple's failure: an earlier wrong product would show first
+    ("dual", "f2", 4, 242, CALC_DUAL_N4, "TX-from-row fails at T23/X31"),
+], ids=["ground-f3-3-0", "ground-f3-3-27", "ground-f2-4-54", "dual-f2-4-242"])
 def test_calculus_reports_a_corrupted_table(name, scal, n, idx, counts,
                                             witness):
     m = build_stl(n, ring(name, scal))
@@ -618,7 +628,14 @@ def test_sharp_relations_hold(name, scal, n):
      {"two-sided-product": 6, "kernel-commutes": 36, "same-position-zero": 6,
       "same-row-cocycle-value": 6, "same-column-cocycle-value": 6},
      "[X13#, X12#] != sign(3,2)(ab)^(+1)", 7),
-], ids=["dual-f2-4-347", "ground-f3-3-14"])
+    # noncommutative R, failing at the last disjoint position: a product ba
+    # in place of ab would fail the two-sided product relation first
+    ("upper2", "f2", 4, 825,
+     {"two-sided-product": 216, "kernel-commutes": 432,
+      "same-position-zero": 108, "same-row-zero": 216,
+      "same-column-zero": 216, "disjoint-cocycle-value": 216},
+     "[X43#, X21#] != eps_5(ab)", 13),
+], ids=["dual-f2-4-347", "ground-f3-3-14", "upper2-f2-4-825"])
 def test_sharp_reports_a_corrupted_table(name, scal, n, idx, counts, witness,
                                          center):
     h = build_hat(n, ring(name, scal), model=stl(name, scal, n))
