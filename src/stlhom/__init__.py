@@ -15,9 +15,9 @@ from .assoc import (AssocAlgebra, QuotientAlgebra, commutator_span,
 from .catalog import ACCEPTANCE_PAIRS, RING_BUILDERS, catalog_ring
 from .leibniz import (CentralExtensionModel, GlAlgebra, HomologyReport,
                       LeibnizAlgebra, LeibnizIdentityError, SlAlgebra,
-                      StructuralReport, bracket_span, build_gl, build_sl,
-                      homology_hl, is_central, is_perfect, iter_d3_columns,
-                      make_leibniz, structural_report, uce)
+                      StructuralReport, build_gl, build_sl, homology_hl,
+                      is_central, is_perfect, iter_d3_columns, make_leibniz,
+                      structural_report, uce)
 from .steinberg import (CalculusReport, CocycleReport, CocycleSpace,
                         CocycleValue, HatModel, Hl2Report, SharpReport,
                         SteinbergModel, SteinbergSymbolic, ThetaMap,
@@ -41,9 +41,8 @@ __all__ = [
     "ACCEPTANCE_PAIRS", "RING_BUILDERS", "catalog_ring",
     "CentralExtensionModel", "GlAlgebra", "HomologyReport", "LeibnizAlgebra",
     "LeibnizIdentityError", "SlAlgebra", "StructuralReport",
-    "bracket_span", "build_gl", "build_sl", "homology_hl", "is_central",
-    "is_perfect", "iter_d3_columns", "make_leibniz", "structural_report",
-    "uce",
+    "build_gl", "build_sl", "homology_hl", "is_central", "is_perfect",
+    "iter_d3_columns", "make_leibniz", "structural_report", "uce",
     "CalculusReport", "CocycleReport", "CocycleSpace", "CocycleValue",
     "HatModel", "Hl2Report", "SharpReport", "SteinbergModel",
     "SteinbergSymbolic", "ThetaMap", "build_hat", "build_stl", "build_theta",

@@ -54,6 +54,7 @@ rule; under the trivial grading the cube is one block.  Where [z, y] =
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd
 
 from .assoc import AssocAlgebra, commutator_span
@@ -827,17 +828,14 @@ def homology_hl(L: LeibnizAlgebra, degree: int) -> HomologyReport:
 
 
 class StructuralReport:
-    __slots__ = ("algebra_name", "dim", "is_perfect", "center_rank",
-                 "center_basis", "abelianization_dim")
+    """The two-sided center of an algebra: its rank and ``center_basis``,
+    the rows of its echelon (over Z, a basis of the center lattice)."""
 
-    def __init__(self, algebra_name, dim, is_perfect, center_rank,
-                 center_basis, abelianization_dim):
-        self.algebra_name = algebra_name
-        self.dim = dim
-        self.is_perfect = is_perfect
+    __slots__ = ("center_rank", "center_basis")
+
+    def __init__(self, center_rank, center_basis):
         self.center_rank = center_rank
         self.center_basis = center_basis
-        self.abelianization_dim = abelianization_dim
 
 
 def is_central(L: LeibnizAlgebra, v: dict) -> bool:
@@ -850,24 +848,6 @@ def is_central(L: LeibnizAlgebra, v: dict) -> bool:
     return True
 
 
-def _bracket_rows(L: LeibnizAlgebra):
-    """The moduli relations of a torsion carrier, then the brackets."""
-    if not L.dom.is_field:
-        for c, m in enumerate(L.moduli):
-            if m:
-                yield {c: m}
-    yield from L.table.values()
-
-
-def bracket_span(L: LeibnizAlgebra):
-    """Echelon (``make_echelon``) of [L, L] plus the moduli relations of a
-    torsion carrier."""
-    span = make_echelon(L.dom)
-    for w in _bracket_rows(L):
-        span.insert(w)
-    return span
-
-
 def _spans_everything(eng, width: int, dom: ScalarDomain) -> bool:
     """Is the span held in ``eng`` all of dom^width?  Over Z it must be
     unimodular, not just of full rank: every Hermite pivot entry is 1."""
@@ -877,12 +857,14 @@ def _spans_everything(eng, width: int, dom: ScalarDomain) -> bool:
 
 
 def is_perfect(L: LeibnizAlgebra) -> bool:
-    """Does [L, L] = L?  The span of ``bracket_span`` is grown row by row,
-    and the answer is True as soon as it is everything, before the rest of
-    the table is read."""
+    """Does [L, L] = L, with the moduli relations of a torsion carrier?  The
+    span grows row by row, moduli first and then the table, and the answer
+    is True as soon as it is everything, before the rest is read."""
     dom, dim = L.dom, L.dim
+    moduli = () if dom.is_field else (
+        {c: m} for c, m in enumerate(L.moduli) if m)
     span = make_echelon(dom)
-    for w in _bracket_rows(L):
+    for w in chain(moduli, L.table.values()):
         if _spans_everything(span, dim, dom):
             return True
         span.insert(w)
@@ -890,17 +872,10 @@ def is_perfect(L: LeibnizAlgebra) -> bool:
 
 
 def structural_report(L: LeibnizAlgebra) -> StructuralReport:
-    """Perfectness, two-sided center, and abelianization size.
-
-    Over a torsion carrier 'perfect' means the brackets plus the moduli
-    relations generate every coordinate, and centrality is read modulo the
-    moduli (slack variables absorb multiples of each modulus).
-    """
+    """The two-sided center of L.  Over a torsion carrier centrality is read
+    modulo the moduli (slack variables absorb multiples of each modulus).
+    Perfectness is ``is_perfect``'s; L/[L, L] is ``homology_hl(L, 1)``."""
     dom, dim = L.dom, L.dim
-
-    span = bracket_span(L)
-    perfect = _spans_everything(span, dim, dom)
-    abel = dim - span.rank
 
     # center: [x, e_j] = 0 = [e_j, x] for all j, modulo moduli.  Its
     # coordinates x_i, then one slack per (condition, modulus), are the
@@ -924,7 +899,7 @@ def structural_report(L: LeibnizAlgebra) -> StructuralReport:
     for x in basis:
         if not is_central(L, x):
             raise AssertionError("center solve produced a non-central vector")
-    return StructuralReport(L.name, dim, perfect, center.rank, basis, abel)
+    return StructuralReport(center.rank, basis)
 
 
 # ---------------------------------------------------------------------------

@@ -1052,10 +1052,6 @@ class HatModel:
         sd = self.stl.total.dim
         return {sd + k: c for k, c in coords.items() if c}
 
-    def sharp(self, i: int, j: int, a: dict) -> dict:
-        """(0, X_ij(a)) in hat coordinates."""
-        return self.stl.x_image(i, j, a)
-
     def __repr__(self):
         return (f"HatModel(n={self.n}, ring={self.ring.name}, "
                 f"dim={self.total.dim} = {self.stl.total.dim} + "
@@ -1134,18 +1130,20 @@ def build_hat(n: int, ring: AssocAlgebra,
 
 
 class SharpReport:
+    """Counts per sharp relation, the first failure (witness), perfectness
+    of the hat and whether its center holds the cocycle block."""
+
     __slots__ = ("n", "ring_name", "ok", "relations", "witness",
-                 "perfect", "center_rank", "center_contains_kernel")
+                 "perfect", "center_contains_kernel")
 
     def __init__(self, n, ring_name, ok, relations, witness, perfect,
-                 center_rank, center_contains_kernel):
+                 center_contains_kernel):
         self.n = n
         self.ring_name = ring_name
         self.ok = ok
         self.relations = relations
         self.witness = witness
         self.perfect = perfect
-        self.center_rank = center_rank
         self.center_contains_kernel = center_contains_kernel
 
     def __repr__(self):
@@ -1156,77 +1154,79 @@ class SharpReport:
 def verify_sharp_relations(hat: HatModel) -> SharpReport:
     """Check every defining relation of the sharp presentation on the images
     (0, X_ij(a)) inside the hat model, on all ring-basis pairs, plus
-    perfectness and that the center contains the whole cocycle block."""
+    perfectness (``is_perfect``) and that every coordinate of the cocycle
+    block is central.  X_ij(r_x) is read from the stl model's ``x_basis``;
+    only the products X_ik(ab) are assembled by ``x_image``."""
     n, ring = hat.n, hat.ring
     total = hat.total
     dom = total.dom
     one = dom.one
-    basis = [{lam: one} for lam in range(ring.dim)]
-    mul = ring.multiply
-    X, space = hat.sharp, hat.space
+    d = ring.dim
+    X, space = hat.stl.x_image, hat.space
+    # X_pq(r_z), already reduced: the value of X(p, q, r_z)
+    xb = hat.stl.x_basis
     rm = space.quotient
     tally = _Tally(total)
     check, bracket = tally.check, tally.bracket
     # ab[x][y] = r_x r_y, in R and in R_m coordinates, computed once
-    ab = [[mul(a, b) for b in basis] for a in basis]
+    ab = [[ring.basis_product(x, y) for y in range(d)] for x in range(d)]
     ab_rm = [[rm.coords(p) for p in row] for row in ab]
 
     # two-sided product relation
     for (i, j, k) in _distinct(n, 3):
-        for x, a in enumerate(basis):
-            xa = X(i, j, a)
-            for y, b in enumerate(basis):
-                bracket("two-sided-product", xa, X(j, k, b),
+        for x in range(d):
+            for y in range(d):
+                bracket("two-sided-product", xb[i, j, x], xb[j, k, y],
                         X(i, k, ab[x][y]),
                         f"[X{i}{j}#, X{j}{k}#] != X{i}{k}#(ab)",
                         f"[X{j}{k}#, X{i}{j}#] != -X{i}{k}#(ab)")
 
     # the cocycle block commutes with every generator image
     for (i, j) in _distinct(n, 2):
-        for a in basis:
-            xa = X(i, j, a)
+        for x in range(d):
             for k in range(space.width):
-                bracket("kernel-commutes", xa, hat.include_w({k: one}), {},
+                bracket("kernel-commutes", xb[i, j, x],
+                        hat.include_w({k: one}), {},
                         f"[X{i}{j}#, {space.labels[k]}] != 0")
 
     # squares vanish
     for (i, j) in _distinct(n, 2):
-        for a in basis:
-            for b in basis:
+        for x in range(d):
+            for y in range(d):
                 check("same-position-zero",
-                      not total.bracket(X(i, j, a), X(i, j, b)),
+                      not total.bracket(xb[i, j, x], xb[i, j, y]),
                       f"[X{i}{j}#(a), X{i}{j}#(b)] != 0")
 
     if n == 4:
         for (i, j, k) in _distinct(n, 3):
-            for a in basis:
-                for b in basis:
+            for x in range(d):
+                for y in range(d):
                     check("same-row-zero",
-                          not total.bracket(X(i, j, a), X(i, k, b)),
+                          not total.bracket(xb[i, j, x], xb[i, k, y]),
                           f"[X{i}{j}#, X{i}{k}#] != 0")
                     check("same-column-zero",
-                          not total.bracket(X(i, j, a), X(k, j, b)),
+                          not total.bracket(xb[i, j, x], xb[k, j, y]),
                           f"[X{i}{j}#, X{k}{j}#] != 0")
         for (i, j, k, l) in _distinct(n, 4):
             slot = hat.theta((i, j, k, l))
-            for x, a in enumerate(basis):
-                for y, b in enumerate(basis):
+            for x in range(d):
+                for y in range(d):
                     want = hat.include_w(space.embed(slot, ab_rm[x][y]))
                     check("disjoint-cocycle-value",
-                          total.eq_vec(total.bracket(X(i, j, a), X(k, l, b)),
-                                       want),
+                          total.eq_vec(total.bracket(xb[i, j, x],
+                                                     xb[k, l, y]), want),
                           f"[X{i}{j}#, X{k}{l}#] != eps_{slot}(ab)")
     else:
         for (i, j, k) in _distinct(n, 3):
-            for x, a in enumerate(basis):
-                for y, b in enumerate(basis):
+            for x in range(d):
+                for y in range(d):
                     prod = ab_rm[x][y]
                     for name, slot, u, v, msg in (
-                            ("same-row-cocycle-value", i, X(i, j, a),
-                             X(i, k, b), f"[X{i}{j}#, X{i}{k}#] != "
+                            ("same-row-cocycle-value", i, xb[i, j, x],
+                             xb[i, k, y], f"[X{i}{j}#, X{i}{k}#] != "
                              f"sign({j},{k})(ab)^(+{i})"),
-                            ("same-column-cocycle-value", -i, X(j, i, a),
-                             X(k, i, b), f"[X{j}{i}#, X{k}{i}#] != "
+                            ("same-column-cocycle-value", -i, xb[j, i, x],
+                             xb[k, i, y], f"[X{j}{i}#, X{k}{i}#] != "
                              f"sign({j},{k})(ab)^(-{i})")):
                         want = hat.include_w(space.embed(slot, prod))
                         if _sign(j, k) < 0:
@@ -1234,16 +1234,16 @@ def verify_sharp_relations(hat: HatModel) -> SharpReport:
                         check(name, total.eq_vec(total.bracket(u, v), want),
                               msg)
 
-    rep = structural_report(total)
+    perfect = is_perfect(total)
     center_ok = True
     for k in range(space.width):
         if not is_central(total, hat.include_w({k: one})):
             center_ok = False
             tally.fail(f"{space.labels[k]} is not central")
 
-    ok = tally.witness is None and rep.is_perfect and center_ok
+    ok = tally.witness is None and perfect and center_ok
     return SharpReport(n, ring.name, ok, tally.counts, tally.witness,
-                       rep.is_perfect, rep.center_rank, center_ok)
+                       perfect, center_ok)
 
 
 # ---------------------------------------------------------------------------

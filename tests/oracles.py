@@ -12,6 +12,8 @@ agree with.
 ``fields`` reads a verifier's report as a dict of its attributes.
 ``s3_ring`` builds the group algebra of S_3, a ring off the catalog.
 ``smith_sizes`` records the shape of every Smith reduction in a block.
+``full_span_is_perfect`` reads perfectness off the whole bracket span, the
+reference for the early-stopping ``is_perfect``.
 """
 
 import contextlib
@@ -178,6 +180,22 @@ def s3_ring(dom):
     return make_algebra(dom, 6, structure,
                         labels=["".join(map(str, g)) for g in perms],
                         unit_index=0, name="s3")
+
+
+def full_span_is_perfect(L) -> bool:
+    """Does [L, L] = L?  Every moduli relation of a torsion carrier and
+    every table entry go into one echelon, with no early stop; then the
+    rank must be dim L and, over Z, every Hermite pivot entry 1."""
+    dom = L.dom
+    span = linalg.make_echelon(dom)
+    if not dom.is_field:
+        for c, m in enumerate(L.moduli):
+            if m:
+                span.insert({c: m})
+    for w in L.table.values():
+        span.insert(w)
+    return span.rank == L.dim and (
+        dom.is_field or all(row[p] == 1 for p, row in span.rows.items()))
 
 
 @contextlib.contextmanager

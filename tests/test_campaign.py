@@ -312,24 +312,30 @@ def test_refused_entries_report_the_guard_time(monkeypatch):
 
 
 def test_each_ring_and_n_builds_stl_once(monkeypatch):
+    # and reads each structural fact once: the center in verify_calculus,
+    # perfectness in build_stl, build_hat and verify_sharp_relations
     import stlhom.campaign as camp
-    calls = {"build_stl": 0, "verify_cocycle": 0}
+    import stlhom.steinberg as stein
+    calls = {}
 
-    def counted(name):
-        inner = getattr(camp, name)
+    def count(module, name):
+        inner = getattr(module, name)
+        calls[name] = 0
 
         def wrapper(*args, **kw):
             calls[name] += 1
             return inner(*args, **kw)
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
-    for name in calls:
-        monkeypatch.setattr(camp, name, counted(name))
+    for module, name in ((camp, "build_stl"), (camp, "verify_cocycle"),
+                         (stein, "structural_report"), (stein, "is_perfect")):
+        count(module, name)
     rep = run_campaign(CampaignConfig(
         rings=[("ground", "f3"), ("ground", "f2")], ns=[3, 4],
         checks=["all"], jobs=1))
     assert rep.ok and rep.summary["passed"] == 16
-    assert calls == {"build_stl": 4, "verify_cocycle": 4}
+    assert calls == {"build_stl": 4, "verify_cocycle": 4,
+                     "structural_report": 4, "is_perfect": 12}
 
 
 def test_each_ring_file_is_read_once_per_request(tmp_path, monkeypatch):

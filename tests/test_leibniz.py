@@ -19,8 +19,8 @@ from stlhom.linalg import (SpanSolver, SubquotientInvariants, make_echelon,
 from stlhom.steinberg import build_hat, build_stl
 
 from oracles import (check_homomorphism_on_basis, check_kernel_central,
-                     cocycle_paths, full_sl_table, kappa_of, sl_to_gl,
-                     torus_weight)
+                     cocycle_paths, full_sl_table, full_span_is_perfect,
+                     kappa_of, sl_to_gl, torus_weight)
 
 DOMS = {"f2": F2, "f3": F3, "f5": F5, "q": Q, "z": Z}
 
@@ -582,25 +582,23 @@ def test_homology_report_to_dict_shape():
 
 def test_structural_report_abelian():
     L = make_leibniz(F2, 3, {}, name="ab3")
-    rep = structural_report(L)
-    assert not rep.is_perfect
-    assert rep.center_rank == 3
-    assert rep.abelianization_dim == 3
+    assert not is_perfect(L)
+    assert structural_report(L).center_rank == 3
+    assert homology_hl(L, 1).invariants.dimension == 3
 
 
 def test_structural_report_sl3():
-    rep = structural_report(build_sl(3, catalog_ring("ground", F2)))
-    assert rep.is_perfect
-    assert rep.center_rank == 0
-    assert rep.abelianization_dim == 0
+    sl = build_sl(3, catalog_ring("ground", F2))
+    assert is_perfect(sl)
+    assert structural_report(sl).center_rank == 0
+    assert homology_hl(sl, 1).invariants.dimension == 0
 
 
 def test_sl3_f3_has_central_scalars():
     # char 3 divides n = 3: the identity matrix is traceless and central
     sl = build_sl(3, catalog_ring("ground", F3))
-    rep = structural_report(sl)
-    assert rep.is_perfect
-    assert rep.center_rank == 1
+    assert is_perfect(sl)
+    assert structural_report(sl).center_rank == 1
     gl = sl.gl
     ident = {k: 1 for i in range(3) for k in gl.eij(i, i, {0: 1})}
     assert is_central(sl, sl.from_gl(ident))
@@ -608,9 +606,8 @@ def test_sl3_f3_has_central_scalars():
 
 def test_structural_report_torsion_carrier():
     model = uce(build_sl(4, catalog_ring("int", Z)))
-    rep = structural_report(model.total)
-    assert rep.is_perfect
-    assert rep.center_rank == 6
+    assert is_perfect(model.total)
+    assert structural_report(model.total).center_rank == 6
     for i in range(15, 21):
         assert is_central(model.total, {i: 1})
 
@@ -627,16 +624,15 @@ def sl2_z_form():
     ("ground", "f2", 4), ("dual", "q", 3), ("int", "z", 4), ("trunc3", "z", 3),
 ])
 def test_is_perfect_matches_the_full_bracket_span(name, scal, n):
-    # is_perfect stops once the span is everything; structural_report
-    # reads every bracket.  The hat over Z and stl3(trunc3) carry moduli.
+    # is_perfect stops once the span is everything; the reference reads
+    # every bracket.  The hat over Z and stl3(trunc3) carry moduli.
     ring = catalog_ring(name, DOMS[scal])
     model = build_stl(n, ring)
     hat = build_hat(n, ring, model=model)
     for L in (model.extension.base, model.total, hat.total):
-        assert (is_perfect(L), structural_report(L).is_perfect) == (True, True)
+        assert (is_perfect(L), full_span_is_perfect(L)) == (True, True)
     for L in (build_gl(n, ring), sl2_z_form()):
-        assert (is_perfect(L), structural_report(L).is_perfect) == (False,
-                                                                    False)
+        assert (is_perfect(L), full_span_is_perfect(L)) == (False, False)
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +674,7 @@ def test_uce_kernel_and_shape(name, scal, n, basedim, kernel):
     check_homomorphism_on_basis(model)
     check_kernel_central(model)
     # the total is perfect (universal central extensions are)
-    assert structural_report(model.total).is_perfect
+    assert is_perfect(model.total)
 
 
 def test_uce_tensor_coords_match_bracket_table():

@@ -352,8 +352,9 @@ def test_hat_w_part_matches_public_psi():
     pairs = [((1, 2), (1, 3)), ((2, 1), (3, 1)), ((1, 2), (2, 1)),
              ((2, 3), (1, 3)), ((1, 2), (1, 2))]
     for (i, j), (k, l) in pairs:
-        got = h.extension.kernel_part(h.total.bracket(h.sharp(i, j, one),
-                                                      h.sharp(k, l, one)))
+        got = h.extension.kernel_part(
+            h.total.bracket(h.stl.x_image(i, j, one),
+                            h.stl.x_image(k, l, one)))
         want = psi3(("x", i, j, one), ("x", k, l, one), rm).coords
         assert got == want
 
@@ -369,7 +370,7 @@ def test_hat4_w_part_matches_public_psi():
                                 (((1, 2, one), (2, 3, one)), True)]:
         (i, j, a), (k, l, b) = args
         got = h.extension.kernel_part(
-            h.total.bracket(h.sharp(i, j, a), h.sharp(k, l, b)))
+            h.total.bracket(h.stl.x_image(i, j, a), h.stl.x_image(k, l, b)))
         want = psi4(("x", i, j, a), ("x", k, l, b), rm, theta).coords
         assert got == want
         assert (got == {}) == expect_zero
@@ -618,34 +619,51 @@ def test_sharp_relations_hold(name, scal, n):
     assert rep.ok is True
 
 
-@pytest.mark.parametrize("name,scal,n,idx,counts,witness,center", [
+@pytest.mark.parametrize("name,scal,n,idx,counts,witness", [
     ("dual", "f2", 4, 347,
      {"two-sided-product": 96, "kernel-commutes": 288,
       "same-position-zero": 48, "same-row-zero": 96,
       "same-column-zero": 96, "disjoint-cocycle-value": 96},
-     "[X41#, X24#] != -X21#(ab)", 16),
+     "[X41#, X24#] != -X21#(ab)"),
     ("ground", "f3", 3, 14,
      {"two-sided-product": 6, "kernel-commutes": 36, "same-position-zero": 6,
       "same-row-cocycle-value": 6, "same-column-cocycle-value": 6},
-     "[X13#, X12#] != sign(3,2)(ab)^(+1)", 7),
+     "[X13#, X12#] != sign(3,2)(ab)^(+1)"),
     # noncommutative R, failing at the last disjoint position: a product ba
     # in place of ab would fail the two-sided product relation first
     ("upper2", "f2", 4, 825,
      {"two-sided-product": 216, "kernel-commutes": 432,
       "same-position-zero": 108, "same-row-zero": 216,
       "same-column-zero": 216, "disjoint-cocycle-value": 216},
-     "[X43#, X21#] != eps_5(ab)", 13),
+     "[X43#, X21#] != eps_5(ab)"),
 ], ids=["dual-f2-4-347", "ground-f3-3-14", "upper2-f2-4-825"])
-def test_sharp_reports_a_corrupted_table(name, scal, n, idx, counts, witness,
-                                         center):
+def test_sharp_reports_a_corrupted_table(name, scal, n, idx, counts, witness):
     h = build_hat(n, ring(name, scal), model=stl(name, scal, n))
     corrupt_entry(h.total, idx)
     rep = verify_sharp_relations(h)
     assert fields(rep) == {"n": n, "ring_name": name, "ok": False,
                            "relations": counts, "witness": witness,
-                           "perfect": True, "center_rank": center,
-                           "center_contains_kernel": True}
+                           "perfect": True, "center_contains_kernel": True}
     assert list(rep.relations) == list(counts)
+
+
+@pytest.mark.parametrize("name,scal,n,witness", [
+    ("ground", "f2", 4, "[X12#, X34#] != eps_1(ab)"),
+    ("dual", "f3", 3, "[X12#, X13#] != sign(2,3)(ab)^(+1)"),
+    ("int", "z", 4, "[X12#, X34#] != eps_1(ab)"),
+], ids=["ground-f2-4", "dual-f3-3", "int-z-4"])
+def test_sharp_reports_a_hat_with_no_cocycle_block(name, scal, n, witness):
+    # negative control for perfectness: with every W coordinate stripped
+    # from the table, no bracket reaches W, so W lies outside [hat, hat];
+    # W stays central, and the first cocycle value read fails
+    h = build_hat(n, ring(name, scal), model=stl(name, scal, n))
+    sd = h.stl.total.dim
+    table = h.total.table
+    for key, w in table.items():
+        table[key] = {k: c for k, c in w.items() if k < sd}
+    rep = verify_sharp_relations(h)
+    assert (rep.perfect, rep.ok, rep.center_contains_kernel,
+            rep.witness) == (False, False, True, witness)
 
 
 def test_hat_is_the_universal_central_extension():
