@@ -5,7 +5,8 @@ This module has four layers:
 * the index map theta on distinct-index quadruples over {1,2,3,4}, constant
   on orbits of the position action of G = {(1),(13),(24),(13)(24)};
 * the 2-cocycles psi valued in W = R_2^6 (n = 4) resp. U = R_3^6 (n = 3),
-  plus a symbolic rewriting engine that certifies the cocycle identity
+  plus a symbolic bracket engine, which yields the X-part of each bracket
+  (all that psi reads), to certify the cocycle identity
   J(x,y,z) = psi(x,[y,z]) + psi([x,z],y) - psi([x,y],z) = 0 exhaustively;
 * a concrete model of stl_n(R): the universal central extension of sl_n(R)
   modulo the central span N of all tensor classes E_ij(a)(x)E_kl(b) with
@@ -312,24 +313,23 @@ def _psi_pair_rule(n: int, ring: AssocAlgebra, rm: QuotientAlgebra,
 
 
 # ---------------------------------------------------------------------------
-# the symbolic rewriting engine
+# the symbolic bracket engine
 #
-# Elements are sparse combinations over three kinds of keys:
+# Basis keys of stl_n(R), over a ring basis r_0, ..., r_{d-1}:
 #   ("x", i, j, lam)   X_ij(r_lam)
 #   ("t", lam, mu)     t(r_lam, r_mu)
 #   ("T", j, lam)      T_1j(r_lam, 1)
-# The t/T keys are the spanning normal form of the diagonal subalgebra H
-# (T_1j(a,b) = t(a,b) + T_1j(ba,1); T_i1(a,b) = t(a,b) - T_1i(ab,1);
-#  T_ij(a,b) = t(a,b) - T_1i(ab,1) + T_1j(ba,1) for i,j != 1), so brackets
-# close on these keys.  Those keys are treated as free symbols: the engine
-# overcounts H, which is harmless because psi vanishes on H and the X-part
-# of the decomposition is canonical.
+# The t/T keys span the diagonal part H.  Under the torus, X_ij(r) has
+# weight e_i - e_j and H has weight 0, so the X-part of an element is
+# canonical, and the X-part of [u, v] is the sum of its weight-(e_i - e_j)
+# terms: 0 when u and v are both diagonal or are X_ij and X_ji.  psi reads
+# only X-parts and vanishes on H, so the engine computes no more.
 
 
 class SteinbergSymbolic:
-    """Bracket calculus on the symbolic X / t / T basis for stl_n(R)."""
+    """X-parts of brackets on the symbolic X / t / T basis of stl_n(R)."""
 
-    __slots__ = ("n", "ring", "dom", "_memo")
+    __slots__ = ("n", "ring", "dom")
 
     def __init__(self, n: int, ring: AssocAlgebra):
         if n < 3:
@@ -337,7 +337,6 @@ class SteinbergSymbolic:
         self.n = n
         self.ring = ring
         self.dom = ring.dom
-        self._memo: dict = {}
 
     # -- constructors -----------------------------------------------------
 
@@ -364,76 +363,30 @@ class SteinbergSymbolic:
 
     # -- brackets ----------------------------------------------------------
 
-    def bracket(self, u: dict, v: dict) -> dict:
-        dom = self.dom
-        out: dict = {}
-        for k1, c1 in u.items():
-            for k2, c2 in v.items():
-                w = self.bracket_keys(k1, k2)
-                if w:
-                    c = dom.mul(c1, c2)
-                    if c:
-                        vec_axpy(out, w, c, dom)
-        return out
-
     def bracket_keys(self, k1: tuple, k2: tuple) -> dict:
-        try:
-            return self._memo[(k1, k2)]
-        except KeyError:
-            pass
+        """The X-part of [k1, k2]; {} at weight 0."""
         t1, t2 = k1[0], k2[0]
         if t1 == "x" and t2 == "x":
-            w = self._x_x(k1, k2)
-        elif t2 == "x":
-            w = self._h_x(k1, k2)
-        elif t1 == "x":
+            return self._x_x(k1, k2)
+        if t2 == "x":
+            return self._h_x(k1, k2)
+        if t1 == "x":
             # every diagonal-vs-X rule is antisymmetric
-            w = _neg_sym(self._h_x(k2, k1), self.dom)
-        else:
-            w = self._h_h(k1, k2)
-        self._memo[(k1, k2)] = w
-        return w
+            return _neg_sym(self._h_x(k2, k1), self.dom)
+        return {}
 
     def _x_x(self, k1, k2) -> dict:
         _, i, j, lam = k1
         _, k, l, mu = k2
         ring = self.ring
         if j == k and i == l:
-            return self._t_normal(i, j, {lam: self.dom.one},
-                                  {mu: self.dom.one})
+            return {}       # [X_ij, X_ji] has weight 0: it lies in H
         if j == k:
             return self.xvec(i, l, ring.basis_product(lam, mu))
         if i == l:
             return _neg_sym(self.xvec(k, j, ring.basis_product(mu, lam)),
                             self.dom)
         return {}
-
-    def _t_normal(self, i: int, j: int, a: dict, b: dict) -> dict:
-        """T_ij(a, b) rewritten over the t / T keys."""
-        dom, ring = self.dom, self.ring
-        out: dict = {}
-        for lam, ca in a.items():
-            for mu, cb in b.items():
-                c = dom.mul(ca, cb)
-                if c:
-                    vec_axpy(out, {("t", lam, mu): c}, dom.one, dom)
-        ab = ring.multiply(a, b)
-        ba = ring.multiply(b, a)
-        if i == 1:
-            self._acc_T(out, j, ba, dom.one)
-        elif j == 1:
-            self._acc_T(out, i, ab, dom.neg(dom.one))
-        else:
-            self._acc_T(out, i, ab, dom.neg(dom.one))
-            self._acc_T(out, j, ba, dom.one)
-        return out
-
-    def _acc_T(self, out: dict, j: int, cvec: dict, scale) -> None:
-        dom = self.dom
-        for lam, c in cvec.items():
-            c = dom.mul(scale, c)
-            if c:
-                vec_axpy(out, {("T", j, lam): c}, dom.one, dom)
 
     def _h_x(self, hkey, xkey) -> dict:
         """[h, X_ij(r_lam)] for a single diagonal key h."""
@@ -470,34 +423,6 @@ class SteinbergSymbolic:
             return _neg_sym(self.xvec(q, j, ring.multiply(c0, m)), dom)
         return {}
 
-    def _h_h(self, k1, k2) -> dict:
-        """[h, h']: expand h' back into X brackets and use the identity
-        [x,[u,v]] = [[x,u],v] - [[x,v],u]."""
-        dom, ring = self.dom, self.ring
-        if k2[0] == "T":
-            _, q, lam = k2
-            return self._pair_expand(k1, self.xvec(1, q, {lam: dom.one}),
-                                     self.xvec(q, 1, ring.unit))
-        _, lam, mu = k2
-        one = dom.one
-        out = self._pair_expand(k1, self.xvec(1, 2, {lam: one}),
-                                self.xvec(2, 1, {mu: one}))
-        ba = ring.basis_product(mu, lam)
-        if ba:
-            part = self._pair_expand(k1, self.xvec(1, 2, ba),
-                                     self.xvec(2, 1, ring.unit))
-            vec_axpy(out, part, dom.neg(one), dom)
-        return out
-
-    def _pair_expand(self, hkey, u: dict, v: dict) -> dict:
-        hd = {hkey: self.dom.one}
-        hu = self.bracket(hd, u)
-        hv = self.bracket(hd, v)
-        out = self.bracket(hu, v)
-        vec_axpy(out, self.bracket(hv, u), self.dom.neg(self.dom.one),
-                 self.dom)
-        return out
-
 
 def _neg_sym(v: dict, dom) -> dict:
     return {k: dom.neg(c) for k, c in v.items()}
@@ -531,10 +456,10 @@ def verify_cocycle(n: int, ring: AssocAlgebra,
     """Check J(x,y,z) = psi(x,[y,z]) + psi([x,z],y) - psi([x,y],z) = 0 on
     every ordered triple of the K symbolic basis keys.
 
-    Brackets are computed by the rewriting engine; psi by the pair rules.
-    The triples are walked by ``_check_identity``, the walker that
-    certifies every Leibniz table, with the X-parts of the brackets inside
-    and psi outside.  The keys are graded by the weight codes of sl
+    The X-parts of the brackets are computed by the symbolic engine; psi by
+    the pair rules.  The triples are walked by ``_check_identity``, the
+    walker that certifies every Leibniz table, with the bracket X-parts
+    inside and psi outside.  The keys are graded by the weight codes of sl
     (X_ij(r) has weight e_i - e_j, t and T weight 0); when the support check
     (``_homogeneous_codes``) finds both tables homogeneous, the walker
     visits only the triples whose weight is that of a W/U coordinate met
@@ -579,8 +504,7 @@ def verify_cocycle(n: int, ring: AssocAlgebra,
     inner: dict = {}
     for s, k1 in enumerate(basis if outer else ()):
         for t, k2 in enumerate(basis):
-            xs = {index[k]: c for k, c in engine.bracket_keys(k1, k2).items()
-                  if k[0] == "x"}
+            xs = {index[k]: c for k, c in engine.bracket_keys(k1, k2).items()}
             if xs:
                 inner[(s, t)] = xs
     key_code = [_root_code(key[1] - 1, key[2] - 1) if key[0] == "x" else 0

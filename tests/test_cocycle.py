@@ -151,7 +151,8 @@ def test_psi_rejects_malformed_descriptors():
 
 # ---------------------------------------------------------------------------
 # the symbolic engine against the concrete model (the decisive oracle:
-# every rewriting rule mapped through build_stl must match real brackets)
+# every rule mapped through build_stl must match the X-part of the real
+# bracket, its part at nonzero weight)
 
 
 def image_of(model, key):
@@ -170,6 +171,11 @@ def image_of(model, key):
     ("int", "z", 3),
     ("ground", "f3", 4),
     ("dual", "f2", 4),
+    # noncommutative rings, where the t-rules' commutators are nonzero
+    ("upper2", "f2", 3),
+    ("mat2", "f2", 3),
+    ("upper2", "z", 3),
+    ("dual", "q", 3),
 ])
 def test_engine_brackets_match_concrete_model(name, scal, n):
     r = ring(name, scal)
@@ -177,6 +183,10 @@ def test_engine_brackets_match_concrete_model(name, scal, n):
     eng = SteinbergSymbolic(n, r)
     keys = eng.basis_keys()
     dom = model.total.dom
+    code = model.total.grading.code
+    # every X image sits at a nonzero weight, so the filter below keeps them
+    assert all(code[c] for k in keys if k[0] == "x"
+               for c in image_of(model, k))
     for k1 in keys:
         for k2 in keys:
             mapped = {}
@@ -184,21 +194,36 @@ def test_engine_brackets_match_concrete_model(name, scal, n):
                 vec_axpy(mapped, image_of(model, k), c, dom)
             concrete = model.total.bracket(image_of(model, k1),
                                            image_of(model, k2))
-            assert model.total.eq_vec(mapped, concrete), (k1, k2)
-
-
-def test_engine_diagonal_brackets_stay_diagonal():
-    eng = SteinbergSymbolic(4, ring("dual", "f3"))
-    hkeys = [k for k in eng.basis_keys() if k[0] != "x"]
-    for k1 in hkeys:
-        for k2 in hkeys:
-            w = eng.bracket_keys(k1, k2)
-            assert all(k[0] != "x" for k in w)
+            xpart = {c: v for c, v in concrete.items() if code[c]}
+            assert model.total.eq_vec(mapped, xpart), (k1, k2)
 
 
 def test_engine_rejects_small_n():
     with pytest.raises(ValueError):
         SteinbergSymbolic(2, ring("ground", "f2"))
+
+
+@pytest.mark.parametrize("name,scal,n,w_nonzero", [
+    ("dual", "f2", 4, True),
+    ("dual", "f3", 3, True),
+    ("upper2", "f2", 4, True),
+    ("mat2", "f2", 4, False),      # W = 0: psi is 0, no bracket is needed
+])
+def test_verify_cocycle_brackets_each_pair_once(monkeypatch, name, scal, n,
+                                                w_nonzero):
+    r = ring(name, scal)
+    seen = []
+    real = SteinbergSymbolic.bracket_keys
+
+    def counted(self, k1, k2):
+        seen.append((k1, k2))
+        return real(self, k1, k2)
+
+    monkeypatch.setattr(SteinbergSymbolic, "bracket_keys", counted)
+    assert verify_cocycle(n, r).ok
+    K = len(SteinbergSymbolic(n, r).basis_keys())
+    assert len(seen) == (K * K if w_nonzero else 0)
+    assert len(set(seen)) == len(seen)
 
 
 # ---------------------------------------------------------------------------

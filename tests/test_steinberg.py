@@ -619,12 +619,16 @@ def test_sharp_relations_hold(name, scal, n):
     assert rep.ok is True
 
 
+SHARP_DUAL_N4 = {"two-sided-product": 96, "kernel-commutes": 288,
+                 "same-position-zero": 48, "same-row-zero": 96,
+                 "same-column-zero": 96, "disjoint-cocycle-value": 96}
+SHARP_DUAL_N3 = {"two-sided-product": 24, "kernel-commutes": 144,
+                 "same-position-zero": 24, "same-row-cocycle-value": 24,
+                 "same-column-cocycle-value": 24}
+
+
 @pytest.mark.parametrize("name,scal,n,idx,counts,witness", [
-    ("dual", "f2", 4, 347,
-     {"two-sided-product": 96, "kernel-commutes": 288,
-      "same-position-zero": 48, "same-row-zero": 96,
-      "same-column-zero": 96, "disjoint-cocycle-value": 96},
-     "[X41#, X24#] != -X21#(ab)"),
+    ("dual", "f2", 4, 347, SHARP_DUAL_N4, "[X41#, X24#] != -X21#(ab)"),
     ("ground", "f3", 3, 14,
      {"two-sided-product": 6, "kernel-commutes": 36, "same-position-zero": 6,
       "same-row-cocycle-value": 6, "same-column-cocycle-value": 6},
@@ -645,6 +649,30 @@ def test_sharp_reports_a_corrupted_table(name, scal, n, idx, counts, witness):
                            "relations": counts, "witness": witness,
                            "perfect": True, "center_contains_kernel": True}
     assert list(rep.relations) == list(counts)
+
+
+@pytest.mark.parametrize("scal,n,p,q,counts,witness", [
+    ("f2", 4, (1, 2), (1, 2), SHARP_DUAL_N4, "[X12#(a), X12#(b)] != 0"),
+    ("f2", 4, (1, 2), (1, 3), SHARP_DUAL_N4, "[X12#, X13#] != 0"),
+    ("f2", 4, (1, 2), (3, 2), SHARP_DUAL_N4, "[X12#, X32#] != 0"),
+    ("f3", 3, (1, 2), (1, 2), SHARP_DUAL_N3, "[X12#(a), X12#(b)] != 0"),
+], ids=["same-position-4", "same-row-4", "same-column-4", "same-position-3"])
+def test_sharp_reports_a_nonzero_bracket_of_two_basis_elements(
+        scal, n, p, q, counts, witness):
+    # negative control for the zero rules: a W term on the bracket of the
+    # lowest coordinates of X_p#(r_0) and X_q#(r_1) only; dim R = 2 makes
+    # the two ring basis elements differ, so a rule that reads r_0 (or r_1)
+    # twice never brackets the corrupted pair
+    h = build_hat(n, ring("dual", scal), model=stl("dual", scal, n))
+    xb = h.stl.x_basis
+    key = (min(xb[p + (0,)]), min(xb[q + (1,)]))
+    w = dict(h.total.table.get(key, {}))
+    vec_axpy(w, h.include_w({0: 1}), 1, h.total.dom)
+    h.total.table[key] = w
+    rep = verify_sharp_relations(h)
+    assert fields(rep) == {"n": n, "ring_name": "dual", "ok": False,
+                           "relations": counts, "witness": witness,
+                           "perfect": True, "center_contains_kernel": True}
 
 
 @pytest.mark.parametrize("name,scal,n,witness", [
