@@ -48,8 +48,8 @@ block leaves the echelon's span as the whole block would.  Over a field
 "span" means equal rank; over Z the image must also have index 1 in the
 kernel (``_d3_image``).  Only exactness is used, not the special-weight
 rule; under the trivial grading the cube is one block.  Where [z, y] =
--[y, z], as on every pair of sl, the later of the twins (x, y, z) and
-(x, z, y) is walked neither in a block nor by ``_check_identity``.
+-[y, z], as on every pair of sl, a block walks only the earlier of the
+twins (x, y, z) and (x, z, y).  The identity walker reads no grading.
 """
 
 from __future__ import annotations
@@ -276,8 +276,9 @@ def _check_leibniz_identity(alg: LeibnizAlgebra) -> None:
 
 def _asymmetric_pairs(table: dict, dom: ScalarDomain) -> set:
     """The pairs (s, t), in both orders, with [e_t, e_s] != -[e_s, e_t]
-    exactly in ``table``; empty on a Lie table.  The walkers skip a twin
-    on every other pair (``_check_identity``, ``iter_d3_columns``)."""
+    exactly in ``table``; empty on a Lie table.  ``iter_d3_columns`` skips
+    a twin on every other pair, and ``steinberg._Tally`` reads the reversed
+    bracket off the forward one there."""
     neg = dom.neg
     out = set()
     for (s, t), w in table.items():
@@ -293,94 +294,87 @@ def _asymmetric_pairs(table: dict, dom: ScalarDomain) -> set:
 def _check_identity(alg: LeibnizAlgebra, dim: int, inner: dict,
                     outer: dict, what: str) -> None:
     """Raise ``LeibnizIdentityError`` at the first triple of basis vectors
-    (x, y, z) = (e_i, e_j, e_k), i, j, k < dim, where
+    (x, y, z) = (e_i, e_j, e_k), i, j, k < dim, in (y, z, x) order, where
 
-        o(x, [y, z]) - o([x, y], z) + o([x, z], y)
+        J(x, y, z) = o(x, [y, z]) - o([x, y], z) + o([x, z], y)
 
     is nonzero modulo the moduli of ``alg``; the error carries the triple
     and this ``defect``.  [,] is the ``inner`` table and o the ``outer``
     one, both (i, j) -> sparse vector.  ``alg`` only supplies the domain,
-    labels, moduli and grading.  With both tables equal to alg.table this is
-    the Leibniz identity (``make_leibniz``, uncertified d3 streams); with the
+    labels and moduli.  With both tables equal to alg.table this is the
+    Leibniz identity (``make_leibniz``, uncertified d3 streams); with the
     base bracket inside and kappa outside it is the cocycle condition on
     kappa (``CentralExtensionModel``); ``verify_cocycle`` puts the X-parts
     of the symbolic brackets inside and psi outside.
 
-    For fixed (y, z), every term vanishes unless [x, y] or [x, z] is nonzero
-    or o(x, .) is nonzero on the support of [y, z]; only those candidate x
-    are visited.  ``alg.grading`` filters them further: its codes make
-    both tables homogeneous (each entry (i, j) meets only coordinates of
-    code code[i] + code[j]; ``_homogeneous_codes`` checks it, and an
-    algebra carries no grading its table fails).  Every term of (x, y, z)
-    then lies in coordinates of code code[x] + code[y] + code[z], so only
-    the candidates for which some coordinate of an outer value has that
-    code are visited; under the trivial grading that is every candidate.
-    The candidates are visited in ascending order, and a triple that is not
-    visited vanishes term by term or lies at a weight no coordinate of an
-    outer value has, so the triple raised is the first failing one in
-    (y, z, x) order.  A pair y > z that is antisymmetric inside
-    (``_asymmetric_pairs``) is skipped: J(x, y, z) + J(x, z, y) =
-    o(x, [y, z] + [z, y]) = 0, so (x, y, z) fails exactly when its earlier
-    twin (x, z, y) does.
+    The walk is term-driven.  For each y in ascending order it adds up the
+    nonzero terms of J(., y, .) from the table entries that produce them:
+    o(x, t) for each coordinate t of [y, z], -o(t, z) for each coordinate
+    t of [x, y], and o(a, y) for each inner pair (x, z) whose value meets
+    a.  The sums are kept raw in one dict keyed by (z, x, coordinate),
+    encoded as one int in that order, and reduced once per key (mod p, then
+    the moduli).  So a triple with no nonzero term is never touched, memory
+    is bounded by the terms of one y, and the triple raised is the smallest
+    failing (z, x) of the first y that has one.
     """
     if not outer:
         return
-    code = alg.grading.code
-    dom = alg.dom
-    signs = (dom.neg(dom.one), dom.one)
-    byfirst: dict[int, dict[int, dict]] = {}
-    bysecond: dict[int, set[int]] = {}
+    p, moduli, width = alg.dom.p, alg.moduli, alg.dim
+    # the term of (x, y, z) at coordinate k is summed at key zo + xo + k,
+    # with zo = z * zw and xo = x * width
+    zw = dim * width
+    in_first: dict[int, list] = {}    # y -> [(zo, [y, z])]
+    in_second: dict[int, list] = {}   # y -> [(xo, [x, y])]
+    in_meets: dict[int, list] = {}    # a -> [(zo + xo, [x, z]_a)]
     for (i, j), w in inner.items():
-        byfirst.setdefault(i, {})[j] = w
-        bysecond.setdefault(j, set()).add(i)
-    outer_bysecond: dict[int, set[int]] = {}
-    for (i, j) in outer:
-        outer_bysecond.setdefault(j, set()).add(i)
-    empty_set: set[int] = set()
-    empty_row: dict[int, dict] = {}
-    asym = _asymmetric_pairs(inner, dom)
-    # the codes of the outer values, and the codes code[y] + code[z] that
-    # some x completes to one of them
-    totals = {code[t] for v in outer.values() for t in v}
-    reachable = {mu - c for mu in totals for c in set(code[:dim])}
+        items = tuple(w.items())
+        in_first.setdefault(i, []).append((j * zw, items))
+        in_second.setdefault(j, []).append((i * width, items))
+        for a, c in items:
+            in_meets.setdefault(a, []).append((j * zw + i * width, c))
+    out_first: dict[int, list] = {}   # t -> [(zo, o(t, z))]
+    out_second: dict[int, list] = {}  # t -> [(xo, o(x, t))]
+    for (i, j), v in outer.items():
+        items = tuple(v.items())
+        out_first.setdefault(i, []).append((j * zw, items))
+        out_second.setdefault(j, []).append((i * width, items))
 
-    for j in range(dim):
-        row_j = byfirst.get(j, empty_row)
-        for k in range(dim):
-            if k < j and (j, k) not in asym:
-                continue
-            rest = code[j] + code[k]
-            if rest not in reachable:
-                continue
-            w = row_j.get(k)
-            cand = bysecond.get(j, empty_set) | bysecond.get(k, empty_set)
-            if w:
-                for t in w:
-                    cand.update(outer_bysecond.get(t, empty_set))
-            cand = [i for i in cand if code[i] + rest in totals]
-            for i in sorted(cand):
-                acc: dict = {}
-                if w:
-                    for t, c in w.items():
-                        v = outer.get((i, t))
-                        if v:
-                            vec_axpy(acc, v, c, dom)
-                row_i = byfirst.get(i, empty_row)
-                for y, z, sign in zip((j, k), (k, j), signs):
-                    b = row_i.get(y)
-                    if b:
-                        for t, c in b.items():
-                            v = outer.get((t, z))
-                            if v:
-                                vec_axpy(acc, v, dom.mul(sign, c), dom)
-                if acc:
-                    acc = alg.reduce_vec(acc)
-                if acc:
-                    lab = alg.labels
-                    raise LeibnizIdentityError(
-                        f"{what} fails at ({lab[i]}, {lab[j]}, {lab[k]}): "
-                        f"the defect is {describe_vector(acc, lab)}",
-                        (i, j, k), acc)
+    for y in range(dim):
+        acc: dict[int, object] = {}
+        get = acc.get
+        for zo, w in in_first.get(y, ()):
+            for t, c in w:
+                for xo, v in out_second.get(t, ()):
+                    base = zo + xo
+                    for k, e in v:
+                        k += base
+                        acc[k] = get(k, 0) + c * e
+        for xo, w in in_second.get(y, ()):
+            for t, c in w:
+                for zo, v in out_first.get(t, ()):
+                    base = zo + xo
+                    for k, e in v:
+                        k += base
+                        acc[k] = get(k, 0) - c * e
+        for ao, v in out_second.get(y, ()):     # ao = a * width
+            for base, c in in_meets.get(ao // width, ()):
+                for k, e in v:
+                    k += base
+                    acc[k] = get(k, 0) + c * e
+        bad = [k for k, e in acc.items() if (e % p if p else e)]
+        if alg.torsion:
+            bad = [k for k in bad
+                   if not moduli[k % width] or acc[k] % moduli[k % width]]
+        if bad:
+            base = min(bad) // width * width
+            z, x = divmod(base // width, dim)
+            defect = alg.reduce_vec({k - base: acc[k] % p if p else acc[k]
+                                     for k in bad if base <= k < base + width})
+            lab = alg.labels
+            raise LeibnizIdentityError(
+                f"{what} fails at ({lab[x]}, {lab[y]}, {lab[z]}): "
+                f"the defect is {describe_vector(defect, lab)}",
+                (x, y, z), defect)
 
 
 # ---------------------------------------------------------------------------
@@ -912,8 +906,8 @@ def _homogeneous_codes(tables, base_code: list[int], dim: int):
     code[s] + code[t] of the first entry (s, t) of ``tables`` that meets it
     (None where no entry does).  Returns None if some entry (s, t) meets a
     coordinate of another code.  ``CentralExtensionModel`` checks its
-    total's table over the base's codes, ``verify_cocycle`` the bracket and
-    psi tables over the symbolic keys' codes."""
+    total's table over the base's codes, ``check_torus_grading`` sl's
+    table over its own."""
     code = base_code + [None] * (dim - len(base_code))
     for table in tables:
         for (s, t), w in table.items():
@@ -941,19 +935,15 @@ class CentralExtensionModel:
     are read off the kernel moduli.  The class of a tensor e_s (x) e_t is
     the total bracket [e_s, e_t] (``tensor_coords``).
 
-    The check runs in two steps.  The support check gives each kernel
-    coordinate the code code(s) + code(t) of the first kappa entry (s, t)
-    that meets it, and asks every kappa entry to meet only coordinates of
-    its code.  The base's own table is homogeneous under its grading, so
-    when this passes the total's table is homogeneous, and the total
-    carries these codes as its ``grading`` (code 0 where no entry meets a
-    kernel coordinate; no torus, see the module docstring).  Then every
-    term of the cocycle condition on (x, y, z) lies in kernel coordinates
-    of code code(x) + code(y) + code(z), and on a graded base the
-    condition is checked on the candidate triples of a kernel code only
-    (``_check_identity``): every other triple is 0.  When the support check
-    fails, or the base is ungraded, the total's grading is trivial and
-    every candidate triple is checked.  An empty kappa needs no check.
+    The support check gives each kernel coordinate the code code(s) +
+    code(t) of the first kappa entry (s, t) that meets it, and asks every
+    kappa entry to meet only coordinates of its code.  The base's own table
+    is homogeneous under its grading, so when this passes the total's table
+    is homogeneous, and the total carries these codes as its ``grading``
+    (code 0 where no entry meets a kernel coordinate; no torus, see the
+    module docstring).  When it fails, or the base is ungraded, the total's
+    grading is trivial.  The cocycle condition (``_check_identity``) reads
+    no grading.  An empty kappa needs no check.
     """
 
     __slots__ = ("total", "base", "kernel_invariants", "kernel_moduli")
@@ -1030,10 +1020,9 @@ def uce(L: LeibnizAlgebra) -> CentralExtensionModel:
     triples of special total weight are streamed, only the w_s of special
     weight are inserted, and kappa vanishes off the special pairs, so a
     tensor's class is read off its special part.  Over a field each kernel
-    coordinate then has one special weight, and the model checks the
-    cocycle condition on the triples of those weights only
-    (``CentralExtensionModel``); over Z the Smith basis may mix weights, and
-    the check visits every candidate triple.
+    coordinate then has one special weight, so the total is graded
+    (``CentralExtensionModel``); over Z the Smith basis may mix weights,
+    and the total is then ungraded.
 
     A special block stops once its image spans ker(d2)_mu (module
     docstring).  L is perfect and the w_s are homogeneous, so d2 maps the

@@ -25,10 +25,10 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from .assoc import AssocAlgebra, QuotientAlgebra, hochschild_h1, quotient_Rm
-from .leibniz import (CentralExtensionModel, Grading, LeibnizAlgebra,
-                      LeibnizIdentityError, _check_identity,
-                      _homogeneous_codes, _root_code, build_sl, is_central,
-                      is_perfect, structural_report, uce)
+from .leibniz import (CentralExtensionModel, LeibnizAlgebra,
+                      LeibnizIdentityError, _asymmetric_pairs,
+                      _check_identity, build_sl, is_central, is_perfect,
+                      structural_report, uce)
 from .linalg import (SpanSolver, SubquotientInvariants, describe_vector,
                      make_echelon, moduli_invariants, present_quotient,
                      subquotient, vec_axpy)
@@ -459,18 +459,12 @@ def verify_cocycle(n: int, ring: AssocAlgebra,
     The X-parts of the brackets are computed by the symbolic engine; psi by
     the pair rules.  The triples are walked by ``_check_identity``, the
     walker that certifies every Leibniz table, with the bracket X-parts
-    inside and psi outside.  The keys are graded by the weight codes of sl
-    (X_ij(r) has weight e_i - e_j, t and T weight 0); when the support check
-    (``_homogeneous_codes``) finds both tables homogeneous, the walker
-    visits only the triples whose weight is that of a W/U coordinate met
-    by psi, and otherwise every candidate triple.  A triple it does not
-    visit vanishes term by term or lies at a weight no W/U coordinate has;
-    where psi is 0 (as when W = 0) every term vanishes and no bracket is
-    computed.  So a pass reports K^3 triples, and a failure the first
-    failing triple in (y, z, x) order and the count of triples up to and
-    including it.  ``theta`` may be supplied (n = 4 only) to run a negative
-    control with a corrupted labeling.  Failures are report content, not
-    exceptions.
+    inside and psi outside; it sums only the nonzero terms, and where psi
+    is 0 (as when W = 0) there are none and no bracket is computed.  So a
+    pass reports K^3 triples, and a failure the first failing triple in
+    (y, z, x) order and the count of triples up to and including it.
+    ``theta`` may be supplied (n = 4 only) to run a negative control with a
+    corrupted labeling.  Failures are report content, not exceptions.
     """
     if n == 4:
         rm = quotient_Rm(ring, 2)
@@ -507,15 +501,10 @@ def verify_cocycle(n: int, ring: AssocAlgebra,
             xs = {index[k]: c for k, c in engine.bracket_keys(k1, k2).items()}
             if xs:
                 inner[(s, t)] = xs
-    key_code = [_root_code(key[1] - 1, key[2] - 1) if key[0] == "x" else 0
-                for key in basis]
-    code = _homogeneous_codes((inner, outer), key_code, K + space.width)
     carrier = LeibnizAlgebra(ring.dom, K + space.width, {},
                              [engine.describe_key(k) for k in basis]
                              + space.labels, [0] * K + space.moduli,
-                             f"psi-{n}({ring.name})",
-                             Grading([mu or 0 for mu in code]) if code
-                             else None)
+                             f"psi-{n}({ring.name})")
 
     theta_table = theta.to_dict() if n == 4 else None
     try:
@@ -751,12 +740,15 @@ def _check_generator_relations(model: SteinbergModel, pos: list) -> None:
 
 class _Tally:
     """Instance counts per relation name, in first-seen order, and the
-    first failure's message (the witness)."""
+    first failure's message (the witness).  ``asym`` holds the pairs of
+    basis vectors of ``alg`` on which its table is not antisymmetric, read
+    when the tally is made (``_asymmetric_pairs``)."""
 
-    __slots__ = ("alg", "counts", "witness")
+    __slots__ = ("alg", "asym", "counts", "witness")
 
     def __init__(self, alg: LeibnizAlgebra):
         self.alg = alg
+        self.asym = _asymmetric_pairs(alg.table, alg.dom)
         self.counts: dict[str, int] = {}
         self.witness = None
 
@@ -772,10 +764,16 @@ class _Tally:
 
     def bracket(self, name: str, u: dict, v: dict, want: dict, msg: str,
                 rev_msg: str | None = None) -> None:
-        """One instance of ``name``: [u, v] = want and [v, u] = -want."""
-        alg = self.alg
-        self.check(name, alg.eq_vec(alg.bracket(u, v), want), msg)
-        if not alg.eq_vec(alg.bracket(v, u), _neg_sym(want, alg.dom)):
+        """One instance of ``name``: [u, v] = want and [v, u] = -want.
+        Unless some pair of supp(u) x supp(v) is in ``asym``, [v, u] =
+        -[u, v] exactly, so the reverse holds exactly when the forward does
+        and is not bracketed again."""
+        alg, asym = self.alg, self.asym
+        ok = alg.eq_vec(alg.bracket(u, v), want)
+        self.check(name, ok, msg)
+        if asym and any((s, t) in asym for s in u for t in v):
+            ok = alg.eq_vec(alg.bracket(v, u), _neg_sym(want, alg.dom))
+        if not ok:
             self.fail(msg if rev_msg is None else rev_msg)
 
 
@@ -837,15 +835,26 @@ def verify_calculus(model: SteinbergModel) -> CalculusReport:
 
     # the ring products of basis elements the rules read, computed once:
     # ab[x][y] = r_x r_y, and per basis triple (ab)c, (ca)b, (cb)a, (ba)c
-    # and abc + cba
+    # and abc + cba, as indices into the distinct products ``prods``
     ab = [[mul(a, b) for b in basis] for a in basis]
-    triple = {}
+    prods, seen, triple = [], {}, {}
     for x, y, z in product(range(d), repeat=3):
-        prods = (mul(ab[x][y], basis[z]), mul(ab[z][x], basis[y]),
-                 mul(ab[z][y], basis[x]), mul(ab[y][x], basis[z]))
-        same = dict(prods[0])
-        vec_axpy(same, prods[2], one, dom)
-        triple[x, y, z] = (*prods, same)
+        four = (mul(ab[x][y], basis[z]), mul(ab[z][x], basis[y]),
+                mul(ab[z][y], basis[x]), mul(ab[y][x], basis[z]))
+        same = dict(four[0])
+        vec_axpy(same, four[2], one, dom)
+        triple[x, y, z] = ids = []
+        for prod in (*four, same):
+            key = tuple(sorted(prod.items()))
+            if key not in seen:
+                seen[key] = len(prods)
+                prods.append(prod)
+            ids.append(seen[key])
+    # T_ij(r_x, r_y) and X_pq(product), each computed once
+    tb = {(i, j, x, y): T(i, j, a, b) for (i, j) in _distinct(n, 2)
+          for x, a in enumerate(basis) for y, b in enumerate(basis)}
+    xp = {(p, q, m): xi(p, q, prod) for (p, q) in _distinct(n, 2)
+          for m, prod in enumerate(prods)}
 
     # T recombination
     for (i, j, k) in _distinct(n, 3):
@@ -877,33 +886,33 @@ def verify_calculus(model: SteinbergModel) -> CalculusReport:
 
     # the nine diagonal-vs-X rules
     for (i, j, k, l) in _distinct(n, 4):
-        for a in basis:
-            for b in basis:
-                t_ab = T(i, j, a, b)
+        for x in range(d):
+            for y in range(d):
+                t_ab = tb[i, j, x, y]
                 for z in range(d):
                     bracket("TX-disjoint-zero", t_ab, xb[k, l, z], {},
                             f"[T{i}{j}, X{k}{l}] != 0")
 
     for (i, j, k) in _distinct(n, 3):
-        for x, a in enumerate(basis):
-            for y, b in enumerate(basis):
-                t_ab = T(i, j, a, b)
+        for x in range(d):
+            for y in range(d):
+                t_ab = tb[i, j, x, y]
                 for z in range(d):
                     abc, cab, cba, bac, same = triple[x, y, z]
                     # (rule, position of X, ring product, negated value)
-                    for name, p, q, prod, neg in (
+                    for name, p, q, m, neg in (
                             ("TX-same-row", i, k, abc, False),
                             ("TX-into-column", k, i, cab, True),
                             ("TX-same-column", k, j, cba, False),
                             ("TX-from-row", j, k, bac, True)):
-                        want = xi(p, q, prod)
+                        want = xp[p, q, m]
                         bracket(name, t_ab, xb[p, q, z],
                                 _neg_sym(want, dom) if neg else want,
                                 f"{name} fails at T{i}{j}/X{p}{q}",
                                 f"{name} reversed fails at T{i}{j}/X{p}{q}")
                     # same-position rule: [T_ij(a,b), X_ij(c)] = X_ij(abc+cba)
                     bracket("TX-same-position", t_ab, xb[i, j, z],
-                            xi(i, j, same), f"TX-same-position fails at T{i}{j}",
+                            xp[i, j, same], f"TX-same-position fails at T{i}{j}",
                             f"TX-same-position reversed fails at T{i}{j}")
 
     # t against X: first row, first column, and neither
@@ -930,10 +939,10 @@ def verify_calculus(model: SteinbergModel) -> CalculusReport:
     # decomposition of H over the normal form, and center inside H
     hsolver = _carrier_solver(total, model.h_generators())
     for (i, j) in _distinct(n, 2):
-        for a in basis:
-            for b in basis:
+        for x in range(d):
+            for y in range(d):
                 check("H-decomposition",
-                      hsolver.solve(T(i, j, a, b)) is not None,
+                      hsolver.solve(tb[i, j, x, y]) is not None,
                       f"T{i}{j}(a,b) escapes the t/T normal form")
     for v in structural_report(total).center_basis:
         check("center-inside-H", hsolver.solve(v) is not None,
@@ -990,12 +999,11 @@ def build_hat(n: int, ring: AssocAlgebra,
     psi is transported to the concrete model through the canonical X-part
     decomposition of each basis vector and becomes the kappa of a
     ``CentralExtensionModel``, which checks the cocycle condition on every
-    stl triple that can violate it: a concrete, independent confirmation
-    that psi is a cocycle.  The stl total carries the grading its own
-    support check certified (sl's weights, HH_1 at weight 0), under which
-    each W slot has the weight of its position class; so the condition is
-    checked on the candidate triples of those six weights only, and on
-    every candidate triple if psi fails the support check.
+    stl triple: a concrete, independent confirmation that psi is a
+    cocycle.  The stl total carries the grading its own support check
+    certified (sl's weights, HH_1 at weight 0), under which each W slot has
+    the weight of its position class, so the hat total is graded by those
+    six weights, unless psi fails the support check.
     """
     if n not in (3, 4):
         raise ValueError("hat models exist for n in {3, 4}")

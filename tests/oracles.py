@@ -3,9 +3,9 @@
 ``CentralExtensionModel`` assembles its total as base bracket (+) kappa, so
 the projection is a homomorphism and the kernel is central without a check;
 these functions check both on the finished table, independently of how it
-was assembled.  ``cocycle_paths`` and ``kappa_of`` let a test see which
-way an extension or the symbolic cocycle was certified and rebuild an
-extension from a changed kappa.  ``reference_cocycle`` is the plain
+was assembled.  ``cocycle_paths`` and ``kappa_of`` let a test see whether
+the total of an extension or of the symbolic cocycle was graded and
+rebuild an extension from a changed kappa.  ``reference_cocycle`` is the plain
 keys^3 walk of the symbolic cocycle identity that ``verify_cocycle`` must
 agree with.
 ``torus_weight`` reads a weight code of the package back as a weight.
@@ -35,13 +35,14 @@ def fields(report, *skip) -> dict:
 
 
 def cocycle_paths(monkeypatch) -> dict:
-    """Record, per carrier name, whether each cocycle check from here on
-    filtered its candidate triples by a nontrivial grading (True) or ran
-    under the trivial grading, where every candidate passes (False):
-    that of each ``CentralExtensionModel`` (under its total's name) and of
-    ``verify_cocycle`` (``psi-<n>(<ring>)``), whose module binds the walker
-    by name, so both bindings are patched.  An extension with an empty
-    kappa checks nothing and is not recorded."""
+    """Record, per carrier name, whether the total of each cocycle check
+    from here on carries a nontrivial grading (True: the support check
+    passed) or the trivial one (False): that of each
+    ``CentralExtensionModel`` (under its total's name) and of
+    ``verify_cocycle`` (``psi-<n>(<ring>)``, always False: its carrier is
+    ungraded), whose module binds the walker by name, so both bindings are
+    patched.  The walker itself reads no grading.  An extension with an
+    empty kappa checks nothing and is not recorded."""
     paths: dict = {}
     inner = leibniz._check_identity
 

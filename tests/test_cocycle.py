@@ -9,7 +9,7 @@ import stlhom.steinberg as steinberg
 from stlhom.assoc import quotient_Rm
 from stlhom.catalog import ACCEPTANCE_PAIRS, catalog_ring
 from stlhom.domains import F2, F3, F5, Q, Z
-from stlhom.leibniz import _homogeneous_codes, build_sl, uce
+from stlhom.leibniz import _homogeneous_codes, _root_code, build_sl, uce
 from stlhom.linalg import describe_vector, vec_axpy
 from stlhom.steinberg import (CocycleSpace, SteinbergSymbolic, build_stl,
                               build_theta, corrupted_theta, psi3, psi4,
@@ -305,10 +305,10 @@ COCYCLE_RINGS = list(ACCEPTANCE_PAIRS) + [
 
 
 def test_verify_cocycle_walks_the_graded_triples(monkeypatch):
-    """The support check passes on every genuine psi, so the walk visits
-    the weight-filtered candidates only; corrupted_theta moves psi values
-    into W slots of another weight wherever W is not 0, so the walk falls
-    back to every candidate triple there."""
+    """The walker sums the nonzero terms of every triple, graded by weight
+    or not, and reads no grading, so the cocycle carrier carries none:
+    every genuine psi passes, and corrupted_theta, which moves psi values
+    into W slots of another weight, fails exactly where W is not 0."""
     paths = cocycle_paths(monkeypatch)
     bad = corrupted_theta(build_theta())
     for name, scal in COCYCLE_RINGS:
@@ -316,18 +316,18 @@ def test_verify_cocycle_walks_the_graded_triples(monkeypatch):
         for n in (3, 4):
             paths.clear()
             assert verify_cocycle(n, r).ok
-            assert paths == {f"psi-{n}({name})": True}, (name, scal, n)
+            assert paths == {f"psi-{n}({name})": False}, (name, scal, n)
         paths.clear()
         rep = verify_cocycle(4, r, theta=bad)
         w_is_zero = CocycleSpace(4, quotient_Rm(r, 2)).width == 0
         assert rep.ok == w_is_zero
-        assert paths == {f"psi-4({name})": w_is_zero}, (name, scal)
+        assert paths == {f"psi-4({name})": False}, (name, scal)
 
 
 @pytest.mark.parametrize("name", ["ground", "dual", "trunc3"])
 def test_a_scaled_psi_value_fails_on_the_graded_path(monkeypatch, name):
     """Doubling psi(X12(1), X13(1)) inside its own U slot keeps psi
-    homogeneous, so the graded walk runs, and it must report the first
+    homogeneous but breaks the cocycle, and the walk must report the first
     failing triple of the plain walk, which sees the same psi (psi3 wraps
     the same pair rule)."""
     rule = steinberg._psi_pair_rule
@@ -346,10 +346,8 @@ def test_a_scaled_psi_value_fails_on_the_graded_path(monkeypatch, name):
         return scaled
 
     monkeypatch.setattr(steinberg, "_psi_pair_rule", scaled_rule)
-    paths = cocycle_paths(monkeypatch)
     r = ring(name, "f3")
     rep = verify_cocycle(3, r)
-    assert paths == {f"psi-3({name})": True}
     assert not rep.ok
     assert_first_failing_in_yzx_order(rep, 3, r)
 
@@ -369,17 +367,20 @@ def test_the_support_check_refuses_an_entry_at_another_weight(monkeypatch):
     moved = {**table, p: {**{c: x for c, x in w.items() if c != k},
                           other: w[k]}}
     assert _homogeneous_codes((moved,), base_code, dim) is None
-    # the cocycle carrier of verify_cocycle: one psi value moved to a W slot
-    # of another weight
+    # the tables verify_cocycle walks, over the weight codes of the keys
+    # (X_ij(r) has weight e_i - e_j, t and T weight 0): one psi value moved
+    # to a W slot of another weight
     seen = []
     monkeypatch.setattr(steinberg, "_check_identity",
                         lambda *args: seen.append(args))
     verify_cocycle(4, ring("ground", "f2"))
     (carrier, K, inner, outer, _what), = seen
-    code = _homogeneous_codes((inner, outer), carrier.grading.code[:K],
-                              carrier.dim)
-    assert code is not None and any(code)
-    assert [mu or 0 for mu in code] == carrier.grading.code
+    assert not any(carrier.grading.code)
+    keys = SteinbergSymbolic(4, ring("ground", "f2")).basis_keys()
+    key_code = [_root_code(k[1] - 1, k[2] - 1) if k[0] == "x" else 0
+                for k in keys]
+    code = _homogeneous_codes((inner, outer), key_code, carrier.dim)
+    assert code is not None and any(code[K:])
     p, w = min(outer.items())
     k, x = min(w.items())
     other = next(c for c in range(K, carrier.dim)

@@ -9,8 +9,8 @@ from stlhom.assoc import make_algebra
 from stlhom.catalog import ACCEPTANCE_PAIRS, catalog_ring
 from stlhom.domains import F2, F3, F5, Q, Z, parse_scalar
 from stlhom.leibniz import (CentralExtensionModel, LeibnizAlgebra,
-                            LeibnizIdentityError, _check_leibniz_identity,
-                            _d2_columns, build_gl,
+                            LeibnizIdentityError, _asymmetric_pairs,
+                            _check_leibniz_identity, _d2_columns, build_gl,
                             build_sl, homology_hl, is_central,
                             is_perfect, iter_d3_columns, make_leibniz,
                             special_weight, structural_report, uce)
@@ -145,8 +145,8 @@ def test_tiny_table_is_leibniz_only_in_char_2():
 
 
 def test_identity_witness_is_first_in_yzx_order():
-    # x = 2 and x = 9 both fail at (y, z) = (e0, e1); a set of candidates
-    # {2, 3, 9} iterates 9 first, so this pins the ascending visit
+    # x = 2 and x = 9 both fail at (y, z) = (e0, e1), and the terms of
+    # x = 9 are met first, so this pins the smallest failing x
     table = {(9, 0): {3: 1}, (2, 0): {3: 1}, (3, 1): {4: 1}}
     with pytest.raises(LeibnizIdentityError) as exc:
         make_leibniz(F3, 10, table)
@@ -1097,13 +1097,12 @@ def test_cocycle_check_agrees_with_brute_force(f, bump, split):
     """kappa = f o [,] is a coboundary, hence a cocycle; one bumped entry
     usually breaks that.  With ``split`` f sends each basis vector of the
     graded base to the kernel coordinate of its weight, so kappa is
-    homogeneous over three coordinates and the check visits the
-    kernel-weight triples only, unless the bump lands on a coordinate of
-    another weight.  The extension must be accepted exactly when the
-    assembled total passes the brute-force identity check, and graded
-    exactly when each coordinate is met at one weight.  On either path a
-    rejection names the first failing triple in (y, z, x) order, with the
-    brute-force defect."""
+    homogeneous over three coordinates and the total is graded, unless the
+    bump lands on a coordinate of another weight.  The extension must be
+    accepted exactly when the assembled total passes the brute-force
+    identity check, and graded exactly when each coordinate is met at one
+    weight.  Graded or not, a rejection names the first failing triple in
+    (y, z, x) order, with the brute-force defect."""
     base = SL2_F3
     code = base.grading.code
     levels = sorted(set(code))
@@ -1191,30 +1190,27 @@ def test_a_kappa_entry_at_a_wrong_weight_falls_back_and_fails(monkeypatch):
     assert paths == {"moved": False}
 
 
-def test_the_cocycle_walk_reads_the_grading_of_the_total(monkeypatch):
-    # one kappa over sl_3(F3) and over an ungraded copy of it: the same
-    # total, whose graded walk visits fewer candidates (the walker sorts
-    # the candidates of each (y, z) before visiting them)
-    import stlhom.leibniz as leib
+def test_a_graded_base_and_its_ungraded_copy_agree_on_kappa():
+    # the walker reads no grading: one kappa over sl_3(F3) and over an
+    # ungraded copy of it gives the same total, and a scaled kappa entry
+    # fails on both at the same triple with the same defect
     ext, kappa, bd = _uce_sl3_f3()
     plain = LeibnizAlgebra(F3, bd, ext.base.table, ext.base.labels,
                            ext.base.moduli, "plain")
     plain.certified = True
-    visits = []
-
-    def counted(items):
-        items = sorted(items)
-        visits[-1] += len(items)
-        return items
-
-    monkeypatch.setattr(leib, "sorted", counted, raising=False)
+    (s, t), v = min(kappa.items())
+    scaled = {**kappa, (s, t): {c: (2 * x) % 3 for c, x in v.items()}}
+    witnesses = []
     for base in (ext.base, plain):
-        visits.append(0)
         again = CentralExtensionModel(base, ext.kernel_moduli, kappa, "again",
                                       ext.total.labels[bd:])
         assert again.total.table == ext.total.table
-    assert not any(again.total.grading.code)
-    assert 0 < visits[0] < visits[1], visits
+        with pytest.raises(LeibnizIdentityError) as exc:
+            CentralExtensionModel(base, ext.kernel_moduli, scaled, "scaled",
+                                  ext.total.labels[bd:])
+        witnesses.append((exc.value.triple, exc.value.defect))
+    assert any(ext.total.grading.code) and not any(again.total.grading.code)
+    assert witnesses[0] == witnesses[1]
 
 
 def test_a_wrong_kappa_value_at_a_kernel_weight_fails_pruned(monkeypatch):
@@ -1328,8 +1324,9 @@ def test_each_algebra_builds_its_grading_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# one side of an antisymmetric pair corrupted: the walker skips (x, y, z),
-# y > z, only while [e_z, e_y] = -[e_y, e_z] holds exactly
+# one side of an antisymmetric pair corrupted: the d3 stream skips
+# (x, y, z), y > z, only while [e_z, e_y] = -[e_y, e_z] holds exactly, and
+# the identity walker skips no twin
 
 
 def one_sided_mutants(table, dom, count):
@@ -1376,8 +1373,8 @@ def test_a_one_sided_sl_corruption_fails_at_the_brute_force_witness(name,
 @pytest.mark.parametrize("name", ["ground", "dual"])
 def test_a_one_sided_kappa_corruption_fails_at_the_brute_force_witness(
         name, monkeypatch):
-    # sl stays Lie, so the walker still skips y > z: J(x, z, y) =
-    # -J(x, y, z) holds for any kappa; the graded path is kept
+    # sl stays Lie, so J(x, z, y) = -J(x, y, z) holds for any kappa; the
+    # totals stay graded
     ext = uce(build_sl(3, catalog_ring(name, F3)))
     base, bd = ext.base, ext.base.dim
     labels = ext.total.labels[bd:]
@@ -1395,3 +1392,35 @@ def test_a_one_sided_kappa_corruption_fails_at_the_brute_force_witness(
             lambda: CentralExtensionModel(base, ext.kernel_moduli, kappa,
                                           f"bad{m}", labels), probe, bd)
     assert paths == {f"bad{m}": True for m in range(12)}
+
+
+def test_a_cocycle_check_on_a_non_lie_base_agrees_with_brute_force():
+    """On a base that is not Lie the walker skips no twin (x, y, z), y > z:
+    J(x, y, z) + J(x, z, y) = kappa(x, [y, z] + [z, y]) need not vanish.
+    Each kappa below fails at the brute-force witness of its total."""
+
+    def fails_at_the_witness(base, kappa):
+        table = dict(base.table)
+        for p, c in kappa.items():
+            table[p] = {**table.get(p, {}), base.dim: c}
+        probe = LeibnizAlgebra(F3, base.dim + 1, table, base.labels + ["z"],
+                               base.moduli + [0], "probe")
+        assert_fails_at_the_brute_force_witness(
+            lambda: CentralExtensionModel(
+                base, [0], {p: {0: c} for p, c in kappa.items()}, "bumped",
+                ["z"]), probe, base.dim)
+        return first_brute_failure(probe, base.dim)
+
+    # stl_3(dual@f3): [e_t, e_s] != -[e_s, e_t] on 20 pairs.  kappa = f o [,]
+    # is a coboundary, hence a cocycle; each mutant bumps it on one pair
+    base = build_stl(3, catalog_ring("dual", F3)).total
+    asym = sorted(_asymmetric_pairs(base.table, F3))
+    assert len(asym) == 20
+    kappa = {p: sum(w.values()) % 3 for p, w in base.table.items()}
+    for p in asym:
+        bumped = {**kappa, p: (kappa.get(p, 0) + 1) % 3}
+        fails_at_the_witness(base, {q: c for q, c in bumped.items() if c})
+    # gl_2 (+) V, whose symmetric parts lie in V: kappa(1, v1) = 1, with
+    # 1 = E11 + E22, first fails at the twin (E11, v1, E11), y > z
+    base = hemisemidirect(F3)
+    assert fails_at_the_witness(base, {(0, 4): 1, (3, 4): 1}) == (0, 4, 0)

@@ -426,7 +426,7 @@ def test_corrupted_theta_breaks_the_hat():
 FIELD_PAIRS = [(name, scal) for name, scal in ACCEPTANCE_PAIRS if scal != "z"]
 Z_RINGS = ("int", "ground", "dual", "trunc3", "group-c2", "upper2", "mat2")
 # Smith's U mixes weight blocks of the uce kernel over Z here, so its
-# support check fails and uce takes the full cocycle check
+# support check fails and uce's total is ungraded
 Z_UCE_FALLBACKS = {("dual", 3), ("group-c2", 3), ("trunc3", 4)}
 # the hats of the all-checks workload; W is 0 for mat2 only
 ALL_CHECK_HATS = [
@@ -449,10 +449,10 @@ def position_class_weight(h, slot: int) -> tuple:
 
 
 def test_every_extension_is_certified_on_its_kernel_weights(monkeypatch):
-    """The support check passes, so the cocycle check visits the
-    kernel-weight triples only: uce, stl and hat on the field acceptance
-    pairs, stl and hat on every ring over Z, at n = 3 and 4.  Over Z, uce
-    falls back to the full check exactly on Z_UCE_FALLBACKS."""
+    """The support check passes, so the total is graded by its kernel
+    weights: uce, stl and hat on the field acceptance pairs, stl and hat
+    on every ring over Z, at n = 3 and 4.  Over Z, uce's total is ungraded
+    exactly on Z_UCE_FALLBACKS."""
     paths = cocycle_paths(monkeypatch)
     cases = ([(name, scal, n) for name, scal in FIELD_PAIRS for n in (3, 4)]
              + [(name, "z", n) for name in Z_RINGS for n in (3, 4)])
@@ -508,8 +508,8 @@ def test_the_support_check_reads_off_the_grading_of_the_paper():
 
 def test_corrupted_theta_fails_the_support_check_of_the_hat(monkeypatch):
     # swapping the labels of two quadruples of different position classes
-    # moves kappa entries into W slots of another weight, so the hat takes
-    # the full check, which finds the witness triple
+    # moves kappa entries into W slots of another weight, so the hat total
+    # is ungraded, and the check finds the witness triple
     m = stl("ground", "f2", 4)
     paths = cocycle_paths(monkeypatch)
     with pytest.raises(LeibnizIdentityError) as exc:
