@@ -7,8 +7,10 @@ by solving the two-sided unit equations.
 
 Also here: commutator spans, the ideals I_m = m*R + R*[R,R] (built from
 their generators as the paper defines them; the identity
-[a,b]c = [a,bc] - b[a,c] makes them two-sided), the quotients R_m = R/I_m,
-first Hochschild homology, and the JSON ring format used by the CLI.
+[a,b]c = [a,bc] - b[a,c] makes them two-sided), presentations of the
+quotients R_m = R/I_m (coordinates and moduli; ``CocycleSpace`` reads the
+classes of products), first Hochschild homology, and the JSON ring format
+used by the CLI.
 """
 
 from __future__ import annotations
@@ -193,37 +195,12 @@ def ideal_Im(alg: AssocAlgebra, m: int):
     return span
 
 
-class QuotientAlgebra:
-    """R/I for a two-sided ideal I, with linear coordinates and moduli.
-
-    ``moduli[c]`` is 0 for a free coordinate and d > 0 for a Z/d coordinate
-    (always 0 over a field).  ``coords`` maps R onto the quotient and
-    vanishes exactly on I; as I is two-sided, products of ring elements
-    have well-defined classes, which ``base.multiply`` followed by
-    ``coords`` reads.
-    """
-
-    __slots__ = ("base", "pres", "dim", "moduli", "name")
-
-    def __init__(self, base: AssocAlgebra, pres: QuotientPresentation,
-                 name: str):
-        self.base = base
-        self.pres = pres
-        self.dim = pres.dim
-        self.moduli = pres.moduli
-        self.name = name
-
-    def coords(self, v: dict) -> dict:
-        return self.pres.coords(v)
-
-    def __repr__(self):
-        return f"QuotientAlgebra({self.name}, dim={self.dim}, moduli={self.moduli})"
-
-
-def quotient_Rm(alg: AssocAlgebra, m: int) -> QuotientAlgebra:
-    """Build R_m = R/I_m with coordinates (used as cocycle value modules)."""
-    pres = present_quotient(ideal_Im(alg, m), alg.dim, alg.dom)
-    return QuotientAlgebra(alg, pres, f"{alg.name}_{m}")
+def quotient_Rm(alg: AssocAlgebra, m: int) -> QuotientPresentation:
+    """Present R_m = R/I_m: ``dim``, ``moduli`` and ``coords``, which maps
+    R onto R_m and vanishes exactly on I_m.  As I_m is two-sided, the
+    product of two ring elements has a well-defined class, which
+    ``coords`` reads off the product in R (``CocycleSpace.abar``)."""
+    return present_quotient(ideal_Im(alg, m), alg.dim, alg.dom)
 
 
 # ---------------------------------------------------------------------------

@@ -212,7 +212,7 @@ def _run_unit(unit):
                             if rep.ok else "identity violated")
                 predicted, witness = "all calculus identities", rep.witness
             elif check == "sharp":
-                rep = verify_sharp_relations(build_hat(n, ring, model=model))
+                rep = verify_sharp_relations(build_hat(model))
                 computed = (f"{sum(rep.relations.values())} relations hold; "
                             f"perfect; center contains cocycle space"
                             if rep.ok else "relation or structure violated")

@@ -4,16 +4,17 @@ This module has four layers:
 
 * the index map theta on distinct-index quadruples over {1,2,3,4}, constant
   on orbits of the position action of G = {(1),(13),(24),(13)(24)};
-* the 2-cocycles psi valued in W = R_2^6 (n = 4) resp. U = R_3^6 (n = 3),
-  plus a symbolic bracket engine, which yields the X-part of each bracket
-  (all that psi reads), to certify the cocycle identity
+* ``CocycleSpace(n, R, theta)``, the one home of W = R_2^6 (n = 4) resp.
+  U = R_3^6 (n = 3), of theta and of the 2-cocycle psi valued there, plus
+  a symbolic bracket engine, which yields the X-part of each bracket (all
+  that psi reads), to certify the cocycle identity
   J(x,y,z) = psi(x,[y,z]) + psi([x,z],y) - psi([x,y],z) = 0 exhaustively;
 * a concrete model of stl_n(R): the universal central extension of sl_n(R)
   modulo the central span N of all tensor classes E_ij(a)(x)E_kl(b) with
   j != k and i != l (the pairs whose bracket vanishes in sl);
-* the hat extension on W (+) stl (resp. U (+) stl) with bracket
-  [(c,x),(c',y)] = (psi(x,y), [x,y]), whose cocycle condition is checked
-  on every stl triple.
+* the hat extension of an stl model on W (+) stl (resp. U (+) stl) with
+  bracket [(c,x),(c',y)] = (psi(x,y), [x,y]), whose cocycle condition is
+  checked on every stl triple.
 
 Index conventions: matrix positions i, j are 1-based throughout this module
 (they appear in quadruples and labels); ring coordinates are 0-based.
@@ -24,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations, product
 
-from .assoc import AssocAlgebra, QuotientAlgebra, hochschild_h1, quotient_Rm
+from .assoc import AssocAlgebra, hochschild_h1, quotient_Rm
 from .leibniz import (CentralExtensionModel, LeibnizAlgebra,
                       LeibnizIdentityError, _asymmetric_pairs,
                       _check_identity, build_sl, is_central, is_perfect,
@@ -35,7 +36,7 @@ from .linalg import (SpanSolver, SubquotientInvariants, describe_vector,
 
 __all__ = [
     "ThetaMap", "build_theta", "corrupted_theta",
-    "CocycleSpace", "CocycleValue", "psi4", "psi3",
+    "CocycleSpace",
     "SteinbergSymbolic", "CocycleReport", "verify_cocycle",
     "SteinbergModel", "build_stl",
     "CalculusReport", "verify_calculus",
@@ -150,29 +151,42 @@ def corrupted_theta(theta: ThetaMap) -> ThetaMap:
 
 
 # ---------------------------------------------------------------------------
-# cocycle values
+# the cocycle-value space and psi
 
 
 class CocycleSpace:
-    """Coordinates on W = R_2^6 (n = 4) or U = R_3^6 (n = 3).
+    """W = R_2^6 (n = 4) or U = R_3^6 (n = 3), and the cocycle psi valued
+    in it: the one place that pairs n with m, defaults theta and refuses
+    it at n = 3 (both ``ValueError``, as is any n outside {3, 4}).
 
-    Slots are labeled 1..6 for n = 4 and +1,+2,+3,-1,-2,-3 for n = 3 (row
-    rules feed +i, column rules feed -j).  A value is a sparse dict over
+    ``theta`` is the index map psi reads (``build_theta()`` unless given;
+    None for n = 3), ``quotient`` the presentation of R_m, and
+    ``abar[x][y]`` the class of r_x r_y in R_m, read once.  Slots are
+    labeled 1..6 for n = 4 and +1,+2,+3,-1,-2,-3 for n = 3 (row rules
+    feed +i, column rules feed -j).  A value is a sparse dict over
     ``width`` = 6 * dim R_m coordinates, each reduced by the modulus
     inherited from R_m.
     """
 
-    __slots__ = ("n", "quotient", "slots", "width", "moduli", "labels")
+    __slots__ = ("n", "ring", "theta", "quotient", "abar", "slots",
+                 "width", "moduli", "labels")
 
-    def __init__(self, n: int, quotient: QuotientAlgebra):
+    def __init__(self, n: int, ring: AssocAlgebra,
+                 theta: ThetaMap | None = None):
         if n not in (3, 4):
             raise ValueError("cocycle spaces exist for n in {3, 4}")
+        if n == 3 and theta is not None:
+            raise ValueError("theta only parameterizes the n = 4 cocycle")
         self.n = n
-        self.quotient = quotient
+        self.ring = ring
+        self.theta = build_theta() if n == 4 and theta is None else theta
+        self.quotient = quotient_Rm(ring, 2 if n == 4 else 3)
+        d = self.quotient.dim
+        self.abar = [[self.quotient.coords(ring.basis_product(x, y))
+                      for y in range(ring.dim)] for x in range(ring.dim)]
         self.slots = (1, 2, 3, 4, 5, 6) if n == 4 else (1, 2, 3, -1, -2, -3)
-        d = quotient.dim
         self.width = 6 * d
-        self.moduli = list(quotient.moduli) * 6
+        self.moduli = list(self.quotient.moduli) * 6
         if n == 4:
             names = [f"eps{m}" for m in self.slots]
         else:
@@ -187,7 +201,7 @@ class CocycleSpace:
         return {base + t: c for t, c in abar.items() if c}
 
     def add_scaled(self, dst: dict, src: dict, c) -> None:
-        dom = self.quotient.base.dom
+        dom = self.ring.dom
         for k, v in src.items():
             cur = dst.get(k, dom.zero)
             nv = dom.add(cur, dom.mul(c, v))
@@ -199,28 +213,44 @@ class CocycleSpace:
             elif k in dst:
                 del dst[k]
 
+    def psi(self, xs, ys) -> dict:
+        """The pair rule on two lists of (X key, coefficient), expanded
+        bilinearly.  n = 4: psi(X_ij(r), X_kl(s)) = eps_theta((i,j,k,l))
+        (rs-bar) when i,j,k,l are pairwise distinct.  n = 3: the row rule
+        psi(X_ij(r), X_ik(s)) = sign(j,k)(rs-bar)^(+i) and the column rule
+        psi(X_ij(r), X_kj(s)) = sign(i,k)(rs-bar)^(-j).  Zero otherwise."""
+        n, theta, abar, mul = self.n, self.theta, self.abar, self.ring.dom.mul
+        out: dict = {}
+        for (_, i, j, lam), ca in xs:
+            for (_, k, l, mu), cb in ys:
+                if n == 4:
+                    if len({i, j, k, l}) != 4:
+                        continue
+                    slot, sgn = theta((i, j, k, l)), 1
+                elif i == k and j != l:
+                    slot, sgn = i, _sign(j, l)
+                elif j == l and i != k:
+                    slot, sgn = -j, _sign(i, k)
+                else:
+                    continue
+                self.add_scaled(out, self.embed(slot, abar[lam][mu]),
+                                mul(sgn, mul(ca, cb)))
+        return out
 
-class CocycleValue:
-    """A value of psi: a sparse element of the space it lives in."""
+    def value(self, x, y) -> dict:
+        """psi on two basis element descriptors (``_check_descriptor``),
+        bilinear in their ring elements; zero when either is diagonal
+        (t or T), since psi vanishes on H."""
+        _check_descriptor(x, self.n, self.ring)
+        _check_descriptor(y, self.n, self.ring)
+        if x[0] != "x" or y[0] != "x":
+            return {}
+        return self.psi([(("x", x[1], x[2], k), c) for k, c in x[3].items()],
+                        [(("x", y[1], y[2], k), c) for k, c in y[3].items()])
 
-    __slots__ = ("space", "coords")
 
-    def __init__(self, space: CocycleSpace, coords: dict):
-        self.space = space
-        self.coords = coords
-
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, CocycleValue)
-                and self.space.n == other.space.n
-                and self.space.width == other.space.width
-                and self.coords == other.coords)
-
-    def __repr__(self):
-        coords = describe_vector(self.coords, self.space.labels)
-        return f"CocycleValue({coords})"
+def _sign(m: int, n: int) -> int:
+    return 1 if m < n else -1
 
 
 def _in_range(x, lo: int, hi: int) -> bool:
@@ -251,65 +281,6 @@ def _check_descriptor(desc, n: int, ring: AssocAlgebra) -> None:
                    and _in_range(desc[1], 2, n + 1) and element(desc[2]))))
     if not ok:
         raise ValueError(f"malformed basis element descriptor: {desc!r}")
-
-
-def psi4(x, y, r2: QuotientAlgebra, theta: ThetaMap) -> CocycleValue:
-    """psi(X_ij(r), X_kl(s)) = eps_theta((i,j,k,l))(rs-bar) when i,j,k,l are
-    pairwise distinct; zero in every other case, including any argument in
-    the diagonal subalgebra H."""
-    return _psi(4, x, y, r2, theta)
-
-
-def psi3(x, y, r3: QuotientAlgebra) -> CocycleValue:
-    """Row rule psi(X_ij(r), X_ik(s)) = sign(j,k)(rs-bar)^(+i); column rule
-    psi(X_ij(r), X_kj(s)) = sign(i,k)(rs-bar)^(-j); zero otherwise."""
-    return _psi(3, x, y, r3, None)
-
-
-def _psi(n: int, x, y, rm: QuotientAlgebra,
-         theta: ThetaMap | None) -> CocycleValue:
-    """psi on two descriptors: the pair rule, bilinear in the ring elements."""
-    _check_descriptor(x, n, rm.base)
-    _check_descriptor(y, n, rm.base)
-    space = CocycleSpace(n, rm)
-    out: dict = {}
-    if x[0] == "x" and y[0] == "x":
-        psi = _psi_pair_rule(n, rm.base, rm, theta, space)
-        out = psi([(("x", x[1], x[2], lam), c) for lam, c in x[3].items()],
-                  [(("x", y[1], y[2], mu), c) for mu, c in y[3].items()])
-    return CocycleValue(space, out)
-
-
-def _sign(m: int, n: int) -> int:
-    return 1 if m < n else -1
-
-
-def _psi_pair_rule(n: int, ring: AssocAlgebra, rm: QuotientAlgebra,
-                   theta: ThetaMap | None, space: CocycleSpace):
-    """Shared kernel of psi: the pair rules on X basis keys, expanded
-    bilinearly over two lists of (X key, coefficient) -> coordinate dict."""
-    mul = ring.dom.mul
-
-    def psi(xs, ys) -> dict:
-        out: dict = {}
-        for (_, i, j, lam), ca in xs:
-            for (_, k, l, mu), cb in ys:
-                if n == 4:
-                    if len({i, j, k, l}) != 4:
-                        continue
-                    slot, sgn = theta((i, j, k, l)), 1
-                elif i == k and j != l:
-                    slot, sgn = i, _sign(j, l)
-                elif j == l and i != k:
-                    slot, sgn = -j, _sign(i, k)
-                else:
-                    continue
-                abar = rm.coords(ring.basis_product(lam, mu))
-                space.add_scaled(out, space.embed(slot, abar),
-                                 mul(sgn, mul(ca, cb)))
-        return out
-
-    return psi
 
 
 # ---------------------------------------------------------------------------
@@ -457,32 +428,22 @@ def verify_cocycle(n: int, ring: AssocAlgebra,
     every ordered triple of the K symbolic basis keys.
 
     The X-parts of the brackets are computed by the symbolic engine; psi by
-    the pair rules.  The triples are walked by ``_check_identity``, the
+    ``CocycleSpace.psi``.  The triples are walked by ``_check_identity``, the
     walker that certifies every Leibniz table, with the bracket X-parts
     inside and psi outside; it sums only the nonzero terms, and where psi
     is 0 (as when W = 0) there are none and no bracket is computed.  So a
     pass reports K^3 triples, and a failure the first failing triple in
     (y, z, x) order and the count of triples up to and including it.
     ``theta`` may be supplied (n = 4 only) to run a negative control with a
-    corrupted labeling.  Failures are report content, not exceptions.
+    corrupted labeling; n and theta are checked by ``CocycleSpace``.
+    Failures are report content, not exceptions.
     """
-    if n == 4:
-        rm = quotient_Rm(ring, 2)
-        if theta is None:
-            theta = build_theta()
-    elif n == 3:
-        if theta is not None:
-            raise ValueError("theta only parameterizes the n = 4 cocycle")
-        rm = quotient_Rm(ring, 3)
-    else:
-        raise ValueError("cocycle verification covers n in {3, 4}")
-
+    space = CocycleSpace(n, ring, theta)
     engine = SteinbergSymbolic(n, ring)
     basis = engine.basis_keys()
     K = len(basis)
     index = {key: s for s, key in enumerate(basis)}
-    space = CocycleSpace(n, rm)
-    psi = _psi_pair_rule(n, ring, rm, theta, space)
+    psi = space.psi
     one = ring.dom.one
 
     # outside: psi on X-key pairs, in W/U coordinates shifted past the keys;
@@ -506,7 +467,7 @@ def verify_cocycle(n: int, ring: AssocAlgebra,
                              + space.labels, [0] * K + space.moduli,
                              f"psi-{n}({ring.name})")
 
-    theta_table = theta.to_dict() if n == 4 else None
+    theta_table = None if space.theta is None else space.theta.to_dict()
     try:
         _check_identity(carrier, K, inner, outer, "the cocycle identity "
                         "psi(x,[y,z]) - psi([x,y],z) + psi([x,z],y) = 0")
@@ -962,20 +923,19 @@ class HatModel:
 
     ``extension`` is the central extension hat -> stl, whose kappa is psi on
     pairs of stl basis vectors.  Coordinates put stl first and the
-    cocycle-value block (``space``) after it, so the stl inclusion is the
-    identity on coordinates.  ``theta`` is the index map psi was built from
-    (None for n = 3).
+    cocycle-value block after it, so the stl inclusion is the identity on
+    coordinates.  ``space`` is the ``CocycleSpace`` psi was read from, with
+    its theta (None for n = 3).
     """
 
-    __slots__ = ("n", "ring", "stl", "extension", "space", "theta")
+    __slots__ = ("n", "ring", "stl", "extension", "space")
 
-    def __init__(self, n, ring, stl, extension, space, theta):
+    def __init__(self, n, ring, stl, extension, space):
         self.n = n
         self.ring = ring
         self.stl = stl
         self.extension = extension
         self.space = space
-        self.theta = theta
 
     @property
     def total(self) -> LeibnizAlgebra:
@@ -991,39 +951,25 @@ class HatModel:
                 f"{self.space.width})")
 
 
-def build_hat(n: int, ring: AssocAlgebra,
-              model: SteinbergModel | None = None,
+def build_hat(model: SteinbergModel,
               theta: ThetaMap | None = None) -> HatModel:
-    """The hat extension of stl_n(R) by W (n = 4) or U (n = 3).
+    """The hat extension of the stl_n(R) model by W (n = 4) or U (n = 3).
 
-    psi is transported to the concrete model through the canonical X-part
-    decomposition of each basis vector and becomes the kappa of a
-    ``CentralExtensionModel``, which checks the cocycle condition on every
-    stl triple: a concrete, independent confirmation that psi is a
-    cocycle.  The stl total carries the grading its own support check
-    certified (sl's weights, HH_1 at weight 0), under which each W slot has
-    the weight of its position class, so the hat total is graded by those
-    six weights, unless psi fails the support check.
+    n and R are the model's; ``CocycleSpace(n, R, theta)`` refuses n = 5
+    and a theta at n = 3.  psi is transported to the concrete model
+    through the canonical X-part decomposition of each basis vector and
+    becomes the kappa of a ``CentralExtensionModel``, which checks the
+    cocycle condition on every stl triple: a concrete, independent
+    confirmation that psi is a cocycle.  The stl total carries the grading
+    its own support check certified (sl's weights, HH_1 at weight 0),
+    under which each W slot has the weight of its position class, so the
+    hat total is graded by those six weights, unless psi fails the support
+    check.
     """
-    if n not in (3, 4):
-        raise ValueError("hat models exist for n in {3, 4}")
-    if n == 3 and theta is not None:
-        raise ValueError("theta only parameterizes the n = 4 cocycle")
-    if model is None:
-        model = build_stl(n, ring)
-    elif model.n != n or ((model.ring.dom, model.ring.dim, model.ring.table)
-                          != (ring.dom, ring.dim, ring.table)):
-        raise ValueError(
-            f"the model is stl_{model.n} of {model.ring.name} over "
-            f"{model.ring.dom.name}, which does not match n = {n} and the "
-            f"structure table of {ring.name} over {ring.dom.name}")
+    n, ring = model.n, model.ring
+    space = CocycleSpace(n, ring, theta)
     stl_alg = model.total
     one = ring.dom.one
-    rm = quotient_Rm(ring, {3: 3, 4: 2}[n])
-    space = CocycleSpace(n, rm)
-    if n == 4 and theta is None:
-        theta = build_theta()
-    psi = _psi_pair_rule(n, ring, rm, theta, space)
 
     # canonical X-part of every stl basis vector: solve over the image
     # family [X images | t images | T images | torsion relations] — any two
@@ -1046,7 +992,7 @@ def build_hat(n: int, ring: AssocAlgebra,
     kappa: dict = {}
     for s, xs in enumerate(xdecomp):
         for t, xt in enumerate(xdecomp):
-            val = psi(xs, xt)
+            val = space.psi(xs, xt)
             if val:
                 kappa[(s, t)] = val
     ext = CentralExtensionModel(
@@ -1054,7 +1000,7 @@ def build_hat(n: int, ring: AssocAlgebra,
         space.labels)
     if not is_perfect(ext.total):
         raise AssertionError(f"{ext.total.name} is not perfect")
-    return HatModel(n, ring, model, ext, space, theta)
+    return HatModel(n, ring, model, ext, space)
 
 
 # ---------------------------------------------------------------------------
@@ -1097,12 +1043,10 @@ def verify_sharp_relations(hat: HatModel) -> SharpReport:
     X, space = hat.stl.x_image, hat.space
     # X_pq(r_z), already reduced: the value of X(p, q, r_z)
     xb = hat.stl.x_basis
-    rm = space.quotient
     tally = _Tally(total)
     check, bracket = tally.check, tally.bracket
-    # ab[x][y] = r_x r_y, in R and in R_m coordinates, computed once
+    # ab[x][y] = r_x r_y, computed once; its class in R_m is space.abar[x][y]
     ab = [[ring.basis_product(x, y) for y in range(d)] for x in range(d)]
-    ab_rm = [[rm.coords(p) for p in row] for row in ab]
 
     # two-sided product relation
     for (i, j, k) in _distinct(n, 3):
@@ -1140,10 +1084,10 @@ def verify_sharp_relations(hat: HatModel) -> SharpReport:
                           not total.bracket(xb[i, j, x], xb[k, j, y]),
                           f"[X{i}{j}#, X{k}{j}#] != 0")
         for (i, j, k, l) in _distinct(n, 4):
-            slot = hat.theta((i, j, k, l))
+            slot = space.theta((i, j, k, l))
             for x in range(d):
                 for y in range(d):
-                    want = hat.include_w(space.embed(slot, ab_rm[x][y]))
+                    want = hat.include_w(space.embed(slot, space.abar[x][y]))
                     check("disjoint-cocycle-value",
                           total.eq_vec(total.bracket(xb[i, j, x],
                                                      xb[k, l, y]), want),
@@ -1152,7 +1096,7 @@ def verify_sharp_relations(hat: HatModel) -> SharpReport:
         for (i, j, k) in _distinct(n, 3):
             for x in range(d):
                 for y in range(d):
-                    prod = ab_rm[x][y]
+                    prod = space.abar[x][y]
                     for name, slot, u, v, msg in (
                             ("same-row-cocycle-value", i, xb[i, j, x],
                              xb[i, k, y], f"[X{i}{j}#, X{i}{k}#] != "
@@ -1201,13 +1145,13 @@ class Hl2Report:
 
 
 def predicted_hl2(n: int, ring: AssocAlgebra) -> SubquotientInvariants:
-    """Six copies of R_2 (n = 4), six copies of R_3 (n = 3), zero beyond."""
+    """The invariants of the cocycle-value space ``CocycleSpace(n, R)``:
+    six copies of R_2 (n = 4), six copies of R_3 (n = 3); zero beyond."""
     if n < 3:
         raise ValueError("predictions cover n >= 3")
     if n >= 5:
         return moduli_invariants(ring.dom, [])
-    rm = quotient_Rm(ring, {3: 3, 4: 2}[n])
-    return moduli_invariants(ring.dom, list(rm.moduli) * 6)
+    return moduli_invariants(ring.dom, CocycleSpace(n, ring).moduli)
 
 
 def hl2_report(model: SteinbergModel) -> Hl2Report:

@@ -22,10 +22,9 @@ import itertools
 import stlhom.leibniz as leibniz
 import stlhom.linalg as linalg
 import stlhom.steinberg as steinberg
-from stlhom.assoc import make_algebra, quotient_Rm
+from stlhom.assoc import make_algebra
 from stlhom.linalg import vec_axpy
-from stlhom.steinberg import (CocycleSpace, SteinbergSymbolic, build_theta,
-                              psi3, psi4)
+from stlhom.steinberg import CocycleSpace, SteinbergSymbolic
 
 
 def fields(report, *skip) -> dict:
@@ -58,9 +57,9 @@ def cocycle_paths(monkeypatch) -> dict:
 
 def reference_cocycle(n: int, ring, theta=None):
     """J(x,y,z) = psi(x,[y,z]) + psi([x,z],y) - psi([x,y],z) on the
-    symbolic basis of stl_n(R), evaluated directly: psi from ``psi3`` /
-    ``psi4`` on every pair of X keys, brackets from the X-parts of the
-    engine's (psi vanishes on H).
+    symbolic basis of stl_n(R), evaluated directly: psi from
+    ``CocycleSpace.value`` on every pair of X keys, brackets from the
+    X-parts of the engine's (psi vanishes on H).
 
     Returns (engine, space, J, first): J maps three basis keys to a sparse
     dict over the ``CocycleSpace`` ``space``, and ``first`` is the first
@@ -68,21 +67,16 @@ def reference_cocycle(n: int, ring, theta=None):
     vanishes on all keys^3 triples.
     """
     one = ring.dom.one
-    if n == 4:
-        rm, theta = quotient_Rm(ring, 2), theta or build_theta()
-    else:
-        rm = quotient_Rm(ring, 3)
+    space = CocycleSpace(n, ring, theta)
 
     def psi(k1, k2):
         a, b = ("x", *k1[1:3], {k1[3]: one}), ("x", *k2[1:3], {k2[3]: one})
-        return psi4(a, b, rm, theta) if n == 4 else psi3(a, b, rm)
+        return space.value(a, b)
 
     engine = SteinbergSymbolic(n, ring)
     basis = engine.basis_keys()
     xkeys = [k for k in basis if k[0] == "x"]
-    psi_pairs = {(k1, k2): psi(k1, k2).coords
-                 for k1 in xkeys for k2 in xkeys}
-    space = CocycleSpace(n, rm)
+    psi_pairs = {(k1, k2): psi(k1, k2) for k1 in xkeys for k2 in xkeys}
     xparts = {(k1, k2): [(k, c) for k, c in
                          engine.bracket_keys(k1, k2).items() if k[0] == "x"]
               for k1 in basis for k2 in basis}

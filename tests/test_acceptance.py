@@ -151,8 +151,7 @@ def test_criterion_09_tower_identity_across_the_catalog():
 def test_criterion_10_sharp_relations_and_hat_structure():
     for name, scal in ACCEPTANCE_PAIRS:
         for n in (3, 4):
-            rng = ring(name, scal)
-            hat = build_hat(n, rng, model=stl(name, scal, n))
+            hat = build_hat(stl(name, scal, n))
             rep = verify_sharp_relations(hat)
             tag = (name, scal, n, rep.witness)
             assert rep.ok, tag

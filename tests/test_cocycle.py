@@ -6,14 +6,12 @@ from functools import lru_cache
 import pytest
 
 import stlhom.steinberg as steinberg
-from stlhom.assoc import quotient_Rm
 from stlhom.catalog import ACCEPTANCE_PAIRS, catalog_ring
 from stlhom.domains import F2, F3, F5, Q, Z
 from stlhom.leibniz import _homogeneous_codes, _root_code, build_sl, uce
 from stlhom.linalg import describe_vector, vec_axpy
 from stlhom.steinberg import (CocycleSpace, SteinbergSymbolic, build_stl,
-                              build_theta, corrupted_theta, psi3, psi4,
-                              verify_cocycle)
+                              build_theta, corrupted_theta, verify_cocycle)
 
 from oracles import cocycle_paths, reference_cocycle
 
@@ -30,11 +28,11 @@ def ring(name, scal):
 
 
 def test_space_shapes():
-    w = CocycleSpace(4, quotient_Rm(ring("dual", "f2"), 2))
+    w = CocycleSpace(4, ring("dual", "f2"))
     assert w.slots == (1, 2, 3, 4, 5, 6)
     assert w.width == 12
     assert [w.slot_pos(s) for s in w.slots] == [0, 1, 2, 3, 4, 5]
-    u = CocycleSpace(3, quotient_Rm(ring("ground", "f3"), 3))
+    u = CocycleSpace(3, ring("ground", "f3"))
     assert u.slots == (1, 2, 3, -1, -2, -3)
     assert u.width == 6
     assert [u.slot_pos(s) for s in u.slots] == [0, 1, 2, 3, 4, 5]
@@ -42,15 +40,15 @@ def test_space_shapes():
 
 
 def test_space_exists_for_n_3_and_4_only():
-    rm = quotient_Rm(ring("ground", "f2"), 2)
     for n in (2, 5):
         with pytest.raises(ValueError, match="n in"):
-            CocycleSpace(n, rm)
+            CocycleSpace(n, ring("ground", "f2"))
+    with pytest.raises(ValueError, match="theta only parameterizes"):
+        CocycleSpace(3, ring("ground", "f3"), build_theta())
 
 
 def test_space_embed_and_reduce_mod_z():
-    rm = quotient_Rm(ring("int", "z"), 2)        # Z/2
-    w = CocycleSpace(4, rm)
+    w = CocycleSpace(4, ring("int", "z"))        # R_2 = Z/2
     assert w.moduli == [2] * 6
     acc = {}
     w.add_scaled(acc, w.embed(3, {0: 1}), 1)
@@ -59,71 +57,87 @@ def test_space_embed_and_reduce_mod_z():
     assert acc == {}
 
 
+@pytest.mark.parametrize("name,scal", list(ACCEPTANCE_PAIRS) + [
+    ("upper2", "z"), ("group-c2", "f3"), ("trunc3", "z")])
+def test_abar_is_the_class_of_each_basis_product(name, scal):
+    r = ring(name, scal)
+    for n in (3, 4):
+        space = CocycleSpace(n, r)
+        for x in range(r.dim):
+            for y in range(r.dim):
+                assert (space.abar[x][y]
+                        == space.quotient.coords(r.basis_product(x, y)))
+
+
+@pytest.mark.parametrize("name", ["upper2", "mat2"])
+@pytest.mark.parametrize("scal", ["f2", "z"])
+def test_abar_is_symmetric_on_noncommutative_rings(name, scal):
+    # R_m is commutative, as [R, R] lies in I_m, so reading abar transposed
+    # changes nothing, although R itself is not commutative
+    r = ring(name, scal)
+    d = range(r.dim)
+    assert any(r.basis_product(x, y) != r.basis_product(y, x)
+               for x in d for y in d)
+    for n in (3, 4):
+        abar = CocycleSpace(n, r).abar
+        assert all(abar[x][y] == abar[y][x] for x in d for y in d), n
+
+
 # ---------------------------------------------------------------------------
 # psi on descriptors
 
 
 def test_psi4_distinct_quadruple_hits_theta_slot():
-    r = ring("ground", "f2")
-    rm = quotient_Rm(r, 2)
-    theta = build_theta()
+    psi = CocycleSpace(4, ring("ground", "f2"), build_theta()).value
     one = {0: 1}
-    v = psi4(("x", 1, 2, one), ("x", 3, 4, one), rm, theta)
-    assert v.coords == {0: 1}                    # eps_1
-    v = psi4(("x", 2, 1, one), ("x", 4, 3, one), rm, theta)
-    assert v.coords == {4: 1}                    # theta((2,1,4,3)) = 5
+    v = psi(("x", 1, 2, one), ("x", 3, 4, one))
+    assert v == {0: 1}                           # eps_1
+    v = psi(("x", 2, 1, one), ("x", 4, 3, one))
+    assert v == {4: 1}                           # theta((2,1,4,3)) = 5
 
 
 def test_psi4_zero_cases():
-    r = ring("ground", "f2")
-    rm = quotient_Rm(r, 2)
-    theta = build_theta()
+    psi = CocycleSpace(4, ring("ground", "f2"), build_theta()).value
     one = {0: 1}
-    assert psi4(("x", 1, 2, one), ("x", 2, 3, one), rm, theta).is_zero()
-    assert psi4(("x", 1, 2, one), ("x", 1, 3, one), rm, theta).is_zero()
-    assert psi4(("t", one, one), ("x", 3, 4, one), rm, theta).is_zero()
-    assert psi4(("x", 1, 2, one), ("T", 3, one), rm, theta).is_zero()
+    assert psi(("x", 1, 2, one), ("x", 2, 3, one)) == {}
+    assert psi(("x", 1, 2, one), ("x", 1, 3, one)) == {}
+    assert psi(("t", one, one), ("x", 3, 4, one)) == {}
+    assert psi(("x", 1, 2, one), ("T", 3, one)) == {}
 
 
 def test_psi4_sees_the_ring_product_in_r2():
-    r = ring("dual", "f2")                       # F2[x]/(x^2), R_2 = R
-    rm = quotient_Rm(r, 2)
-    assert rm.dim == 2
-    theta = build_theta()
+    w = CocycleSpace(4, ring("dual", "f2"), build_theta())  # F2[x]/(x^2)
+    assert w.quotient.dim == 2                   # R_2 = R
     one, x = {0: 1}, {1: 1}
-    assert psi4(("x", 1, 2, x), ("x", 3, 4, x), rm, theta).is_zero()   # x^2=0
-    v = psi4(("x", 1, 2, one), ("x", 3, 4, x), rm, theta)
-    assert v.coords == {1: 1}                    # eps_1 . xbar
+    assert w.value(("x", 1, 2, x), ("x", 3, 4, x)) == {}     # x^2 = 0
+    v = w.value(("x", 1, 2, one), ("x", 3, 4, x))
+    assert v == {1: 1}                           # eps_1 . xbar
 
 
 def test_psi3_row_and_column_rules_with_signs():
-    r = ring("ground", "f3")
-    rm = quotient_Rm(r, 3)
+    psi = CocycleSpace(3, ring("ground", "f3")).value
     one = {0: 1}
-    assert psi3(("x", 1, 2, one), ("x", 1, 3, one), rm).coords == {0: 1}
+    assert psi(("x", 1, 2, one), ("x", 1, 3, one)) == {0: 1}
     # reversed column order flips the sign: -1 = 2 in F3
-    assert psi3(("x", 1, 3, one), ("x", 1, 2, one), rm).coords == {0: 2}
+    assert psi(("x", 1, 3, one), ("x", 1, 2, one)) == {0: 2}
     # shared column j feeds slot -j
-    assert psi3(("x", 2, 1, one), ("x", 3, 1, one), rm).coords == {3: 1}
-    assert psi3(("x", 3, 1, one), ("x", 2, 1, one), rm).coords == {3: 2}
-    assert psi3(("x", 2, 3, one), ("x", 1, 3, one), rm).coords == {5: 2}
+    assert psi(("x", 2, 1, one), ("x", 3, 1, one)) == {3: 1}
+    assert psi(("x", 3, 1, one), ("x", 2, 1, one)) == {3: 2}
+    assert psi(("x", 2, 3, one), ("x", 1, 3, one)) == {5: 2}
 
 
 def test_psi3_zero_cases():
-    r = ring("ground", "f3")
-    rm = quotient_Rm(r, 3)
+    psi = CocycleSpace(3, ring("ground", "f3")).value
     one = {0: 1}
-    assert psi3(("x", 1, 2, one), ("x", 1, 2, one), rm).is_zero()
-    assert psi3(("x", 1, 2, one), ("x", 2, 1, one), rm).is_zero()
-    assert psi3(("x", 1, 2, one), ("x", 2, 3, one), rm).is_zero()
-    assert psi3(("t", one, one), ("x", 1, 2, one), rm).is_zero()
+    assert psi(("x", 1, 2, one), ("x", 1, 2, one)) == {}
+    assert psi(("x", 1, 2, one), ("x", 2, 1, one)) == {}
+    assert psi(("x", 1, 2, one), ("x", 2, 3, one)) == {}
+    assert psi(("t", one, one), ("x", 1, 2, one)) == {}
 
 
 def test_psi_rejects_malformed_descriptors():
-    r = ring("ground", "f3")
-    rm3 = quotient_Rm(r, 3)
-    rm2 = quotient_Rm(ring("ground", "f2"), 2)
-    theta = build_theta()
+    u = CocycleSpace(3, ring("ground", "f3"))
+    w = CocycleSpace(4, ring("ground", "f2"), build_theta())
     one = {0: 1}
     # indices are ints (not bools) in 1..n, ring keys lie in range(dim R),
     # coefficients are ints (not bools); Fractions only over Q
@@ -138,15 +152,17 @@ def test_psi_rejects_malformed_descriptors():
                 ("y", 1, 2, one), ("x", 1, 2), ("T", 1, one), 7,
                 ()] + malformed:
         with pytest.raises(ValueError):
-            psi4(bad, ("x", 3, 4, one), rm2, theta)
+            w.value(bad, ("x", 3, 4, one))
         with pytest.raises(ValueError):
-            psi4(("x", 3, 4, one), bad, rm2, theta)
+            w.value(("x", 3, 4, one), bad)
     for bad in [("x", 1, 4, one)] + malformed:   # 4 is out of range at n = 3
         with pytest.raises(ValueError):
-            psi3(bad, ("x", 1, 2, one), rm3)
-    rq = quotient_Rm(ring("dual", "q"), 3)
-    assert psi3(("x", 1, 2, {0: Fraction(1, 2)}), ("x", 1, 3, {1: 3}),
-                rq).is_zero()
+            u.value(bad, ("x", 1, 2, one))
+        with pytest.raises(ValueError):
+            u.value(("x", 1, 2, one), bad)
+    uq = CocycleSpace(3, ring("dual", "q"))
+    assert uq.value(("x", 1, 2, {0: Fraction(1, 2)}),
+                    ("x", 1, 3, {1: 3})) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +335,7 @@ def test_verify_cocycle_walks_the_graded_triples(monkeypatch):
             assert paths == {f"psi-{n}({name})": False}, (name, scal, n)
         paths.clear()
         rep = verify_cocycle(4, r, theta=bad)
-        w_is_zero = CocycleSpace(4, quotient_Rm(r, 2)).width == 0
+        w_is_zero = CocycleSpace(4, r).width == 0
         assert rep.ok == w_is_zero
         assert paths == {f"psi-4({name})": False}, (name, scal)
 
@@ -328,24 +344,20 @@ def test_verify_cocycle_walks_the_graded_triples(monkeypatch):
 def test_a_scaled_psi_value_fails_on_the_graded_path(monkeypatch, name):
     """Doubling psi(X12(1), X13(1)) inside its own U slot keeps psi
     homogeneous but breaks the cocycle, and the walk must report the first
-    failing triple of the plain walk, which sees the same psi (psi3 wraps
-    the same pair rule)."""
-    rule = steinberg._psi_pair_rule
+    failing triple of the plain walk, which sees the same psi (both read
+    ``CocycleSpace.psi``, patched on the class)."""
+    rule = CocycleSpace.psi
     target = [("x", 1, 2, 0), ("x", 1, 3, 0)]
 
-    def scaled_rule(n, ring_, rm, theta, space):
-        psi = rule(n, ring_, rm, theta, space)
+    def scaled(space, xs, ys):
+        out = rule(space, xs, ys)
+        if [k for k, _ in xs] + [k for k, _ in ys] == target:
+            doubled: dict = {}
+            space.add_scaled(doubled, out, 2)
+            return doubled
+        return out
 
-        def scaled(xs, ys):
-            out = psi(xs, ys)
-            if [k for k, _ in xs] + [k for k, _ in ys] == target:
-                doubled: dict = {}
-                space.add_scaled(doubled, out, 2)
-                return doubled
-            return out
-        return scaled
-
-    monkeypatch.setattr(steinberg, "_psi_pair_rule", scaled_rule)
+    monkeypatch.setattr(CocycleSpace, "psi", scaled)
     r = ring(name, "f3")
     rep = verify_cocycle(3, r)
     assert not rep.ok
@@ -390,7 +402,10 @@ def test_the_support_check_refuses_an_entry_at_another_weight(monkeypatch):
 
 
 def test_verify_cocycle_input_validation():
-    with pytest.raises(ValueError):
+    # the refusals of CocycleSpace, with its texts
+    with pytest.raises(ValueError,
+                       match=r"^cocycle spaces exist for n in \{3, 4\}$"):
         verify_cocycle(5, ring("ground", "f2"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="^theta only parameterizes the n = 4 cocycle$"):
         verify_cocycle(3, ring("ground", "f3"), theta=build_theta())

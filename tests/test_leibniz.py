@@ -628,7 +628,7 @@ def test_is_perfect_matches_the_full_bracket_span(name, scal, n):
     # every bracket.  The hat over Z and stl3(trunc3) carry moduli.
     ring = catalog_ring(name, DOMS[scal])
     model = build_stl(n, ring)
-    hat = build_hat(n, ring, model=model)
+    hat = build_hat(model)
     for L in (model.extension.base, model.total, hat.total):
         assert (is_perfect(L), full_span_is_perfect(L)) == (True, True)
     for L in (build_gl(n, ring), sl2_z_form()):
@@ -1268,7 +1268,7 @@ def test_only_the_sl_grading_is_special_selective(n):
     r = catalog_ring("dual", F3)
     model = build_stl(n, r)
     totals = [uce(build_sl(n, r)).total, model.total,
-              build_hat(n, r, model=model).total,
+              build_hat(model).total,
               split_coboundary(SL2_F3).total]
     for total in totals:
         code = total.grading.code
@@ -1303,7 +1303,7 @@ def test_each_algebra_builds_its_grading_once(monkeypatch):
     monkeypatch.setattr(leib.Grading, "__init__", spy)
     r = catalog_ring("dual", F3)
     model = build_stl(3, r)
-    hat = build_hat(3, r, model=model)
+    hat = build_hat(model)
     sl = model.extension.base
     # gl (trivial), sl, the uce total, the stl total, the hat total
     assert len(built) == 5

@@ -18,9 +18,9 @@ from stlhom.leibniz import (CentralExtensionModel, LeibnizAlgebra,
                             is_central, is_perfect, make_leibniz,
                             special_weight, structural_report, uce)
 from stlhom.linalg import vec_axpy
-from stlhom.steinberg import (build_hat, build_stl, build_theta,
-                              corrupted_theta, hl2_report, predicted_hl2,
-                              psi3, psi4, verify_calculus,
+from stlhom.steinberg import (CocycleSpace, ThetaMap, build_hat, build_stl,
+                              build_theta, corrupted_theta, hl2_report,
+                              predicted_hl2, verify_calculus, verify_cocycle,
                               verify_sharp_relations)
 
 from oracles import (check_homomorphism_on_basis, check_kernel_central,
@@ -42,7 +42,7 @@ def stl(name, scal, n):
 
 @lru_cache(maxsize=None)
 def hat(name, scal, n):
-    return build_hat(n, ring(name, scal), model=stl(name, scal, n))
+    return build_hat(stl(name, scal, n))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +347,6 @@ def test_hat_shapes(name, scal, n, dim, width, center):
 
 def test_hat_w_part_matches_public_psi():
     h = hat("ground", "f3", 3)
-    rm = h.space.quotient
     one = {0: 1}
     pairs = [((1, 2), (1, 3)), ((2, 1), (3, 1)), ((1, 2), (2, 1)),
              ((2, 3), (1, 3)), ((1, 2), (1, 2))]
@@ -355,14 +354,12 @@ def test_hat_w_part_matches_public_psi():
         got = h.extension.kernel_part(
             h.total.bracket(h.stl.x_image(i, j, one),
                             h.stl.x_image(k, l, one)))
-        want = psi3(("x", i, j, one), ("x", k, l, one), rm).coords
+        want = h.space.value(("x", i, j, one), ("x", k, l, one))
         assert got == want
 
 
 def test_hat4_w_part_matches_public_psi():
     h = hat("dual", "f2", 4)
-    rm = h.space.quotient
-    theta = h.theta
     one, x = {0: 1}, {1: 1}
     for (args, expect_zero) in [(((1, 2, one), (3, 4, x)), False),
                                 (((2, 1, x), (4, 3, one)), False),
@@ -371,7 +368,7 @@ def test_hat4_w_part_matches_public_psi():
         (i, j, a), (k, l, b) = args
         got = h.extension.kernel_part(
             h.total.bracket(h.stl.x_image(i, j, a), h.stl.x_image(k, l, b)))
-        want = psi4(("x", i, j, a), ("x", k, l, b), rm, theta).coords
+        want = h.space.value(("x", i, j, a), ("x", k, l, b))
         assert got == want
         assert (got == {}) == expect_zero
 
@@ -394,28 +391,38 @@ def test_hat_of_trivial_cocycle_space_is_stl():
 
 
 def test_build_hat_input_validation():
-    with pytest.raises(ValueError):
-        build_hat(5, ring("ground", "f2"))
-    with pytest.raises(ValueError):
-        build_hat(3, ring("ground", "f3"), theta=build_theta())
+    # the refusals of CocycleSpace, with its texts
+    with pytest.raises(ValueError,
+                       match=r"^cocycle spaces exist for n in \{3, 4\}$"):
+        build_hat(stl("ground", "f2", 5))
+    with pytest.raises(ValueError,
+                       match="^theta only parameterizes the n = 4 cocycle$"):
+        build_hat(stl("ground", "f3", 3), theta=build_theta())
 
 
-def test_build_hat_rejects_a_mismatched_model():
-    # caught before any work: a model of another n used to end in a bare
-    # KeyError, and one of another ring in a false cocycle failure
-    with pytest.raises(ValueError, match="does not match") as exc:
-        build_hat(4, ring("ground", "f2"), model=stl("ground", "f2", 3))
-    assert type(exc.value) is ValueError
-    with pytest.raises(ValueError, match="does not match") as exc:
-        build_hat(3, ring("group-c2", "f3"), model=stl("dual", "f3", 3))
-    assert type(exc.value) is ValueError
+def test_a_given_theta_is_the_one_psi_reads():
+    # labels 2..6 are a free choice: swapping two of them is another valid
+    # theta, which the hat, its sharp check and verify_cocycle all read
+    swap = {1: 1, 2: 3, 3: 2, 4: 4, 5: 5, 6: 6}
+    base = build_theta()
+    reps = base.representatives
+    theta = ThetaMap({q: swap[m] for q, m in base.table.items()},
+                     (reps[0], reps[2], reps[1], *reps[3:]))
+    assert theta.validate() == [] and theta.to_dict() != base.to_dict()
+    r = ring("dual", "f2")
+    h = build_hat(stl("dual", "f2", 4), theta=theta)
+    assert h.space.theta is theta
+    assert verify_sharp_relations(h).ok
+    rep = verify_cocycle(4, r, theta=theta)
+    assert rep.ok and rep.theta_table == theta.to_dict()
+    assert CocycleSpace(4, r).theta.to_dict() == base.to_dict()
+    assert CocycleSpace(3, r).theta is None
 
 
 def test_corrupted_theta_breaks_the_hat():
     m = stl("ground", "f2", 4)
     with pytest.raises(LeibnizIdentityError) as exc:
-        build_hat(4, ring("ground", "f2"), model=m,
-                  theta=corrupted_theta(build_theta()))
+        build_hat(m, theta=corrupted_theta(build_theta()))
     assert len(exc.value.triple) == 3
 
 
@@ -441,7 +448,7 @@ def position_class_weight(h, slot: int) -> tuple:
     X_ij(a) (x) X_kl(b) at the position class the slot labels."""
     n = h.n
     if n == 4:
-        i, j, k, l = h.theta.representatives[slot - 1]
+        i, j, k, l = h.space.theta.representatives[slot - 1]
         return tuple((t == i) - (t == j) + (t == k) - (t == l)
                      for t in range(1, 5))
     sign, i = (1, slot) if slot > 0 else (-1, -slot)
@@ -459,7 +466,7 @@ def test_every_extension_is_certified_on_its_kernel_weights(monkeypatch):
     for name, scal, n in cases:
         r = ring(name, scal)
         model = build_stl(n, r)
-        h = build_hat(n, r, model=model)
+        h = build_hat(model)
         for ext in (model.extension, h.extension):
             assert any(ext.total.grading.code), ext.total.name
             assert paths.get(ext.total.name, True), ext.total.name
@@ -513,8 +520,7 @@ def test_corrupted_theta_fails_the_support_check_of_the_hat(monkeypatch):
     m = stl("ground", "f2", 4)
     paths = cocycle_paths(monkeypatch)
     with pytest.raises(LeibnizIdentityError) as exc:
-        build_hat(4, ring("ground", "f2"), model=m,
-                  theta=corrupted_theta(build_theta()))
+        build_hat(m, theta=corrupted_theta(build_theta()))
     assert len(exc.value.triple) == 3
     assert paths == {"hat-stl4(ground)": False}
 
@@ -553,12 +559,12 @@ def test_make_leibniz_accepts_the_certified_totals(name, scal, n):
 
 NEGATIVE_CONTROLS = """
 from stlhom import (F2, F3, CampaignConfig, CampaignConfigError,
-                    LeibnizAlgebra, LeibnizIdentityError, build_hat,
-                    build_theta, catalog_ring, corrupted_theta, homology_hl,
-                    psi3, quotient_Rm)
+                    CocycleSpace, LeibnizAlgebra, LeibnizIdentityError,
+                    build_hat, build_stl, build_theta, catalog_ring,
+                    corrupted_theta, homology_hl)
 print("debug", __debug__)
 try:
-    build_hat(4, catalog_ring("ground", F2),
+    build_hat(build_stl(4, catalog_ring("ground", F2)),
               theta=corrupted_theta(build_theta()))
 except LeibnizIdentityError as exc:
     print("hat raises with a triple of", len(exc.triple))
@@ -568,11 +574,11 @@ try:
     homology_hl(bad, 2)
 except LeibnizIdentityError as exc:
     print("homology raises with a triple of", len(exc.triple))
-r3 = quotient_Rm(catalog_ring("ground", F3), 3)
+u = CocycleSpace(3, catalog_ring("ground", F3))
 for bad in [("x", 1, 0, {0: 1}), ("x", True, 2, {0: 1}), ("x", 1, 2, {5: 1}),
             ("x", 1, 2, {0: 0.5})]:
     try:
-        psi3(bad, ("x", 1, 2, {0: 1}), r3)
+        u.value(bad, ("x", 1, 2, {0: 1}))
     except ValueError:
         print("psi3 rejects", bad)
 try:
@@ -642,7 +648,7 @@ SHARP_DUAL_N3 = {"two-sided-product": 24, "kernel-commutes": 144,
      "[X43#, X21#] != eps_5(ab)"),
 ], ids=["dual-f2-4-347", "ground-f3-3-14", "upper2-f2-4-825"])
 def test_sharp_reports_a_corrupted_table(name, scal, n, idx, counts, witness):
-    h = build_hat(n, ring(name, scal), model=stl(name, scal, n))
+    h = build_hat(stl(name, scal, n))
     corrupt_entry(h.total, idx)
     rep = verify_sharp_relations(h)
     assert fields(rep) == {"n": n, "ring_name": name, "ok": False,
@@ -663,7 +669,7 @@ def test_sharp_reports_a_nonzero_bracket_of_two_basis_elements(
     # lowest coordinates of X_p#(r_0) and X_q#(r_1) only; dim R = 2 makes
     # the two ring basis elements differ, so a rule that reads r_0 (or r_1)
     # twice never brackets the corrupted pair
-    h = build_hat(n, ring("dual", scal), model=stl("dual", scal, n))
+    h = build_hat(stl("dual", scal, n))
     xb = h.stl.x_basis
     key = (min(xb[p + (0,)]), min(xb[q + (1,)]))
     w = dict(h.total.table.get(key, {}))
@@ -684,7 +690,7 @@ def test_sharp_reports_a_hat_with_no_cocycle_block(name, scal, n, witness):
     # negative control for perfectness: with every W coordinate stripped
     # from the table, no bracket reaches W, so W lies outside [hat, hat];
     # W stays central, and the first cocycle value read fails
-    h = build_hat(n, ring(name, scal), model=stl(name, scal, n))
+    h = build_hat(stl(name, scal, n))
     sd = h.stl.total.dim
     table = h.total.table
     for key, w in table.items():

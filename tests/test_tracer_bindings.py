@@ -53,7 +53,7 @@ def test_result_counts_read_real_reports(tracer):
         "steinberg.verify_cocycle": verify_cocycle(3, ring),
         "steinberg.verify_calculus": verify_calculus(model),
         "steinberg.verify_sharp_relations": verify_sharp_relations(
-            build_hat(3, ring, model=model)),
+            build_hat(model)),
         "leibniz.homology_hl": homology_hl(build_sl(3, ring), 2),
     }
     for metric, (span, read) in tracer.RESULT_COUNTS.items():
