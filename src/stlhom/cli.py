@@ -12,8 +12,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .campaign import (DEFAULT_MAX_CUBE, CampaignConfig, CampaignConfigError,
-                       run_campaign)
+from .campaign import (CHECK_NAMES, DEFAULT_MAX_CUBE, CampaignConfig,
+                       CampaignConfigError, run_campaign)
 from .domains import SCALARS
 
 
@@ -29,8 +29,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n", required=True, type=int, choices=(3, 4, 5),
                         help="matrix size")
     parser.add_argument("--check", required=True,
-                        choices=("cocycle", "calculus", "sharp", "homology",
-                                 "all"),
+                        choices=CHECK_NAMES + ("all",),
                         help="which verification to run")
     parser.add_argument("--out", metavar="PATH",
                         help="write the JSON report to this file")

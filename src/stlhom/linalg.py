@@ -22,12 +22,13 @@ On top of the engines: span solvers (``SpanSolver``), which express targets
 in a generating family and give the relations among its generators, so a
 kernel is the relation module of a matrix's columns and no matrix type is
 needed; and one reading of a quotient dom^width/span(R) off the echelon R
-was inserted into (``present_quotient``): the non-pivot columns over a
-field; over Z, the Smith form of the few Hermite rows left once the rows
-with a unit pivot have eliminated their pivot columns, whose unimodular
-row transform gives the coordinates.  ``present_quotient`` is the only
-caller of ``smith_normal_form``, which holds that small matrix and its
-transform in dense lists.  The invariants of a subquotient
+was inserted into (``present_quotient``), one map from each column to its
+coordinates: over a field the non-pivot columns, and each pivot column's
+residual; over Z, the Smith form of the few Hermite rows left once the
+rows with a unit pivot have eliminated their pivot columns, whose
+unimodular row transform gives the coordinates.  ``present_quotient`` is
+the only caller of ``smith_normal_form``, which holds that small matrix
+and its transform in dense lists.  The invariants of a subquotient
 span(K)/span(I) (``subquotient``) are those of the quotient presentation
 of I's coordinates in a basis of K, solved for by a ``SpanSolver`` over K.
 """
@@ -682,40 +683,33 @@ class QuotientPresentation:
 
     ``dim`` is the number of retained coordinates and ``moduli[i]`` the
     modulus of coordinate i (0 = free; over a field always 0).  ``coords``
-    maps an ambient vector to quotient coordinates linearly, is onto, and
-    vanishes exactly on span(R).
+    maps an ambient vector to quotient coordinates linearly, through the
+    coordinates ``cols[j]`` of each e_j, is onto, and vanishes exactly on
+    span(R).
     """
 
-    __slots__ = ("dim", "moduli", "_mode", "_ech", "_free", "_U_cols")
+    __slots__ = ("dim", "moduli", "dom", "cols")
 
-    def __init__(self, dim, moduli, mode, ech=None, free=None, U_cols=None):
+    def __init__(self, dim, moduli, dom, cols):
         self.dim = dim
         self.moduli = moduli
-        self._mode = mode
-        self._ech = ech
-        self._free = free
-        self._U_cols = U_cols   # ambient column -> {coordinate: entry}
+        self.dom = dom
+        self.cols = cols        # ambient column -> {coordinate: entry}
 
     def coords(self, v: dict) -> dict:
-        if not self.dim:
-            return {}
-        if self._mode == "field":
-            res = self._ech.reduce(v)
-            free = self._free
-            return {free[j]: x for j, x in res.items() if j in free}
-        acc: dict[int, int] = {}
-        cols = self._U_cols
+        acc: dict = {}
+        cols, dom = self.cols, self.dom
         for j, x in v.items():
             col = cols.get(j)
-            if col and x:
-                for idx, c in col.items():
-                    acc[idx] = acc.get(idx, 0) + c * x
+            if col:
+                vec_axpy(acc, col, x, dom)
         out = {}
         for idx in sorted(acc):
             d = self.moduli[idx]
             val = acc[idx] % d if d else acc[idx]
             if val:
-                out[idx] = val
+                # a sum of Q scalars may be an integral Fraction
+                out[idx] = val if type(val) is int else dom.normalize(val)
         return out
 
 
@@ -723,28 +717,27 @@ def present_quotient(ech, width: int, dom: ScalarDomain) -> QuotientPresentation
     """Present dom^width / span(R) with coordinates, where ``ech`` is the
     ``make_echelon(dom)`` engine that R was inserted into.
 
-    Over a field the retained coordinates are the columns that are not a
-    pivot of ``ech`` (not a key of its pivot-keyed ``rows``), and the
-    coordinates of a vector are its residual under ``ech``.  Over Z a
-    Hermite row with pivot entry 1 says e_p = -(its tail) modulo the
-    lattice.  ``phi`` writes each such e_p in the remaining columns C,
-    walking p downwards so that a tail only meets columns already written;
-    phi(v) = v modulo the lattice and phi kills the unit rows, so
-    Z^width / span(R) = Z^C / span(phi(other rows)).  Only those few rows go
-    through a Smith reduction; retained coordinates are the rows of its
-    transform U whose invariant factor is not 1, and ``coords`` applies
-    U after phi.  No second echelon of the relations is built.
+    Over a field the coordinates are the non-pivot columns of ``ech`` (not
+    keys of its pivot-keyed ``rows``); a pivot column maps to its residual
+    under ``ech``.  Over Z a Hermite row with pivot entry 1 says
+    e_p = -(its tail) modulo the lattice.  ``phi`` writes each such e_p in
+    the remaining columns C, walking p downwards so that a tail only meets
+    columns already written; phi(v) = v modulo the lattice and phi kills
+    the unit rows, so Z^width / span(R) = Z^C / span(phi(other rows)).
+    Only those few rows go through a Smith reduction; retained coordinates
+    are the rows of its transform U whose invariant factor is not 1, and
+    ``cols`` holds U after phi.  No second echelon of the relations is built.
     """
     rows = ech.rows
     if dom.is_field:
-        free = {}
-        for c in range(width):
-            if c not in rows:
-                free[c] = len(free)
-        dim = len(free)
-        # with no coordinates, coords never reduces: let the echelon go
-        return QuotientPresentation(dim, [0] * dim, "field",
-                                    ech=ech if dim else None, free=free)
+        index = {c: i for i, c in enumerate(
+            c for c in range(width) if c not in rows)}
+        cols = {c: {i: dom.one} for c, i in index.items()}
+        # a residual lies off the pivot columns
+        for p in (rows if index else ()):
+            cols[p] = {index[j]: x
+                       for j, x in ech.reduce({p: dom.one}).items()}
+        return QuotientPresentation(len(index), [0] * len(index), dom, cols)
 
     def image(row: dict) -> dict:
         # phi(row), with e_k for a column k that phi does not (yet) write
@@ -780,4 +773,4 @@ def present_quotient(ech, width: int, dom: ScalarDomain) -> QuotientPresentation
                 vec_axpy(col, U_cols[k], x, _ZDOM)
         if col:
             U_cols[p] = col
-    return QuotientPresentation(len(kept), moduli, "z", U_cols=U_cols)
+    return QuotientPresentation(len(kept), moduli, _ZDOM, U_cols)

@@ -1,6 +1,7 @@
 """Concrete stl models, the structure calculus, hat extensions, HL2."""
 
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,9 +19,11 @@ from stlhom.leibniz import (CentralExtensionModel, LeibnizAlgebra,
                             is_central, is_perfect, make_leibniz,
                             special_weight, structural_report, uce)
 from stlhom.linalg import vec_axpy
-from stlhom.steinberg import (CocycleSpace, ThetaMap, build_hat, build_stl,
-                              build_theta, corrupted_theta, hl2_report,
-                              predicted_hl2, verify_calculus, verify_cocycle,
+from stlhom.steinberg import (CocycleSpace, SteinbergModel, ThetaMap,
+                              _check_generator_relations, _distinct,
+                              build_hat, build_stl, build_theta,
+                              corrupted_theta, hl2_report, predicted_hl2,
+                              verify_calculus, verify_cocycle,
                               verify_sharp_relations)
 
 from oracles import (check_homomorphism_on_basis, check_kernel_central,
@@ -218,8 +221,9 @@ def test_x_image_is_bilinear_in_the_ring_argument(c0, c1, c2):
 
 
 def test_pivot_independence_is_enforced():
-    # all pivots already agree inside build_stl; confirm the classes also
-    # agree when recomputed through the raw tensor map
+    # build_stl takes X_ij at the first pivot and its relation check
+    # certifies the others; confirm two pivots' classes also agree when
+    # recomputed through the raw tensor map
     m = stl("ground", "f3", 4)
     sl = m.extension.base
     dom = sl.dom
@@ -232,6 +236,28 @@ def test_pivot_independence_is_enforced():
                 tensor[s * sl.dim + t] = dom.mul(cu, cv)
         assert m.total.eq_vec(m.extension.tensor_coords(tensor),
                               m.x_basis[(1, 4, 0)])
+
+
+@pytest.mark.parametrize("name,scal,n", [
+    ("dual", "f3", 4), ("dual", "f2", 3), ("dual", "z", 4),
+])
+def test_relation_check_catches_a_pivot_dependent_x_image(name, scal, n):
+    # X_12(r0) moved by kernel coordinate 0 is what a pivot that disagreed
+    # would give: the shift is central, so the sl parts of all brackets stay
+    m = stl(name, scal, n)
+    total = m.total
+    k = m.extension.base.dim
+    x = dict(m.x_basis[(1, 2, 0)])
+    val = total.dom.add(x.get(k, 0), total.dom.one)
+    if total.moduli[k]:
+        val %= total.moduli[k]
+    x[k] = val
+    assert val and not total.eq_vec(x, m.x_basis[(1, 2, 0)])
+    bad = SteinbergModel(n, m.ring, m.extension,
+                         {**m.x_basis, (1, 2, 0): x}, m.hl2)
+    with pytest.raises(AssertionError, match=re.escape(
+            "generator relation fails at [X13(r0), X32(r0)]")):
+        _check_generator_relations(bad, _distinct(n, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +472,7 @@ ALL_CHECK_HATS = [
 def position_class_weight(h, slot: int) -> tuple:
     """The torus weight of the W (n = 4) or U (n = 3) slot: that of
     X_ij(a) (x) X_kl(b) at the position class the slot labels."""
-    n = h.n
+    n = h.stl.n
     if n == 4:
         i, j, k, l = h.space.theta.representatives[slot - 1]
         return tuple((t == i) - (t == j) + (t == k) - (t == l)
@@ -698,6 +724,26 @@ def test_sharp_reports_a_hat_with_no_cocycle_block(name, scal, n, witness):
     rep = verify_sharp_relations(h)
     assert (rep.perfect, rep.ok, rep.center_contains_kernel,
             rep.witness) == (False, False, True, witness)
+
+
+@pytest.mark.parametrize("name,scal,n", [
+    ("dual", "f2", 4), ("int", "z", 4), ("dual", "f3", 3),
+    ("ground", "f3", 3), ("upper2", "f2", 4),
+])
+def test_build_hat_refuses_psi_missing_a_w_slot(monkeypatch, name, scal, n):
+    # stl is perfect, so the hat is perfect exactly when the induced map
+    # HL_2(stl) -> W is onto; psi that never reaches the first W slot
+    # misses it
+    psi = CocycleSpace.psi
+
+    def dropped(self, xs, ys):
+        return {k: c for k, c in psi(self, xs, ys).items()
+                if k >= self.quotient.dim}
+
+    monkeypatch.setattr(CocycleSpace, "psi", dropped)
+    with pytest.raises(AssertionError,
+                       match=re.escape(f"hat-stl{n}({name}) is not perfect")):
+        build_hat(stl(name, scal, n))
 
 
 def test_hat_is_the_universal_central_extension():
