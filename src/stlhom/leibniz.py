@@ -50,6 +50,20 @@ kernel (``_d3_image``).  Only exactness is used, not the special-weight
 rule; under the trivial grading the cube is one block.  Where [z, y] =
 -[y, z], as on every pair of sl, a block walks only the earlier of the
 twins (x, y, z) and (x, z, y).  The identity walker reads no grading.
+
+A block that carries homology never spans ker(d2)_mu, so that stop never
+comes.  Over a field on sl's torus grading ``uce`` stops such a block at
+the rank the homology expected there leaves instead: weight 0 at
+#pairs_0 - dim sl_0 - dim HH_1(R), and a later block of an S_n-orbit of
+weights at the rank the orbit's first block gained (permutation matrices
+act on sl_n(R) by automorphisms that permute the weights).  Exactness
+cannot certify that stop; the total's cocycle check does, afterwards.
+With I the echelon streamed and w_s the preimages, every inserted column
+lies in im(d3), and kappa o d3 = 0 puts every d3 column in I + span(w_s);
+it lies in ker(d2) and d2 w_s = -e_s, so it lies in I, and I is the
+image of the full stream.  If the check fails, ``uce`` streams again with
+the stops by exactness.  ``homology_hl``, the oracle for ``uce``, and
+every computation over Z keep the stops by exactness only.
 """
 
 from __future__ import annotations
@@ -57,7 +71,7 @@ from __future__ import annotations
 from itertools import chain
 from math import gcd
 
-from .assoc import AssocAlgebra, commutator_span
+from .assoc import AssocAlgebra, commutator_span, hochschild_h1
 from .domains import ScalarDomain
 from .linalg import (SpanSolver, SubquotientInvariants, describe_vector,
                      make_echelon, moduli_invariants, present_quotient,
@@ -667,19 +681,23 @@ def iter_d3_columns(L: LeibnizAlgebra, full=None):
 
 
 def _d3_image(L: LeibnizAlgebra, kernel_rank, kernel_pivot=None,
-              index=None):
+              index=None, gains=None):
     """Stream the d3 columns of L into an echelon of im(d3), each weight
-    block only until it spans ker(d2) there.
+    block only until it has the rank ``kernel_rank(mu)``.
 
     On a basis triple d2 . d3 = 0 is the Leibniz identity, so an uncertified
     table is checked first (``_check_leibniz_identity``, which raises
     ``LeibnizIdentityError`` with the witness triple) and then certified.
 
     d2 and d3 preserve the weight, and on a certified table
-    im(d3)_mu lies in ker(d2)_mu, whose rank the caller gives as
-    ``kernel_rank(mu)`` (in the rows kept by ``index``).  Over a field an
-    image of that rank is the whole kernel, so every later column of the
-    block reduces to zero and the block stops there (``iter_d3_columns``).
+    im(d3)_mu lies in ker(d2)_mu.  When the caller gives its rank as
+    ``kernel_rank(mu)`` (in the rows kept by ``index``), the stop is exact:
+    over a field an image of that rank is the whole kernel, so every later
+    column of the block reduces to zero and the block stops there
+    (``iter_d3_columns``).  A caller that gives a lower rank must certify
+    the echelon itself (``uce``).  ``gains``, a dict if given, receives the
+    rank each block added, written before the next block's
+    ``kernel_rank`` is asked.
     Over Z an image of full rank has finite index; then image and kernel
     share their pivot columns, each image pivot entry is a multiple of the
     kernel's, and the index is the product of their ratios.  So a block
@@ -699,14 +717,19 @@ def _d3_image(L: LeibnizAlgebra, kernel_rank, kernel_pivot=None,
     img = make_echelon(L.dom)
     rows = img.rows
     lattice = not L.dom.is_field
+    if gains is None:
+        gains = {}
     block = None
-    goal = 0
+    start = goal = 0
     loose: list[int] = []   # over Z: the block's pivots above their entry
 
     def full(mu):
-        nonlocal block, goal
+        nonlocal block, start, goal
         if mu != block:
-            block, goal = mu, img.rank + kernel_rank(mu)
+            if block is not None:
+                gains[block] = img.rank - start
+            block, start = mu, img.rank
+            goal = start + kernel_rank(mu)
             loose.clear()
         if img.rank < goal:
             return False
@@ -720,15 +743,20 @@ def _d3_image(L: LeibnizAlgebra, kernel_rank, kernel_pivot=None,
         p = img.insert(vec)
         if lattice and p is not None:
             loose.append(p)
+    if block is not None:
+        gains[block] = img.rank - start
     return img
 
 
-def _d2_columns(L: LeibnizAlgebra) -> dict[int, dict]:
-    """The nonzero columns of d2 in flat order: column i*dim + j is
-    -[e_i, e_j], read off the table."""
-    dim, neg = L.dim, L.dom.neg
-    return {i * dim + j: {k: neg(c) for k, c in w.items()}
-            for (i, j), w in sorted(L.table.items()) if w}
+def _d2_columns(L: LeibnizAlgebra):
+    """Yield (flat index, column) for the nonzero columns of d2 in flat
+    order: column i*dim + j is -[e_i, e_j], read off the table when it is
+    asked for."""
+    dim, neg, table = L.dim, L.dom.neg, L.table
+    for i, j in sorted(table):
+        w = table[i, j]
+        if w:
+            yield i * dim + j, {k: neg(c) for k, c in w.items()}
 
 
 class HomologyReport:
@@ -775,7 +803,7 @@ def homology_hl(L: LeibnizAlgebra, degree: int) -> HomologyReport:
     if degree not in (1, 2):
         raise ValueError("homology_hl implemented for degrees 1 and 2")
     dom, dim = L.dom, L.dim
-    d2 = _d2_columns(L)
+    d2 = dict(_d2_columns(L))
     img2 = make_echelon(dom)
     for col in d2.values():
         img2.insert(col)
@@ -1038,6 +1066,19 @@ def uce(L: LeibnizAlgebra) -> CentralExtensionModel:
     stream; over Z the kernel has the same invariants, in another basis.
     Under a grading without a torus every pair is special; under the
     trivial grading the cube is moreover one block.
+
+    A block that carries homology never reaches that rank.  Over a field
+    on sl's torus grading each block gets a lower target instead, the
+    rank the homology expected there leaves (module docstring): weight 0
+    stops at #pairs_0 - dim L_0 - dim HH_1(R) (``hochschild_h1``), and a
+    block whose sorted weight an earlier block had, one of its S_n-orbit,
+    at the rank that block gained (``_d3_image``'s ``gains``).  The
+    cocycle check of the total proves the streamed echelon is all of
+    im(d3) (module docstring), so the table is that of the full stream.
+    If it raises, a target was too low, and ``uce`` streams once more with
+    the targets #pairs_mu - dim L_mu; only that second check's
+    ``LeibnizIdentityError`` reaches the caller.  An uncertified table
+    still raises before any column is streamed (``_d3_image``).
     """
     _require_free(L, "uce")
     dom, dim = L.dom, L.dim
@@ -1048,7 +1089,7 @@ def uce(L: LeibnizAlgebra) -> CentralExtensionModel:
     head = make_echelon(dom)
     colsolver = SpanSolver(dom, dim)
     colindex: list[int] = []
-    for col, vec in _d2_columns(L).items():
+    for col, vec in _d2_columns(L):
         colsolver.add(vec)
         colindex.append(col)
         head.insert(vec)
@@ -1073,8 +1114,9 @@ def uce(L: LeibnizAlgebra) -> CentralExtensionModel:
         if any(code[p // dim] + code[p % dim] != code[s] for p in w):
             raise AssertionError(
                 f"the preimage of {L.labels[s]} is not homogeneous")
-    pairs = [s * dim + t for s in range(dim) for t in range(dim)
-             if special(code[s] + code[t])]
+    buckets = grading.buckets.items()
+    pairs = sorted(s * dim + t for a, ss in buckets for b, ts in buckets
+                   if special(a + b) for s in ss for t in ts)
     index = None
     if len(pairs) < dim * dim:
         index = {p: c for c, p in enumerate(pairs)}
@@ -1089,22 +1131,50 @@ def uce(L: LeibnizAlgebra) -> CentralExtensionModel:
             return 0
         return grading.pairs(mu) - grading.size(mu)
 
-    # d2 w_s = -e_s, so L (x) L = ker(d2) (+) span w_s and, as im(d3) lies
-    # in ker(d2), (L (x) L)/(im d3 + span w_s) presents ker(d2)/im(d3)
-    rel = _d3_image(L, kernel_rank, lambda p: 1, index)
-    for s, w in preimages:
-        if rel.insert(w) is None:
-            raise AssertionError(
-                f"the preimage of {L.labels[s]} adds no pivot to im(d3)")
-    pres = present_quotient(rel, len(pairs), dom)
+    # over a field on sl's torus grading, a block may stop at the rank the
+    # homology expected there leaves: weight 0 carries HH_1(R), and the
+    # blocks of one S_n-orbit of weights carry isomorphic HL_2, so a later
+    # one stops at the rank its orbit's first block gained
+    gains: dict[int, int] = {}
+    target = kernel_rank
+    if dom.is_field and grading.torus is not None:
+        hh1 = hochschild_h1(L.ring).dimension
+        first: dict[tuple, int] = {}    # sorted weight -> its first block
 
-    # the kernel part of each base-pair bracket in the adapted basis; zero
-    # off the special pairs
-    kappa: dict = {}
-    for c, p in enumerate(pairs):
-        kern = pres.coords({c: one})
-        if kern:
-            kappa[divmod(p, dim)] = kern
-    return CentralExtensionModel(
-        L, pres.moduli, kappa, f"uce({L.name})",
-        [f"z{i}" for i in range(pres.dim)])
+        def target(mu):
+            rank = kernel_rank(mu)
+            if not rank:
+                return 0
+            if not mu:
+                return rank - hh1
+            seen = first.setdefault(tuple(sorted(grading.weight(mu))), mu)
+            return rank if seen == mu else gains[seen]
+
+    while True:
+        # d2 w_s = -e_s, so L (x) L = ker(d2) (+) span w_s and, as im(d3)
+        # lies in ker(d2), (L (x) L)/(im d3 + span w_s) presents
+        # ker(d2)/im(d3)
+        rel = _d3_image(L, target, lambda p: 1, index, gains)
+        for s, w in preimages:
+            if rel.insert(w) is None:
+                raise AssertionError(
+                    f"the preimage of {L.labels[s]} adds no pivot to im(d3)")
+        pres = present_quotient(rel, len(pairs), dom)
+
+        # the kernel part of each base-pair bracket in the adapted basis;
+        # zero off the special pairs
+        kappa: dict = {}
+        for c, p in enumerate(pairs):
+            kern = pres.coords({c: one})
+            if kern:
+                kappa[divmod(p, dim)] = kern
+        try:
+            return CentralExtensionModel(
+                L, pres.moduli, kappa, f"uce({L.name})",
+                [f"z{i}" for i in range(pres.dim)])
+        except LeibnizIdentityError:
+            if target is kernel_rank:
+                raise
+            # some block stopped below the rank of its image: stream
+            # again, each block to the rank of ker(d2) there
+            target = kernel_rank

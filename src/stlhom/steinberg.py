@@ -785,45 +785,61 @@ def verify_calculus(model: SteinbergModel) -> CalculusReport:
     tally = _Tally(total)
     check, bracket = tally.check, tally.bracket
 
-    # the ring products of basis elements the rules read, computed once:
-    # ab[x][y] = r_x r_y, and per basis triple (ab)c, (ca)b, (cb)a, (ba)c
-    # and abc + cba, as indices into the distinct products ``prods``
+    # the ring elements the rules read, each numbered once in ``elems``:
+    # the basis first (r_x has id x), the products ab[x][y] = r_x r_y (id
+    # abid[x][y]), the unit (id uid), and per basis triple (ab)c, (ca)b,
+    # (cb)a, (ba)c and abc + cba (ids triple[x, y, z])
+    elems, eid = [], {}
+
+    def ident(u):
+        key = tuple(sorted(u.items()))
+        if key not in eid:
+            eid[key] = len(elems)
+            elems.append(u)
+        return eid[key]
+
+    for b in basis:
+        ident(b)
     ab = [[mul(a, b) for b in basis] for a in basis]
-    prods, seen, triple = [], {}, {}
+    abid = [[ident(prod) for prod in row] for row in ab]
+    uid = ident(unit)
+    triple = {}
     for x, y, z in product(range(d), repeat=3):
         four = (mul(ab[x][y], basis[z]), mul(ab[z][x], basis[y]),
                 mul(ab[z][y], basis[x]), mul(ab[y][x], basis[z]))
         same = dict(four[0])
         vec_axpy(same, four[2], one, dom)
-        triple[x, y, z] = ids = []
-        for prod in (*four, same):
-            key = tuple(sorted(prod.items()))
-            if key not in seen:
-                seen[key] = len(prods)
-                prods.append(prod)
-            ids.append(seen[key])
-    # T_ij(r_x, r_y) and X_pq(product), each computed once
+        triple[x, y, z] = [ident(prod) for prod in (*four, same)]
+    # T_ij(u, v) and X_pq(product), each computed once, keyed by the ids of
+    # their ring arguments; tb starts with the basis pairs, the rest come
+    # on demand (t_at)
     tb = {(i, j, x, y): T(i, j, a, b) for (i, j) in _distinct(n, 2)
           for x, a in enumerate(basis) for y, b in enumerate(basis)}
-    xp = {(p, q, m): xi(p, q, prod) for (p, q) in _distinct(n, 2)
-          for m, prod in enumerate(prods)}
+    xp = {(p, q, m): xi(p, q, elems[m]) for (p, q) in _distinct(n, 2)
+          for m in sorted({m for ids in triple.values() for m in ids})}
+
+    def t_at(i, j, u, v):
+        w = tb.get((i, j, u, v))
+        if w is None:
+            w = tb[i, j, u, v] = T(i, j, elems[u], elems[v])
+        return w
 
     # T recombination
     for (i, j, k) in _distinct(n, 3):
-        for x, a in enumerate(basis):
-            for y, b in enumerate(basis):
-                for z, c in enumerate(basis):
-                    lhs = T(i, j, a, ab[y][z])
-                    rhs = T(i, k, ab[x][y], c)
-                    vec_axpy(rhs, T(k, j, ab[z][x], b), one, dom)
+        for x in range(d):
+            for y in range(d):
+                for z in range(d):
+                    lhs = t_at(i, j, x, abid[y][z])
+                    rhs = dict(t_at(i, k, abid[x][y], z))
+                    vec_axpy(rhs, t_at(k, j, abid[z][x], y), one, dom)
                     check("T-recombination", total.eq_vec(lhs, rhs),
                           f"T{i}{j}(a,bc) != T{i}{k}(ab,c)+T{k}{j}(ca,b)")
 
     # unit antisymmetry
     for (k, j) in _distinct(n, 2):
-        for c in basis:
-            s = T(k, j, c, unit)
-            vec_axpy(s, T(j, k, c, unit), one, dom)
+        for z in range(d):
+            s = dict(t_at(k, j, z, uid))
+            vec_axpy(s, t_at(j, k, z, uid), one, dom)
             check("T-unit-antisymmetry", not total.reduce_vec(s),
                   f"T{k}{j}(c,1) + T{j}{k}(c,1) != 0")
 

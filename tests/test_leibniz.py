@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stlhom.assoc import make_algebra
+from stlhom.assoc import hochschild_h1, make_algebra
 from stlhom.catalog import ACCEPTANCE_PAIRS, catalog_ring
 from stlhom.domains import F2, F3, F5, Q, Z, parse_scalar
 from stlhom.leibniz import (CentralExtensionModel, LeibnizAlgebra,
@@ -401,7 +401,7 @@ def test_boundary_matches_dense_assembly():
         d2 = dense_d2(L)
         cols = [(c, {r: row[c] for r, row in enumerate(d2) if row[c]})
                 for c in range(n ** 2)]
-        assert list(_d2_columns(L).items()) == [(c, v) for c, v in cols if v]
+        assert list(_d2_columns(L)) == [(c, v) for c, v in cols if v]
         d3 = dense_d3(L)
         cols = [{r: row[c] for r, row in enumerate(d3) if row[c]}
                 for c in range(n ** 3)]
@@ -889,25 +889,31 @@ def _triple(L, column) -> tuple:
     return (i, *divmod(jk, L.dim))
 
 
-def _streamed_columns(monkeypatch, L) -> list:
-    """Run uce(L), returning per d3 stream the set of total weight codes of
-    the streamed triples and the number of columns streamed."""
+def _streamed_blocks(monkeypatch, L, run) -> list:
+    """Call run(), returning per d3 stream of L a dict from each walked
+    block's weight code to its streamed columns, in stream order."""
     import stlhom.leibniz as leib
     inner = leib.iter_d3_columns
     streams = []
 
-    def counted(*args, **kwargs):
-        stream = [set(), 0]
-        streams.append(stream)
+    def recorded(*args, **kwargs):
+        blocks: dict = {}
+        streams.append(blocks)
         for c, col in inner(*args, **kwargs):
-            stream[0].add(_total(L, *_triple(L, c)))
-            stream[1] += 1
+            blocks.setdefault(_total(L, *_triple(L, c)), []).append(col)
             yield c, col
 
-    monkeypatch.setattr(leib, "iter_d3_columns", counted)
-    uce(L)
+    monkeypatch.setattr(leib, "iter_d3_columns", recorded)
+    run()
     monkeypatch.undo()
     return streams
+
+
+def _streamed_columns(monkeypatch, L) -> list:
+    """Run uce(L), returning per d3 stream the set of total weight codes of
+    the streamed triples and the number of columns streamed."""
+    return [(set(blocks), sum(map(len, blocks.values())))
+            for blocks in _streamed_blocks(monkeypatch, L, lambda: uce(L))]
 
 
 @pytest.mark.parametrize("name,scal,columns", [
@@ -993,6 +999,253 @@ def test_uce_stops_each_saturated_block_at_its_target_rank(monkeypatch):
     assert saturated
 
 
+def _whole_blocks(L, codes) -> dict:
+    """The columns of the d3 blocks of the given codes, walked to the end."""
+    block: dict = {}
+    for c, col in iter_d3_columns(L, lambda mu: mu not in codes):
+        block.setdefault(_total(L, *_triple(L, c)), []).append(col)
+    return block
+
+
+def _prefix_rank(dom, cols, rest) -> tuple:
+    """(rank of cols, whether the last of them added a pivot), asserting
+    that the further columns ``rest`` add none."""
+    ech = make_echelon(dom)
+    grew = [ech.insert(col) is not None for col in cols]
+    rank = ech.rank
+    assert all(ech.insert(col) is None for col in rest)
+    return rank, grew[-1]
+
+
+# weight 0 carries HH_1 != 0, or R_m lives at nonzero weights (n = 3, 4
+# in characteristic 3, 2)
+HOMOLOGY_STOP_CASES = [
+    ("dual", "f2", 4), ("trunc3", "f3", 3), ("group-c2", "f2", 4),
+    ("upper2", "f2", 4), ("dual", "q", 3), ("trunc3", "f3", 5),
+]
+
+
+@pytest.mark.parametrize("name,scal,n", HOMOLOGY_STOP_CASES)
+def test_uce_stops_homology_blocks_at_the_rank_their_homology_leaves(
+        monkeypatch, name, scal, n):
+    # weight 0 stops at the column that reaches rank #pairs_0 - dim sl_0 -
+    # dim HH_1(R); a later block of an S_n-orbit of weights at the one
+    # that reaches the rank its orbit's first block gained.  The streamed
+    # columns are a prefix of each block and hold the whole block's rank
+    from collections import Counter
+    dom = DOMS[scal]
+    ring = catalog_ring(name, dom)
+    L = build_sl(n, ring)
+    (streamed,) = _streamed_blocks(monkeypatch, L, lambda: uce(L))
+    block = _whole_blocks(L, streamed)
+    pairs = Counter(_total(L, s, t)
+                    for s in range(L.dim) for t in range(L.dim))
+    sizes = Counter(L.grading.code)
+    hh1 = hochschild_h1(ring).dimension
+    first: dict = {}
+    gained: dict = {}
+    early = 0
+    for mu in sorted(streamed):
+        weight = torus_weight(mu, n)
+        assert special_weight(dom, weight), mu
+        cols = streamed[mu]
+        assert cols == block[mu][:len(cols)], mu
+        rest = block[mu][len(cols):]
+        rank, last_grew = _prefix_rank(dom, cols, rest)
+        gained[mu] = rank
+        kernel = pairs[mu] - sizes[mu]
+        orbit = first.setdefault(tuple(sorted(weight)), mu)
+        if not mu:
+            target = kernel - hh1
+            assert rank == target
+        elif orbit != mu:
+            target = gained[orbit]
+            assert rank == target, mu
+        else:
+            target = kernel
+        if rank == target:
+            assert last_grew, mu
+        else:
+            assert rank < target and not rest, mu
+        early += bool(rest) and target < kernel
+    assert early
+
+
+# uce's d3 columns, summed over its streams, on the 39 acceptance cases
+# when each block streams until it spans ker d2: a block carrying homology
+# then streams to its end.  No case may stream more
+UCE_COLUMNS_TO_KER_D2 = {
+    ("ground", "f2"): (16, 130, 59), ("ground", "f3"): (32, 18, 33),
+    ("ground", "f5"): (8, 18, 33), ("ground", "q"): (8, 18, 33),
+    ("int", "z"): (56, 190, 59), ("dual", "f2"): (178, 1368, 1244),
+    ("dual", "f3"): (420, 507, 1168), ("dual", "q"): (156, 507, 1168),
+    ("trunc3", "f3"): (1452, 1659, 3792),
+    ("group-c2", "f2"): (216, 1632, 1520),
+    ("group-c2", "q"): (54, 134, 254), ("upper2", "f2"): (347, 3957, 1265),
+    ("mat2", "f2"): (687, 3286, 2673),
+}
+# the columns with the homology blocks stopped early, pinned
+UCE_COLUMNS = {
+    ("trunc3", "f3", 5): 662, ("trunc3", "f3", 3): 516,
+    ("dual", "f2", 4): 411, ("group-c2", "f2", 4): 476,
+    ("upper2", "f2", 4): 1543, ("mat2", "f2", 5): 2673,
+}
+
+
+@pytest.mark.parametrize("name,scal", ACCEPTANCE_PAIRS)
+def test_uce_streams_no_more_columns_than_to_ker_d2(monkeypatch, name, scal):
+    for n, before in zip((3, 4, 5), UCE_COLUMNS_TO_KER_D2[name, scal]):
+        L = build_sl(n, catalog_ring(name, DOMS[scal]))
+        streams = _streamed_columns(monkeypatch, L)
+        count = sum(c for _codes, c in streams)
+        assert len(streams) == 1
+        assert count == before if scal == "z" else count <= before
+        assert count == UCE_COLUMNS.get((name, scal, n), count)
+
+
+@pytest.mark.parametrize("name", ["dual", "trunc3", "group-c2", "upper2"])
+def test_uce_over_z_streams_each_block_to_ker_d2(monkeypatch, name):
+    # over Z no block stops at a rank read off the homology: each block's
+    # target is the rank of ker d2 there (HH_1 != 0 on dual, trunc3 and
+    # group-c2)
+    import stlhom.leibniz as leib
+    counts = {"dual": 526, "trunc3": 1704, "group-c2": 612, "upper2": 1628}
+    L = build_sl(3, catalog_ring(name, Z))
+    inner, targets = leib._d3_image, {}
+
+    def recorded(L, kernel_rank, *args, **kwargs):
+        def asked(mu):
+            targets[mu] = kernel_rank(mu)
+            return targets[mu]
+        return inner(L, asked, *args, **kwargs)
+
+    monkeypatch.setattr(leib, "_d3_image", recorded)
+    ((_codes, count),) = _streamed_columns(monkeypatch, L)
+    assert count == counts[name]
+    grading = L.grading
+    assert 0 in targets and targets == {
+        mu: grading.pairs(mu) - grading.size(mu) if grading.special(mu)
+        else 0 for mu in targets}
+
+
+@pytest.mark.parametrize("name,scal,n", [
+    ("dual", "f2", 3), ("trunc3", "f3", 3), ("group-c2", "f2", 4),
+])
+def test_homology_hl_streams_each_block_until_it_spans_ker_d2(
+        monkeypatch, name, scal, n):
+    # the oracle for uce keeps its own stops: a block stops at the column
+    # that reaches rank #pairs_mu - dim L_mu (d2 is onto on a perfect L),
+    # so a block carrying homology is walked to its end
+    from collections import Counter
+    dom = DOMS[scal]
+    L = build_sl(n, catalog_ring(name, dom))
+    (streamed,) = _streamed_blocks(monkeypatch, L,
+                                   lambda: homology_hl(L, 2))
+    block = _whole_blocks(L, streamed)
+    pairs = Counter(_total(L, s, t)
+                    for s in range(L.dim) for t in range(L.dim))
+    sizes = Counter(L.grading.code)
+    carrying = 0
+    for mu, cols in streamed.items():
+        rest = block[mu][len(cols):]
+        rank, last_grew = _prefix_rank(dom, cols, rest)
+        kernel = pairs[mu] - sizes[mu]
+        if rank == kernel:
+            assert last_grew, mu
+        else:
+            assert rank < kernel and not rest, mu
+            carrying += 1
+    assert carrying and 0 in streamed and not block[0][len(streamed[0]):]
+
+
+def _uce_attempts(monkeypatch, L, lower) -> tuple:
+    """Run uce(L) with its first d3 stream's stop ranks passed through
+    lower(mu, rank); return the model, the number of d3 streams and the
+    outcome of each ``CentralExtensionModel`` it built (None or the
+    exception type)."""
+    import stlhom.leibniz as leib
+    inner_image, inner_model = leib._d3_image, leib.CentralExtensionModel
+    inner_stream = leib.iter_d3_columns
+    streams, outcomes = [], []
+
+    def image(L, kernel_rank, *args, **kwargs):
+        if not streams:
+            rank = kernel_rank
+            kernel_rank = lambda mu: lower(mu, rank(mu))
+        return inner_image(L, kernel_rank, *args, **kwargs)
+
+    def stream(*args, **kwargs):
+        streams.append(args)
+        return inner_stream(*args, **kwargs)
+
+    def model(*args, **kwargs):
+        try:
+            got = inner_model(*args, **kwargs)
+        except Exception as exc:
+            outcomes.append(type(exc))
+            raise
+        outcomes.append(None)
+        return got
+
+    monkeypatch.setattr(leib, "_d3_image", image)
+    monkeypatch.setattr(leib, "iter_d3_columns", stream)
+    monkeypatch.setattr(leib, "CentralExtensionModel", model)
+    got = uce(L)
+    monkeypatch.undo()
+    return got, len(streams), outcomes
+
+
+@pytest.mark.parametrize("name,scal,n", [
+    ("dual", "f2", 3), ("dual", "f3", 4), ("trunc3", "f3", 3),
+    ("group-c2", "f2", 4), ("dual", "q", 3),
+])
+def test_a_weight_zero_target_one_too_high_streams_again(monkeypatch, name,
+                                                         scal, n):
+    # with one more HH_1 dimension expected at weight 0, that block stops
+    # one rank short: the total's cocycle check rejects the first model,
+    # and uce streams again to the ranks of ker d2, with the same table
+    import stlhom.leibniz as leib
+    ring = catalog_ring(name, DOMS[scal])
+    ref = uce(build_sl(n, ring))
+    real = leib.hochschild_h1
+    monkeypatch.setattr(leib, "hochschild_h1", lambda r: SubquotientInvariants(
+        r.dom.name, real(r).dimension + 1))
+    model, streams, outcomes = _uce_attempts(
+        monkeypatch, build_sl(n, ring), lambda mu, rank: rank)
+    assert outcomes == [LeibnizIdentityError, None] and streams == 2
+    assert model.total.table == ref.total.table
+    assert model.kernel_moduli == ref.kernel_moduli
+
+
+@pytest.mark.parametrize("name,scal,n", [
+    ("trunc3", "f3", 3), ("group-c2", "f2", 4), ("upper2", "f2", 4),
+    ("dual", "f2", 4),
+])
+def test_an_orbit_target_one_too_high_streams_again(monkeypatch, name, scal,
+                                                     n):
+    # the first later block of an S_n-orbit stops one rank below the rank
+    # its orbit's first block gained: caught the same way
+    ring = catalog_ring(name, DOMS[scal])
+    ref = uce(build_sl(n, ring))
+    L = build_sl(n, ring)
+    orbits, lowered = set(), []
+
+    def lower(mu, rank):
+        key = tuple(sorted(torus_weight(mu, n)))
+        if mu and rank and key in orbits and not lowered:
+            lowered.append(mu)
+            return rank - 1
+        if mu and rank:
+            orbits.add(key)
+        return rank
+
+    model, streams, outcomes = _uce_attempts(monkeypatch, L, lower)
+    assert lowered and streams == 2
+    assert outcomes == [LeibnizIdentityError, None]
+    assert model.total.table == ref.total.table
+    assert model.kernel_moduli == ref.kernel_moduli
+
+
 def test_a_target_one_too_low_is_caught(monkeypatch):
     # a block stopped one rank short leaves part of ker d2 out of im d3:
     # homology_hl reports too large an HL_2, and the uce model either
@@ -1023,29 +1276,55 @@ def test_a_target_one_too_low_is_caught(monkeypatch):
 @pytest.mark.parametrize("name,scal,n", [
     ("dual", "f2", 3), ("ground", "f3", 3), ("dual", "f5", 3),
     ("dual", "q", 3), ("int", "z", 3), ("dual", "z", 3),
+    *(case for case in HOMOLOGY_STOP_CASES
+      if case[2] < 5 and case != ("dual", "q", 3)),
+    ("ground", "f2", 4), ("dual", "f3", 4), ("int", "z", 4),
 ])
-def test_block_stops_agree_with_the_unfiltered_echelon(name, scal, n):
+def test_block_stops_agree_with_the_unfiltered_echelon(monkeypatch, name,
+                                                       scal, n):
     # the echelon of every nonzero d3 column, walked without stops, against
-    # homology_hl and uce, which stop each block once it spans ker d2
+    # homology_hl, which stops each block once it spans ker d2, and uce,
+    # which over a field stops a block carrying homology at the rank the
+    # homology expected there leaves.  Over a field uce's echelon of the
+    # special blocks has the reduced rows of the full one
+    import stlhom.leibniz as leib
     dom = DOMS[scal]
     L = build_sl(n, catalog_ring(name, dom))
     full = make_echelon(dom)
     for _c, col in iter_d3_columns(L):
         full.insert(col)
+    inner, images = leib._d3_image, []
+
+    def recorded(*args, **kwargs):
+        img = inner(*args, **kwargs)
+        images.append((img.row_dicts(), args[3]))
+        return img
+
+    monkeypatch.setattr(leib, "_d3_image", recorded)
+    model = uce(L)
+    monkeypatch.undo()
+    if dom.is_field:
+        ((rows, index),) = images
+        kept = make_echelon(dom)
+        for _c, col in iter_d3_columns(L):
+            if index is None or min(col) in index:
+                kept.insert(col if index is None
+                            else {index[k]: c for k, c in col.items()})
+        assert rows == kept.row_dicts()
     rep = homology_hl(L, 2)
     assert rep.rank_in == full.rank
     pair = L.dim * L.dim
     if dom.is_field:
         want = SubquotientInvariants(dom.name, pair - rep.rank_out - full.rank)
     else:
-        d2 = _d2_columns(L)
+        d2 = dict(_d2_columns(L))
         kern = make_echelon(dom)
         for v in SpanSolver(dom, L.dim,
                             (d2.get(c, {}) for c in range(pair))).kernel():
             kern.insert(v)
         want = subquotient(kern, full, pair, dom)
     assert rep.invariants == want
-    assert uce(L).kernel_invariants == want
+    assert model.kernel_invariants == want
 
 
 def test_uce_refuses_a_corrupted_uncertified_sl_before_streaming(
