@@ -413,16 +413,17 @@ def build_gl(n: int, ring: AssocAlgebra) -> GlAlgebra:
 
     The table is certified without a check: it is the commutator bracket of
     the associative algebra M_n(R), whose associativity ``make_algebra``
-    checked on R.
+    checked on R.  Entries are made in (i, j, k, l, lam, mu) order, which
+    fixes the order of ``table`` and so ``build_sl``'s basis over Z.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     dom = ring.dom
     dr = ring.dim
     dim = n * n * dr
-
-    def flat(i, j, lam):
-        return (i * n + j) * dr + lam
+    prod = [[tuple(ring.basis_product(lam, mu).items()) for mu in range(dr)]
+            for lam in range(dr)]
+    block = [[(i * n + j) * dr for j in range(n)] for i in range(n)]
 
     table: dict = {}
     for i in range(n):
@@ -431,22 +432,24 @@ def build_gl(n: int, ring: AssocAlgebra) -> GlAlgebra:
                 for l in range(n):
                     if j != k and l != i:
                         continue
+                    left, right = block[i][j], block[k][l]
+                    il, kj = block[i][l], block[k][j]
                     for lam in range(dr):
                         for mu in range(dr):
                             out: dict[int, object] = {}
                             if j == k:
-                                for t, c in ring.basis_product(lam, mu).items():
-                                    out[flat(i, l, t)] = c
+                                for t, c in prod[lam][mu]:
+                                    out[il + t] = c
                             if l == i:
-                                for t, c in ring.basis_product(mu, lam).items():
-                                    key = flat(k, j, t)
-                                    cur = dom.sub(out.get(key, dom.zero), c)
+                                for t, c in prod[mu][lam]:
+                                    key = kj + t
+                                    cur = dom.sub(out.get(key, 0), c)
                                     if cur:
                                         out[key] = cur
                                     else:
                                         out.pop(key, None)
                             if out:
-                                table[(flat(i, j, lam), flat(k, l, mu))] = out
+                                table[(left + lam, right + mu)] = out
 
     labels = [f"E{i+1}{j+1}({ring.labels[lam]})"
               for i in range(n) for j in range(n) for lam in range(dr)]
@@ -480,9 +483,13 @@ def build_sl(n: int, ring: AssocAlgebra) -> SlAlgebra:
 
     Its weight shape, ``_sl_codes``, is checked per weight.
 
-    Only [e_s, e_t], s < t, is solved: the gl commutator is alternating and
-    sl coordinates are unique, so (t, s) is stored as the negative of (s, t)
-    (keys in ascending order) and [e_s, e_s] = 0.
+    Only [e_s, e_t], s < t, is computed: the gl commutator is alternating
+    and sl coordinates are unique, so (t, s) is stored as the negative of
+    (s, t) (keys in ascending order) and [e_s, e_s] = 0.  Each s's brackets
+    are summed from gl's nonzero entries: the rows a in supp(e_s), each
+    column c they meet and the t > s with c in supp(e_t).  A basis vector
+    e_s = e_g of gl (one entry, 1) has coordinate w[g] in a bracket w; only
+    the rest of w, which lies in the span, goes to the solver.
     """
     gl = build_gl(n, ring)
     dom = gl.dom
@@ -497,19 +504,39 @@ def build_sl(n: int, ring: AssocAlgebra) -> SlAlgebra:
                              f"are not the shape _sl_codes(n, R)")
 
     solver = SpanSolver(dom, gl.dim, basis)
+    rows: dict[int, list] = {}      # gl a -> [c with [e_a, e_c] != 0]
+    for a, c in gl.table:
+        rows.setdefault(a, []).append(c)
+    owners: dict[int, list] = {}    # gl c -> [(t, e_t[c])]
+    unit: dict[int, int] = {}       # gl g -> s with e_s = e_g
+    mul, one = dom.mul, dom.one
+    for t, b in enumerate(basis):
+        for c, e in b.items():
+            owners.setdefault(c, []).append((t, e))
+        if len(b) == 1 and one in b.values():
+            unit[next(iter(b))] = t
     table: dict = {}
     for s in range(dim):
         for t in range(s):
             w = table.get((t, s))
             if w:
                 table[(s, t)] = {k: dom.neg(c) for k, c in w.items()}
-        for t in range(s + 1, dim):
-            w = gl.bracket(basis[s], basis[t])
-            if not w:
-                continue
-            coeffs = solver.solve(w)
-            if coeffs is None:
-                raise AssertionError("sl bracket left the span")
+        acc: dict[int, dict] = {}   # t -> [e_s, e_t] in gl
+        for a, ca in basis[s].items():
+            for c in rows.get(a, ()):
+                for t, e in owners.get(c, ()):
+                    if t > s:
+                        vec_axpy(acc.setdefault(t, {}), gl.table[a, c],
+                                 mul(ca, e), dom)
+        for t in sorted(acc):
+            w = acc[t]
+            coeffs = {unit[g]: c for g, c in w.items() if g in unit}
+            rest = {g: c for g, c in w.items() if g not in unit}
+            if rest:
+                extra = solver.solve(rest)
+                if extra is None:
+                    raise AssertionError("sl bracket left the span")
+                vec_axpy(coeffs, extra, one, dom)
             if coeffs:
                 table[(s, t)] = coeffs
 
@@ -518,8 +545,8 @@ def build_sl(n: int, ring: AssocAlgebra) -> SlAlgebra:
         lead = min(b)
         labels.append(f"<{gl.labels[lead]}>")
     # certified without a check: sl is a bracket-closed subspace of the
-    # certified gl, and each table entry is a solver-certified coordinate
-    # vector of a gl bracket
+    # certified gl, and each table entry is the exact coordinate vector of a
+    # gl bracket (read at unit rows, the rest solver-certified)
     alg = SlAlgebra(dom, dim, table, labels, [0] * dim, f"sl{n}({ring.name})",
                     grading)
     alg.certified = True
@@ -1023,7 +1050,8 @@ class CentralExtensionModel:
         return total.reduce_vec(out)
 
 
-def uce(L: LeibnizAlgebra) -> CentralExtensionModel:
+def uce(L: LeibnizAlgebra,
+        hh1: SubquotientInvariants | None = None) -> CentralExtensionModel:
     """The universal central extension of a perfect Leibniz algebra.
 
     Model: (L (x) L)/im(d3) with bracket [u, v] = class(pi(u) (x) pi(v)),
@@ -1070,15 +1098,16 @@ def uce(L: LeibnizAlgebra) -> CentralExtensionModel:
     A block that carries homology never reaches that rank.  Over a field
     on sl's torus grading each block gets a lower target instead, the
     rank the homology expected there leaves (module docstring): weight 0
-    stops at #pairs_0 - dim L_0 - dim HH_1(R) (``hochschild_h1``), and a
-    block whose sorted weight an earlier block had, one of its S_n-orbit,
-    at the rank that block gained (``_d3_image``'s ``gains``).  The
-    cocycle check of the total proves the streamed echelon is all of
-    im(d3) (module docstring), so the table is that of the full stream.
-    If it raises, a target was too low, and ``uce`` streams once more with
-    the targets #pairs_mu - dim L_mu; only that second check's
-    ``LeibnizIdentityError`` reaches the caller.  An uncertified table
-    still raises before any column is streamed (``_d3_image``).
+    stops at #pairs_0 - dim L_0 - dim HH_1(R) (``hh1``, else computed by
+    ``hochschild_h1``), and a block whose sorted weight an earlier block
+    had, one of its S_n-orbit, at the rank that block gained
+    (``_d3_image``'s ``gains``).  The cocycle check of the total proves
+    the streamed echelon is all of im(d3) (module docstring), so the table
+    is that of the full stream.  If it raises, a target was too low, and
+    ``uce`` streams once more with the targets #pairs_mu - dim L_mu; only
+    that second check's ``LeibnizIdentityError`` reaches the caller.  An
+    uncertified table still raises before any column is streamed
+    (``_d3_image``).
     """
     _require_free(L, "uce")
     dom, dim = L.dom, L.dim
@@ -1138,7 +1167,8 @@ def uce(L: LeibnizAlgebra) -> CentralExtensionModel:
     gains: dict[int, int] = {}
     target = kernel_rank
     if dom.is_field and grading.torus is not None:
-        hh1 = hochschild_h1(L.ring).dimension
+        if hh1 is None:
+            hh1 = hochschild_h1(L.ring)
         first: dict[tuple, int] = {}    # sorted weight -> its first block
 
         def target(mu):
@@ -1146,7 +1176,7 @@ def uce(L: LeibnizAlgebra) -> CentralExtensionModel:
             if not rank:
                 return 0
             if not mu:
-                return rank - hh1
+                return rank - hh1.dimension
             seen = first.setdefault(tuple(sorted(grading.weight(mu))), mu)
             return rank if seen == mu else gains[seen]
 

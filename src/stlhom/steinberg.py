@@ -583,12 +583,14 @@ def build_stl(n: int, ring: AssocAlgebra) -> SteinbergModel:
     HL_2(stl) = ker(uce(sl) -> stl): the image of N in ker(uce(sl) -> sl)
     (Casas-Corral, Comm. Algebra 2009).  Its invariants are read off the
     N generators here and kept as ``model.hl2``; no d3 cube of stl is
-    streamed.
+    streamed; none is formed when uce's kernel is 0.  HH_1(R) is computed
+    once, for (a) and for ``uce``'s weight-0 stop.
     """
     if n not in (3, 4, 5):
         raise ValueError("stl models are built for n in {3, 4, 5}")
     sl = build_sl(n, ring)
-    ext = uce(sl)
+    hh1 = hochschild_h1(ring)
+    ext = uce(sl, hh1)
     dom = sl.dom
     one = dom.one
     m = ext.total.dim - sl.dim
@@ -602,7 +604,7 @@ def build_stl(n: int, ring: AssocAlgebra) -> SteinbergModel:
            for (i, j) in pos for lam in range(d)}
     eij_one = {(i, j): sl.eij(i - 1, j - 1, ring.unit) for (i, j) in pos}
     ngens: list[dict] = []
-    for (i, j) in pos:
+    for (i, j) in (pos if m else ()):   # m = 0: every kernel part is 0
         for (k, l) in pos:
             if j == k or i == l:
                 continue
@@ -626,7 +628,6 @@ def build_stl(n: int, ring: AssocAlgebra) -> SteinbergModel:
     invariants = moduli_invariants(dom, pres.moduli)
     hl2 = subquotient(nrel, rel, m, dom)
 
-    hh1 = hochschild_h1(ring)
     if invariants != hh1:
         raise AssertionError(
             f"kernel of stl{n}({ring.name}) -> sl is "
@@ -663,7 +664,13 @@ def _check_generator_relations(model: SteinbergModel, pos: list) -> None:
     total, ring, x_basis = model.total, model.ring, model.x_basis
     dom = total.dom
     d = ring.dim
-    ximg = model.x_image
+    images: dict = {}   # (p, q, lam, mu) -> X_pq(r_lam r_mu), built once
+
+    def ximg(p, q, lam, mu):
+        key = (p, q, lam, mu)
+        if key not in images:
+            images[key] = model.x_image(p, q, ring.basis_product(lam, mu))
+        return images[key]
 
     for (i, j) in pos:
         for (k, l) in pos:
@@ -674,10 +681,9 @@ def _check_generator_relations(model: SteinbergModel, pos: list) -> None:
                     got = total.bracket(x_basis[(i, j, lam)],
                                         x_basis[(k, l, mu)])
                     if j == k:
-                        want = ximg(i, l, ring.basis_product(lam, mu))
+                        want = ximg(i, l, lam, mu)
                     elif i == l:
-                        want = _neg_sym(ximg(k, j, ring.basis_product(mu, lam)),
-                                        dom)
+                        want = _neg_sym(ximg(k, j, mu, lam), dom)
                     else:
                         want = {}
                     if not total.eq_vec(got, want):

@@ -10,7 +10,9 @@ keys^3 walk of the symbolic cocycle identity that ``verify_cocycle`` must
 agree with.
 ``torus_weight`` reads a weight code of the package back as a weight.
 ``fields`` reads a verifier's report as a dict of its attributes.
-``s3_ring`` builds the group algebra of S_3, a ring off the catalog.
+``s3_ring`` builds the group algebra of S_3 and ``lipschitz_ring`` the
+Lipschitz quaternions, two rings off the catalog.
+``full_gl_table`` is gl_n(R)'s table from the matrix formula on every pair.
 ``smith_sizes`` records the shape of every Smith reduction in a block.
 ``full_span_is_perfect`` reads perfectness off the whole bracket span, the
 reference for the early-stopping ``is_perfect``.
@@ -141,6 +143,28 @@ def full_sl_table(sl) -> dict:
     return table
 
 
+def full_gl_table(n: int, ring) -> dict:
+    """[E_ij(r_lam), E_kl(r_mu)] = delta_jk E_il(ab) - delta_li E_kj(ba),
+    a = r_lam, b = r_mu, from ring products on every (i, j, k, l, lam, mu),
+    in that order; zero brackets are left out."""
+    dom, d = ring.dom, ring.dim
+    table = {}
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        for lam, mu in itertools.product(range(d), repeat=2):
+            out = {}
+            if j == k:
+                ab = ring.multiply({lam: dom.one}, {mu: dom.one})
+                vec_axpy(out, {(i * n + l) * d + t: c for t, c in ab.items()},
+                         dom.one, dom)
+            if l == i:
+                ba = ring.multiply({mu: dom.one}, {lam: dom.one})
+                vec_axpy(out, {(k * n + j) * d + t: c for t, c in ba.items()},
+                         dom.neg(dom.one), dom)
+            if out:
+                table[((i * n + j) * d + lam, (k * n + l) * d + mu)] = out
+    return table
+
+
 def torus_weight(code: int, n: int) -> tuple:
     """The weight w in Z^n, entries in [-3, 3], whose code sum_k w_k 7^k
     is ``code`` (balanced base-7 digits)."""
@@ -175,6 +199,20 @@ def s3_ring(dom):
     return make_algebra(dom, 6, structure,
                         labels=["".join(map(str, g)) for g in perms],
                         unit_index=0, name="s3")
+
+
+def lipschitz_ring(dom):
+    """The Lipschitz quaternions dom<1, i, j, k>, basis in that order:
+    i^2 = j^2 = k^2 = -1, ij = k = -ji, jk = i = -kj, ki = j = -ik.  Over Z
+    their commutators span 2Z^3 in the i, j, k coordinates."""
+    structure = {(0, a): {a: 1} for a in range(4)}
+    structure.update({(a, 0): {a: 1} for a in range(4)})
+    structure.update({(a, a): {0: -1} for a in (1, 2, 3)})
+    for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        structure[(a, b)] = {c: 1}
+        structure[(b, a)] = {c: -1}
+    return make_algebra(dom, 4, structure, labels=["1", "i", "j", "k"],
+                        unit_index=0, name="lipschitz")
 
 
 def full_span_is_perfect(L) -> bool:

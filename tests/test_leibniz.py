@@ -19,8 +19,9 @@ from stlhom.linalg import (SpanSolver, SubquotientInvariants, make_echelon,
 from stlhom.steinberg import build_hat, build_stl
 
 from oracles import (check_homomorphism_on_basis, check_kernel_central,
-                     cocycle_paths, full_sl_table, full_span_is_perfect,
-                     kappa_of, sl_to_gl, torus_weight)
+                     cocycle_paths, full_gl_table, full_sl_table,
+                     full_span_is_perfect, kappa_of, lipschitz_ring, s3_ring,
+                     sl_to_gl, torus_weight)
 
 DOMS = {"f2": F2, "f3": F3, "f5": F5, "q": Q, "z": Z}
 
@@ -273,6 +274,17 @@ def test_gl_satisfies_the_identity_by_brute_force(name, scal, n):
     gl = build_gl(n, catalog_ring(name, DOMS[scal]))
     assert gl.certified
     assert brute_leibniz_holds(gl) == (True, None)
+
+
+@pytest.mark.parametrize("name,scal,n", [
+    (name, "f2", n) for name in ("ground", "dual", "upper2", "mat2")
+    for n in (2, 3)] + [("s3", "z", 2), ("s3", "z", 3), ("mat2", "f2", 5)])
+def test_gl_table_is_the_matrix_formula(name, scal, n):
+    # entries and their order, which fixes the Hermite insertions over Z
+    dom = DOMS[scal]
+    ring = s3_ring(dom) if name == "s3" else catalog_ring(name, dom)
+    gl = build_gl(n, ring)
+    assert list(gl.table.items()) == list(full_gl_table(n, ring).items())
 
 
 def test_gl_antisymmetry_on_basis():
@@ -802,6 +814,51 @@ def test_half_solved_sl_table_equals_the_full_solve(name, scal):
         for (s, t), w in sl.table.items():
             assert s != t
             assert sl.table[(t, s)] == {k: neg(c) for k, c in w.items()}
+
+
+OFF_PAIR_RINGS = {
+    **{f"{name}-z": (lambda name=name: catalog_ring(name, Z))
+       for name in ("ground", "int", "dual", "trunc3", "group-c2", "upper2",
+                    "mat2")},
+    "s3-z": lambda: s3_ring(Z),
+    "s3-f3": lambda: s3_ring(F3),
+    "lipschitz-z": lambda: lipschitz_ring(Z),
+}
+
+
+@pytest.mark.parametrize("ring", list(OFF_PAIR_RINGS))
+def test_sl_table_equals_the_full_solve_on_more_rings(ring):
+    # the catalog over Z, Z[S3], F3[S3] and the Lipschitz quaternions
+    sl = build_sl(3, OFF_PAIR_RINGS[ring]())
+    assert list(sl.table.items()) == list(full_sl_table(sl).items())
+    if ring == "lipschitz-z":
+        # [R, R] = 2Z^3: single-entry basis rows that are not unit rows
+        assert any(len(b) == 1 and 2 in b.values() for b in sl.basis)
+
+
+def test_sl_table_needs_no_gl_bracket_and_few_solves(monkeypatch):
+    # the table is summed from gl's entries, and only a bracket with an
+    # entry off the unit rows E_ij(r) of the basis goes to the solver
+    import stlhom.leibniz as leib
+    from stlhom.leibniz import GlAlgebra
+
+    def no_bracket(self, u, v):
+        raise AssertionError("gl bracket called")
+
+    real = SpanSolver.solve
+    calls = []
+
+    def solve(self, target):
+        calls.append(target)
+        return real(self, target)
+
+    monkeypatch.setattr(GlAlgebra, "bracket", no_bracket)
+    monkeypatch.setattr(SpanSolver, "solve", solve)
+    monkeypatch.setattr(leib, "check_torus_grading", lambda sl: None)
+    for name, scal, solves in (("mat2", "f2", 50), ("group-c2", "q", 40)):
+        calls.clear()
+        build_sl(5, catalog_ring(name, DOMS[scal]))
+        assert len(calls) == solves
 
 
 def _mutated_build_sl(monkeypatch, mutate):

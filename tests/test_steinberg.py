@@ -131,6 +131,23 @@ def test_kernel_is_hochschild_h1(name, scal, n):
     assert m.kernel_invariants == hochschild_h1(m.ring)
 
 
+@pytest.mark.parametrize("name,scal,n", [
+    ("dual", "f2", 3), ("trunc3", "f3", 4), ("dual", "z", 3),
+])
+def test_build_stl_computes_hh1_once(monkeypatch, name, scal, n):
+    # uce's weight-0 stop reads the HH_1(R) that build_stl checks against
+    import stlhom.leibniz as leib
+    import stlhom.steinberg as stb
+    calls = []
+    for mod in (leib, stb):
+        real = mod.hochschild_h1
+        monkeypatch.setattr(mod, "hochschild_h1",
+                            lambda r, real=real: calls.append(r) or real(r))
+    m = build_stl(n, ring(name, scal))
+    assert len(calls) == 1
+    assert m.kernel_invariants == hochschild_h1(m.ring)
+
+
 def _integral_fractions(vectors) -> list:
     """The entries of the vectors that are Fractions of denominator 1: a Q
     scalar is canonical as an int when it is integral."""
